@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .tree import attach_forecast, reduce_fan_to_tree, validate_tree, zero_price
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--threads", type=int, default=1, help="solver worker threads")
     parser.add_argument(
         "--nominal-prices",
         action="store_true",
@@ -145,7 +143,6 @@ def _cmd_solve(args) -> int:
     if not tree.is_attached:
         tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
     instance = assemble_problem(model, tree, weights, x, u_prev, k)
-    solver_cfg = replace(solver_cfg, threads=args.threads)
     try:
         result = solve_instance(instance, solver_cfg)
     except RuntimeError as exc:
@@ -203,7 +200,6 @@ def _cmd_simulate(args) -> int:
                 d_hat=nominal_d[k:k + horizon], alpha_hat=nominal_p[k:k + horizon]
             )
 
-    solver_cfg = replace(solver_cfg, threads=args.threads)
     config = SimulationConfig(
         h_sim=steps,
         weights=weights,

@@ -35,11 +35,7 @@ from .tree import ScenarioFan, ScenarioTree, reduce_fan_to_tree
 
 DEMO_KINDS = ("tank1", "net3", "net10")
 
-# Weight tuning reported for the reference city-scale study, which uses
-# SI-second flow units. Kept for reference and tests; the bundled demos
-# use DEMO_WEIGHTS matched to their hourly unit system.
-PAPER_WEIGHTS = dict(w_alpha=1e6, w_u=1.3e7, w_s=1e5, w_x=1e8)
-
+# Weight tuning of the bundled demos, matched to their hourly unit system.
 DEMO_WEIGHTS = dict(w_alpha=1.0, w_u=1e-2, w_s=1.0, w_x=100.0)
 DEMO_DT = 1.0  # hours
 

@@ -103,6 +103,10 @@ class ProblemInstance:
     demand: np.ndarray = field(init=False, repr=False)
     price: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
+    parent_rows: list[slice | np.ndarray | None] = field(init=False, repr=False)
+    child_groups: list[tuple[slice | np.ndarray, np.ndarray | None] | None] = field(
+        init=False, repr=False
+    )
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
 
@@ -140,6 +144,30 @@ class ProblemInstance:
             count = int(np.count_nonzero(stages == j))
             self.stage_slices.append(slice(start, start + count))
             start += count
+        # Child-to-parent maps of stages 2..H for the stage sweeps; entry 0
+        # (stage 1, whose parent is the root) is None. parent_rows[j] indexes
+        # each row's parent: the previous stage's slice, a view, when every
+        # node is its parent's only child in order, else the ancestor rows.
+        # child_groups[j] = (order, starts) for np.add.reduceat: order groups
+        # the rows by parent (a plain view when breadth-first numbering
+        # already does) and starts opens each group, None when one to one.
+        # Every node before the last stage has a child, so group i belongs
+        # to the i-th row of the previous stage.
+        self.parent_rows = [None]
+        self.child_groups = [None]
+        for prev, sl in zip(self.stage_slices, self.stage_slices[1:]):
+            parents = self.anc_row[sl]
+            order: slice | np.ndarray = slice(None)
+            if np.any(parents[1:] < parents[:-1]):
+                order = np.argsort(parents, kind="stable")
+            grouped = parents[order]
+            starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+            if isinstance(order, slice) and starts.size == parents.size:
+                self.parent_rows.append(prev)
+                self.child_groups.append((order, None))
+            else:
+                self.parent_rows.append(parents)
+                self.child_groups.append((order, starts))
         # Hot-path constants: per-node demand inflow term and economic cost rows.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
@@ -210,11 +238,10 @@ def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
     n = instance.n_nonroot
     if U.shape != (n, m.n_inputs):
         raise ValueError(f"inputs must have shape {(n, m.n_inputs)}")
-    X = np.empty((n, m.n_tanks))
+    X = U @ m.B.T + instance.demand_gd
     for j, sl in enumerate(instance.stage_slices):
-        anc = instance.anc_row[sl]
-        x_prev = instance.p[None, :] if j == 0 else X[anc]
-        X[sl] = x_prev @ m.A.T + U[sl] @ m.B.T + instance.demand_gd[sl]
+        x_prev = instance.p[None, :] if j == 0 else X[instance.parent_rows[j]]
+        X[sl] += x_prev @ m.A.T
     return X
 
 
@@ -300,22 +327,15 @@ def _dist_prox(V: np.ndarray, proj: np.ndarray, threshold: float) -> np.ndarray:
     return V - step[:, None] * diff
 
 
-def _prox_g_parts(
-    model, weights, V1: np.ndarray, V2: np.ndarray, V3: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise prox of gamma * g on pre-split slots (threadable kernel)."""
-    out1 = _dist_prox(V1, np.clip(V1, model.x_min, model.x_max), gamma * weights.w_x)
-    out2 = _dist_prox(V2, np.maximum(V2, model.x_safe), gamma * weights.w_s)
-    out3 = np.clip(V3, model.u_min, model.u_max)
-    return out1, out2, out3
-
-
 def prox_g(instance: ProblemInstance, v: np.ndarray, gamma: float) -> np.ndarray:
     """Proximal operator of gamma * g, node-separable and slot-separable."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    m, w = instance.model, instance.weights
     V1, V2, V3 = instance.split_dual(v)
-    out1, out2, out3 = _prox_g_parts(instance.model, instance.weights, V1, V2, V3, gamma)
+    out1 = _dist_prox(V1, np.clip(V1, m.x_min, m.x_max), gamma * w.w_x)
+    out2 = _dist_prox(V2, np.maximum(V2, m.x_safe), gamma * w.w_s)
+    out3 = np.clip(V3, m.u_min, m.u_max)
     return instance.join_dual(out1, out2, out3)
 
 
@@ -390,13 +410,6 @@ def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
     np.minimum(Y2, 0.0, out=Y2)
     # Rescale y2 after the sign clamp cannot grow its norm, so order is safe.
     return instance.join_dual(Y1, Y2, Y3)
-
-
-def project_image_feasible(instance: ProblemInstance, hx: np.ndarray) -> np.ndarray:
-    """Project only onto g's hard part (the input box); soft slots pass through."""
-    m = instance.model
-    Y1, Y2, Y3 = instance.split_dual(hx)
-    return instance.join_dual(Y1, Y2, np.clip(Y3, m.u_min, m.u_max))
 
 
 def primal_objective(instance: ProblemInstance, z: np.ndarray) -> float:

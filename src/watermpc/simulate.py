@@ -55,7 +55,9 @@ class SimulationLog:
     ``x`` has ``h_sim + 1`` rows, ``x[0]`` being the initial state, and
     satisfies ``x[k+1] = A x[k] + B u[k] + Gd d[k]`` exactly. ``alpha0``
     and ``x_safe`` are copies of the model vectors so indicators can be
-    computed from the log alone.
+    computed from the log alone. ``termination`` holds each step's
+    solver termination reason (``"converged"`` or ``"max_iter"``), which
+    ``iterations`` alone cannot tell apart at the cap.
     """
 
     x: np.ndarray
@@ -68,6 +70,7 @@ class SimulationLog:
     alpha0: np.ndarray
     x_safe: np.ndarray
     coupling_residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    termination: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=object))
 
     @property
     def h_sim(self) -> int:
@@ -118,6 +121,7 @@ def run_closed_loop(
     iters = np.empty(h, int)
     resid = np.empty(h)
     coup = np.empty(h)
+    terms = np.empty(h, dtype=object)
     xs[0] = x
 
     cache: FactorCache | None = None
@@ -139,6 +143,7 @@ def run_closed_loop(
         taus[k] = time.perf_counter() - started
         us[k] = result.u0
         iters[k] = result.iterations
+        terms[k] = result.termination
         resid[k] = result.primal_residual
         d_k = realized_demand[k]
         coup[k] = float(
@@ -159,6 +164,7 @@ def run_closed_loop(
         alpha0=model.alpha0.copy(),
         x_safe=model.x_safe.copy(),
         coupling_residual=coup,
+        termination=terms,
     )
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,8 +37,8 @@ import numpy as np
 
 from .problem import (
     ProblemInstance,
-    _prox_g_parts,
     g_conjugate_value,
+    prox_g_conjugate,
     restore_feasible_inputs,
     rollout_inputs,
     smooth_cost,
@@ -63,7 +62,6 @@ class SolverConfig:
     tol: float = 5e-2
     gamma: float | None = None
     averaged_primal: bool = True
-    threads: int = 1
     gap_check_every: int = 25
 
     def __post_init__(self) -> None:
@@ -73,8 +71,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive when given")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.gap_check_every < 1:
             raise ValueError("gap_check_every must be at least 1")
 
@@ -239,19 +235,27 @@ def factor_step(
     )
 
 
+def _sum_to_parents(
+    rows: np.ndarray, groups: tuple[slice | np.ndarray, np.ndarray | None]
+) -> np.ndarray:
+    """Sum a stage's rows per parent, in the previous stage's row order."""
+    order, starts = groups
+    return rows if starts is None else np.add.reduceat(rows[order], starts)
+
+
 def _dual_gradient_parts(
     cache: FactorCache,
     instance: ProblemInstance,
     Yx: np.ndarray,
     Yu: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Inner QP solve given the collapsed dual rows (y1 + y2, y3).
 
-    Returns per-node inputs U, states X and the attained value of
-    f(x) + <H'y, x>. Backward pass accumulates the linear cost-to-go
-    coefficients; forward pass rolls out the stage-gain feedback. Within a
-    stage all node rows are independent; the child-to-parent reductions
-    run in ascending node order.
+    Returns the per-node inputs U and states X minimizing f(x) + <H'y, x>;
+    :func:`dual_gradient` also prices them. Backward pass accumulates the linear
+    cost-to-go coefficients, summing each stage's rows into their parents
+    by segment sums over the instance's child groups; forward pass rolls
+    out the stage-gain feedback on the inputs, then the states.
     """
     m = instance.model
     n = instance.n_nonroot
@@ -265,29 +269,19 @@ def _dual_gradient_parts(
             (lin / instance.prob[sl, None]) @ cache.t_mat[s - 1]
         )
         if s > 1:
-            parents = instance.anc_row[sl]
-            np.add.at(w_bar, parents, w_bar[sl] @ m.A)
-            np.add.at(
-                r_bar,
-                parents,
-                (-2.0 * instance.prob[sl, None]) * (e_vec[sl] @ instance.wu),
-            )
+            parent_sl = instance.stage_slices[s - 2]
+            groups = instance.child_groups[s - 1]
+            w_bar[parent_sl] += _sum_to_parents(w_bar[sl], groups) @ m.A
+            r_bar[parent_sl] -= _sum_to_parents(
+                2.0 * instance.prob[sl, None] * e_vec[sl], groups
+            ) @ instance.wu
 
     U = np.empty((n, m.n_inputs))
-    X = np.empty((n, m.n_tanks))
     for s in range(1, instance.tree.horizon + 1):
         sl = instance.stage_slices[s - 1]
-        d_s = cache.d_gain[s - 1]
-        if s == 1:
-            U[sl] = instance.q @ d_s.T + e_vec[sl]
-            X[sl] = instance.p @ m.A.T + U[sl] @ m.B.T + instance.demand_gd[sl]
-        else:
-            anc = instance.anc_row[sl]
-            U[sl] = U[anc] @ d_s.T + e_vec[sl]
-            X[sl] = X[anc] @ m.A.T + U[sl] @ m.B.T + instance.demand_gd[sl]
-
-    value = smooth_cost(instance, U) + float((Yx * X).sum() + (Yu * U).sum())
-    return U, X, value
+        u_prev = instance.q[None, :] if s == 1 else U[instance.parent_rows[s - 1]]
+        U[sl] = u_prev @ cache.d_gain[s - 1].T + e_vec[sl]
+    return U, rollout_inputs(instance, U)
 
 
 def dual_gradient(
@@ -302,7 +296,9 @@ def dual_gradient(
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
     Y1, Y2, Y3 = instance.split_dual(y)
-    U, X, value = _dual_gradient_parts(cache, instance, Y1 + Y2, Y3)
+    Yx = Y1 + Y2
+    U, X = _dual_gradient_parts(cache, instance, Yx, Y3)
+    value = smooth_cost(instance, U) + float((Yx * X).sum() + (Y3 * U).sum())
     return instance.join_primal(U, X), value
 
 
@@ -341,13 +337,13 @@ def estimate_lipschitz(
         raise ValueError("factor cache does not match this instance")
     nt = instance.model.n_tanks
     zero = np.zeros((instance.n_nonroot, nt))
-    u0, x0, _ = _dual_gradient_parts(
+    u0, x0 = _dual_gradient_parts(
         cache, instance, zero, np.zeros((instance.n_nonroot, instance.model.n_inputs))
     )
 
     def operator(vec: np.ndarray) -> np.ndarray:
         Y1, Y2, Y3 = instance.split_dual(vec)
-        u, x, _ = _dual_gradient_parts(cache, instance, Y1 + Y2, Y3)
+        u, x = _dual_gradient_parts(cache, instance, Y1 + Y2, Y3)
         return instance.join_dual(x0 - x, x0 - x, u0 - u)
 
     rng = np.random.default_rng(0)
@@ -441,9 +437,6 @@ def solve(
     iterations = config.max_iter
     termination = "max_iter"
 
-    executor = (
-        ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    )
     started = time.perf_counter()
 
     def certificate(y_point: np.ndarray) -> tuple[float, float]:
@@ -451,72 +444,65 @@ def solve(
         u_f = restore_feasible_inputs(instance, U_avg, cache.e_pinv)
         x_f = rollout_inputs(instance, u_f)
         primal_value = smooth_cost(instance, u_f) + _penalty_value(instance, x_f)
-        Y1c, Y2c, Y3c = instance.split_dual(y_point)
-        _, _, inner = _dual_gradient_parts(cache, instance, Y1c + Y2c, Y3c)
+        _, inner = dual_gradient(cache, instance, y_point)
         dual_value = inner - g_conjugate_value(instance, y_point)
         return primal_value - dual_value, primal_value
 
-    try:
-        for nu in range(config.max_iter):
-            beta = theta * (1.0 / theta_prev - 1.0)
-            w_vec = y + beta * (y - y_prev)
-            w_rows = w_vec.reshape(n, -1)
-            U, X, _ = _dual_gradient_parts(
-                cache, instance, w_rows[:, :nt] + w_rows[:, nt:2 * nt],
-                w_rows[:, 2 * nt:],
+    for nu in range(config.max_iter):
+        beta = theta * (1.0 / theta_prev - 1.0)
+        w_vec = y + beta * (y - y_prev)
+        w_rows = w_vec.reshape(n, -1)
+        U, X = _dual_gradient_parts(
+            cache, instance, w_rows[:, :nt] + w_rows[:, nt:2 * nt],
+            w_rows[:, 2 * nt:],
+        )
+        w_plus = w_vec.copy()
+        rows = w_plus.reshape(n, -1)
+        rows[:, :nt] += gamma * X
+        rows[:, nt:2 * nt] += gamma * X
+        rows[:, 2 * nt:] += gamma * U
+        y_next = prox_g_conjugate(instance, w_plus, gamma)
+
+        if nu == 0:
+            U_avg[:] = U
+            X_avg[:] = X
+        else:
+            U_avg *= 1.0 - theta
+            U_avg += theta * U
+            X_avg *= 1.0 - theta
+            X_avg += theta * X
+
+        dual_change = float(np.max(np.abs(y_next - y)))
+        if not np.isfinite(dual_change):
+            raise RuntimeError(f"solver produced a non-finite iterate at nu={nu}")
+        over = np.maximum(U_avg - m.u_max[None, :], 0.0)
+        under = np.maximum(m.u_min[None, :] - U_avg, 0.0)
+        primal_residual = float(max(over.max(initial=0.0), under.max(initial=0.0)))
+        image_scale = max(
+            float(np.max(np.abs(X_avg), initial=0.0)),
+            float(np.max(np.abs(U_avg), initial=0.0)),
+        )
+
+        if iterate_hook is not None:
+            iterate_hook(
+                nu,
+                y_next,
+                instance.join_primal(U, X),
+                instance.join_primal(U_avg, X_avg),
             )
-            w_plus = w_vec.copy()
-            rows = w_plus.reshape(n, -1)
-            rows[:, :nt] += gamma * X
-            rows[:, nt:2 * nt] += gamma * X
-            rows[:, 2 * nt:] += gamma * U
-            y_next = _prox_conjugate_threaded(
-                instance, w_plus, gamma, config.threads, executor
-            )
 
-            if nu == 0:
-                U_avg[:] = U
-                X_avg[:] = X
-            else:
-                U_avg *= 1.0 - theta
-                U_avg += theta * U
-                X_avg *= 1.0 - theta
-                X_avg += theta * X
+        y_prev, y = y, y_next
+        theta_prev, theta = theta, _next_theta(theta)
 
-            dual_change = float(np.max(np.abs(y_next - y)))
-            if not np.isfinite(dual_change):
-                raise RuntimeError(f"solver produced a non-finite iterate at nu={nu}")
-            over = np.maximum(U_avg - m.u_max[None, :], 0.0)
-            under = np.maximum(m.u_min[None, :] - U_avg, 0.0)
-            primal_residual = float(max(over.max(initial=0.0), under.max(initial=0.0)))
-            image_scale = max(
-                float(np.max(np.abs(X_avg), initial=0.0)),
-                float(np.max(np.abs(U_avg), initial=0.0)),
-            )
-
-            if iterate_hook is not None:
-                iterate_hook(
-                    nu,
-                    y_next,
-                    instance.join_primal(U, X),
-                    instance.join_primal(U_avg, X_avg),
-                )
-
-            y_prev, y = y, y_next
-            theta_prev, theta = theta, _next_theta(theta)
-
-            if (
-                primal_residual <= config.tol * (1.0 + image_scale)
-                and (nu + 1) % config.gap_check_every == 0
-            ):
-                gap, objective = certificate(y)
-                if gap <= config.tol * (1.0 + abs(objective)):
-                    iterations = nu + 1
-                    termination = "converged"
-                    break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
+        if (
+            primal_residual <= config.tol * (1.0 + image_scale)
+            and (nu + 1) % config.gap_check_every == 0
+        ):
+            gap, objective = certificate(y)
+            if gap <= config.tol * (1.0 + abs(objective)):
+                iterations = nu + 1
+                termination = "converged"
+                break
 
     if termination == "max_iter":
         gap, objective = certificate(y)
@@ -542,42 +528,3 @@ def solve(
         lipschitz=lipschitz,
     )
 
-
-def _prox_conjugate_threaded(
-    instance: ProblemInstance,
-    w_plus: np.ndarray,
-    gamma: float,
-    threads: int,
-    executor: ThreadPoolExecutor | None,
-) -> np.ndarray:
-    """prox of gamma*g^* via Moreau, rows chunked across worker threads.
-
-    Chunking is row-exact: every row is computed by the same expression
-    regardless of the chunk layout, so thread counts cannot change results.
-    """
-    n = instance.n_nonroot
-    nt = instance.model.n_tanks
-    rows = w_plus.reshape(n, -1)
-    out = np.empty_like(rows)
-
-    def work(a: int, b: int) -> None:
-        V = rows[a:b] / gamma
-        O1, O2, O3 = _prox_g_parts(
-            instance.model,
-            instance.weights,
-            V[:, :nt],
-            V[:, nt:2 * nt],
-            V[:, 2 * nt:],
-            1.0 / gamma,
-        )
-        out[a:b, :nt] = rows[a:b, :nt] - gamma * O1
-        out[a:b, nt:2 * nt] = rows[a:b, nt:2 * nt] - gamma * O2
-        out[a:b, 2 * nt:] = rows[a:b, 2 * nt:] - gamma * O3
-
-    if executor is not None and threads > 1 and n >= 4 * threads:
-        bounds = np.linspace(0, n, threads + 1).astype(int)
-        jobs = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        list(executor.map(lambda ab: work(*ab), jobs))
-    else:
-        work(0, n)
-    return out.reshape(-1)

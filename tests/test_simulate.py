@@ -74,6 +74,7 @@ class TestRunClosedLoop:
         )
         # Every applied action came from a converged solve, not the iteration cap.
         assert int(log.iterations.max()) < config.solver.max_iter
+        assert (log.termination == "converged").all()
         # After the transient the pump matches demand: B u + Gd d ~ 0.
         tail_balance = model.B @ log.u[-5:].T.mean(axis=1) + model.Gd @ np.array([demand])
         assert float(np.abs(tail_balance).max()) <= 0.05 * demand
