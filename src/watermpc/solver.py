@@ -235,14 +235,6 @@ def factor_step(
     )
 
 
-def _sum_to_parents(
-    rows: np.ndarray, groups: tuple[slice | np.ndarray, np.ndarray | None]
-) -> np.ndarray:
-    """Sum a stage's rows per parent, in the previous stage's row order."""
-    order, starts = groups
-    return rows if starts is None else np.add.reduceat(rows[order], starts)
-
-
 def _dual_gradient_parts(
     cache: FactorCache,
     instance: ProblemInstance,
@@ -269,12 +261,16 @@ def _dual_gradient_parts(
             (lin / instance.prob[sl, None]) @ cache.t_mat[s - 1]
         )
         if s > 1:
+            # Sum the stage's rows per parent, in the parent stage's order.
+            w_sum = w_bar[sl]
+            r_sum = 2.0 * instance.prob[sl, None] * e_vec[sl]
+            order, starts = instance.child_groups[s - 1]
+            if starts is not None:
+                w_sum = np.add.reduceat(w_sum[order], starts)
+                r_sum = np.add.reduceat(r_sum[order], starts)
             parent_sl = instance.stage_slices[s - 2]
-            groups = instance.child_groups[s - 1]
-            w_bar[parent_sl] += _sum_to_parents(w_bar[sl], groups) @ m.A
-            r_bar[parent_sl] -= _sum_to_parents(
-                2.0 * instance.prob[sl, None] * e_vec[sl], groups
-            ) @ instance.wu
+            w_bar[parent_sl] += w_sum @ m.A
+            r_bar[parent_sl] -= r_sum @ instance.wu
 
     U = np.empty((n, m.n_inputs))
     for s in range(1, instance.tree.horizon + 1):
