@@ -104,7 +104,7 @@ class ProblemInstance:
     price: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
     parent_rows: list[slice | np.ndarray | None] = field(init=False, repr=False)
-    child_groups: list[tuple[slice | np.ndarray, np.ndarray | None] | None] = field(
+    child_groups: list[tuple[slice | np.ndarray, np.ndarray] | None] = field(
         init=False, repr=False
     )
     demand_gd: np.ndarray = field(init=False, repr=False)
@@ -150,9 +150,9 @@ class ProblemInstance:
         # node is its parent's only child in order, else the ancestor rows.
         # child_groups[j] = (order, starts) for np.add.reduceat: order groups
         # the rows by parent (a plain view when breadth-first numbering
-        # already does) and starts opens each group, None when one to one.
-        # Every node before the last stage has a child, so group i belongs
-        # to the i-th row of the previous stage.
+        # already does) and starts opens each group; None when one to one,
+        # as there is nothing to sum. Every node before the last stage has
+        # a child, so group i belongs to the i-th row of the previous stage.
         self.parent_rows = [None]
         self.child_groups = [None]
         for prev, sl in zip(self.stage_slices, self.stage_slices[1:]):
@@ -164,7 +164,7 @@ class ProblemInstance:
             starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
             if isinstance(order, slice) and starts.size == parents.size:
                 self.parent_rows.append(prev)
-                self.child_groups.append((order, None))
+                self.child_groups.append(None)
             else:
                 self.parent_rows.append(parents)
                 self.child_groups.append((order, starts))

@@ -264,8 +264,9 @@ def _dual_gradient_parts(
             # Sum the stage's rows per parent, in the parent stage's order.
             w_sum = w_bar[sl]
             r_sum = 2.0 * instance.prob[sl, None] * e_vec[sl]
-            order, starts = instance.child_groups[s - 1]
-            if starts is not None:
+            groups = instance.child_groups[s - 1]
+            if groups is not None:
+                order, starts = groups
                 w_sum = np.add.reduceat(w_sum[order], starts)
                 r_sum = np.add.reduceat(r_sum[order], starts)
             parent_sl = instance.stage_slices[s - 2]
