@@ -394,24 +394,6 @@ def _box_support(lo: np.ndarray, hi: np.ndarray, Y: np.ndarray) -> float:
     return float(np.where(np.isnan(val), 0.0, val).sum())
 
 
-def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
-    """Nearest-practical point of dom g^*: scale y1/y2 into their norm
-    balls and drop positive y2 components."""
-    m = instance.model
-    w = instance.weights
-    Y1, Y2, Y3 = (a.copy() for a in instance.split_dual(y))
-    for Y, bound in ((Y1, w.w_x), (Y2, w.w_s)):
-        norms = np.linalg.norm(Y, axis=1)
-        over = norms > bound
-        if np.any(over):
-            scale = np.ones_like(norms)
-            scale[over] = bound / norms[over]
-            Y *= scale[:, None]
-    np.minimum(Y2, 0.0, out=Y2)
-    # Rescale y2 after the sign clamp cannot grow its norm, so order is safe.
-    return instance.join_dual(Y1, Y2, Y3)
-
-
 def primal_objective(instance: ProblemInstance, z: np.ndarray) -> float:
     """Full objective f(z) + g(Hz)."""
     fz = eval_f(instance, z)

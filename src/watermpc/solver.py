@@ -29,7 +29,6 @@ reusable across instances sharing the same structure.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,6 +37,7 @@ import numpy as np
 from .problem import (
     ProblemInstance,
     g_conjugate_value,
+    g_value,
     prox_g_conjugate,
     restore_feasible_inputs,
     rollout_inputs,
@@ -52,16 +52,14 @@ class SolverConfig:
     """Iteration budget, termination tolerance and step-size choice.
 
     ``gamma`` is the dual step size; None selects 1/L with L estimated by
-    power iteration. ``averaged_primal`` controls whether the control
-    action is read from the ergodic average (default) or the last iterate.
-    Termination is certified by a duality-gap check run every
-    ``gap_check_every`` iterations once the input-box residual test holds.
+    power iteration. Termination is certified by a duality-gap check run
+    every ``gap_check_every`` iterations once the input-box residual test
+    holds.
     """
 
     max_iter: int = 20000
     tol: float = 5e-2
     gamma: float | None = None
-    averaged_primal: bool = True
     gap_check_every: int = 25
 
     def __post_init__(self) -> None:
@@ -77,10 +75,9 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Control action plus full iterate information for diagnostics."""
+    """Control action plus the averaged primal and final dual for diagnostics."""
 
     u0: np.ndarray
-    primal: np.ndarray
     primal_avg: np.ndarray
     dual: np.ndarray
     iterations: int
@@ -91,7 +88,6 @@ class SolverResult:
     objective: float
     solve_time_s: float
     gamma: float
-    lipschitz: float | None
 
 
 @dataclass
@@ -112,9 +108,7 @@ class FactorCache:
     d_gain: list[np.ndarray]          # per-stage feedback on the ancestor input
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
-    pi: list[np.ndarray]              # per-stage input cost-to-go core
-    kappa: float                      # crude lower curvature bound of f on its domain
-    lipschitz: float | None = None
+    lipschitz: float | None = None    # dual curvature bound, set by estimate_lipschitz
     signature: tuple = field(default=(), repr=False)
 
 
@@ -161,8 +155,7 @@ def factor_step(
             raise ValueError("cached factors were built for a different structure")
         basis, e_pinv = structure_from.null_basis, structure_from.e_pinv
         d_gain, t_mat = structure_from.d_gain, structure_from.t_mat
-        lam, pi = structure_from.lam, structure_from.pi
-        kappa = structure_from.kappa
+        lam = structure_from.lam
         lipschitz = structure_from.lipschitz
     else:
         basis, e_pinv = _null_space(m.E, m.n_inputs)
@@ -176,10 +169,9 @@ def factor_step(
         d_gain = [np.empty(0)] * horizon
         t_mat = [np.empty(0)] * horizon
         lam = [np.empty(0)] * horizon
-        pi = [np.empty(0)] * horizon
-        pi_next = np.zeros((m.n_inputs, m.n_inputs))
+        pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
         for s in range(horizon, 0, -1):
-            lam_s = pi_next + 2.0 * wu
+            lam_s = pi_s + 2.0 * wu
             reduced = basis.T @ lam_s @ basis
             try:
                 np.linalg.cholesky(reduced)
@@ -192,11 +184,7 @@ def factor_step(
             d_s = 2.0 * (t_s @ wu)
             pi_s = 2.0 * wu - 2.0 * (wu @ d_s)
             pi_s = 0.5 * (pi_s + pi_s.T)
-            lam[s - 1], t_mat[s - 1], d_gain[s - 1], pi[s - 1] = lam_s, t_s, d_s, pi_s
-            pi_next = pi_s
-        p_min = float(instance.prob.min())
-        w_min = float(np.linalg.eigvalsh(instance.wu)[0])
-        kappa = 2.0 * w_min * p_min / (horizon * max(instance.n_nonroot, 1))
+            lam[s - 1], t_mat[s - 1], d_gain[s - 1] = lam_s, t_s, d_s
         lipschitz = None
 
     # Particular solutions of E u = -Ed d per node, least-norm flavor.
@@ -228,8 +216,6 @@ def factor_step(
         d_gain=d_gain,
         t_mat=t_mat,
         lam=lam,
-        pi=pi,
-        kappa=kappa,
         lipschitz=lipschitz,
         signature=sig,
     )
@@ -327,8 +313,9 @@ def estimate_lipschitz(
 
     Runs on the positive semidefinite linear part of y -> -H x*(y) until
     the Rayleigh quotient stalls within ``rel_tol``, then adds the safety
-    margin. Falls back to the (expensive, always-valid) trace bound with a
-    warning if the iteration does not settle.
+    margin and stores the estimate in ``cache.lipschitz``. Raises
+    RuntimeError if the iteration does not settle within ``max_iter``
+    operator applications.
     """
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
@@ -347,8 +334,6 @@ def estimate_lipschitz(
     v = rng.standard_normal(instance.n_dual)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    lam = 0.0
-    converged = False
     for _ in range(max_iter):
         gv = operator(v)
         lam = float(v @ gv)
@@ -357,35 +342,18 @@ def estimate_lipschitz(
             break
         v = gv / norm
         if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            converged = True
             break
         lam_prev = lam
-    if not converged and lam > 0.0:
-        warnings.warn(
-            "power iteration did not settle; falling back to the trace bound",
-            RuntimeWarning,
-            stacklevel=2,
+    else:
+        raise RuntimeError(
+            f"power iteration did not settle within {max_iter} iterations "
+            f"(rel_tol={rel_tol:g}); pass gamma in SolverConfig to skip the estimate"
         )
-        basis = np.zeros(instance.n_dual)
-        total = 0.0
-        for i in range(instance.n_dual):
-            basis[i] = 1.0
-            total += float(operator(basis)[i])
-            basis[i] = 0.0
-        lam = total
     if lam <= 0.0:
         raise RuntimeError("dual curvature estimate failed (operator not positive)")
     estimate = safety * lam
     cache.lipschitz = estimate
     return estimate
-
-
-def _penalty_value(instance: ProblemInstance, X: np.ndarray) -> float:
-    m = instance.model
-    w = instance.weights
-    box = np.linalg.norm(X - np.clip(X, m.x_min, m.x_max), axis=1).sum()
-    safe = np.linalg.norm(X - np.maximum(X, m.x_safe), axis=1).sum()
-    return float(w.w_x * box + w.w_s * safe)
 
 
 def solve(
@@ -401,7 +369,7 @@ def solve(
     (primal value of the feasibility-restored average minus the dual value
     at the current iterate) must fall under ``tol`` relative to the
     objective. The control action u0 is the probability-weighted average
-    of the stage-1 node inputs of the chosen primal, clipped to the box.
+    of the stage-1 node inputs of the averaged primal, clipped to the box.
 
     ``iterate_hook(nu, y, z, z_avg)`` observes every iteration.
     """
@@ -411,38 +379,40 @@ def solve(
     elif cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
     gamma = config.gamma
-    lipschitz = cache.lipschitz
     if gamma is None:
+        lipschitz = cache.lipschitz
         if lipschitz is None:
             lipschitz = estimate_lipschitz(cache, instance)
         gamma = 1.0 / lipschitz
 
     m = instance.model
-    nt, nu_dim = m.n_tanks, m.n_inputs
+    nt = m.n_tanks
     n = instance.n_nonroot
     y = np.zeros(instance.n_dual)
     y_prev = np.zeros(instance.n_dual)
     theta = theta_prev = 1.0
-    U_avg = np.zeros((n, nu_dim))
+    U_avg = np.zeros((n, m.n_inputs))
     X_avg = np.zeros((n, nt))
-    U = np.zeros((n, nu_dim))
-    X = np.zeros((n, nt))
-    primal_residual = np.inf
-    dual_change = np.inf
-    gap = np.inf
-    objective = np.inf
     iterations = config.max_iter
     termination = "max_iter"
 
     started = time.perf_counter()
 
-    def certificate(y_point: np.ndarray) -> tuple[float, float]:
-        """Duality gap of the feasibility-restored average against y_point."""
+    def box_residual() -> float:
+        """Largest input-box violation of the average."""
+        over = np.maximum(U_avg - m.u_max[None, :], 0.0)
+        under = np.maximum(m.u_min[None, :] - U_avg, 0.0)
+        return float(max(over.max(initial=0.0), under.max(initial=0.0)))
+
+    def certificate() -> tuple[float, float]:
+        """Duality gap of the feasibility-restored average against y."""
         u_f = restore_feasible_inputs(instance, U_avg, cache.e_pinv)
         x_f = rollout_inputs(instance, u_f)
-        primal_value = smooth_cost(instance, u_f) + _penalty_value(instance, x_f)
-        _, inner = dual_gradient(cache, instance, y_point)
-        dual_value = inner - g_conjugate_value(instance, y_point)
+        primal_value = smooth_cost(instance, u_f) + g_value(
+            instance, instance.join_dual(x_f, x_f, u_f)
+        )
+        _, inner = dual_gradient(cache, instance, y)
+        dual_value = inner - g_conjugate_value(instance, y)
         return primal_value - dual_value, primal_value
 
     for nu in range(config.max_iter):
@@ -472,13 +442,6 @@ def solve(
         dual_change = float(np.max(np.abs(y_next - y)))
         if not np.isfinite(dual_change):
             raise RuntimeError(f"solver produced a non-finite iterate at nu={nu}")
-        over = np.maximum(U_avg - m.u_max[None, :], 0.0)
-        under = np.maximum(m.u_min[None, :] - U_avg, 0.0)
-        primal_residual = float(max(over.max(initial=0.0), under.max(initial=0.0)))
-        image_scale = max(
-            float(np.max(np.abs(X_avg), initial=0.0)),
-            float(np.max(np.abs(U_avg), initial=0.0)),
-        )
 
         if iterate_hook is not None:
             iterate_hook(
@@ -491,37 +454,37 @@ def solve(
         y_prev, y = y, y_next
         theta_prev, theta = theta, _next_theta(theta)
 
-        if (
-            primal_residual <= config.tol * (1.0 + image_scale)
-            and (nu + 1) % config.gap_check_every == 0
-        ):
-            gap, objective = certificate(y)
-            if gap <= config.tol * (1.0 + abs(objective)):
-                iterations = nu + 1
-                termination = "converged"
-                break
+        certified = False  # whether this iteration ran the certificate
+        if (nu + 1) % config.gap_check_every == 0:
+            image_scale = max(
+                float(np.max(np.abs(X_avg), initial=0.0)),
+                float(np.max(np.abs(U_avg), initial=0.0)),
+            )
+            if box_residual() <= config.tol * (1.0 + image_scale):
+                gap, objective = certificate()
+                certified = True
+                if gap <= config.tol * (1.0 + abs(objective)):
+                    iterations = nu + 1
+                    termination = "converged"
+                    break
 
-    if termination == "max_iter":
-        gap, objective = certificate(y)
+    if not certified:
+        gap, objective = certificate()
     elapsed = time.perf_counter() - started
 
-    U_out = U_avg if config.averaged_primal else U
     sl1 = instance.stage_slices[0]
-    u0 = instance.prob[sl1] @ U_out[sl1]
+    u0 = instance.prob[sl1] @ U_avg[sl1]
     u0 = np.clip(u0, m.u_min, m.u_max)
     return SolverResult(
         u0=u0,
-        primal=instance.join_primal(U, X),
         primal_avg=instance.join_primal(U_avg, X_avg),
         dual=y,
         iterations=iterations,
         termination=termination,
-        primal_residual=primal_residual,
+        primal_residual=box_residual(),
         dual_change=dual_change,
         duality_gap=gap,
         objective=objective,
         solve_time_s=elapsed,
         gamma=gamma,
-        lipschitz=lipschitz,
     )
-

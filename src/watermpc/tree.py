@@ -360,14 +360,9 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
         want = branching[j - 1]
         next_bundles: list[tuple[int, np.ndarray, np.ndarray]] = []
         for parent_node, members, weights in bundles:
-            if want > members.size:
-                raise ValueError(
-                    f"branching exceeds scenario count at stage {j}: "
-                    f"{want} children requested from a bundle of {members.size}"
-                )
             vals = fan.values[members, j - 1, :]
             rel_w = weights / weights.sum()
-            reps, assign = _fast_forward_select(vals, rel_w, want)
+            reps, assign = _fast_forward_select(vals, rel_w, min(want, members.size))
             for slot in range(len(reps)):
                 mask = assign == slot
                 if not np.any(mask):

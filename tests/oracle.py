@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .problem import (
+from watermpc.problem import (
     ProblemInstance,
     apply_H,
     apply_H_adjoint,
-    clip_dual_to_domain,
     g_conjugate_value,
     primal_objective,
     restore_feasible_inputs,
@@ -202,6 +201,24 @@ def project_primal_feasible(instance: ProblemInstance, z: np.ndarray) -> np.ndar
     U, _ = instance.split_primal(z)
     U_f = restore_feasible_inputs(instance, U)
     return instance.join_primal(U_f, rollout_inputs(instance, U_f))
+
+
+def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
+    """Nearest-practical point of dom g^*: scale y1/y2 into their norm
+    balls and drop positive y2 components."""
+    m = instance.model
+    w = instance.weights
+    Y1, Y2, Y3 = (a.copy() for a in instance.split_dual(y))
+    for Y, bound in ((Y1, w.w_x), (Y2, w.w_s)):
+        norms = np.linalg.norm(Y, axis=1)
+        over = norms > bound
+        if np.any(over):
+            scale = np.ones_like(norms)
+            scale[over] = bound / norms[over]
+            Y *= scale[:, None]
+    np.minimum(Y2, 0.0, out=Y2)
+    # Rescale y2 after the sign clamp cannot grow its norm, so order is safe.
+    return instance.join_dual(Y1, Y2, Y3)
 
 
 def duality_gap(instance: ProblemInstance, z: np.ndarray, y: np.ndarray) -> float:

@@ -65,7 +65,6 @@ class TestRoundTrips:
 
         res = SolverResult(
             u0=rng.random(3),
-            primal=np.zeros(1),
             primal_avg=np.zeros(1),
             dual=np.zeros(1),
             iterations=17,
@@ -76,7 +75,6 @@ class TestRoundTrips:
             objective=123.0,
             solve_time_s=0.25,
             gamma=1e-3,
-            lipschitz=1e3,
         )
         wio.save_control_output(res, tmp_path / "o1.json")
         doc = wio.load_control_output(tmp_path / "o1.json")

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from watermpc.oracle import (
+from watermpc.problem import apply_H_adjoint, eval_f, primal_objective, rollout_inputs
+from watermpc.solver import dual_gradient, factor_step
+
+from conftest import make_instance
+from oracle import (
     brute_force_min,
     dense_kkt_solve,
     duality_gap,
     project_primal_feasible,
 )
-from watermpc.problem import apply_H_adjoint, eval_f, primal_objective, rollout_inputs
-from watermpc.solver import dual_gradient, factor_step
-
-from conftest import make_instance
 
 
 class TestDenseKkt:
@@ -86,7 +86,7 @@ class TestBruteForce:
         inst = make_instance(rng, n_tanks=1, n_inputs=1, n_demands=1, horizon=1, max_nodes=2)
         lo, hi = inst.model.u_min[0], inst.model.u_max[0]
         grid = np.linspace(lo, hi, 1001)
-        from watermpc.oracle import _objective_on_inputs
+        from oracle import _objective_on_inputs
 
         vals = _objective_on_inputs(inst, grid[:, None])
         sign_changes = np.count_nonzero(np.diff(np.sign(np.diff(vals))) != 0)

@@ -5,7 +5,6 @@ import pytest
 
 import watermpc.solver
 from watermpc.demo import build_demo
-from watermpc.oracle import dense_kkt_solve
 from watermpc.problem import apply_H, assemble_problem, eval_f
 from watermpc.solver import (
     SolverConfig,
@@ -18,6 +17,7 @@ from watermpc.solver import (
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance
+from oracle import dense_kkt_solve
 
 
 def rel_err(a, b):
@@ -218,6 +218,11 @@ class TestLipschitz:
         l2 = estimate_lipschitz(factor_step(inst2), inst2, rel_tol=1e-9, safety=1.0)
         assert l1 / l2 == pytest.approx(2.0, rel=1e-2)
 
+    def test_unsettled_power_iteration_raises(self, rng):
+        inst = make_instance(rng, horizon=2, max_nodes=8)
+        with pytest.raises(RuntimeError, match="did not settle within 1 iterations"):
+            estimate_lipschitz(factor_step(inst), inst, max_iter=1)
+
     def test_invariant_under_node_permutation(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         inst2 = permute_within_stages(inst, rng)
@@ -249,6 +254,19 @@ class TestThetaRecursion:
 
 
 class TestSolve:
+    @pytest.fixture
+    def smooth_cost_calls(self, monkeypatch):
+        """One entry per call the solver makes to smooth_cost."""
+        calls = []
+        real = watermpc.solver.smooth_cost
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(watermpc.solver, "smooth_cost", counted)
+        return calls
+
     def test_inactive_constraints_converge_immediately(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
         m = inst.model
@@ -291,22 +309,39 @@ class TestSolve:
         res = solve(inst, SolverConfig(max_iter=100, tol=1e-9, gap_check_every=1), cache=cache)
         np.testing.assert_allclose(res.u0, expected_u0, atol=1e-9 * (1 + np.abs(expected_u0).max()))
 
-    def test_iterations_skip_the_objective_value(self, rng, monkeypatch):
+    def test_iterations_skip_the_objective_value(self, rng, smooth_cost_calls):
         inst = make_instance(rng, horizon=3, max_nodes=12)
-        calls = []
-        real = watermpc.solver.smooth_cost
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(watermpc.solver, "smooth_cost", counted)
         # No gap check inside the loop, so the only certificate is the
         # final one: its primal value plus its dual inner value.
         config = SolverConfig(max_iter=200, tol=1e-30, gap_check_every=201)
         res = solve(inst, config)
         assert res.termination == "max_iter"
-        assert len(calls) == 2
+        assert len(smooth_cost_calls) == 2
+
+    def test_certifies_a_capped_solve_once(self, rng, smooth_cost_calls):
+        inst = make_instance(rng, horizon=3, max_nodes=12)
+        m = inst.model
+        # No input box, so the residual test always passes; safety at the
+        # capacity keeps the gap positive.
+        m.u_min[:] = -np.inf
+        m.u_max[:] = np.inf
+        m.x_safe[:] = m.x_max
+        # The last iteration is a gap-check iteration whose certificate
+        # fails; the capped solve reports it rather than running it again.
+        res = solve(inst, SolverConfig(max_iter=40, tol=1e-30, gap_check_every=40))
+        assert res.termination == "max_iter"
+        assert len(smooth_cost_calls) == 2
+
+    def test_residual_of_the_returned_average(self, rng):
+        inst = make_instance(rng, horizon=2, max_nodes=8)
+        m = inst.model
+        # 37 is not a multiple of the gap-check interval, so the last
+        # iteration runs no residual test of its own.
+        res = solve(inst, SolverConfig(max_iter=37, tol=1e-12))
+        assert res.termination == "max_iter"
+        U_avg, _ = inst.split_primal(res.primal_avg)
+        violation = float(np.abs(U_avg - np.clip(U_avg, m.u_min, m.u_max)).max())
+        assert res.primal_residual == violation
 
     def test_max_iter_termination_reported(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)

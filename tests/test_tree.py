@@ -139,6 +139,18 @@ class TestReduce:
         tree = reduce_fan_to_tree(fan, [1, 1, 1, 1])
         np.testing.assert_allclose(tree.eps[1:], fan.values.mean(axis=0), atol=1e-12)
 
+    def test_bundle_smaller_than_branching_yields_fewer_children(self):
+        # Stage 1 splits off scenario 4 alone; its bundle of one cannot
+        # branch twice at stage 2 and keeps a single child.
+        values = np.zeros((5, 2, 1))
+        values[4, 0, 0] = 100.0
+        values[:, 1, 0] = np.arange(5.0)
+        fan = ScenarioFan(values, n_demand=1, n_price=0)
+        tree = reduce_fan_to_tree(fan, [2, 2])
+        assert validate_tree(tree) == []
+        np.testing.assert_array_equal(tree.nodes_per_stage, [1, 2, 3])
+        np.testing.assert_allclose(tree.prob, [1.0, 0.8, 0.2, 0.4, 0.4, 0.2])
+
     def test_branching_exceeding_scenarios_rejected(self, rng):
         fan = ScenarioFan(rng.standard_normal((10, 2, 1)), n_demand=1, n_price=0)
         with pytest.raises(ValueError, match="exceeds scenario count"):
