@@ -511,11 +511,27 @@ def save_simlog(log: SimulationLog, path: str | Path) -> None:
             "iterations": [int(i) for i in log.iterations],
             "primalResidual": log.primal_residual.tolist(),
             "couplingResidual": log.coupling_residual.tolist(),
+            "termination": [str(t) for t in log.termination],
             "alpha0": log.alpha0.tolist(),
             "xsafe": log.x_safe.tolist(),
         },
         path,
     )
+
+
+def _terminations(doc: dict, h: int) -> np.ndarray:
+    """Per-step termination reasons: none (key absent or empty) or one per step."""
+    val = doc.get("termination", [])
+    if not isinstance(val, list):
+        raise SchemaError("/termination", "expected an array")
+    if len(val) not in (0, h):
+        raise SchemaError("/termination", f"expected {h} entries, got {len(val)}")
+    for i, item in enumerate(val):
+        if not isinstance(item, str):
+            raise SchemaError(f"/termination/{i}", "expected a string")
+    out = np.empty(len(val), dtype=object)
+    out[:] = val
+    return out
 
 
 def load_simlog(path: str | Path) -> SimulationLog:
@@ -534,6 +550,7 @@ def load_simlog(path: str | Path) -> SimulationLog:
         alpha0=_vector(doc, "alpha0"),
         x_safe=_vector(doc, "xsafe"),
         coupling_residual=_vector(doc, "couplingResidual", h),
+        termination=_terminations(doc, h),
     )
 
 

@@ -9,6 +9,7 @@ model (no model mismatch), so the logged state recursion is exact.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -22,6 +23,8 @@ from .solver import FactorCache, SolverConfig, factor_step, solve
 from .tree import ScenarioTree, attach_forecast, zero_price_errors
 
 Forecaster = Callable[[int], ForecastSeries]
+
+logger = logging.getLogger("watermpc")
 
 
 @dataclass
@@ -88,7 +91,11 @@ def run_closed_loop(
     """Simulate ``config.h_sim`` steps of stochastic MPC in closed loop.
 
     ``forecaster(k)`` must return the nominal forecast issued at step k;
-    realized arrays must cover all simulated steps.
+    realized arrays must cover all simulated steps. Every step after the
+    first is warm-started from the dual of the step before: the tree
+    template is fixed, so the dual layout is the same at every step. A
+    step whose solve ends without a converged certificate still applies
+    its action and logs a warning on the ``watermpc`` logger.
     """
     realized_demand = np.atleast_2d(np.asarray(realized_demand, float))
     realized_price = np.atleast_2d(np.asarray(realized_price, float))
@@ -125,6 +132,7 @@ def run_closed_loop(
     xs[0] = x
 
     cache: FactorCache | None = None
+    dual: np.ndarray | None = None
     for k in range(h):
         fc = forecaster(k)
         if fc.horizon != template.horizon:
@@ -137,10 +145,18 @@ def run_closed_loop(
         cache = factor_step(instance, structure_from=cache)
         started = time.perf_counter()
         try:
-            result = solve(instance, config.solver, cache=cache)
+            result = solve(instance, config.solver, cache=cache, dual0=dual)
         except RuntimeError as exc:
             raise RuntimeError(f"solver failed at simulation step {k}: {exc}") from exc
         taus[k] = time.perf_counter() - started
+        if result.termination != "converged":
+            logger.warning(
+                "step %d: applying an action with termination %r after %d "
+                "iterations, relative duality gap %.3g",
+                k, result.termination, result.iterations,
+                result.duality_gap / (1.0 + abs(result.objective)),
+            )
+        dual = result.dual
         us[k] = result.u0
         iters[k] = result.iterations
         terms[k] = result.termination

@@ -13,6 +13,12 @@ with extrapolation weights driven by the theta recursion
 average with weights proportional to 1/theta carries the accelerated
 convergence rate; the reported control action comes from it.
 
+The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
+of the same layout; the closed loop passes the previous step's dual,
+since consecutive instances share their tree and differ only in state,
+previous input and forecast values. The theta recursion and the average
+start afresh either way.
+
 The inner QP (minimize the smooth cost subject to node dynamics and
 mixing-node coupling) is solved exactly by a tree-structured recursion:
 coupling is eliminated per node through a null-space parametrization of
@@ -361,8 +367,13 @@ def solve(
     config: SolverConfig | None = None,
     cache: FactorCache | None = None,
     iterate_hook: IterateHook | None = None,
+    dual0: np.ndarray | None = None,
 ) -> SolverResult:
     """Run the accelerated dual proximal gradient method on one instance.
+
+    The iteration starts from ``dual0`` (a length ``n_dual`` vector, for
+    instance the ``dual`` of a solve on an instance with the same tree),
+    or from zero when it is None; ``dual0`` itself is not modified.
 
     Termination: the averaged primal's distance to the input box must fall
     under ``tol`` relative to iterate scale, and a duality-gap certificate
@@ -388,8 +399,17 @@ def solve(
     m = instance.model
     nt = m.n_tanks
     n = instance.n_nonroot
-    y = np.zeros(instance.n_dual)
-    y_prev = np.zeros(instance.n_dual)
+    if dual0 is None:
+        y = np.zeros(instance.n_dual)
+    else:
+        y = np.array(dual0, dtype=float)
+        if y.shape != (instance.n_dual,):
+            raise ValueError(
+                f"dual0 has shape {y.shape}, expected ({instance.n_dual},)"
+            )
+        if not np.isfinite(y).all():
+            raise ValueError("dual0 has a non-finite entry")
+    y_prev = y
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
     X_avg = np.zeros((n, nt))

@@ -115,6 +115,44 @@ class TestRoundTrips:
         np.testing.assert_array_equal(fan.values, fan2.values)
         assert (fan.n_demand, fan.n_price) == (fan2.n_demand, fan2.n_price)
 
+    def test_simlog(self, tmp_path, rng):
+        from watermpc.simulate import SimulationLog
+
+        h = 3
+        log = SimulationLog(
+            x=rng.random((h + 1, 2)),
+            u=rng.random((h, 3)),
+            demand=rng.random((h, 2)),
+            price=rng.random((h, 3)),
+            solve_time_s=rng.random(h),
+            iterations=np.array([25, 400, 1000]),
+            primal_residual=rng.random(h),
+            alpha0=rng.random(3),
+            x_safe=rng.random(2),
+            coupling_residual=rng.random(h),
+            termination=np.array(["converged", "max_iter", "converged"], dtype=object),
+        )
+        wio.save_simlog(log, tmp_path / "l1.json")
+        log2 = wio.load_simlog(tmp_path / "l1.json")
+        for attr in ("x", "u", "demand", "price", "solve_time_s", "iterations",
+                     "primal_residual", "alpha0", "x_safe", "coupling_residual",
+                     "termination"):
+            np.testing.assert_array_equal(getattr(log, attr), getattr(log2, attr))
+        assert log2.termination.dtype == object
+        wio.save_simlog(log2, tmp_path / "l2.json")
+        assert (tmp_path / "l1.json").read_bytes() == (tmp_path / "l2.json").read_bytes()
+        # A document written without termination reasons still loads.
+        doc = json.loads((tmp_path / "l1.json").read_text())
+        del doc["termination"]
+        (tmp_path / "l3.json").write_text(json.dumps(doc))
+        log3 = wio.load_simlog(tmp_path / "l3.json")
+        assert log3.termination.shape == (0,)
+        np.testing.assert_array_equal(log3.u, log.u)
+        doc["termination"] = ["converged"]
+        (tmp_path / "l4.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="/termination"):
+            wio.load_simlog(tmp_path / "l4.json")
+
     def test_kpi(self, tmp_path):
         wio.save_kpi(1.5, 0.0, 0.125, tmp_path / "kpi.json")
         doc = wio.load_kpi(tmp_path / "kpi.json")

@@ -1,8 +1,11 @@
 """Closed-loop simulator and KPI tests."""
 
+import logging
+
 import numpy as np
 import pytest
 
+import watermpc.simulate
 from watermpc.forecast import ForecastSeries
 from watermpc.network import ControlledFlow, NetworkTopology, Tank, build_lti
 from watermpc.problem import CostWeights
@@ -117,6 +120,57 @@ class TestRunClosedLoop:
         np.testing.assert_array_equal(logs[0].u, logs[1].u)
         np.testing.assert_array_equal(logs[0].x, logs[1].x)
         np.testing.assert_array_equal(logs[0].iterations, logs[1].iterations)
+
+    def test_each_step_starts_from_the_previous_dual(self, monkeypatch):
+        model, tree, weights = one_tank_setup()
+        h = 4
+        calls = []
+        real = watermpc.simulate.solve
+
+        def recorded(*args, dual0=None, **kwargs):
+            result = real(*args, dual0=dual0, **kwargs)
+            calls.append((dual0, result))
+            return result
+
+        monkeypatch.setattr(watermpc.simulate, "solve", recorded)
+        config = SimulationConfig(
+            h_sim=h,
+            weights=weights,
+            solver=SolverConfig(max_iter=500, tol=5e-2),
+            x0=np.array([700.0]),
+        )
+        run_closed_loop(
+            model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
+            np.full((h, 1), 150.0), np.full((h, 1), 0.03), config,
+        )
+        assert len(calls) == h
+        assert calls[0][0] is None
+        for k in range(1, h):
+            assert np.array_equal(calls[k][0], calls[k - 1][1].dual)
+
+    def test_unconverged_steps_are_reported(self, caplog):
+        model, tree, weights = one_tank_setup()
+        h = 3
+        config = SimulationConfig(
+            h_sim=h,
+            weights=weights,
+            solver=SolverConfig(max_iter=5, tol=1e-12),
+            x0=np.array([700.0]),
+        )
+        with caplog.at_level(logging.WARNING, logger="watermpc"):
+            log = run_closed_loop(
+                model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
+                np.full((h, 1), 150.0), np.full((h, 1), 0.03), config,
+            )
+        assert (log.termination == "max_iter").all()
+        records = [r for r in caplog.records if r.name == "watermpc"]
+        assert len(records) == h
+        for k, record in enumerate(records):
+            assert record.levelno == logging.WARNING
+            message = record.getMessage()
+            assert f"step {k}:" in message
+            assert "after 5 iterations" in message
+            assert "relative duality gap" in message
 
     def test_realization_exhaustion_rejected(self):
         model, tree, weights = one_tank_setup()

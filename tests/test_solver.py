@@ -48,6 +48,15 @@ def permute_within_stages(inst, rng):
     return assemble_problem(inst.model, permuted, inst.weights, inst.p, inst.q)
 
 
+def net3_demo_instance():
+    """Step 0 of the net3 demo, seed 0, with the demo's solver config."""
+    bundle = build_demo("net3", 0)
+    fc = bundle.forecaster(0)
+    tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+    inst = assemble_problem(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+    return inst, bundle.solver
+
+
 class TestFactorStep:
     def test_no_coupling_gives_identity_basis(self, rng):
         inst = make_instance(rng, n_mixing=0, horizon=2, max_nodes=5)
@@ -128,10 +137,7 @@ class TestDualGradient:
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
 
     def test_net3_demo_matches_oracle(self, rng):
-        bundle = build_demo("net3", 0)
-        fc = bundle.forecaster(0)
-        tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
-        inst = assemble_problem(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+        inst, _ = net3_demo_instance()
         assert inst.n_primal == 399
         cache = factor_step(inst)
         y = rng.standard_normal(inst.n_dual)
@@ -342,6 +348,26 @@ class TestSolve:
         U_avg, _ = inst.split_primal(res.primal_avg)
         violation = float(np.abs(U_avg - np.clip(U_avg, m.u_min, m.u_max)).max())
         assert res.primal_residual == violation
+
+    def test_converged_dual_restarts_at_the_first_gap_check(self):
+        inst, config = net3_demo_instance()
+        cold = solve(inst, config)
+        assert cold.termination == "converged"
+        assert cold.iterations > config.gap_check_every
+        dual0 = cold.dual.copy()
+        warm = solve(inst, config, dual0=dual0)
+        assert warm.termination == "converged"
+        assert warm.iterations == config.gap_check_every
+        np.testing.assert_array_equal(dual0, cold.dual)
+
+    def test_malformed_start_dual_rejected(self, rng):
+        inst = make_instance(rng, horizon=2, max_nodes=6)
+        with pytest.raises(ValueError, match="shape"):
+            solve(inst, dual0=np.zeros(inst.n_dual - 1))
+        dual0 = np.zeros(inst.n_dual)
+        dual0[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(inst, dual0=dual0)
 
     def test_max_iter_termination_reported(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
