@@ -12,6 +12,7 @@ rejected in both directions, so load -> save -> load is value-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -111,24 +112,44 @@ def _matrix(
         if not allow_empty:
             raise SchemaError(ptr, "array must not be empty")
         return np.zeros((0, cols if cols is not None else 0))
-    widths = set()
-    for r, row in enumerate(val):
-        if not isinstance(row, list):
-            raise SchemaError(f"{ptr}/{r}", "expected an array row")
-        widths.add(len(row))
-        for c, item in enumerate(row):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise SchemaError(f"{ptr}/{r}/{c}", "expected a number")
-            if not np.isfinite(item):
-                raise SchemaError(f"{ptr}/{r}/{c}", "number must be finite")
-    if len(widths) != 1:
-        raise SchemaError(ptr, f"rows have inconsistent lengths {sorted(widths)}")
-    arr = np.asarray(val, float)
+    arr = _plain_matrix(val)
+    if arr is None:
+        # Locate the first malformed row or item.
+        widths = set()
+        for r, row in enumerate(val):
+            if not isinstance(row, list):
+                raise SchemaError(f"{ptr}/{r}", "expected an array row")
+            widths.add(len(row))
+            for c, item in enumerate(row):
+                if isinstance(item, bool) or not isinstance(item, (int, float)):
+                    raise SchemaError(f"{ptr}/{r}/{c}", "expected a number")
+                if not np.isfinite(item):
+                    raise SchemaError(f"{ptr}/{r}/{c}", "number must be finite")
+        if len(widths) != 1:
+            raise SchemaError(ptr, f"rows have inconsistent lengths {sorted(widths)}")
+        arr = np.asarray(val, float)
     if rows is not None and arr.shape[0] != rows:
         raise SchemaError(ptr, f"expected {rows} rows, got {arr.shape[0]}")
     if cols is not None and arr.shape[1] != cols:
         raise SchemaError(ptr, f"expected {cols} columns, got {arr.shape[1]}")
     return arr
+
+
+def _plain_matrix(val: list) -> np.ndarray | None:
+    """The array of a list of equal-length rows of finite floats and ints,
+    or None when anything else is found. One exact-type scan and one
+    vectorized finiteness test, in place of a check per item."""
+    if not all(type(row) is list for row in val):
+        return None
+    if len({len(row) for row in val}) != 1:
+        return None
+    if not set(map(type, chain.from_iterable(val))) <= {float, int}:
+        return None
+    try:
+        arr = np.array(val, float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def _check_version(doc: dict) -> None:
@@ -303,14 +324,14 @@ def load_controller_config(path: str | Path) -> tuple[int, CostWeights, SolverCo
         )
     except ValueError as exc:
         raise SchemaError("/Wu", str(exc)) from exc
-    gamma = None
     if doc.get("gamma") is not None:
-        gamma = _number(doc, "gamma")
+        raise SchemaError(
+            "/gamma", "a fixed dual step is not supported; per-node steps are computed"
+        )
     try:
         solver = SolverConfig(
             max_iter=_integer(doc, "maxIter"),
             tol=_number(doc, "tol"),
-            gamma=gamma,
         )
     except ValueError as exc:
         raise SchemaError("/maxIter", str(exc)) from exc
@@ -333,7 +354,6 @@ def save_controller_config(
         "Wx": weights.w_x,
         "maxIter": solver.max_iter,
         "tol": solver.tol,
-        "gamma": solver.gamma,
     }
     save_document(doc, path)
 

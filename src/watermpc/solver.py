@@ -6,12 +6,24 @@ Nesterov-accelerated proximal gradient iterations apply:
 
     w  = y + beta * (y - y_prev)
     z  = argmin_x f(x) + <H'w, x>          (dual gradient, inner QP)
-    y+ = prox_{gamma g*}(w + gamma H z)
+    y+ = prox_{Gamma g*}(w + Gamma H z)
 
 with extrapolation weights driven by the theta recursion
-``theta+ = (sqrt(theta^4 + 4 theta^2) - theta^2) / 2``. An ergodic primal
-average with weights proportional to 1/theta carries the accelerated
-convergence rate; the reported control action comes from it.
+``theta+ = (sqrt(theta^4 + 4 theta^2) - theta^2) / 2``. The step
+``Gamma`` is diagonal with one value per tree node,
+``gamma_i = 1 / (L_D d_i)``: ``d_i`` is the largest diagonal entry of node
+i's block of the dual Hessian ``M = H grad^2 f* H'`` and ``L_D`` bounds the
+curvature of ``D^-1/2 M D^-1/2`` (metric selection after Giselsson & Boyd,
+Automatica 2015). g* separates by node, so the prox stays row-wise. The
+d_i of one bundled demo tree span three to six orders of magnitude
+(net10: 488 to 2.5e8), so a single scalar step, set by the stiffest node,
+crawls everywhere else.
+
+An ergodic primal average with weights proportional to 1/theta carries
+the accelerated convergence rate, while the last iterate often converges
+well before it. The certificate restores both to feasibility, prices
+them, and keeps the cheaper; the reported control action and primal come
+from that candidate.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
@@ -55,17 +67,16 @@ IterateHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
 
 @dataclass
 class SolverConfig:
-    """Iteration budget, termination tolerance and step-size choice.
+    """Iteration budget and termination tolerance.
 
-    ``gamma`` is the dual step size; None selects 1/L with L estimated by
-    power iteration. Termination is certified by a duality-gap check run
-    every ``gap_check_every`` iterations once the input-box residual test
-    holds.
+    Termination is certified by a duality-gap check run every
+    ``gap_check_every`` iterations once the input-box residual test holds.
+    The per-node dual steps are not configurable: they follow from the
+    instance (see :func:`estimate_lipschitz`).
     """
 
     max_iter: int = 20000
     tol: float = 5e-2
-    gamma: float | None = None
     gap_check_every: int = 25
 
     def __post_init__(self) -> None:
@@ -73,15 +84,21 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive when given")
         if self.gap_check_every < 1:
             raise ValueError("gap_check_every must be at least 1")
 
 
 @dataclass
 class SolverResult:
-    """Control action plus the averaged primal and final dual for diagnostics."""
+    """Control action plus the certified primal and final dual for diagnostics.
+
+    ``primal_avg`` is the primal candidate the certificate priced, before
+    feasibility restoration: the ergodic average or the last iterate,
+    whichever restored to the lower primal value. ``u0``,
+    ``primal_residual`` (its input-box violation), ``objective`` and
+    ``duality_gap`` all come from it. ``gamma`` holds the dual step of
+    each non-root node.
+    """
 
     u0: np.ndarray
     primal_avg: np.ndarray
@@ -93,18 +110,19 @@ class SolverResult:
     duality_gap: float
     objective: float
     solve_time_s: float
-    gamma: float
+    gamma: np.ndarray
 
 
 @dataclass
 class FactorCache:
     """Precomputed quantities for fast repeated dual-gradient solves.
 
-    Structural members (null basis, per-stage gains, Lipschitz estimate)
-    depend only on the model matrices, the input weight and the tree
-    topology with its probabilities; the per-node members (coupling
-    particular solutions and cost offsets) also depend on node demand and
-    price values and are rebuilt cheaply per instance.
+    Structural members (null basis, per-stage gains, and the step metric:
+    the per-node Hessian diagonal with its curvature bound) depend only on
+    the model matrices, the input weight and the tree topology with its
+    probabilities; the per-node members (coupling particular solutions and
+    cost offsets) also depend on node demand and price values and are
+    rebuilt cheaply per instance.
     """
 
     null_basis: np.ndarray            # orthonormal basis of null(E)
@@ -114,7 +132,8 @@ class FactorCache:
     d_gain: list[np.ndarray]          # per-stage feedback on the ancestor input
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
-    lipschitz: float | None = None    # dual curvature bound, set by estimate_lipschitz
+    lipschitz: float | None = None    # scaled curvature bound L_D, set by estimate_lipschitz
+    hess_diag: np.ndarray | None = None  # per-node d_i, set with lipschitz
     signature: tuple = field(default=(), repr=False)
 
 
@@ -148,10 +167,10 @@ def factor_step(
 ) -> FactorCache:
     """Build (or rebind) the factor cache for an instance.
 
-    Passing ``structure_from`` reuses the stage factorizations and the
-    Lipschitz estimate of a cache built for another instance with the same
-    model matrices, weights and tree structure, recomputing only the
-    per-node vectors.
+    Passing ``structure_from`` reuses the stage factorizations and the step
+    metric of a cache built for another instance with the same model
+    matrices, weights and tree structure, recomputing only the per-node
+    vectors.
     """
     m = instance.model
     sig = _structure_signature(instance)
@@ -162,7 +181,7 @@ def factor_step(
         basis, e_pinv = structure_from.null_basis, structure_from.e_pinv
         d_gain, t_mat = structure_from.d_gain, structure_from.t_mat
         lam = structure_from.lam
-        lipschitz = structure_from.lipschitz
+        lipschitz, hess_diag = structure_from.lipschitz, structure_from.hess_diag
     else:
         basis, e_pinv = _null_space(m.E, m.n_inputs)
         check = m.E @ basis
@@ -191,7 +210,7 @@ def factor_step(
             pi_s = 2.0 * wu - 2.0 * (wu @ d_s)
             pi_s = 0.5 * (pi_s + pi_s.T)
             lam[s - 1], t_mat[s - 1], d_gain[s - 1] = lam_s, t_s, d_s
-        lipschitz = None
+        lipschitz = hess_diag = None
 
     # Particular solutions of E u = -Ed d per node, least-norm flavor.
     if m.n_mixing > 0:
@@ -223,6 +242,7 @@ def factor_step(
         t_mat=t_mat,
         lam=lam,
         lipschitz=lipschitz,
+        hess_diag=hess_diag,
         signature=sig,
     )
 
@@ -308,6 +328,50 @@ def theta_sequence(count: int) -> np.ndarray:
     return out
 
 
+def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarray:
+    """Per node, the largest diagonal entry of its block of M = H grad^2 f* H'.
+
+    M is the linear part of y -> -H z*(y). The inner QP prices only the
+    input increments, so its inverse Hessian is the covariance of a random
+    walk on the tree whose independent increments have covariance
+    ``Sigma_i = N (N' 2 W_u N)^-1 N' / p_i`` (N the coupling null basis).
+    One forward stage pass gives each node's input covariance P, state-input
+    covariance C and state covariance V from its parent's (zero at the
+    root, whose input and state are fixed):
+
+        P_i = P_a + Sigma_i
+        C_i = A C_a + B P_i
+        V_i = A V_a A' + A C_a B' + B C_a' A' + B P_i B'
+
+    The node's diagonal of M is (diag V_i, diag V_i, diag P_i).
+    """
+    m = instance.model
+    basis = cache.null_basis
+    core = basis @ np.linalg.solve(basis.T @ (2.0 * instance.wu) @ basis, basis.T)
+    n = instance.n_nonroot
+    P = np.empty((n, m.n_inputs, m.n_inputs))
+    C = np.empty((n, m.n_tanks, m.n_inputs))
+    V = np.empty((n, m.n_tanks, m.n_tanks))
+    for j, sl in enumerate(instance.stage_slices):
+        P[sl] = core / instance.prob[sl, None, None]
+        if j == 0:
+            C[sl] = m.B @ P[sl]
+            V[sl] = C[sl] @ m.B.T
+        else:
+            parents = instance.parent_rows[j]
+            P[sl] += P[parents]
+            AC = m.A @ C[parents]
+            C[sl] = AC + m.B @ P[sl]
+            cross = AC @ m.B.T
+            V[sl] = (
+                m.A @ V[parents] @ m.A.T + cross + cross.transpose(0, 2, 1)
+                + m.B @ P[sl] @ m.B.T
+            )
+    diag_v = np.diagonal(V, axis1=1, axis2=2)
+    diag_p = np.diagonal(P, axis1=1, axis2=2)
+    return np.maximum(diag_v.max(axis=1), diag_p.max(axis=1))
+
+
 def estimate_lipschitz(
     cache: FactorCache,
     instance: ProblemInstance,
@@ -315,26 +379,34 @@ def estimate_lipschitz(
     max_iter: int = 500,
     safety: float = 1.1,
 ) -> float:
-    """Largest curvature of the smooth dual term, by power iteration.
+    """Curvature bound of the smooth dual term in the per-node metric.
 
-    Runs on the positive semidefinite linear part of y -> -H x*(y) until
-    the Rayleigh quotient stalls within ``rel_tol``, then adds the safety
-    margin and stores the estimate in ``cache.lipschitz``. Raises
-    RuntimeError if the iteration does not settle within ``max_iter``
-    operator applications.
+    Computes the per-node Hessian diagonal d (see :func:`_hessian_diagonal`)
+    and runs power iteration on ``D^-1/2 M D^-1/2``, M the positive
+    semidefinite linear part of y -> -H x*(y) and D repeating d_i over
+    node i's dual row, until the Rayleigh quotient stalls within
+    ``rel_tol``. Adds the safety margin and stores the bound ``L_D`` in
+    ``cache.lipschitz`` and d in ``cache.hess_diag``; node i's dual step
+    is then ``1 / (L_D d_i)``. Raises RuntimeError if the iteration does
+    not settle within ``max_iter`` operator applications.
     """
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
     nt = instance.model.n_tanks
-    zero = np.zeros((instance.n_nonroot, nt))
+    n = instance.n_nonroot
+    hess_diag = _hessian_diagonal(cache, instance)
+    scale = 1.0 / np.sqrt(hess_diag)[:, None]
     u0, x0 = _dual_gradient_parts(
-        cache, instance, zero, np.zeros((instance.n_nonroot, instance.model.n_inputs))
+        cache, instance, np.zeros((n, nt)), np.zeros((n, instance.model.n_inputs))
     )
 
     def operator(vec: np.ndarray) -> np.ndarray:
-        Y1, Y2, Y3 = instance.split_dual(vec)
-        u, x = _dual_gradient_parts(cache, instance, Y1 + Y2, Y3)
-        return instance.join_dual(x0 - x, x0 - x, u0 - u)
+        rows = vec.reshape(n, -1) * scale
+        u, x = _dual_gradient_parts(
+            cache, instance, rows[:, :nt] + rows[:, nt:2 * nt], rows[:, 2 * nt:]
+        )
+        image = instance.join_dual(x0 - x, x0 - x, u0 - u).reshape(n, -1)
+        return (image * scale).reshape(-1)
 
     rng = np.random.default_rng(0)
     v = rng.standard_normal(instance.n_dual)
@@ -353,12 +425,13 @@ def estimate_lipschitz(
     else:
         raise RuntimeError(
             f"power iteration did not settle within {max_iter} iterations "
-            f"(rel_tol={rel_tol:g}); pass gamma in SolverConfig to skip the estimate"
+            f"(rel_tol={rel_tol:g})"
         )
     if lam <= 0.0:
         raise RuntimeError("dual curvature estimate failed (operator not positive)")
     estimate = safety * lam
     cache.lipschitz = estimate
+    cache.hess_diag = hess_diag
     return estimate
 
 
@@ -375,12 +448,17 @@ def solve(
     instance the ``dual`` of a solve on an instance with the same tree),
     or from zero when it is None; ``dual0`` itself is not modified.
 
+    Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric,
+    estimated on first use (see :func:`estimate_lipschitz`).
+
     Termination: the averaged primal's distance to the input box must fall
     under ``tol`` relative to iterate scale, and a duality-gap certificate
-    (primal value of the feasibility-restored average minus the dual value
-    at the current iterate) must fall under ``tol`` relative to the
-    objective. The control action u0 is the probability-weighted average
-    of the stage-1 node inputs of the averaged primal, clipped to the box.
+    must fall under ``tol`` relative to the objective. The certificate
+    restores the average and the last primal iterate into the box and
+    coupling set and prices both; its gap is the lower primal value minus
+    the dual value at the current iterate. The control action u0 is the
+    probability-weighted average of the stage-1 node inputs of that
+    candidate, clipped to the box.
 
     ``iterate_hook(nu, y, z, z_avg)`` observes every iteration.
     """
@@ -389,12 +467,10 @@ def solve(
         cache = factor_step(instance)
     elif cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
-    gamma = config.gamma
-    if gamma is None:
-        lipschitz = cache.lipschitz
-        if lipschitz is None:
-            lipschitz = estimate_lipschitz(cache, instance)
-        gamma = 1.0 / lipschitz
+    if cache.lipschitz is None:
+        estimate_lipschitz(cache, instance)
+    gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
+    step = gamma[:, None]  # each node's step over its dual row
 
     m = instance.model
     nt = m.n_tanks
@@ -418,22 +494,29 @@ def solve(
 
     started = time.perf_counter()
 
-    def box_residual() -> float:
-        """Largest input-box violation of the average."""
-        over = np.maximum(U_avg - m.u_max[None, :], 0.0)
-        under = np.maximum(m.u_min[None, :] - U_avg, 0.0)
+    def box_residual(U_c: np.ndarray) -> float:
+        """Largest input-box violation of per-node inputs."""
+        over = np.maximum(U_c - m.u_max[None, :], 0.0)
+        under = np.maximum(m.u_min[None, :] - U_c, 0.0)
         return float(max(over.max(initial=0.0), under.max(initial=0.0)))
 
-    def certificate() -> tuple[float, float]:
-        """Duality gap of the feasibility-restored average against y."""
-        u_f = restore_feasible_inputs(instance, U_avg, cache.e_pinv)
+    def restored_value(U_c: np.ndarray) -> float:
+        """Primal value of per-node inputs restored to feasibility."""
+        u_f = restore_feasible_inputs(instance, U_c, cache.e_pinv)
         x_f = rollout_inputs(instance, u_f)
-        primal_value = smooth_cost(instance, u_f) + g_value(
+        return smooth_cost(instance, u_f) + g_value(
             instance, instance.join_dual(x_f, x_f, u_f)
         )
+
+    def certificate() -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+        """Duality gap against y of the better of the average and the last
+        iterate, with its primal value and the candidate itself."""
+        candidates = ((U_avg, X_avg), (U, X))
+        values = [restored_value(U_c) for U_c, _ in candidates]
+        best = int(np.argmin(values))
         _, inner = dual_gradient(cache, instance, y)
         dual_value = inner - g_conjugate_value(instance, y)
-        return primal_value - dual_value, primal_value
+        return values[best] - dual_value, values[best], candidates[best]
 
     for nu in range(config.max_iter):
         beta = theta * (1.0 / theta_prev - 1.0)
@@ -445,9 +528,10 @@ def solve(
         )
         w_plus = w_vec.copy()
         rows = w_plus.reshape(n, -1)
-        rows[:, :nt] += gamma * X
-        rows[:, nt:2 * nt] += gamma * X
-        rows[:, 2 * nt:] += gamma * U
+        step_x = step * X
+        rows[:, :nt] += step_x
+        rows[:, nt:2 * nt] += step_x
+        rows[:, 2 * nt:] += step * U
         y_next = prox_g_conjugate(instance, w_plus, gamma)
 
         if nu == 0:
@@ -480,8 +564,8 @@ def solve(
                 float(np.max(np.abs(X_avg), initial=0.0)),
                 float(np.max(np.abs(U_avg), initial=0.0)),
             )
-            if box_residual() <= config.tol * (1.0 + image_scale):
-                gap, objective = certificate()
+            if box_residual(U_avg) <= config.tol * (1.0 + image_scale):
+                gap, objective, (U_c, X_c) = certificate()
                 certified = True
                 if gap <= config.tol * (1.0 + abs(objective)):
                     iterations = nu + 1
@@ -489,19 +573,19 @@ def solve(
                     break
 
     if not certified:
-        gap, objective = certificate()
+        gap, objective, (U_c, X_c) = certificate()
     elapsed = time.perf_counter() - started
 
     sl1 = instance.stage_slices[0]
-    u0 = instance.prob[sl1] @ U_avg[sl1]
+    u0 = instance.prob[sl1] @ U_c[sl1]
     u0 = np.clip(u0, m.u_min, m.u_max)
     return SolverResult(
         u0=u0,
-        primal_avg=instance.join_primal(U_avg, X_avg),
+        primal_avg=instance.join_primal(U_c, X_c),
         dual=y,
         iterations=iterations,
         termination=termination,
-        primal_residual=box_residual(),
+        primal_residual=box_residual(U_c),
         dual_change=dual_change,
         duality_gap=gap,
         objective=objective,

@@ -59,6 +59,7 @@ class TestRoundTrips:
         assert s2.max_iter == solver.max_iter and s2.tol == solver.tol
         wio.save_controller_config(h2, w2, s2, tmp_path / "c3.json")
         assert (tmp_path / "c2.json").read_bytes() == (tmp_path / "c3.json").read_bytes()
+        assert "gamma" not in json.loads((tmp_path / "c2.json").read_text())
 
     def test_control_output(self, tmp_path, rng):
         from watermpc.solver import SolverResult
@@ -74,7 +75,7 @@ class TestRoundTrips:
             duality_gap=0.5,
             objective=123.0,
             solve_time_s=0.25,
-            gamma=1e-3,
+            gamma=np.full(2, 1e-3),
         )
         wio.save_control_output(res, tmp_path / "o1.json")
         doc = wio.load_control_output(tmp_path / "o1.json")
@@ -199,6 +200,40 @@ class TestErrorPaths:
         fs.alpha_hat[0, 0] = np.inf
         with pytest.raises(ValueError):
             wio.save_forecast(fs, tmp_path / "f.json")
+
+    def test_fixed_dual_step_rejected(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "controllerconfig.json").read_text())
+        path = tmp_path / "c.json"
+        doc["gamma"] = None
+        path.write_text(json.dumps(doc))
+        _, _, solver = wio.load_controller_config(path)
+        assert solver.max_iter == doc["maxIter"]
+        doc["gamma"] = 1e-3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^/gamma: "):
+            wio.load_controller_config(path)
+
+    @pytest.mark.parametrize("literal, message", [
+        ("true", "expected a number"),
+        ('"0.5"', "expected a number"),
+        ("1e400", "number must be finite"),
+    ])
+    def test_bad_item_in_large_matrix_names_its_pointer(self, tmp_path, literal, message):
+        rng = np.random.default_rng(5)
+        d_hat = rng.random((400, 36)).tolist()
+        d_hat[7][3] = 2  # integers are numbers too
+        d_hat[321][17] = "@"
+        doc = {"schemaVersion": 1, "horizon": 400, "dHat": d_hat,
+               "alphaHat": rng.random((400, 3)).tolist()}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SchemaError) as err:
+            wio.load_forecast(path)
+        assert str(err.value) == f"/dHat/321/17: {message}"
+        # The same matrix with a plain number there loads value for value.
+        path.write_text(json.dumps(doc).replace('"@"', "0.25"))
+        d_hat[321][17] = 0.25
+        np.testing.assert_array_equal(wio.load_forecast(path).d_hat, np.array(d_hat))
 
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "f.json"

@@ -15,6 +15,7 @@ from watermpc.problem import (
     primal_objective,
     prox_g,
     prox_g_conjugate,
+    restore_feasible_inputs,
     rollout_inputs,
     smooth_cost,
 )
@@ -234,9 +235,10 @@ class TestProxG:
         )
 
     def test_rejects_nonpositive_gamma(self, rng):
-        inst = chain_instance(rng, horizon=1)
-        with pytest.raises(ValueError, match="gamma"):
-            prox_g(inst, np.zeros(inst.n_dual), 0.0)
+        inst = chain_instance(rng, horizon=2)
+        for gamma in (0.0, np.array([1.0, 0.0]), np.ones(3)):
+            with pytest.raises(ValueError, match="gamma"):
+                prox_g(inst, np.zeros(inst.n_dual), gamma)
 
 
 class TestMoreau:
@@ -272,6 +274,17 @@ class TestMoreau:
                 )
                 scale = 1.0 + float(np.max(np.abs(v)))
                 assert float(np.max(np.abs(lhs - v))) <= 1e-12 * scale
+
+    def test_per_node_step_acts_row_by_row(self, rng):
+        inst = make_instance(rng, horizon=2, max_nodes=8)
+        steps = 10.0 ** rng.uniform(-2, 2, inst.n_nonroot)
+        w = 30 * rng.standard_normal(inst.n_dual)
+        rows = prox_g_conjugate(inst, w, steps).reshape(inst.n_nonroot, -1)
+        for i, step in enumerate(steps):
+            np.testing.assert_allclose(
+                rows[i], prox_g_conjugate(inst, w, step).reshape(inst.n_nonroot, -1)[i],
+                rtol=1e-14, atol=1e-12,
+            )
 
 
 class TestPrimalObjective:
@@ -349,3 +362,21 @@ def test_g_value_matches_prox_penalties(rng):
     hz = apply_H(inst, inst.join_primal(U, X))
     val = g_value(inst, hz)
     assert np.isfinite(val) and val >= 0.0
+
+
+def test_restore_finishes_a_row_left_on_a_clipped_corner(rng):
+    # Restoring every row, then putting row r back to its raw value and
+    # restoring again, once left row r box-feasible but off the coupling
+    # set: its box point sat on a clipped corner for a step while the
+    # other rows had long converged, and the loop stopped.
+    inst = make_instance(rng, n_mixing=1, horizon=2, max_nodes=8)
+    m = inst.model
+    U, _ = inst.split_primal(rng.standard_normal(inst.n_primal) * 5.0)
+    restored = restore_feasible_inputs(inst, U)
+    for r in range(inst.n_nonroot):
+        start = restored.copy()
+        start[r] = U[r]
+        out = restore_feasible_inputs(inst, start)
+        assert np.all(out >= m.u_min) and np.all(out <= m.u_max)
+        resid = out @ m.E.T + inst.demand @ m.Ed.T
+        assert float(np.max(np.abs(resid))) <= 1e-10 * (1.0 + float(np.max(np.abs(start))))
