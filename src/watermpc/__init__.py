@@ -6,7 +6,7 @@ accelerated proximal gradient method on the Fenchel dual with
 tree-structured dual-gradient computation.
 """
 
-from .forecast import ForecastSeries, seasonal_persistence, seasonal_persistence_forecast
+from .forecast import ForecastSeries
 from .network import (
     ControlledFlow,
     MixingNode,
@@ -20,11 +20,6 @@ from .problem import (
     CostWeights,
     ProblemInstance,
     apply_H,
-    apply_H_adjoint,
-    assemble_problem,
-    eval_f,
-    primal_objective,
-    prox_g,
     prox_g_conjugate,
 )
 from .simulate import (
@@ -48,7 +43,6 @@ from .tree import (
     ScenarioFan,
     ScenarioTree,
     attach_forecast,
-    leaves_to_scenarios,
     reduce_fan_to_tree,
     validate_tree,
     zero_price_errors,
@@ -74,25 +68,17 @@ __all__ = [
     "Tank",
     "TopologyError",
     "apply_H",
-    "apply_H_adjoint",
-    "assemble_problem",
     "attach_forecast",
     "build_lti",
     "dual_gradient",
     "estimate_lipschitz",
-    "eval_f",
     "factor_step",
     "kpi_complexity",
     "kpi_economic",
     "kpi_safety",
-    "leaves_to_scenarios",
-    "primal_objective",
-    "prox_g",
     "prox_g_conjugate",
     "reduce_fan_to_tree",
     "run_closed_loop",
-    "seasonal_persistence",
-    "seasonal_persistence_forecast",
     "solve",
     "validate_tree",
     "zero_price_errors",

@@ -18,15 +18,17 @@ from . import io as wio
 from .demo import DEMO_KINDS, generate_demo
 from .forecast import ForecastSeries
 from .io import SchemaError
-from .problem import assemble_problem
+from .problem import ProblemInstance
 from .simulate import SimulationConfig, kpi_complexity, kpi_economic, kpi_safety, run_closed_loop
 from .solver import solve as solve_instance
 from .tree import attach_forecast, reduce_fan_to_tree, validate_tree, zero_price_errors
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _add_nominal_prices(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--nominal-prices",
         action="store_true",
@@ -47,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--forecast", type=Path)
     p_val.add_argument("--config", type=Path)
     p_val.add_argument("--state", type=Path)
-    _add_common(p_val)
 
     p_solve = sub.add_parser("solve", help="compute one control action")
     p_solve.add_argument("--network", type=Path, required=True)
@@ -55,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--forecast", type=Path, required=True)
     p_solve.add_argument("--config", type=Path, required=True)
     p_solve.add_argument("--state", type=Path, required=True)
-    _add_common(p_solve)
+    _add_out(p_solve)
+    _add_nominal_prices(p_solve)
 
     p_sim = sub.add_parser("simulate", help="closed-loop run with KPI summary")
     p_sim.add_argument("--network", type=Path, required=True)
@@ -64,28 +66,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", type=Path, required=True)
     p_sim.add_argument("--state", type=Path, required=True)
     p_sim.add_argument("--steps", type=int, default=168, help="simulation horizon H_s")
-    _add_common(p_sim)
+    _add_out(p_sim)
+    _add_nominal_prices(p_sim)
 
     p_red = sub.add_parser("reduce", help="reduce a scenario fan to a tree")
     p_red.add_argument("--fan", type=Path, required=True)
     p_red.add_argument(
         "--branching", type=str, required=True, help="comma-separated branch counts"
     )
-    _add_common(p_red)
+    _add_out(p_red)
 
     p_demo = sub.add_parser("generate-demo", help="write a bundled demo file set")
     p_demo.add_argument("--kind", choices=DEMO_KINDS, required=True)
-    _add_common(p_demo)
+    p_demo.add_argument("--seed", type=int, default=0, help="random seed")
+    _add_out(p_demo)
     return parser
 
 
 def _cmd_validate(args) -> int:
     diagnostics: list[str] = []
-    model = tree = forecast = state = None
     horizon = weights = None
     loaded_any = False
 
-    def attempt(label, path, loader):
+    def attempt(path, loader):
         nonlocal loaded_any
         if path is None:
             return None
@@ -96,11 +99,11 @@ def _cmd_validate(args) -> int:
             diagnostics.append(f"{path}: {exc}")
             return None
 
-    model = attempt("network", args.network, wio.load_network)
-    tree = attempt("tree", args.tree, wio.load_tree)
-    forecast = attempt("forecast", args.forecast, wio.load_forecast)
-    cfg = attempt("config", args.config, wio.load_controller_config)
-    state = attempt("state", args.state, wio.load_state)
+    model = attempt(args.network, wio.load_network)
+    tree = attempt(args.tree, wio.load_tree)
+    forecast = attempt(args.forecast, wio.load_forecast)
+    cfg = attempt(args.config, wio.load_controller_config)
+    state = attempt(args.state, wio.load_state)
     if cfg is not None:
         horizon, weights, _ = cfg
     if not loaded_any:
@@ -142,7 +145,7 @@ def _cmd_solve(args) -> int:
         tree = zero_price_errors(tree)
     if not tree.is_attached:
         tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
-    instance = assemble_problem(model, tree, weights, x, u_prev, k)
+    instance = ProblemInstance(model, tree, weights, x, u_prev)
     try:
         result = solve_instance(instance, solver_cfg)
     except RuntimeError as exc:

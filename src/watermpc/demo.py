@@ -53,8 +53,6 @@ class DemoBundle:
     solver: SolverConfig
     x0: np.ndarray
     u_prev: np.ndarray
-    demand_scale: np.ndarray
-    energy: np.ndarray
     nominal_demand: np.ndarray
     nominal_price: np.ndarray
     realized_demand: np.ndarray
@@ -334,8 +332,6 @@ def build_demo(
         solver=SolverConfig(max_iter=20000, tol=5e-2),
         x0=x0,
         u_prev=np.zeros(model.n_inputs),
-        demand_scale=demand_scale,
-        energy=energy,
         nominal_demand=nominal_demand,
         nominal_price=nominal_price,
         realized_demand=realized_demand,

@@ -3,8 +3,7 @@
 Forecasting is decoupled from the controller: any model that produces an
 H_p-step-ahead series can drive the controller, either programmatically or
 through the forecast JSON document (see :mod:`watermpc.io`). This module
-defines the series container and one deterministic baseline, seasonal
-persistence.
+defines the series container.
 """
 
 from __future__ import annotations
@@ -48,40 +47,3 @@ class ForecastSeries:
     def n_price(self) -> int:
         return self.alpha_hat.shape[1]
 
-
-def seasonal_persistence(history: np.ndarray, horizon: int, period: int) -> np.ndarray:
-    """Replay the last full period: forecast step j equals the value one
-    period earlier at the same phase (cyclically for horizons beyond one
-    period).
-
-    ``history`` is (n_samples, n_series) with the last row being the most
-    recent observation.
-    """
-    history = np.asarray(history, float)
-    single = history.ndim == 1
-    if single:
-        history = history[:, None]
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if history.shape[0] < period:
-        raise ValueError(
-            f"history of length {history.shape[0]} is shorter than period {period}"
-        )
-    last = history[history.shape[0] - period:]
-    out = last[np.arange(horizon) % period]
-    return out[:, 0] if single else out
-
-
-def seasonal_persistence_forecast(
-    demand_history: np.ndarray,
-    price_history: np.ndarray,
-    horizon: int,
-    period: int,
-) -> ForecastSeries:
-    """Baseline forecaster: seasonal persistence on demands and prices."""
-    return ForecastSeries(
-        d_hat=seasonal_persistence(demand_history, horizon, period),
-        alpha_hat=seasonal_persistence(price_history, horizon, period),
-    )

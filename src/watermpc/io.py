@@ -12,6 +12,7 @@ rejected in both directions, so load -> save -> load is value-identical.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -85,12 +86,7 @@ def _vector(doc: dict, key: str, n: int | None = None, pointer: str = "") -> np.
     ptr = f"{pointer}/{key}"
     if not isinstance(val, list):
         raise SchemaError(ptr, "expected an array")
-    for i, item in enumerate(val):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{ptr}/{i}", "expected a number")
-        if not np.isfinite(item):
-            raise SchemaError(f"{ptr}/{i}", "number must be finite")
-    arr = np.asarray(val, float)
+    arr = _numeric_array(val, ptr, 1)
     if n is not None and arr.shape != (n,):
         raise SchemaError(ptr, f"expected {n} entries, got {arr.shape[0]}")
     return arr
@@ -112,22 +108,7 @@ def _matrix(
         if not allow_empty:
             raise SchemaError(ptr, "array must not be empty")
         return np.zeros((0, cols if cols is not None else 0))
-    arr = _plain_matrix(val)
-    if arr is None:
-        # Locate the first malformed row or item.
-        widths = set()
-        for r, row in enumerate(val):
-            if not isinstance(row, list):
-                raise SchemaError(f"{ptr}/{r}", "expected an array row")
-            widths.add(len(row))
-            for c, item in enumerate(row):
-                if isinstance(item, bool) or not isinstance(item, (int, float)):
-                    raise SchemaError(f"{ptr}/{r}/{c}", "expected a number")
-                if not np.isfinite(item):
-                    raise SchemaError(f"{ptr}/{r}/{c}", "number must be finite")
-        if len(widths) != 1:
-            raise SchemaError(ptr, f"rows have inconsistent lengths {sorted(widths)}")
-        arr = np.asarray(val, float)
+    arr = _numeric_array(val, ptr, 2)
     if rows is not None and arr.shape[0] != rows:
         raise SchemaError(ptr, f"expected {rows} rows, got {arr.shape[0]}")
     if cols is not None and arr.shape[1] != cols:
@@ -135,21 +116,49 @@ def _matrix(
     return arr
 
 
-def _plain_matrix(val: list) -> np.ndarray | None:
-    """The array of a list of equal-length rows of finite floats and ints,
-    or None when anything else is found. One exact-type scan and one
-    vectorized finiteness test, in place of a check per item."""
-    if not all(type(row) is list for row in val):
-        return None
-    if len({len(row) for row in val}) != 1:
-        return None
-    if not set(map(type, chain.from_iterable(val))) <= {float, int}:
+def _numeric_array(val: list, ptr: str, ndim: int) -> np.ndarray:
+    """The array of ``ndim`` levels of nested lists of finite numbers; the
+    error names the first item that is not one, or the array as ragged."""
+    arr = _plain_array(val, ndim)
+    if arr is None:
+        _raise_at_bad_item(val, ptr, ndim)
+        raise SchemaError(ptr, f"expected a rectangular {ndim}-d array")
+    return arr
+
+
+def _plain_array(val: list, ndim: int) -> np.ndarray | None:
+    """The array of ``ndim`` levels of nested equal-length lists of finite
+    floats and ints, or None when anything else is found. One exact-type
+    scan per level and one vectorized finiteness test, in place of a check
+    per item."""
+    items = val
+    for _ in range(ndim - 1):
+        rows = list(items)
+        if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+            return None
+        items = chain.from_iterable(rows)
+    if not set(map(type, items)) <= {float, int}:
         return None
     try:
         arr = np.array(val, float)
     except OverflowError:  # an integer beyond the float range
         return None
     return arr if np.isfinite(arr).all() else None
+
+
+def _raise_at_bad_item(val: list, ptr: str, ndim: int) -> None:
+    """Raise at the first item of ``ndim`` nested lists that is not a list
+    (above the last level) or not a finite number (at it)."""
+    for i, item in enumerate(val):
+        at = f"{ptr}/{i}"
+        if ndim > 1:
+            if not isinstance(item, list):
+                raise SchemaError(at, "expected an array")
+            _raise_at_bad_item(item, at, ndim - 1)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise SchemaError(at, "expected a number")
+        elif not abs(item) <= sys.float_info.max:  # also an int beyond float range
+            raise SchemaError(at, "number must be finite")
 
 
 def _check_version(doc: dict) -> None:
@@ -305,36 +314,35 @@ def save_forecast(series: ForecastSeries, path: str | Path) -> None:
 
 # -- controllerconfig.json ---------------------------------------------------
 
+# Document key of each CostWeights and SolverConfig field.
+_CONFIG_KEYS = {
+    "w_alpha": "Walpha", "w_u": "Wu", "w_s": "Ws", "w_x": "Wx",
+    "max_iter": "maxIter", "tol": "tol",
+}
+
+
+def _config_error(exc: ValueError) -> SchemaError:
+    """The error at the key of the field that a config check names first."""
+    message = str(exc)
+    return SchemaError(f"/{_CONFIG_KEYS[message.split(' ', 1)[0]]}", message)
+
+
 def load_controller_config(path: str | Path) -> tuple[int, CostWeights, SolverConfig]:
     doc = load_document(path)
     _check_version(doc)
     horizon = _integer(doc, "horizon")
-    wu_raw = _get(doc, "Wu")
-    wu: float | np.ndarray
-    if isinstance(wu_raw, (int, float)) and not isinstance(wu_raw, bool):
-        wu = float(wu_raw)
-    else:
-        wu = _matrix(doc, "Wu")
-    try:
-        weights = CostWeights(
-            w_alpha=_number(doc, "Walpha"),
-            w_u=wu,
-            w_s=_number(doc, "Ws"),
-            w_x=_number(doc, "Wx"),
-        )
-    except ValueError as exc:
-        raise SchemaError("/Wu", str(exc)) from exc
+    wu = _matrix(doc, "Wu") if isinstance(_get(doc, "Wu"), list) else _number(doc, "Wu")
+    w_alpha, w_s, w_x = (_number(doc, key) for key in ("Walpha", "Ws", "Wx"))
+    max_iter, tol = _integer(doc, "maxIter"), _number(doc, "tol")
     if doc.get("gamma") is not None:
         raise SchemaError(
             "/gamma", "a fixed dual step is not supported; per-node steps are computed"
         )
     try:
-        solver = SolverConfig(
-            max_iter=_integer(doc, "maxIter"),
-            tol=_number(doc, "tol"),
-        )
+        weights = CostWeights(w_alpha=w_alpha, w_u=wu, w_s=w_s, w_x=w_x)
+        solver = SolverConfig(max_iter=max_iter, tol=tol)
     except ValueError as exc:
-        raise SchemaError("/maxIter", str(exc)) from exc
+        raise _config_error(exc) from exc
     return horizon, weights, solver
 
 
@@ -416,15 +424,7 @@ def _tensor3(doc: dict, key: str, pointer: str = "") -> np.ndarray:
     ptr = f"{pointer}/{key}"
     if not isinstance(raw, list) or not raw:
         raise SchemaError(ptr, "expected a non-empty array")
-    try:
-        arr = np.asarray(raw, float)
-    except (ValueError, TypeError):
-        raise SchemaError(ptr, "array is not rectangular or numeric") from None
-    if arr.ndim != 3:
-        raise SchemaError(ptr, f"expected a 3-d array, got {arr.ndim} dimensions")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(ptr, "numbers must be finite")
-    return arr
+    return _numeric_array(raw, ptr, 3)
 
 
 def load_realizations(path: str | Path) -> dict:
@@ -487,20 +487,12 @@ def load_fan(path: str | Path) -> ScenarioFan:
     horizon = _integer(doc, "horizon")
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
-    raw = _get(doc, "scenarios")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("/scenarios", "expected a non-empty array of scenarios")
-    try:
-        values = np.asarray(raw, float)
-    except (ValueError, TypeError):
-        raise SchemaError("/scenarios", "scenario array is not rectangular or numeric") from None
-    if values.ndim != 3 or values.shape[1] != horizon or values.shape[2] != nd + nu:
+    values = _tensor3(doc, "scenarios")
+    if values.shape[1:] != (horizon, nd + nu):
         raise SchemaError(
             "/scenarios",
             f"expected shape (S, {horizon}, {nd + nu}), got {values.shape}",
         )
-    if not np.all(np.isfinite(values)):
-        raise SchemaError("/scenarios", "numbers must be finite")
     return ScenarioFan(values=values, n_demand=nd, n_price=nu)
 
 

@@ -28,17 +28,14 @@ import numpy as np
 from .network import NetworkModel
 from .tree import ScenarioTree, validate_tree
 
-# Relative feasibility slack for domain membership in eval_f. The solver
-# never evaluates f directly; this is a test/diagnostic path.
-FEAS_TOL = 1e-8
-
 
 @dataclass
 class CostWeights:
     """Tuning weights of the controller cost.
 
     ``w_u`` may be a symmetric positive definite matrix or a positive
-    scalar standing for that multiple of the identity.
+    scalar standing for that multiple of the identity. A rejected weight's
+    error message opens with its field name.
     """
 
     w_alpha: float
@@ -50,11 +47,13 @@ class CostWeights:
         if self.w_alpha <= 0:
             raise ValueError("w_alpha must be positive")
         # Zero soft-penalty weights are permitted for diagnostics.
-        if self.w_s < 0 or self.w_x < 0:
-            raise ValueError("w_s and w_x must be nonnegative")
+        if self.w_s < 0:
+            raise ValueError("w_s must be nonnegative")
+        if self.w_x < 0:
+            raise ValueError("w_x must be nonnegative")
         if np.isscalar(self.w_u) or np.ndim(self.w_u) == 0:
             if float(self.w_u) <= 0:
-                raise ValueError("scalar w_u must be positive")
+                raise ValueError("w_u must be positive")
         else:
             self.w_u = np.asarray(self.w_u, float)
             _check_spd(self.w_u, "w_u")
@@ -84,9 +83,8 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 class ProblemInstance:
     """Assembled problem: model + forecast-attached tree + weights + state.
 
-    ``p`` is the measured tank state, ``q`` the previously applied input
-    and ``k`` the wall-clock step index (metadata). Flat per-node arrays
-    are row-indexed by ``node - 1``.
+    ``p`` is the measured tank state and ``q`` the previously applied
+    input. Flat per-node arrays are row-indexed by ``node - 1``.
     """
 
     model: NetworkModel
@@ -94,7 +92,6 @@ class ProblemInstance:
     weights: CostWeights
     p: np.ndarray
     q: np.ndarray
-    k: int = 0
 
     # Derived layout, filled at construction.
     wu: np.ndarray = field(init=False, repr=False)
@@ -214,23 +211,6 @@ class ProblemInstance:
         out[self.anc_row < 0] = self.q
         return out
 
-    def ancestor_states(self, X: np.ndarray) -> np.ndarray:
-        out = X[self.anc_row]
-        out[self.anc_row < 0] = self.p
-        return out
-
-
-def assemble_problem(
-    model: NetworkModel,
-    tree: ScenarioTree,
-    weights: CostWeights,
-    p: np.ndarray,
-    q: np.ndarray,
-    k: int = 0,
-) -> ProblemInstance:
-    """Validate inputs and build one solvable instance."""
-    return ProblemInstance(model=model, tree=tree, weights=weights, p=p, q=q, k=k)
-
 
 def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
     """States produced by the node dynamics for given per-node inputs."""
@@ -289,22 +269,6 @@ def restore_feasible_inputs(
     return out
 
 
-def eval_f(instance: ProblemInstance, z: np.ndarray) -> float:
-    """Smooth cost if z satisfies dynamics and coupling, +inf otherwise."""
-    U, X = instance.split_primal(z)
-    m = instance.model
-    tol = FEAS_TOL * (1.0 + float(np.max(np.abs(z), initial=0.0)))
-    if m.n_mixing > 0:
-        coupling = U @ m.E.T + instance.demand @ m.Ed.T
-        if float(np.max(np.abs(coupling))) > tol:
-            return np.inf
-    x_anc = instance.ancestor_states(X)
-    resid = X - (x_anc @ m.A.T + U @ m.B.T + instance.demand_gd)
-    if float(np.max(np.abs(resid))) > tol:
-        return np.inf
-    return smooth_cost(instance, U)
-
-
 def smooth_cost(instance: ProblemInstance, U: np.ndarray) -> float:
     """Probability-weighted economic plus input-increment cost of inputs U,
     ignoring the domain indicators of f."""
@@ -322,25 +286,6 @@ def apply_H(instance: ProblemInstance, z: np.ndarray) -> np.ndarray:
     return instance.join_dual(X, X, U)
 
 
-def apply_H_adjoint(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
-    """Adjoint: (y1, y2, y3) lands in the (x, u) slots as (y1 + y2, y3)."""
-    Y1, Y2, Y3 = instance.split_dual(y)
-    return instance.join_primal(Y3, Y1 + Y2)
-
-
-def _dist_prox(V: np.ndarray, proj: np.ndarray, threshold: float) -> np.ndarray:
-    """Prox of ``threshold * (Euclidean distance to the set)`` per row.
-
-    Points farther than the threshold move toward their projection by the
-    threshold; nearer points land on the set.
-    """
-    diff = V - proj
-    dist = np.linalg.norm(diff, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(dist > 0.0, np.minimum(1.0, threshold / dist), 0.0)
-    return V - step[:, None] * diff
-
-
 def _node_steps(instance: ProblemInstance, gamma: float | np.ndarray) -> np.ndarray:
     """A scalar step, or one step per non-root node, checked positive."""
     step = np.asarray(gamma, float)
@@ -351,23 +296,6 @@ def _node_steps(instance: ProblemInstance, gamma: float | np.ndarray) -> np.ndar
     if not np.all(step > 0):
         raise ValueError("gamma must be positive")
     return step
-
-
-def prox_g(
-    instance: ProblemInstance, v: np.ndarray, gamma: float | np.ndarray
-) -> np.ndarray:
-    """Proximal operator of gamma * g, node-separable and slot-separable.
-
-    ``gamma`` is a scalar or one step per node (row), since g separates
-    by node.
-    """
-    step = _node_steps(instance, gamma)
-    m, w = instance.model, instance.weights
-    V1, V2, V3 = instance.split_dual(v)
-    out1 = _dist_prox(V1, np.clip(V1, m.x_min, m.x_max), step * w.w_x)
-    out2 = _dist_prox(V2, np.maximum(V2, m.x_safe), step * w.w_s)
-    out3 = np.clip(V3, m.u_min, m.u_max)
-    return instance.join_dual(out1, out2, out3)
 
 
 def prox_g_conjugate(
@@ -443,11 +371,3 @@ def _box_support(lo: np.ndarray, hi: np.ndarray, Y: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
         val = hi * np.clip(Y, 0.0, None) + lo * np.clip(Y, None, 0.0)
     return float(np.where(np.isnan(val), 0.0, val).sum())
-
-
-def primal_objective(instance: ProblemInstance, z: np.ndarray) -> float:
-    """Full objective f(z) + g(Hz)."""
-    fz = eval_f(instance, z)
-    if not np.isfinite(fz):
-        return np.inf
-    return fz + g_value(instance, apply_H(instance, z))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .forecast import ForecastSeries
 from .network import NetworkModel
-from .problem import CostWeights, assemble_problem
+from .problem import CostWeights, ProblemInstance
 from .solver import FactorCache, SolverConfig, factor_step, solve
 from .tree import ScenarioTree, attach_forecast, zero_price_errors
 
@@ -141,7 +141,7 @@ def run_closed_loop(
                 f"tree horizon {template.horizon}"
             )
         tree_k = attach_forecast(template, fc.d_hat, fc.alpha_hat)
-        instance = assemble_problem(model, tree_k, config.weights, x, u_prev, k)
+        instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
         cache = factor_step(instance, structure_from=cache)
         started = time.perf_counter()
         try:

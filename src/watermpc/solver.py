@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -62,7 +61,8 @@ from .problem import (
     smooth_cost,
 )
 
-IterateHook = Callable[[int, np.ndarray, np.ndarray, np.ndarray], None]
+# Iterations between two termination tests.
+GAP_CHECK_EVERY = 25
 
 
 @dataclass
@@ -70,22 +70,20 @@ class SolverConfig:
     """Iteration budget and termination tolerance.
 
     Termination is certified by a duality-gap check run every
-    ``gap_check_every`` iterations once the input-box residual test holds.
+    ``GAP_CHECK_EVERY`` iterations once the input-box residual test holds.
     The per-node dual steps are not configurable: they follow from the
-    instance (see :func:`estimate_lipschitz`).
+    instance (see :func:`estimate_lipschitz`). A rejected value's error
+    message opens with its field name.
     """
 
     max_iter: int = 20000
     tol: float = 5e-2
-    gap_check_every: int = 25
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.gap_check_every < 1:
-            raise ValueError("gap_check_every must be at least 1")
 
 
 @dataclass
@@ -120,14 +118,13 @@ class FactorCache:
     Structural members (null basis, per-stage gains, and the step metric:
     the per-node Hessian diagonal with its curvature bound) depend only on
     the model matrices, the input weight and the tree topology with its
-    probabilities; the per-node members (coupling particular solutions and
-    cost offsets) also depend on node demand and price values and are
-    rebuilt cheaply per instance.
+    probabilities; the per-node input offset (built from the coupling's
+    particular solution and the cost row) also depends on node demand and
+    price values and is rebuilt cheaply per instance.
     """
 
     null_basis: np.ndarray            # orthonormal basis of null(E)
     e_pinv: np.ndarray                # pseudo-inverse of E
-    u_part: np.ndarray                # per-node particular solution of the coupling
     e_offset: np.ndarray              # per-node input offset, dual-independent part
     d_gain: list[np.ndarray]          # per-stage feedback on the ancestor input
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
@@ -236,7 +233,6 @@ def factor_step(
     return FactorCache(
         null_basis=basis,
         e_pinv=e_pinv,
-        u_part=u_part,
         e_offset=e_offset,
         d_gain=d_gain,
         t_mat=t_mat,
@@ -316,16 +312,6 @@ def _next_theta(theta: float) -> float:
     # 1 - theta+ = theta+^2 / theta^2 with equality to machine precision.
     t = theta * theta
     return 2.0 * t / (t + np.sqrt(t * t + 4.0 * t))
-
-
-def theta_sequence(count: int) -> np.ndarray:
-    """First ``count`` extrapolation parameters, theta_0 = 1."""
-    out = np.empty(count)
-    th = 1.0
-    for i in range(count):
-        out[i] = th
-        th = _next_theta(th)
-    return out
 
 
 def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarray:
@@ -439,7 +425,6 @@ def solve(
     instance: ProblemInstance,
     config: SolverConfig | None = None,
     cache: FactorCache | None = None,
-    iterate_hook: IterateHook | None = None,
     dual0: np.ndarray | None = None,
 ) -> SolverResult:
     """Run the accelerated dual proximal gradient method on one instance.
@@ -459,8 +444,6 @@ def solve(
     the dual value at the current iterate. The control action u0 is the
     probability-weighted average of the stage-1 node inputs of that
     candidate, clipped to the box.
-
-    ``iterate_hook(nu, y, z, z_avg)`` observes every iteration.
     """
     config = config or SolverConfig()
     if cache is None:
@@ -547,19 +530,11 @@ def solve(
         if not np.isfinite(dual_change):
             raise RuntimeError(f"solver produced a non-finite iterate at nu={nu}")
 
-        if iterate_hook is not None:
-            iterate_hook(
-                nu,
-                y_next,
-                instance.join_primal(U, X),
-                instance.join_primal(U_avg, X_avg),
-            )
-
         y_prev, y = y, y_next
         theta_prev, theta = theta, _next_theta(theta)
 
         certified = False  # whether this iteration ran the certificate
-        if (nu + 1) % config.gap_check_every == 0:
+        if (nu + 1) % GAP_CHECK_EVERY == 0:
             image_scale = max(
                 float(np.max(np.abs(X_avg), initial=0.0)),
                 float(np.max(np.abs(U_avg), initial=0.0)),

@@ -96,16 +96,6 @@ class ScenarioTree:
     def nodes_per_stage(self) -> np.ndarray:
         return np.bincount(self.stage, minlength=self.horizon + 1)
 
-    def stage_nodes(self, j: int) -> np.ndarray:
-        """Node indices at stage j (contiguous by construction)."""
-        return np.nonzero(self.stage == j)[0]
-
-    def children_of(self, node: int) -> np.ndarray:
-        return np.nonzero(self.anc == node)[0]
-
-    def leaves(self) -> np.ndarray:
-        return self.stage_nodes(self.horizon)
-
     @classmethod
     def single_branch(
         cls,
@@ -251,19 +241,6 @@ def zero_price_errors(tree: ScenarioTree) -> ScenarioTree:
     eps = tree.eps.copy()
     eps[:, tree.n_demand:] = 0.0
     return replace(tree, eps=eps, demand=None, price=None)
-
-
-def leaves_to_scenarios(tree: ScenarioTree) -> list[tuple[float, list[int]]]:
-    """One (probability, node path) pair per leaf; root excluded from paths."""
-    out = []
-    for leaf in tree.leaves():
-        path = [int(leaf)]
-        node = int(leaf)
-        while tree.anc[node] > 0:
-            node = int(tree.anc[node])
-            path.append(node)
-        out.append((float(tree.prob[leaf]), path[::-1]))
-    return out
 
 
 def _fast_forward_select(

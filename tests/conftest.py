@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from watermpc.network import NetworkModel
-from watermpc.problem import CostWeights, ProblemInstance, assemble_problem
+from watermpc.problem import CostWeights, ProblemInstance
 from watermpc.tree import ScenarioTree
 
 
@@ -128,4 +128,4 @@ def make_instance(
     weights = CostWeights(w_alpha=1.0, w_u=wu, w_s=2.0, w_x=5.0)
     p = model.x_safe * (1.2 + 0.5 * rng.random(n_tanks))
     q = 0.3 * rng.random(n_inputs)
-    return assemble_problem(model, tree, weights, p, q)
+    return ProblemInstance(model, tree, weights, p, q)

@@ -15,16 +15,81 @@ import scipy.linalg
 
 from watermpc.problem import (
     ProblemInstance,
+    _node_steps,
     apply_H,
-    apply_H_adjoint,
     g_conjugate_value,
-    primal_objective,
+    g_value,
     restore_feasible_inputs,
     rollout_inputs,
     smooth_cost,
 )
 
 _MAX_DENSE_PRIMAL = 5000
+
+# Relative feasibility slack for domain membership in eval_f.
+FEAS_TOL = 1e-8
+
+
+def eval_f(instance: ProblemInstance, z: np.ndarray) -> float:
+    """Smooth cost if z satisfies dynamics and coupling, +inf otherwise."""
+    U, X = instance.split_primal(z)
+    m = instance.model
+    tol = FEAS_TOL * (1.0 + float(np.max(np.abs(z), initial=0.0)))
+    if m.n_mixing > 0:
+        coupling = U @ m.E.T + instance.demand @ m.Ed.T
+        if float(np.max(np.abs(coupling))) > tol:
+            return np.inf
+    x_anc = X[instance.anc_row]
+    x_anc[instance.anc_row < 0] = instance.p
+    resid = X - (x_anc @ m.A.T + U @ m.B.T + instance.demand_gd)
+    if float(np.max(np.abs(resid))) > tol:
+        return np.inf
+    return smooth_cost(instance, U)
+
+
+def primal_objective(instance: ProblemInstance, z: np.ndarray) -> float:
+    """Full objective f(z) + g(Hz)."""
+    fz = eval_f(instance, z)
+    if not np.isfinite(fz):
+        return np.inf
+    return fz + g_value(instance, apply_H(instance, z))
+
+
+def apply_H_adjoint(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
+    """Adjoint: (y1, y2, y3) lands in the (x, u) slots as (y1 + y2, y3)."""
+    Y1, Y2, Y3 = instance.split_dual(y)
+    return instance.join_primal(Y3, Y1 + Y2)
+
+
+def _dist_prox(V: np.ndarray, proj: np.ndarray, threshold: float) -> np.ndarray:
+    """Prox of ``threshold * (Euclidean distance to the set)`` per row.
+
+    Points farther than the threshold move toward their projection by the
+    threshold; nearer points land on the set.
+    """
+    diff = V - proj
+    dist = np.linalg.norm(diff, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(dist > 0.0, np.minimum(1.0, threshold / dist), 0.0)
+    return V - step[:, None] * diff
+
+
+def prox_g(
+    instance: ProblemInstance, v: np.ndarray, gamma: float | np.ndarray
+) -> np.ndarray:
+    """Proximal operator of gamma * g, node-separable and slot-separable.
+
+    ``gamma`` is a scalar or one step per node (row), since g separates
+    by node. The solver uses only the conjugate prox; this one checks it
+    through the Moreau identity.
+    """
+    step = _node_steps(instance, gamma)
+    m, w = instance.model, instance.weights
+    V1, V2, V3 = instance.split_dual(v)
+    out1 = _dist_prox(V1, np.clip(V1, m.x_min, m.x_max), step * w.w_x)
+    out2 = _dist_prox(V2, np.maximum(V2, m.x_safe), step * w.w_s)
+    out3 = np.clip(V3, m.u_min, m.u_max)
+    return instance.join_dual(out1, out2, out3)
 
 
 @dataclass

@@ -1,0 +1,122 @@
+"""End-to-end tests of the command-line interface on the tank1 demo files."""
+
+import math
+
+import numpy as np
+import pytest
+
+import watermpc.io as wio
+from watermpc.cli import main
+from watermpc.problem import ProblemInstance
+from watermpc.simulate import kpi_complexity, kpi_economic, kpi_safety
+from watermpc.solver import solve
+from watermpc.tree import attach_forecast, validate_tree
+
+DOCS = ("network", "tree", "forecast", "config", "state")
+FILES = {
+    "network": "network.json",
+    "tree": "scenarioTree.json",
+    "forecast": "forecaster.json",
+    "config": "controllerconfig.json",
+    "state": "state.json",
+    "realizations": "realizations.json",
+    "fan": "fan.json",
+}
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tank1")
+    assert main(["generate-demo", "--kind", "tank1", "--out", str(out)]) == 0
+    return out
+
+
+def flags(demo, *names):
+    args = []
+    for name in names:
+        args += [f"--{name}", str(demo / FILES[name])]
+    return args
+
+
+def test_validate_accepts_the_demo_set(demo, capsys):
+    assert main(["validate", *flags(demo, *DOCS)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_validate_needs_a_document(capsys):
+    assert main(["validate"]) == 2
+    assert "no documents" in capsys.readouterr().err
+
+
+def test_validate_reports_a_malformed_document(demo, tmp_path, capsys):
+    text = (demo / FILES["network"]).read_text()
+    broken = tmp_path / "network.json"
+    broken.write_text(text[: len(text) // 2])
+    assert main(["validate", "--network", str(broken)]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_solve_writes_the_solver_result(demo, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", *flags(demo, *DOCS), "--out", str(out)]) == 0
+    written = wio.load_control_output(out / "controlOutput.json")
+
+    forecast = wio.load_forecast(demo / FILES["forecast"])
+    tree = attach_forecast(
+        wio.load_tree(demo / FILES["tree"]), forecast.d_hat, forecast.alpha_hat
+    )
+    _, weights, config = wio.load_controller_config(demo / FILES["config"])
+    x, u_prev, _ = wio.load_state(demo / FILES["state"])
+    model = wio.load_network(demo / FILES["network"])
+    res = solve(ProblemInstance(model, tree, weights, x, u_prev), config)
+    np.testing.assert_array_equal(written["u0"], res.u0)
+    assert written["iterations"] == res.iterations
+    assert written["terminationReason"] == res.termination
+    assert written["primalResidual"] == res.primal_residual
+    assert written["dualChange"] == res.dual_change
+
+
+def test_simulate_writes_agreeing_log_and_kpis(demo, tmp_path):
+    out = tmp_path / "out"
+    argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
+            "--steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    log = wio.load_simlog(out / "simlog.json")
+    kpi = wio.load_kpi(out / "kpi.json")
+    assert log.h_sim == 2
+    expected = {"kpiE": kpi_economic(log), "kpiS": kpi_safety(log),
+                "kpiTauSeconds": kpi_complexity(log)}
+    for key, value in expected.items():
+        assert math.isclose(kpi[key], value, rel_tol=1e-12, abs_tol=1e-12), key
+
+
+def test_reduce_writes_a_valid_tree(demo, tmp_path):
+    out = tmp_path / "out"
+    assert main(["reduce", *flags(demo, "fan"), "--branching", "2,2", "--out", str(out)]) == 0
+    tree = wio.load_tree(out / "scenarioTree.json")
+    assert validate_tree(tree) == []
+    np.testing.assert_array_equal(tree.nodes_per_stage[:3], [1, 2, 4])
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", ["--seed", "1"]),
+    ("validate", ["--out", "d"]),
+    ("validate", ["--nominal-prices"]),
+    ("solve", ["--seed", "123"]),
+    ("simulate", ["--seed", "1"]),
+    ("reduce", ["--seed", "4"]),
+    ("reduce", ["--nominal-prices"]),
+    ("generate-demo", ["--nominal-prices"]),
+])
+def test_flag_a_command_does_not_read_is_rejected(demo, tmp_path, command, extra):
+    required = {
+        "validate": flags(demo, *DOCS),
+        "solve": flags(demo, *DOCS),
+        "simulate": flags(demo, "network", "tree", "realizations", "config", "state"),
+        "reduce": [*flags(demo, "fan"), "--branching", "2"],
+        "generate-demo": ["--kind", "tank1", "--out", str(tmp_path / "demo")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *extra])
+    assert exc.value.code == 2
+    assert not (tmp_path / "demo").exists()

@@ -1,13 +1,9 @@
-"""Tests for the forecast series and the persistence baseline."""
+"""Tests for the forecast series."""
 
 import numpy as np
 import pytest
 
-from watermpc.forecast import (
-    ForecastSeries,
-    seasonal_persistence,
-    seasonal_persistence_forecast,
-)
+from watermpc.forecast import ForecastSeries
 
 
 class TestForecastSeries:
@@ -29,47 +25,3 @@ class TestForecastSeries:
         with pytest.raises(ValueError, match="horizon"):
             ForecastSeries(d_hat=np.ones((3, 1)), alpha_hat=np.ones((2, 1)))
 
-
-class TestSeasonalPersistence:
-    def test_constant_history(self):
-        history = np.full((48, 2), 7.5)
-        out = seasonal_persistence(history, horizon=10, period=24)
-        np.testing.assert_array_equal(out, np.full((10, 2), 7.5))
-
-    def test_sawtooth_replays_last_day(self):
-        day = np.arange(24, dtype=float)
-        history = np.concatenate([day, day])
-        out = seasonal_persistence(history, horizon=24, period=24)
-        np.testing.assert_array_equal(out, day)
-
-    def test_index_arithmetic_oracle(self, rng):
-        history = rng.random((336, 3))
-        horizon, period = 100, 168
-        out = seasonal_persistence(history, horizon, period)
-        for j in range(horizon):
-            np.testing.assert_array_equal(out[j], history[336 - period + (j % period)])
-
-    def test_periodic_signal_zero_error(self):
-        t = np.arange(96)
-        signal = np.sin(2 * np.pi * t / 24.0)
-        out = seasonal_persistence(signal, horizon=24, period=24)
-        future = np.sin(2 * np.pi * (t[-1] + 1 + np.arange(24)) / 24.0)
-        np.testing.assert_allclose(out, future, atol=1e-12)
-
-    def test_short_history_rejected(self):
-        with pytest.raises(ValueError, match="shorter than period"):
-            seasonal_persistence(np.ones((10, 1)), horizon=4, period=24)
-
-    def test_horizon_beyond_period_wraps(self):
-        day = np.arange(24, dtype=float)
-        out = seasonal_persistence(day, horizon=30, period=24)
-        np.testing.assert_array_equal(out[24:], day[:6])
-
-
-def test_persistence_forecast_builds_series(rng):
-    demand_hist = rng.random((48, 2))
-    price_hist = rng.random((48, 3))
-    fs = seasonal_persistence_forecast(demand_hist, price_hist, horizon=12, period=24)
-    assert isinstance(fs, ForecastSeries)
-    np.testing.assert_array_equal(fs.d_hat, demand_hist[24:36])
-    np.testing.assert_array_equal(fs.alpha_hat, price_hist[24:36])

@@ -213,10 +213,53 @@ class TestErrorPaths:
         with pytest.raises(SchemaError, match="^/gamma: "):
             wio.load_controller_config(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("tol", 0.0), ("maxIter", 0), ("Walpha", 0.0), ("Ws", -1.0), ("Wx", -1.0),
+        ("Wu", -1.0), ("Walpha", "1.0"), ("tol", "0.05"),
+    ])
+    def test_config_error_names_its_key(self, demo_dir, tmp_path, key, value):
+        doc = json.loads((demo_dir / "controllerconfig.json").read_text())
+        doc[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_controller_config(path)
+        assert err.value.pointer == f"/{key}"
+
+    @pytest.mark.parametrize("name, key", [
+        ("realizations.json", "forecastDemand"),
+        ("realizations.json", "forecastPrice"),
+        ("fan.json", "scenarios"),
+    ])
+    @pytest.mark.parametrize("literal, message", [
+        ("true", "expected a number"),
+        ('"12.5"', "expected a number"),
+        ("1e400", "number must be finite"),
+    ])
+    def test_bad_item_in_tensor_names_its_pointer(
+        self, demo_dir, tmp_path, name, key, literal, message
+    ):
+        load = wio.load_fan if name == "fan.json" else wio.load_realizations
+        doc = json.loads((demo_dir / name).read_text())
+        doc[key][0][1][0] = 3  # integers are numbers too
+        doc[key][5][3][0] = "@"
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert str(err.value) == f"/{key}/5/3/0: {message}"
+        # The same tensor with a plain number there loads value for value.
+        path.write_text(json.dumps(doc).replace('"@"', "0.25"))
+        doc[key][5][3][0] = 0.25
+        loaded = load(path)
+        values = loaded.values if name == "fan.json" else loaded[key]
+        np.testing.assert_array_equal(values, np.array(doc[key]))
+
     @pytest.mark.parametrize("literal, message", [
         ("true", "expected a number"),
         ('"0.5"', "expected a number"),
         ("1e400", "number must be finite"),
+        pytest.param("1" + "0" * 400, "number must be finite", id="int-beyond-float"),
     ])
     def test_bad_item_in_large_matrix_names_its_pointer(self, tmp_path, literal, message):
         rng = np.random.default_rng(5)

@@ -6,14 +6,10 @@ import pytest
 from watermpc.network import NetworkModel
 from watermpc.problem import (
     CostWeights,
+    ProblemInstance,
     apply_H,
-    apply_H_adjoint,
-    assemble_problem,
-    eval_f,
     g_conjugate_value,
     g_value,
-    primal_objective,
-    prox_g,
     prox_g_conjugate,
     restore_feasible_inputs,
     rollout_inputs,
@@ -22,6 +18,7 @@ from watermpc.problem import (
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance, make_model, make_tree
+from oracle import apply_H_adjoint, eval_f, primal_objective, prox_g
 
 
 def chain_instance(rng, horizon=3, n_tanks=1, n_inputs=1, n_demands=1, **kw):
@@ -61,7 +58,7 @@ class TestDimensions:
         )
         model.B[:, :63] = np.eye(63) * 3600.0
         weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=1.0, w_x=1.0)
-        inst = assemble_problem(model, tree, weights, np.zeros(63), np.zeros(114))
+        inst = ProblemInstance(model, tree, weights, np.zeros(63), np.zeros(114))
         assert inst.n_primal == 2_306_133
         assert inst.n_dual == 3_126_960
 
@@ -79,14 +76,14 @@ class TestDimensions:
         rng = np.random.default_rng(0)
         model = make_model(rng, n_tanks=2, n_inputs=3, n_demands=1)
         weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=1.0, w_x=1.0)
-        inst = assemble_problem(model, tree, weights, np.ones(2), np.zeros(3))
+        inst = ProblemInstance(model, tree, weights, np.ones(2), np.zeros(3))
         assert inst.n_primal == 6 * 5 == 30
 
     def test_unattached_tree_rejected(self, rng):
         model = make_model(rng, 1, 1, 1)
         tree = ScenarioTree.single_branch(horizon=1, n_demand=1, n_price=1)
         with pytest.raises(ValueError, match="attached"):
-            assemble_problem(
+            ProblemInstance(
                 model, tree, CostWeights(1.0, 1.0, 1.0, 1.0), np.ones(1), np.zeros(1)
             )
 

@@ -5,19 +5,20 @@ import pytest
 
 import watermpc.solver
 from watermpc.demo import build_demo
-from watermpc.problem import apply_H, assemble_problem, eval_f
+from watermpc.problem import ProblemInstance, apply_H
 from watermpc.solver import (
+    GAP_CHECK_EVERY,
     SolverConfig,
+    _next_theta,
     dual_gradient,
     estimate_lipschitz,
     factor_step,
     solve,
-    theta_sequence,
 )
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance
-from oracle import dense_kkt_solve
+from oracle import dense_kkt_solve, eval_f
 
 
 def rel_err(a, b):
@@ -45,7 +46,7 @@ def permute_within_stages(inst, rng):
         demand=tree.demand[perm],
         price=tree.price[perm],
     )
-    return assemble_problem(inst.model, permuted, inst.weights, inst.p, inst.q)
+    return ProblemInstance(inst.model, permuted, inst.weights, inst.p, inst.q)
 
 
 def net3_demo_instance():
@@ -53,7 +54,7 @@ def net3_demo_instance():
     bundle = build_demo("net3", 0)
     fc = bundle.forecaster(0)
     tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
-    inst = assemble_problem(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+    inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
     return inst, bundle.solver
 
 
@@ -62,7 +63,11 @@ class TestFactorStep:
         inst = make_instance(rng, n_mixing=0, horizon=2, max_nodes=5)
         cache = factor_step(inst)
         np.testing.assert_array_equal(cache.null_basis, np.eye(inst.model.n_inputs))
-        np.testing.assert_array_equal(cache.u_part, 0.0)
+        # No coupling leaves no particular solution in the input offset.
+        for s, sl in enumerate(inst.stage_slices):
+            np.testing.assert_array_equal(
+                cache.e_offset[sl], -(inst.econ[sl] @ cache.t_mat[s])
+            )
 
     def test_two_flow_conservation_null_space(self, rng):
         inst = make_instance(rng, n_inputs=2, n_mixing=1, horizon=1, max_nodes=2)
@@ -108,9 +113,7 @@ class TestFactorStep:
             + 0.4,
             np.full((inst.tree.horizon, inst.model.n_inputs), 0.9),
         )
-        from watermpc.problem import assemble_problem
-
-        inst2 = assemble_problem(inst.model, tree2, inst.weights, inst.p, inst.q)
+        inst2 = ProblemInstance(inst.model, tree2, inst.weights, inst.p, inst.q)
         cache2 = factor_step(inst2, structure_from=cache)
         y = np.zeros(inst2.n_dual)
         z_tree, _ = dual_gradient(cache2, inst2, y)
@@ -267,6 +270,14 @@ class TestLipschitz:
         assert l1 == pytest.approx(l2, rel=1e-6)
 
 
+def theta_sequence(count):
+    """First ``count`` extrapolation parameters, theta_0 = 1."""
+    seq = [1.0]
+    while len(seq) < count:
+        seq.append(_next_theta(seq[-1]))
+    return np.array(seq)
+
+
 class TestThetaRecursion:
     def test_first_values(self):
         seq = theta_sequence(3)
@@ -315,7 +326,7 @@ class TestSolve:
         m.x_min[:] = X.min() - 1.0
         m.x_max[:] = X.max() + 1.0
         m.x_safe[:] = X.min() - 0.5
-        res = solve(inst, SolverConfig(max_iter=200, tol=1e-8, gap_check_every=1), cache=cache)
+        res = solve(inst, SolverConfig(max_iter=200, tol=1e-8), cache=cache)
         assert res.termination == "converged"
         assert res.iterations <= 50
         np.testing.assert_allclose(res.dual, 0.0, atol=1e-12)
@@ -342,7 +353,7 @@ class TestSolve:
         U0, _ = inst.split_primal(z0)
         sl = inst.stage_slices[0]
         expected_u0 = inst.prob[sl] @ U0[sl]
-        res = solve(inst, SolverConfig(max_iter=100, tol=1e-9, gap_check_every=1), cache=cache)
+        res = solve(inst, SolverConfig(max_iter=100, tol=1e-9), cache=cache)
         np.testing.assert_allclose(res.u0, expected_u0, atol=1e-9 * (1 + np.abs(expected_u0).max()))
 
     def test_iterations_skip_the_objective_value(self, rng, smooth_cost_calls):
@@ -350,7 +361,7 @@ class TestSolve:
         # No gap check inside the loop, so the only certificate is the
         # final one: the primal values of the average and the last
         # iterate plus its dual inner value.
-        config = SolverConfig(max_iter=200, tol=1e-30, gap_check_every=201)
+        config = SolverConfig(max_iter=GAP_CHECK_EVERY - 1, tol=1e-30)
         res = solve(inst, config)
         assert res.termination == "max_iter"
         assert len(smooth_cost_calls) == 3
@@ -365,40 +376,49 @@ class TestSolve:
         m.x_safe[:] = m.x_max
         # The last iteration is a gap-check iteration whose certificate
         # fails; the capped solve reports it rather than running it again.
-        res = solve(inst, SolverConfig(max_iter=40, tol=1e-30, gap_check_every=40))
+        res = solve(inst, SolverConfig(max_iter=GAP_CHECK_EVERY, tol=1e-30))
         assert res.termination == "max_iter"
         assert len(smooth_cost_calls) == 3
 
-    def test_certificate_keeps_the_cheaper_candidate(self, rng):
+    def test_certificate_keeps_the_cheaper_candidate(self, rng, monkeypatch):
         from watermpc.problem import g_value, restore_feasible_inputs, rollout_inputs, smooth_cost
 
-        def restored_value(inst, z):
-            U, _ = inst.split_primal(z)
+        def restored_value(inst, U):
             u_f = restore_feasible_inputs(inst, U)
             x_f = rollout_inputs(inst, u_f)
             return smooth_cost(inst, u_f) + g_value(inst, inst.join_dual(x_f, x_f, u_f))
 
+        # The certificate restores the average, then the last iterate.
+        candidates = []
+        real = watermpc.solver.restore_feasible_inputs
+
+        def recorded(inst, U, *args):
+            candidates.append(U.copy())
+            return real(inst, U, *args)
+
+        monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", recorded)
         # On the net3 demo the last iterate prices lower after 200
         # iterations; on this random instance the average does.
         cases = [(net3_demo_instance()[0], 200),
                  (make_instance(rng, n_mixing=1, horizon=3, max_nodes=12), 300)]
         winners = []
         for inst, iters in cases:
-            last = {}
-
-            def hook(nu, y, z, z_avg):
-                last["iterate"], last["average"] = z, z_avg
-
-            res = solve(inst, SolverConfig(max_iter=iters, tol=1e-30), iterate_hook=hook)
-            values = {k: restored_value(inst, z) for k, z in last.items()}
+            candidates.clear()
+            res = solve(inst, SolverConfig(max_iter=iters, tol=1e-30))
+            last = dict(zip(("average", "iterate"), candidates[-2:]))
+            values = {k: restored_value(inst, U) for k, U in last.items()}
             best = min(values, key=values.get)
             winners.append(best)
             assert res.objective == pytest.approx(values[best], rel=1e-12)
-            np.testing.assert_array_equal(res.primal_avg, last[best])
-            U, _ = inst.split_primal(last[best])
+            U_c, X_c = inst.split_primal(res.primal_avg)
+            np.testing.assert_array_equal(U_c, last[best])
+            # The candidate's states are its inputs' rollout, up to rounding.
+            np.testing.assert_allclose(
+                X_c, rollout_inputs(inst, U_c), rtol=0, atol=1e-9 * (1 + np.abs(X_c).max())
+            )
             sl = inst.stage_slices[0]
             np.testing.assert_array_equal(
-                res.u0, np.clip(inst.prob[sl] @ U[sl], inst.model.u_min, inst.model.u_max)
+                res.u0, np.clip(inst.prob[sl] @ U_c[sl], inst.model.u_min, inst.model.u_max)
             )
         assert winners == ["iterate", "average"]
 
@@ -417,11 +437,11 @@ class TestSolve:
         inst, config = net3_demo_instance()
         cold = solve(inst, config)
         assert cold.termination == "converged"
-        assert cold.iterations > config.gap_check_every
+        assert cold.iterations > GAP_CHECK_EVERY
         dual0 = cold.dual.copy()
         warm = solve(inst, config, dual0=dual0)
         assert warm.termination == "converged"
-        assert warm.iterations == config.gap_check_every
+        assert warm.iterations == GAP_CHECK_EVERY
         np.testing.assert_array_equal(dual0, cold.dual)
 
     def test_malformed_start_dual_rejected(self, rng):
@@ -439,18 +459,25 @@ class TestSolve:
         assert res.termination == "max_iter"
         assert res.iterations == 3
 
-    def test_dual_objective_best_so_far_monotone(self, rng):
+    def test_dual_objective_best_so_far_monotone(self, rng, monkeypatch):
         from watermpc.problem import g_conjugate_value
 
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
-        values = []
+        # Every dual iterate leaves the solver's conjugate prox.
+        iterates = []
+        real = watermpc.solver.prox_g_conjugate
 
-        def hook(nu, y, z, z_avg):
-            if nu % 20 == 0:
-                _, inner = dual_gradient(cache, inst, y)
-                values.append(-inner + g_conjugate_value(inst, y))
+        def recorded(*args):
+            iterates.append(real(*args))
+            return iterates[-1]
 
-        solve(inst, SolverConfig(max_iter=400, tol=1e-30), cache=cache, iterate_hook=hook)
-        best = np.minimum.accumulate(values)
-        assert all(b2 <= b1 + 1e-9 * (1 + abs(b1)) for b1, b2 in zip(best, best[1:]))
+        monkeypatch.setattr(watermpc.solver, "prox_g_conjugate", recorded)
+        res = solve(inst, SolverConfig(max_iter=400, tol=1e-30), cache=cache)
+        assert len(iterates) == 400
+        # Weak duality: no dual value exceeds the certified primal value.
+        for y in iterates:
+            _, inner = dual_gradient(cache, inst, y)
+            dual_value = inner - g_conjugate_value(inst, y)
+            assert np.isfinite(dual_value)
+            assert dual_value <= res.objective + 1e-9 * (1 + abs(res.objective))

@@ -7,7 +7,6 @@ from watermpc.tree import (
     ScenarioFan,
     ScenarioTree,
     attach_forecast,
-    leaves_to_scenarios,
     reduce_fan_to_tree,
     validate_tree,
     zero_price_errors,
@@ -130,7 +129,7 @@ class TestReduce:
         fan = ScenarioFan(rng.standard_normal((1000, 3, 2)), n_demand=1, n_price=1)
         tree = reduce_fan_to_tree(fan, [5, 3, 2])
         assert validate_tree(tree) == []
-        assert tree.leaves().size == 30
+        assert tree.nodes_per_stage[-1] == 30
         for j in range(4):
             assert tree.prob[tree.stage == j].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -171,30 +170,14 @@ class TestReduce:
 
 
 class TestLeafPaths:
-    def test_single_branch(self):
-        tree = ScenarioTree.single_branch(horizon=3, n_demand=1, n_price=1)
-        paths = leaves_to_scenarios(tree)
-        assert paths == [(1.0, [1, 2, 3])]
-
-    def test_uniform_binary_tree(self):
-        stage = np.array([0, 1, 1, 2, 2, 2, 2])
-        anc = np.array([-1, 0, 0, 1, 1, 2, 2])
-        prob = np.array([1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
-        tree = ScenarioTree(2, 1, 1, stage, anc, prob, eps=np.zeros((7, 2)))
-        paths = leaves_to_scenarios(tree)
-        assert len(paths) == 4
-        for p, _ in paths:
-            assert p == pytest.approx(0.25)
-        assert sum(p for p, _ in paths) == pytest.approx(1.0)
-
     def test_masses_match_reduction_bundles(self, rng):
         fan = ScenarioFan(rng.standard_normal((100, 2, 1)), n_demand=1, n_price=0)
         tree = reduce_fan_to_tree(fan, [4, 2])
-        paths = leaves_to_scenarios(tree)
-        np.testing.assert_allclose(
-            sorted(p for p, _ in paths), sorted(tree.prob[tree.leaves()])
-        )
-        assert sum(p for p, _ in paths) == pytest.approx(1.0)
+        leaf_mass = tree.prob[tree.stage == tree.horizon]
+        assert leaf_mass.size == 8
+        # Each leaf holds a whole bundle of the 100 equally weighted scenarios.
+        np.testing.assert_allclose(leaf_mass * 100, np.round(leaf_mass * 100), atol=1e-9)
+        assert leaf_mass.sum() == pytest.approx(1.0)
 
 
 def test_zero_price_errors_keeps_demand_part(rng):
@@ -208,6 +191,6 @@ def test_zero_price_errors_keeps_demand_part(rng):
 def test_telescoping_exact(rng):
     tree = make_tree(rng, horizon=3, n_demand=1, n_price=1)
     for node in range(tree.n_nodes):
-        kids = tree.children_of(node)
+        kids = np.nonzero(tree.anc == node)[0]
         if kids.size:
             assert tree.prob[kids].sum() == pytest.approx(tree.prob[node], abs=1e-12)
