@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as wio
-from .demo import DEMO_KINDS, generate_demo
+from .demo import DEMO_KINDS, build_demo, write_demo
 from .forecast import ForecastSeries
 from .io import SchemaError
 from .problem import ProblemInstance
@@ -143,8 +143,7 @@ def _cmd_solve(args) -> int:
         return 1
     if args.nominal_prices:
         tree = zero_price_errors(tree)
-    if not tree.is_attached:
-        tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
+    tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
     instance = ProblemInstance(model, tree, weights, x, u_prev)
     try:
         result = solve_instance(instance, solver_cfg)
@@ -174,6 +173,8 @@ def _cmd_simulate(args) -> int:
         for line in problems:
             print(line, file=sys.stderr)
         return 1
+    if args.nominal_prices:
+        tree = zero_price_errors(tree)
     steps = args.steps
     fc_d, fc_p = real["forecastDemand"], real["forecastPrice"]
     nominal_d, nominal_p = real["nominalDemand"], real["nominalPrice"]
@@ -209,7 +210,6 @@ def _cmd_simulate(args) -> int:
         solver=solver_cfg,
         x0=x0,
         u_prev=u_prev,
-        nominal_prices_only=args.nominal_prices,
     )
     try:
         log = run_closed_loop(
@@ -246,7 +246,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_generate_demo(args) -> int:
-    paths = generate_demo(args.kind, args.out, seed=args.seed)
+    paths = write_demo(build_demo(args.kind, seed=args.seed), args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

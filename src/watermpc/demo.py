@@ -169,7 +169,7 @@ _BUILDERS = {
     "net10": _net10_topology,
 }
 
-_DEFAULTS = {
+_SIZES = {
     # horizon, branching, fan size
     "tank1": (24, [2, 2], 200),
     "net3": (10, [3, 2], 300),
@@ -279,22 +279,13 @@ def _realized_errors(
     return d_err, np.outer(p_err, energy)
 
 
-def build_demo(
-    kind: str,
-    seed: int = 0,
-    h_sim: int = 168,
-    horizon: int | None = None,
-    branching: list[int] | None = None,
-    n_scenarios: int | None = None,
-) -> DemoBundle:
-    """Assemble one demo bundle deterministically from a seed."""
+def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
+    """Assemble one demo bundle deterministically from a seed, with
+    ``h_sim`` closed-loop steps of realizations and forecasts."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
     topology, demand_scale, energy, x0 = _BUILDERS[kind]()
-    default_h, default_branching, default_s = _DEFAULTS[kind]
-    horizon = default_h if horizon is None else horizon
-    branching = default_branching if branching is None else branching
-    n_scenarios = default_s if n_scenarios is None else n_scenarios
+    horizon, branching, n_scenarios = _SIZES[kind]
 
     model = build_lti(topology, DEMO_DT)
     rng = np.random.default_rng(np.random.SeedSequence([1000, seed]))
@@ -370,7 +361,3 @@ def write_demo(bundle: DemoBundle, out_dir: str | Path) -> dict[str, Path]:
     )
     wio.save_fan(bundle.fan, paths["fan"])
     return paths
-
-
-def generate_demo(kind: str, out_dir: str | Path, seed: int = 0) -> dict[str, Path]:
-    return write_demo(build_demo(kind, seed=seed), out_dir)

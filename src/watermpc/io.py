@@ -7,6 +7,10 @@ Five core documents drive the controller: ``network.json``,
 Every document carries ``"schemaVersion": 1``. Numbers are serialized as
 JSON doubles with shortest round-trip formatting; NaN and infinities are
 rejected in both directions, so load -> save -> load is value-identical.
+
+``scenarioTree.json`` carries the tree's prediction errors
+(``errorValues``) and never node values: a node's demand and price are
+always the ``forecaster.json`` forecast for its stage plus its error.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ def _number(doc: dict, key: str, pointer: str = "") -> float:
     val = _get(doc, key, pointer)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"{pointer}/{key}", f"expected a number, got {type(val).__name__}")
-    if not np.isfinite(val):
+    if not abs(val) <= sys.float_info.max:  # also an int beyond float range
         raise SchemaError(f"{pointer}/{key}", "number must be finite")
     return float(val)
 
@@ -195,13 +199,9 @@ def load_network(path: str | Path) -> NetworkModel:
         u_max=_vector(doc, "umax", nu),
         alpha0=_vector(doc, "alpha0", nu),
         dt=_number(doc, "dt"),
-        tank_names=tuple(doc.get("tankNames", ())),
-        flow_names=tuple(doc.get("flowNames", ())),
     )
     try:
         model.validate()
-        if np.any(model.x_min > model.x_safe) or np.any(model.x_safe > model.x_max):
-            raise ValueError("require xmin <= xsafe <= xmax")
     except ValueError as exc:
         raise SchemaError("/", str(exc)) from exc
     return model
@@ -223,10 +223,6 @@ def save_network(model: NetworkModel, path: str | Path) -> None:
         "umax": model.u_max.tolist(),
         "alpha0": model.alpha0.tolist(),
     }
-    if model.tank_names:
-        doc["tankNames"] = list(model.tank_names)
-    if model.flow_names:
-        doc["flowNames"] = list(model.flow_names)
     save_document(doc, path)
 
 
@@ -243,16 +239,12 @@ def load_tree(path: str | Path) -> ScenarioTree:
     anc = _vector(doc, "ancestor", n_nodes).astype(int)
     prob = _vector(doc, "probability", n_nodes)
     stage = np.repeat(np.arange(horizon + 1), per_stage.astype(int))
-    eps = demand = price = None
-    if doc.get("errorValues") is not None:
-        eps = _matrix(doc, "errorValues", rows=n_nodes, cols=nd + nu)
-    if doc.get("demandValues") is not None or doc.get("priceValues") is not None:
-        demand = _matrix(doc, "demandValues", rows=n_nodes, cols=nd)
-        price = _matrix(doc, "priceValues", rows=n_nodes, cols=nu)
-    if eps is None and demand is None:
-        raise SchemaError(
-            "/errorValues", "tree must carry errorValues or attached values"
-        )
+    eps = _matrix(doc, "errorValues", rows=n_nodes, cols=nd + nu)
+    for key in ("demandValues", "priceValues"):
+        if doc.get(key) is not None:
+            raise SchemaError(
+                f"/{key}", "node values are not read; they are the forecast plus errorValues"
+            )
     tree = ScenarioTree(
         horizon=horizon,
         n_demand=nd,
@@ -261,8 +253,6 @@ def load_tree(path: str | Path) -> ScenarioTree:
         anc=anc,
         prob=prob,
         eps=eps,
-        demand=demand,
-        price=price,
     )
     problems = validate_tree(tree)
     if problems:
@@ -279,9 +269,7 @@ def save_tree(tree: ScenarioTree, path: str | Path) -> None:
         "nodesPerStage": [int(c) for c in tree.nodes_per_stage],
         "ancestor": [int(a) for a in tree.anc],
         "probability": tree.prob.tolist(),
-        "errorValues": tree.eps.tolist() if tree.eps is not None else None,
-        "demandValues": tree.demand.tolist() if tree.demand is not None else None,
-        "priceValues": tree.price.tolist() if tree.price is not None else None,
+        "errorValues": tree.eps.tolist(),
     }
     save_document(doc, path)
 

@@ -15,7 +15,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,8 +94,6 @@ class NetworkModel:
     u_max: np.ndarray
     alpha0: np.ndarray
     dt: float
-    tank_names: tuple[str, ...] = field(default=())
-    flow_names: tuple[str, ...] = field(default=())
 
     @property
     def n_tanks(self) -> int:
@@ -138,8 +136,8 @@ class NetworkModel:
                 raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if np.any(self.x_min > self.x_max):
-            raise ValueError("x_min must not exceed x_max")
+        if np.any(self.x_min > self.x_safe) or np.any(self.x_safe > self.x_max):
+            raise ValueError("require x_min <= x_safe <= x_max")
         if np.any(self.u_min > self.u_max):
             raise ValueError("u_min must not exceed u_max")
 

@@ -226,20 +226,19 @@ def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
 
 
 def restore_feasible_inputs(
-    instance: ProblemInstance, U: np.ndarray, e_pinv: np.ndarray | None = None
+    instance: ProblemInstance, U: np.ndarray, e_pinv: np.ndarray
 ) -> np.ndarray:
     """Project per-node inputs onto box intersected with the coupling set.
 
     Alternating projections with Dykstra corrections, vectorized across
-    nodes. A row stops once its box point and its coupling point agree to
-    rounding level, so it sits exactly inside the box with the coupling
-    residual at rounding level; the others carry on, up to 500 steps.
+    nodes; ``e_pinv`` is pinv(E), as in ``FactorCache.e_pinv``. A row stops
+    once its box point and its coupling point agree to rounding level, so
+    it sits exactly inside the box with the coupling residual at rounding
+    level; the others carry on, up to 500 steps.
     """
     m = instance.model
     if m.n_mixing == 0:
         return np.clip(U, m.u_min, m.u_max)
-    if e_pinv is None:
-        e_pinv = np.linalg.pinv(m.E)
     out = U.copy()
     rows = np.arange(U.shape[0])
     shift = instance.demand @ m.Ed.T
@@ -286,12 +285,12 @@ def apply_H(instance: ProblemInstance, z: np.ndarray) -> np.ndarray:
     return instance.join_dual(X, X, U)
 
 
-def _node_steps(instance: ProblemInstance, gamma: float | np.ndarray) -> np.ndarray:
-    """A scalar step, or one step per non-root node, checked positive."""
+def _node_steps(instance: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
+    """One step per non-root node, checked positive."""
     step = np.asarray(gamma, float)
-    if step.ndim and step.shape != (instance.n_nonroot,):
+    if step.shape != (instance.n_nonroot,):
         raise ValueError(
-            f"gamma must be a scalar or have shape ({instance.n_nonroot},), got {step.shape}"
+            f"gamma must have shape ({instance.n_nonroot},), got {step.shape}"
         )
     if not np.all(step > 0):
         raise ValueError("gamma must be positive")
@@ -299,19 +298,18 @@ def _node_steps(instance: ProblemInstance, gamma: float | np.ndarray) -> np.ndar
 
 
 def prox_g_conjugate(
-    instance: ProblemInstance, w: np.ndarray, gamma: float | np.ndarray
+    instance: ProblemInstance, w: np.ndarray, gamma: np.ndarray
 ) -> np.ndarray:
-    """Prox of gamma * g^*, node-separable and slot-separable.
+    """Prox of Gamma * g^*, node-separable and slot-separable.
 
     By the Moreau decomposition it equals ``w - gamma prox_{g/gamma}(w/gamma)``,
     evaluated here without dividing by gamma: for a penalty
     ``W dist(., C)`` it is the residual ``w - proj_{gamma C}(w)`` projected
     onto the ball of radius W, and for the input box indicator it is
-    ``w - proj_{gamma box}(w)``. ``gamma`` is a scalar or one step per node
-    (row).
+    ``w - proj_{gamma box}(w)``. ``gamma`` holds one step per non-root node,
+    applied to that node's dual row.
     """
-    step = _node_steps(instance, gamma)
-    col = step[:, None] if step.ndim else step
+    col = _node_steps(instance, gamma)[:, None]
     m, wts = instance.model, instance.weights
     W1, W2, W3 = instance.split_dual(w)
     out1 = _ball_projection(W1 - np.clip(W1, col * m.x_min, col * m.x_max), wts.w_x)
@@ -338,27 +336,29 @@ def g_value(instance: ProblemInstance, hx: np.ndarray) -> float:
     return float(w.w_x * box_dist.sum() + w.w_s * safe_dist.sum())
 
 
-def g_conjugate_value(
-    instance: ProblemInstance, y: np.ndarray, domain_tol: float = 1e-9
-) -> float:
+CONJUGATE_DOMAIN_TOL = 1e-9  # relative slack on the domain of g*
+
+
+def g_conjugate_value(instance: ProblemInstance, y: np.ndarray) -> float:
     """Convex conjugate of g.
 
     Finite on y1 with norm at most w_x, nonpositive y2 with norm at most
     w_s, and any y3; there it is the sum of the support functions of the
-    state box, the safety half-space and the input box. ``domain_tol`` is
-    the relative slack granted before declaring +inf.
+    state box, the safety half-space and the input box. A point outside
+    that domain by at most ``CONJUGATE_DOMAIN_TOL`` relative counts as
+    inside; beyond it the value is +inf.
     """
     m = instance.model
     w = instance.weights
     Y1, Y2, Y3 = instance.split_dual(y)
     n1 = np.linalg.norm(Y1, axis=1)
     n2 = np.linalg.norm(Y2, axis=1)
-    slack = 1.0 + domain_tol
-    if np.any(n1 > w.w_x * slack + domain_tol):
+    tol = CONJUGATE_DOMAIN_TOL
+    if np.any(n1 > w.w_x * (1.0 + tol) + tol):
         return np.inf
-    if np.any(n2 > w.w_s * slack + domain_tol):
+    if np.any(n2 > w.w_s * (1.0 + tol) + tol):
         return np.inf
-    if np.any(Y2 > domain_tol * (1.0 + np.abs(m.x_safe))):
+    if np.any(Y2 > tol * (1.0 + np.abs(m.x_safe))):
         return np.inf
     val = _box_support(m.x_min, m.x_max, Y1)
     val += float((m.x_safe * np.minimum(Y2, 0.0)).sum())

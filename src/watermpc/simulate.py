@@ -20,7 +20,7 @@ from .forecast import ForecastSeries
 from .network import NetworkModel
 from .problem import CostWeights, ProblemInstance
 from .solver import FactorCache, SolverConfig, factor_step, solve
-from .tree import ScenarioTree, attach_forecast, zero_price_errors
+from .tree import ScenarioTree, attach_forecast
 
 Forecaster = Callable[[int], ForecastSeries]
 
@@ -29,11 +29,12 @@ logger = logging.getLogger("watermpc")
 
 @dataclass
 class SimulationConfig:
-    """Closed-loop run description.
+    """Closed-loop run description: ``h_sim`` steps from state ``x0`` with
+    ``u_prev`` (zero when None) as the previously applied input.
 
-    ``nominal_prices_only`` zeroes the price part of every tree error, so
-    the controller sees only the nominal price forecast (the
-    certainty-equivalent-in-price arm of the comparison).
+    The uncertainty the controller sees is the tree passed to
+    :func:`run_closed_loop`; for the certainty-equivalent-in-price arm of
+    the comparison, pass ``zero_price_errors(tree)``.
     """
 
     h_sim: int
@@ -41,7 +42,6 @@ class SimulationConfig:
     solver: SolverConfig
     x0: np.ndarray
     u_prev: np.ndarray | None = None
-    nominal_prices_only: bool = False
 
     def __post_init__(self) -> None:
         if self.h_sim < 1:
@@ -112,11 +112,6 @@ def run_closed_loop(
     if config.x0.shape != (model.n_tanks,):
         raise ValueError(f"x0 must have shape ({model.n_tanks},)")
 
-    template = (
-        zero_price_errors(tree_template)
-        if config.nominal_prices_only
-        else tree_template
-    )
     x = config.x0.copy()
     u_prev = (
         np.zeros(model.n_inputs) if config.u_prev is None else config.u_prev.copy()
@@ -135,12 +130,12 @@ def run_closed_loop(
     dual: np.ndarray | None = None
     for k in range(h):
         fc = forecaster(k)
-        if fc.horizon != template.horizon:
+        if fc.horizon != tree_template.horizon:
             raise ValueError(
                 f"step {k}: forecast horizon {fc.horizon} does not match the "
-                f"tree horizon {template.horizon}"
+                f"tree horizon {tree_template.horizon}"
             )
-        tree_k = attach_forecast(template, fc.d_hat, fc.alpha_hat)
+        tree_k = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
         instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
         cache = factor_step(instance, structure_from=cache)
         started = time.perf_counter()

@@ -64,6 +64,13 @@ from .problem import (
 # Iterations between two termination tests.
 GAP_CHECK_EVERY = 25
 
+# Power iteration in estimate_lipschitz: relative stall tolerance, cap on
+# operator applications, and the margin on its Rayleigh quotient, which
+# bounds the largest eigenvalue from below.
+LIPSCHITZ_REL_TOL = 1e-3
+LIPSCHITZ_MAX_ITER = 500
+LIPSCHITZ_SAFETY = 1.1
+
 
 @dataclass
 class SolverConfig:
@@ -358,23 +365,18 @@ def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarr
     return np.maximum(diag_v.max(axis=1), diag_p.max(axis=1))
 
 
-def estimate_lipschitz(
-    cache: FactorCache,
-    instance: ProblemInstance,
-    rel_tol: float = 1e-3,
-    max_iter: int = 500,
-    safety: float = 1.1,
-) -> float:
+def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     """Curvature bound of the smooth dual term in the per-node metric.
 
     Computes the per-node Hessian diagonal d (see :func:`_hessian_diagonal`)
     and runs power iteration on ``D^-1/2 M D^-1/2``, M the positive
     semidefinite linear part of y -> -H x*(y) and D repeating d_i over
     node i's dual row, until the Rayleigh quotient stalls within
-    ``rel_tol``. Adds the safety margin and stores the bound ``L_D`` in
-    ``cache.lipschitz`` and d in ``cache.hess_diag``; node i's dual step
-    is then ``1 / (L_D d_i)``. Raises RuntimeError if the iteration does
-    not settle within ``max_iter`` operator applications.
+    ``LIPSCHITZ_REL_TOL``. Multiplies it by ``LIPSCHITZ_SAFETY`` and stores
+    the bound ``L_D`` in ``cache.lipschitz`` and d in ``cache.hess_diag``;
+    node i's dual step is then ``1 / (L_D d_i)``. Raises RuntimeError if
+    the iteration does not settle within ``LIPSCHITZ_MAX_ITER`` operator
+    applications.
     """
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
@@ -398,24 +400,24 @@ def estimate_lipschitz(
     v = rng.standard_normal(instance.n_dual)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(LIPSCHITZ_MAX_ITER):
         gv = operator(v)
         lam = float(v @ gv)
         norm = float(np.linalg.norm(gv))
         if norm == 0.0:
             break
         v = gv / norm
-        if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
+        if abs(lam - lam_prev) <= LIPSCHITZ_REL_TOL * max(abs(lam), 1e-300):
             break
         lam_prev = lam
     else:
         raise RuntimeError(
-            f"power iteration did not settle within {max_iter} iterations "
-            f"(rel_tol={rel_tol:g})"
+            f"power iteration did not settle within {LIPSCHITZ_MAX_ITER} "
+            f"iterations (rel_tol={LIPSCHITZ_REL_TOL:g})"
         )
     if lam <= 0.0:
         raise RuntimeError("dual curvature estimate failed (operator not positive)")
-    estimate = safety * lam
+    estimate = LIPSCHITZ_SAFETY * lam
     cache.lipschitz = estimate
     cache.hess_diag = hess_diag
     return estimate
@@ -517,14 +519,10 @@ def solve(
         rows[:, 2 * nt:] += step * U
         y_next = prox_g_conjugate(instance, w_plus, gamma)
 
-        if nu == 0:
-            U_avg[:] = U
-            X_avg[:] = X
-        else:
-            U_avg *= 1.0 - theta
-            U_avg += theta * U
-            X_avg *= 1.0 - theta
-            X_avg += theta * X
+        U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U
+        U_avg += theta * U
+        X_avg *= 1.0 - theta
+        X_avg += theta * X
 
         dual_change = float(np.max(np.abs(y_next - y)))
         if not np.isfinite(dual_change):

@@ -3,7 +3,8 @@
 A tree spans stages 0..horizon. The root (index 0) is the present with
 zero prediction error; every later node carries an error vector
 ``eps = (demand part, price part)`` and, once a nominal forecast is
-attached, the contingent demand and price values for its stage. Nodes are
+attached, the contingent demand and price values for its stage: the
+forecast plus the error. Nodes are
 numbered breadth-first by stage so per-stage node ranges are contiguous
 slices of every flat array.
 
@@ -55,8 +56,9 @@ class ScenarioTree:
 
     ``stage``, ``anc`` and ``prob`` are flat arrays over all nodes; the
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
-    prediction errors (root row zero). After :func:`attach_forecast`,
-    ``demand`` and ``price`` hold the contingent per-node values.
+    prediction errors (root row zero). ``demand`` and ``price`` are None
+    until :func:`attach_forecast` sets them to the contingent per-node
+    values, the nominal forecast plus the errors.
     """
 
     horizon: int
@@ -65,7 +67,7 @@ class ScenarioTree:
     stage: np.ndarray
     anc: np.ndarray
     prob: np.ndarray
-    eps: np.ndarray | None = None
+    eps: np.ndarray
     demand: np.ndarray | None = None
     price: np.ndarray | None = None
 
@@ -73,12 +75,7 @@ class ScenarioTree:
         self.stage = np.asarray(self.stage, int)
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
-        if self.eps is not None:
-            self.eps = np.asarray(self.eps, float)
-        if self.demand is not None:
-            self.demand = np.asarray(self.demand, float)
-        if self.price is not None:
-            self.price = np.asarray(self.price, float)
+        self.eps = np.asarray(self.eps, float)
 
     @property
     def n_nodes(self) -> int:
@@ -97,21 +94,10 @@ class ScenarioTree:
         return np.bincount(self.stage, minlength=self.horizon + 1)
 
     @classmethod
-    def single_branch(
-        cls,
-        horizon: int,
-        n_demand: int,
-        n_price: int,
-        eps: np.ndarray | None = None,
-    ) -> "ScenarioTree":
-        """Degenerate one-scenario chain; eps defaults to zero errors."""
+    def single_branch(cls, horizon: int, n_demand: int, n_price: int) -> "ScenarioTree":
+        """One-scenario chain with zero errors: attached, every node sees the
+        nominal forecast (the certainty-equivalent controller)."""
         n = horizon + 1
-        if eps is None:
-            eps = np.zeros((n, n_demand + n_price))
-        else:
-            eps = np.asarray(eps, float)
-            if eps.shape != (n, n_demand + n_price):
-                raise ValueError(f"eps must have shape {(n, n_demand + n_price)}")
         return cls(
             horizon=horizon,
             n_demand=n_demand,
@@ -119,7 +105,7 @@ class ScenarioTree:
             stage=np.arange(n),
             anc=np.arange(-1, n - 1),
             prob=np.ones(n),
-            eps=eps,
+            eps=np.zeros((n, n_demand + n_price)),
         )
 
 
@@ -181,14 +167,10 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
             if abs(s - 1.0) > _PROB_TOL:
                 out.append(f"stage {j} probabilities sum {s:.12g} != 1")
 
-    if tree.eps is not None:
-        if tree.eps.shape != (n, tree.n_demand + tree.n_price):
-            out.append(
-                f"eps shape {tree.eps.shape} != "
-                f"{(n, tree.n_demand + tree.n_price)}"
-            )
-        elif np.any(tree.eps[0] != 0.0):
-            out.append("root prediction error must be zero")
+    if tree.eps.shape != (n, tree.n_demand + tree.n_price):
+        out.append(f"eps shape {tree.eps.shape} != {(n, tree.n_demand + tree.n_price)}")
+    elif np.any(tree.eps[0] != 0.0):
+        out.append("root prediction error must be zero")
     if (tree.demand is None) != (tree.price is None):
         out.append("demand and price values must be attached together")
     if tree.demand is not None and tree.demand.shape != (n, tree.n_demand):
@@ -207,8 +189,6 @@ def attach_forecast(
     for stage j; each non-root node adds its error split into demand and
     price parts. Returns a new tree carrying ``demand`` and ``price``.
     """
-    if tree.eps is None:
-        raise ValueError("tree carries no prediction errors to attach to")
     d_hat = np.atleast_2d(np.asarray(d_hat, float))
     alpha_hat = np.atleast_2d(np.asarray(alpha_hat, float))
     if d_hat.shape != (tree.horizon, tree.n_demand):
@@ -236,8 +216,6 @@ def zero_price_errors(tree: ScenarioTree) -> ScenarioTree:
     its structure and demand branches but every branch sees the nominal
     price forecast.
     """
-    if tree.eps is None:
-        raise ValueError("tree carries no prediction errors")
     eps = tree.eps.copy()
     eps[:, tree.n_demand:] = 0.0
     return replace(tree, eps=eps, demand=None, price=None)

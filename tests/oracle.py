@@ -83,6 +83,8 @@ def prox_g(
     by node. The solver uses only the conjugate prox; this one checks it
     through the Moreau identity.
     """
+    if np.ndim(gamma) == 0:
+        gamma = np.full(instance.n_nonroot, gamma)
     step = _node_steps(instance, gamma)
     m, w = instance.model, instance.weights
     V1, V2, V3 = instance.split_dual(v)
@@ -264,7 +266,7 @@ def project_primal_feasible(instance: ProblemInstance, z: np.ndarray) -> np.ndar
     """Restore hard feasibility: inputs into box and coupling (Dykstra),
     states re-rolled from the dynamics."""
     U, _ = instance.split_primal(z)
-    U_f = restore_feasible_inputs(instance, U)
+    U_f = restore_feasible_inputs(instance, U, np.linalg.pinv(instance.model.E))
     return instance.join_primal(U_f, rollout_inputs(instance, U_f))
 
 

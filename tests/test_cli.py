@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface on the tank1 demo files."""
 
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,17 @@ import pytest
 
 import watermpc.io as wio
 from watermpc.cli import main
+from watermpc.forecast import ForecastSeries
 from watermpc.problem import ProblemInstance
-from watermpc.simulate import kpi_complexity, kpi_economic, kpi_safety
+from watermpc.simulate import (
+    SimulationConfig,
+    kpi_complexity,
+    kpi_economic,
+    kpi_safety,
+    run_closed_loop,
+)
 from watermpc.solver import solve
-from watermpc.tree import attach_forecast, validate_tree
+from watermpc.tree import attach_forecast, validate_tree, zero_price_errors
 
 DOCS = ("network", "tree", "forecast", "config", "state")
 FILES = {
@@ -56,19 +64,37 @@ def test_validate_reports_a_malformed_document(demo, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
-def test_solve_writes_the_solver_result(demo, tmp_path):
-    out = tmp_path / "out"
-    assert main(["solve", *flags(demo, *DOCS), "--out", str(out)]) == 0
-    written = wio.load_control_output(out / "controlOutput.json")
+@pytest.mark.parametrize("name, key, literal, code", [
+    pytest.param("config", "tol", "1" + "0" * 400, 1, id="int-beyond-float-tol"),
+    pytest.param("network", "tankNames", "5", 0, id="ignored-tank-names"),
+])
+def test_validate_on_an_edited_document(demo, tmp_path, capsys, name, key, literal, code):
+    doc = json.loads((demo / FILES[name]).read_text())
+    doc[key] = "@"
+    path = tmp_path / FILES[name]
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main(["validate", f"--{name}", str(path)]) == code
+    if code:
+        assert f"/{key}: number must be finite" in capsys.readouterr().err
 
+
+def solve_demo_files(demo, tree_map=lambda tree: tree):
+    """The in-process solve of the demo documents, on ``tree_map`` of the tree."""
     forecast = wio.load_forecast(demo / FILES["forecast"])
     tree = attach_forecast(
-        wio.load_tree(demo / FILES["tree"]), forecast.d_hat, forecast.alpha_hat
+        tree_map(wio.load_tree(demo / FILES["tree"])), forecast.d_hat, forecast.alpha_hat
     )
     _, weights, config = wio.load_controller_config(demo / FILES["config"])
     x, u_prev, _ = wio.load_state(demo / FILES["state"])
     model = wio.load_network(demo / FILES["network"])
-    res = solve(ProblemInstance(model, tree, weights, x, u_prev), config)
+    return solve(ProblemInstance(model, tree, weights, x, u_prev), config)
+
+
+def test_solve_writes_the_solver_result(demo, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", *flags(demo, *DOCS), "--out", str(out)]) == 0
+    written = wio.load_control_output(out / "controlOutput.json")
+    res = solve_demo_files(demo)
     np.testing.assert_array_equal(written["u0"], res.u0)
     assert written["iterations"] == res.iterations
     assert written["terminationReason"] == res.termination
@@ -88,6 +114,48 @@ def test_simulate_writes_agreeing_log_and_kpis(demo, tmp_path):
                 "kpiTauSeconds": kpi_complexity(log)}
     for key, value in expected.items():
         assert math.isclose(kpi[key], value, rel_tol=1e-12, abs_tol=1e-12), key
+
+
+def test_solve_nominal_prices_solves_on_zeroed_price_errors(demo, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", *flags(demo, *DOCS), "--out", str(out), "--nominal-prices"]) == 0
+    written = wio.load_control_output(out / "controlOutput.json")
+    np.testing.assert_array_equal(written["u0"], solve_demo_files(demo, zero_price_errors).u0)
+
+
+def test_solve_rejects_a_tree_with_node_values(demo, tmp_path, capsys):
+    doc = json.loads((demo / FILES["tree"]).read_text())
+    doc["demandValues"] = [[100.0]] * len(doc["ancestor"])
+    tree = tmp_path / "scenarioTree.json"
+    tree.write_text(json.dumps(doc))
+    argv = ["solve", *flags(demo, "network", "forecast", "config", "state"),
+            "--tree", str(tree), "--out", str(tmp_path / "out"), "--nominal-prices"]
+    assert main(argv) == 1
+    assert "/demandValues" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_nominal_prices_runs_the_loop_on_zeroed_price_errors(demo, tmp_path):
+    argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
+            "--steps", "2"]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "nominal"), "--nominal-prices"]) == 0
+    plain = wio.load_simlog(tmp_path / "plain" / "simlog.json")
+    nominal = wio.load_simlog(tmp_path / "nominal" / "simlog.json")
+
+    _, weights, config = wio.load_controller_config(demo / FILES["config"])
+    x0, u_prev, _ = wio.load_state(demo / FILES["state"])
+    real = wio.load_realizations(demo / FILES["realizations"])
+    log = run_closed_loop(
+        wio.load_network(demo / FILES["network"]),
+        zero_price_errors(wio.load_tree(demo / FILES["tree"])),
+        lambda k: ForecastSeries(real["forecastDemand"][k], real["forecastPrice"][k]),
+        real["demand"], real["price"],
+        SimulationConfig(h_sim=2, weights=weights, solver=config, x0=x0, u_prev=u_prev),
+    )
+    np.testing.assert_array_equal(nominal.u, log.u)
+    np.testing.assert_array_equal(nominal.x, log.x)
+    assert not np.array_equal(nominal.u, plain.u)
 
 
 def test_reduce_writes_a_valid_tree(demo, tmp_path):

@@ -278,6 +278,58 @@ class TestErrorPaths:
         d_hat[321][17] = 0.25
         np.testing.assert_array_equal(wio.load_forecast(path).d_hat, np.array(d_hat))
 
+    @pytest.mark.parametrize("name, key", [
+        ("controllerconfig.json", "tol"),
+        ("controllerconfig.json", "Walpha"),
+        ("controllerconfig.json", "Wu"),
+        ("network.json", "dt"),
+        ("kpi.json", "kpiE"),
+    ])
+    def test_integer_beyond_float_range_names_its_key(self, demo_dir, tmp_path, name, key):
+        load = {"controllerconfig.json": wio.load_controller_config,
+                "network.json": wio.load_network, "kpi.json": wio.load_kpi}[name]
+        if name == "kpi.json":
+            wio.save_kpi(1.5, 0.0, 0.125, tmp_path / name)
+            doc = json.loads((tmp_path / name).read_text())
+        else:
+            doc = json.loads((demo_dir / name).read_text())
+        doc[key] = "@"
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace('"@"', "1" + "0" * 400))
+        with pytest.raises(SchemaError) as err:
+            load(path)
+        assert err.value.pointer == f"/{key}"
+        assert str(err.value).endswith("number must be finite")
+
+    @pytest.mark.parametrize("key", ["demandValues", "priceValues"])
+    def test_tree_node_values_rejected(self, demo_dir, tmp_path, key):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        path = tmp_path / "t.json"
+        doc[key] = None  # a null entry carries nothing and loads
+        path.write_text(json.dumps(doc))
+        wio.load_tree(path)
+        doc[key] = [[1.0]] * len(doc["ancestor"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        assert err.value.pointer == f"/{key}"
+
+    def test_tree_without_errors_rejected(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        del doc["errorValues"]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        assert err.value.pointer == "/errorValues"
+
+    def test_network_labels_ignored(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "network.json").read_text())
+        doc["tankNames"], doc["flowNames"] = 5, "T1"
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(doc))
+        assert wio.load_network(path).n_tanks == 1
+
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"schemaVersion": 2, "horizon": 1, "dHat": [[1.0]], "alphaHat": [[1.0]]}')

@@ -125,6 +125,14 @@ class TestBuildLti:
         with pytest.raises(ValueError, match="dt"):
             build_lti(single_tank_topology(), 0.0)
 
+    @pytest.mark.parametrize("x_safe", [-1.0, 101.0])
+    def test_model_with_safety_level_outside_bounds_rejected(self, x_safe):
+        # A model built in code, not from a topology, gets the same check.
+        model = build_lti(single_tank_topology(), 1.0)
+        model.x_safe = np.array([x_safe])
+        with pytest.raises(ValueError, match="x_min <= x_safe <= x_max"):
+            model.validate()
+
 
 class TestStepDynamics:
     def test_single_tank_step(self):

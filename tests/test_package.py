@@ -2,17 +2,24 @@
 
 The benchmark under ``perfbench/`` wraps package functions by module
 attribute and reports a wrapped name that no longer exists as missing,
-which zeroes that layer's metric instead of failing. These tests read its
-sources, without running them, so removing such a name fails here.
+which zeroes that layer's metric instead of failing. Most tests here read
+its sources, without running them, so removing such a name fails here;
+the last one runs its certificate check and layer microbenchmarks on one
+solve, so a changed signature of a function it calls fails here too.
 """
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
 
 import watermpc
+from watermpc.demo import build_demo
+from watermpc.problem import ProblemInstance
+from watermpc.solver import solve
+from watermpc.tree import attach_forecast
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +82,20 @@ def test_every_called_function_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_perfbench_calls_run_on_one_solve(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    instrument = importlib.import_module("instrument")
+
+    bundle = build_demo("tank1", seed=0, h_sim=1)
+    forecast = bundle.forecaster(0)
+    tree = attach_forecast(bundle.tree, forecast.d_hat, forecast.alpha_hat)
+    instance = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+    result = solve(instance, bundle.solver)
+    step = instrument.StepSolve("simulate", instance, bundle.solver, result, 0.0)
+    assert checks.check_certificates([step]) == []
+    layers = instrument.microbenchmarks(step)
+    assert len(layers) == 6
+    assert all(math.isfinite(value) for value in layers.values())

@@ -247,7 +247,7 @@ class TestMoreau:
         m.u_min[:] = 0.0
         m.u_max[:] = 1.0
         w = inst.join_dual(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0]]))
-        out = prox_g_conjugate(inst, w, 1.0)
+        out = prox_g_conjugate(inst, w, np.ones(inst.n_nonroot))
         _, _, O3 = inst.split_dual(out)
         assert O3[0, 0] == pytest.approx(1.0)
 
@@ -259,7 +259,9 @@ class TestMoreau:
         m.x_min[:] = -1.0
         m.x_safe[:] = -1.0
         w = np.zeros(inst.n_dual)
-        np.testing.assert_allclose(prox_g_conjugate(inst, w, 1.0), 0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            prox_g_conjugate(inst, w, np.ones(inst.n_nonroot)), 0.0, atol=1e-14
+        )
 
     def test_identity_residual(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
@@ -267,7 +269,7 @@ class TestMoreau:
             for _ in range(20):
                 v = 30 * rng.standard_normal(inst.n_dual)
                 lhs = prox_g(inst, v, gamma) + gamma * prox_g_conjugate(
-                    inst, v / gamma, 1.0 / gamma
+                    inst, v / gamma, np.full(inst.n_nonroot, 1.0 / gamma)
                 )
                 scale = 1.0 + float(np.max(np.abs(v)))
                 assert float(np.max(np.abs(lhs - v))) <= 1e-12 * scale
@@ -279,9 +281,16 @@ class TestMoreau:
         rows = prox_g_conjugate(inst, w, steps).reshape(inst.n_nonroot, -1)
         for i, step in enumerate(steps):
             np.testing.assert_allclose(
-                rows[i], prox_g_conjugate(inst, w, step).reshape(inst.n_nonroot, -1)[i],
+                rows[i],
+                prox_g_conjugate(inst, w, np.full(inst.n_nonroot, step))
+                .reshape(inst.n_nonroot, -1)[i],
                 rtol=1e-14, atol=1e-12,
             )
+
+    def test_scalar_step_rejected(self, rng):
+        inst = make_instance(rng, horizon=2, max_nodes=6)
+        with pytest.raises(ValueError, match="gamma must have shape"):
+            prox_g_conjugate(inst, np.zeros(inst.n_dual), 1.0)
 
 
 class TestPrimalObjective:
@@ -369,11 +378,12 @@ def test_restore_finishes_a_row_left_on_a_clipped_corner(rng):
     inst = make_instance(rng, n_mixing=1, horizon=2, max_nodes=8)
     m = inst.model
     U, _ = inst.split_primal(rng.standard_normal(inst.n_primal) * 5.0)
-    restored = restore_feasible_inputs(inst, U)
+    e_pinv = np.linalg.pinv(m.E)
+    restored = restore_feasible_inputs(inst, U, e_pinv)
     for r in range(inst.n_nonroot):
         start = restored.copy()
         start[r] = U[r]
-        out = restore_feasible_inputs(inst, start)
+        out = restore_feasible_inputs(inst, start, e_pinv)
         assert np.all(out >= m.u_min) and np.all(out <= m.u_max)
         resid = out @ m.E.T + inst.demand @ m.Ed.T
         assert float(np.max(np.abs(resid))) <= 1e-10 * (1.0 + float(np.max(np.abs(start))))

@@ -198,6 +198,12 @@ class TestDualGradient:
 
 
 class TestLipschitz:
+    @pytest.fixture
+    def exact_bound(self, monkeypatch):
+        """Power iteration settled to 1e-9, without the safety margin."""
+        monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_REL_TOL", 1e-9)
+        monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_SAFETY", 1.0)
+
     def one_node_instance(self, rng, wu):
         inst = make_instance(
             rng, n_tanks=1, n_inputs=1, n_demands=1, horizon=1, max_nodes=2, w_u_scale=1.0
@@ -207,7 +213,7 @@ class TestLipschitz:
         inst.weights.w_u = wu
         return inst
 
-    def test_one_node_closed_form(self, rng):
+    def test_one_node_closed_form(self, rng, exact_bound):
         # With one state, one input and image (x, x, u), the dual curvature
         # is h h'/(2 w) for h = (B, B, 1). Its diagonal is
         # (B^2, B^2, 1)/(2 w), so the node's d = max(B^2, 1)/(2 w) and the
@@ -216,20 +222,20 @@ class TestLipschitz:
         wu = 2.5
         inst = self.one_node_instance(rng, wu)
         cache = factor_step(inst)
-        L = estimate_lipschitz(cache, inst, rel_tol=1e-9, safety=1.0)
+        L = estimate_lipschitz(cache, inst)
         b2 = inst.model.B[0, 0] ** 2
         assert cache.hess_diag == pytest.approx([max(b2, 1.0) / (2.0 * wu)], rel=1e-12)
         assert L == pytest.approx((2.0 * b2 + 1.0) / max(b2, 1.0), rel=1e-3)
 
-    def test_doubling_weight_halves_curvature(self, rng):
+    def test_doubling_weight_halves_curvature(self, rng, exact_bound):
         # Doubling w_u halves M, hence every d_i; the scaled operator and
         # L_D stay, and every dual step doubles.
         inst1 = self.one_node_instance(rng, 2.0)
         rng2 = np.random.default_rng(20240811)
         inst2 = self.one_node_instance(rng2, 4.0)
         cache1, cache2 = factor_step(inst1), factor_step(inst2)
-        l1 = estimate_lipschitz(cache1, inst1, rel_tol=1e-9, safety=1.0)
-        l2 = estimate_lipschitz(cache2, inst2, rel_tol=1e-9, safety=1.0)
+        l1 = estimate_lipschitz(cache1, inst1)
+        l2 = estimate_lipschitz(cache2, inst2)
         assert l1 == pytest.approx(l2, rel=1e-9)
         np.testing.assert_allclose(cache1.hess_diag / cache2.hess_diag, 2.0, rtol=1e-12)
         config = SolverConfig(max_iter=1)
@@ -237,7 +243,7 @@ class TestLipschitz:
         g2 = solve(inst2, config, cache=cache2).gamma
         np.testing.assert_allclose(g2 / g1, 2.0, rtol=1e-9)
 
-    def test_diagonal_matches_column_probing(self, rng):
+    def test_diagonal_matches_column_probing(self, rng, exact_bound):
         # M = H grad^2 f* H' is the linear part of y -> -H z*(y); probe it
         # column by column on a permuted tree with a mixing node.
         inst = permute_within_stages(
@@ -245,7 +251,7 @@ class TestLipschitz:
         )
         assert not isinstance(inst.child_groups[-1][0], slice)
         cache = factor_step(inst)
-        L = estimate_lipschitz(cache, inst, rel_tol=1e-9, safety=1.0)
+        L = estimate_lipschitz(cache, inst)
         z0, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
         M = np.column_stack([
             apply_H(inst, z0 - dual_gradient(cache, inst, e)[0])
@@ -257,16 +263,17 @@ class TestLipschitz:
         scaled = scale[:, None] * M * scale[None, :]
         assert L == pytest.approx(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[-1], rel=1e-3)
 
-    def test_unsettled_power_iteration_raises(self, rng):
+    def test_unsettled_power_iteration_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_MAX_ITER", 1)
         inst = make_instance(rng, horizon=2, max_nodes=8)
         with pytest.raises(RuntimeError, match="did not settle within 1 iterations"):
-            estimate_lipschitz(factor_step(inst), inst, max_iter=1)
+            estimate_lipschitz(factor_step(inst), inst)
 
-    def test_invariant_under_node_permutation(self, rng):
+    def test_invariant_under_node_permutation(self, rng, exact_bound):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         inst2 = permute_within_stages(inst, rng)
-        l1 = estimate_lipschitz(factor_step(inst), inst, rel_tol=1e-9, safety=1.0)
-        l2 = estimate_lipschitz(factor_step(inst2), inst2, rel_tol=1e-9, safety=1.0)
+        l1 = estimate_lipschitz(factor_step(inst), inst)
+        l2 = estimate_lipschitz(factor_step(inst2), inst2)
         assert l1 == pytest.approx(l2, rel=1e-6)
 
 
@@ -384,7 +391,7 @@ class TestSolve:
         from watermpc.problem import g_value, restore_feasible_inputs, rollout_inputs, smooth_cost
 
         def restored_value(inst, U):
-            u_f = restore_feasible_inputs(inst, U)
+            u_f = restore_feasible_inputs(inst, U, np.linalg.pinv(inst.model.E))
             x_f = rollout_inputs(inst, u_f)
             return smooth_cost(inst, u_f) + g_value(inst, inst.join_dual(x_f, x_f, u_f))
 

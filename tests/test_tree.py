@@ -67,9 +67,8 @@ class TestAttachForecast:
         np.testing.assert_allclose(out.price[1:], a_hat)
 
     def test_single_node_arithmetic(self):
-        tree = ScenarioTree.single_branch(
-            horizon=1, n_demand=1, n_price=1, eps=np.array([[0.0, 0.0], [0.1, -2.0]])
-        )
+        tree = ScenarioTree.single_branch(horizon=1, n_demand=1, n_price=1)
+        tree.eps[1] = [0.1, -2.0]
         out = attach_forecast(tree, np.array([[1.0]]), np.array([[30.0]]))
         assert out.demand[1, 0] == pytest.approx(1.1)
         assert out.price[1, 0] == pytest.approx(28.0)
@@ -92,12 +91,6 @@ class TestAttachForecast:
         base = attach_forecast(tree, d_hat, a_hat)
         moved = attach_forecast(tree, d_hat + shift, a_hat)
         np.testing.assert_allclose(moved.demand[1:], base.demand[1:] + shift)
-
-    def test_requires_errors(self):
-        tree = ScenarioTree.single_branch(horizon=1, n_demand=1, n_price=1)
-        tree.eps = None
-        with pytest.raises(ValueError, match="prediction errors"):
-            attach_forecast(tree, np.array([[1.0]]), np.array([[1.0]]))
 
     def test_dimension_mismatch(self):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
