@@ -21,7 +21,7 @@ from .io import SchemaError
 from .problem import ProblemInstance
 from .simulate import SimulationConfig, kpi_complexity, kpi_economic, kpi_safety, run_closed_loop
 from .solver import solve as solve_instance
-from .tree import attach_forecast, reduce_fan_to_tree, validate_tree, zero_price_errors
+from .tree import attach_forecast, reduce_fan_to_tree, zero_price_errors
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -109,8 +109,6 @@ def _cmd_validate(args) -> int:
     if not loaded_any:
         print("error: no documents given", file=sys.stderr)
         return 2
-    if tree is not None:
-        diagnostics.extend(validate_tree(tree))
     diagnostics.extend(
         wio.cross_validate(
             model=model,

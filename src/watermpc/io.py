@@ -96,6 +96,24 @@ def _vector(doc: dict, key: str, n: int | None = None, pointer: str = "") -> np.
     return arr
 
 
+def _int_vector(doc: dict, key: str, n: int, counts: bool = False) -> np.ndarray:
+    """A vector of ``n`` JSON integers (booleans are not), non-negative if
+    ``counts``; the error names the first item that is not one."""
+    val = _get(doc, key)
+    if not isinstance(val, list):
+        raise SchemaError(f"/{key}", "expected an array")
+    for i, item in enumerate(val):
+        if isinstance(item, bool) or not isinstance(item, int):
+            raise SchemaError(f"/{key}/{i}", f"expected an integer, got {type(item).__name__}")
+        if counts and item < 0:
+            raise SchemaError(f"/{key}/{i}", f"count {item} is negative")
+        if not -(2**63) <= item < 2**63:
+            raise SchemaError(f"/{key}/{i}", "integer out of range")
+    if len(val) != n:
+        raise SchemaError(f"/{key}", f"expected {n} entries, got {len(val)}")
+    return np.array(val, int)
+
+
 def _matrix(
     doc: dict,
     key: str,
@@ -234,11 +252,11 @@ def load_tree(path: str | Path) -> ScenarioTree:
     horizon = _integer(doc, "horizon")
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
-    per_stage = _vector(doc, "nodesPerStage", horizon + 1)
+    per_stage = _int_vector(doc, "nodesPerStage", horizon + 1, counts=True)
     n_nodes = int(per_stage.sum())
-    anc = _vector(doc, "ancestor", n_nodes).astype(int)
+    anc = _int_vector(doc, "ancestor", n_nodes)
     prob = _vector(doc, "probability", n_nodes)
-    stage = np.repeat(np.arange(horizon + 1), per_stage.astype(int))
+    stage = np.repeat(np.arange(horizon + 1), per_stage)
     eps = _matrix(doc, "errorValues", rows=n_nodes, cols=nd + nu)
     for key in ("demandValues", "priceValues"):
         if doc.get(key) is not None:
@@ -440,8 +458,15 @@ def load_realizations(path: str | Path) -> dict:
         "forecastPrice": None,
     }
     if doc.get("forecastDemand") is not None:
-        out["forecastDemand"] = _tensor3(doc, "forecastDemand")
-        out["forecastPrice"] = _tensor3(doc, "forecastPrice")
+        fc_d = out["forecastDemand"] = _tensor3(doc, "forecastDemand")
+        fc_p = out["forecastPrice"] = _tensor3(doc, "forecastPrice")
+        if fc_d.shape[2] != demand.shape[1]:
+            raise SchemaError(
+                "/forecastDemand", f"expected {demand.shape[1]} demand series, got {fc_d.shape[2]}"
+            )
+        want = fc_d.shape[:2] + price.shape[1:]  # forecastDemand's steps and horizon
+        if fc_p.shape != want:
+            raise SchemaError("/forecastPrice", f"expected shape {want}, got {fc_p.shape}")
     return out
 
 
@@ -545,7 +570,7 @@ def load_simlog(path: str | Path) -> SimulationLog:
         demand=_matrix(doc, "demand", rows=h),
         price=_matrix(doc, "price", rows=h),
         solve_time_s=_vector(doc, "solveTimeS", h),
-        iterations=_vector(doc, "iterations", h).astype(int),
+        iterations=_int_vector(doc, "iterations", h, counts=True),
         primal_residual=_vector(doc, "primalResidual", h),
         alpha0=_vector(doc, "alpha0"),
         x_safe=_vector(doc, "xsafe"),

@@ -303,3 +303,48 @@ def duality_gap(instance: ProblemInstance, z: np.ndarray, y: np.ndarray) -> floa
     inner = smooth_cost(instance, U_star) + float(y_c @ apply_H(instance, z_star))
     dual_value = inner - g_conjugate_value(instance, y_c)
     return float(primal - dual_value)
+
+
+def greedy_select_reference(values: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """Fast forward selection one candidate at a time: each member's slot,
+    numbered in selection order, as ``tree._fast_forward_select`` returns.
+
+    Bundles above 2000 members stream each candidate's distances instead of
+    holding the distance matrix.
+    """
+    m = values.shape[0]
+    dist = None
+    if m * m <= 4_000_000:
+        diff = values[:, None, :] - values[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+    def dist_to(i: int) -> np.ndarray:
+        if dist is not None:
+            return dist[i]
+        return np.linalg.norm(values - values[i], axis=1)
+
+    selected: list[int] = []
+    d_min = np.full(m, np.inf)
+    for _ in range(count):
+        best_obj, best_idx, best_d = np.inf, -1, d_min
+        for cand in range(m):
+            if cand in selected:
+                continue
+            d_cand = np.minimum(d_min, dist_to(cand))
+            obj = float(weights @ d_cand)
+            if best_idx < 0 or obj < best_obj:
+                best_obj, best_idx, best_d = obj, cand, d_cand
+        selected.append(best_idx)
+        d_min = best_d
+        if not np.any(d_min > 0.0):
+            break
+
+    # Nearest-representative assignment; among equidistant representatives
+    # the one with the lowest scenario index wins.
+    d_rep = np.stack([dist_to(i) for i in selected], axis=1)
+    order = np.argsort(np.array(selected), kind="stable")
+    slot_rank = np.empty(len(selected), int)
+    slot_rank[order] = np.arange(len(selected))
+    is_min = d_rep == d_rep.min(axis=1, keepdims=True)
+    masked_rank = np.where(is_min, slot_rank[None, :], len(selected))
+    return np.argmin(masked_rank, axis=1)

@@ -135,6 +135,28 @@ def test_solve_rejects_a_tree_with_node_values(demo, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_rejects_a_negative_stage_count(demo, tmp_path, capsys):
+    doc = json.loads((demo / FILES["tree"]).read_text())
+    per_stage = doc["nodesPerStage"]
+    per_stage[1:3] = [per_stage[1] + per_stage[2] + 2, -2]  # the total still matches
+    tree = tmp_path / "scenarioTree.json"
+    tree.write_text(json.dumps(doc))
+    assert main(["validate", "--tree", str(tree)]) == 1
+    assert "/nodesPerStage/2: count -2 is negative" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_short_price_forecast(demo, tmp_path, capsys):
+    doc = json.loads((demo / FILES["realizations"]).read_text())
+    doc["forecastPrice"] = doc["forecastPrice"][:1]
+    real = tmp_path / "realizations.json"
+    real.write_text(json.dumps(doc))
+    argv = ["simulate", *flags(demo, "network", "tree", "config", "state"),
+            "--realizations", str(real), "--steps", "3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "/forecastPrice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_nominal_prices_runs_the_loop_on_zeroed_price_errors(demo, tmp_path):
     argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
             "--steps", "2"]

@@ -314,6 +314,66 @@ class TestErrorPaths:
             wio.load_tree(path)
         assert err.value.pointer == f"/{key}"
 
+    @pytest.mark.parametrize("key, index, literal, message", [
+        ("nodesPerStage", 2, "-2", "count -2 is negative"),
+        ("nodesPerStage", 1, "2.0", "expected an integer, got float"),
+        ("nodesPerStage", 1, "true", "expected an integer, got bool"),
+        ("ancestor", 3, "0.5", "expected an integer, got float"),
+        ("ancestor", 3, "false", "expected an integer, got bool"),
+        ("ancestor", 3, '"1"', "expected an integer, got str"),
+        ("ancestor", 3, "1" + "0" * 30, "integer out of range"),
+    ])
+    def test_tree_integer_fields(self, demo_dir, tmp_path, key, index, literal, message):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        if key == "nodesPerStage":  # the stage counts keep their total
+            doc[key][1] += doc[key][2] + 2
+        doc[key][index] = "@"
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        assert err.value.pointer == f"/{key}/{index}"
+        assert str(err.value) == f"/{key}/{index}: {message}"
+
+    @pytest.mark.parametrize("index, literal, message", [
+        (1, "-1", "count -1 is negative"),
+        (0, "2.5", "expected an integer, got float"),
+        (0, "true", "expected an integer, got bool"),
+    ])
+    def test_simlog_iterations_are_counts(self, tmp_path, index, literal, message):
+        from watermpc.simulate import SimulationLog
+
+        log = SimulationLog(
+            x=np.zeros((3, 1)), u=np.zeros((2, 1)), demand=np.zeros((2, 1)),
+            price=np.zeros((2, 1)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
+            primal_residual=np.zeros(2), alpha0=np.zeros(1), x_safe=np.zeros(1),
+            coupling_residual=np.zeros(2),
+        )
+        wio.save_simlog(log, tmp_path / "l.json")
+        doc = json.loads((tmp_path / "l.json").read_text())
+        assert wio.load_simlog(tmp_path / "l.json").iterations.tolist() == [3, 4]
+        doc["iterations"][index] = "@"
+        (tmp_path / "l.json").write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(SchemaError) as err:
+            wio.load_simlog(tmp_path / "l.json")
+        assert err.value.pointer == f"/iterations/{index}"
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("forecastPrice", lambda t: t[:1]),
+        ("forecastPrice", lambda t: [step[:-1] for step in t]),
+        ("forecastPrice", lambda t: [[row + [0.0] for row in step] for step in t]),
+        ("forecastDemand", lambda t: [[row + [0.0] for row in step] for step in t]),
+    ])
+    def test_forecast_tensors_must_agree(self, demo_dir, tmp_path, key, edit):
+        doc = json.loads((demo_dir / "realizations.json").read_text())
+        doc[key] = edit(doc[key])
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_realizations(path)
+        assert err.value.pointer == f"/{key}"
+
     def test_tree_without_errors_rejected(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "scenarioTree.json").read_text())
         del doc["errorValues"]

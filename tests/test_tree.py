@@ -6,6 +6,7 @@ import pytest
 from watermpc.tree import (
     ScenarioFan,
     ScenarioTree,
+    _fast_forward_select,
     attach_forecast,
     reduce_fan_to_tree,
     validate_tree,
@@ -13,6 +14,7 @@ from watermpc.tree import (
 )
 
 from conftest import make_tree
+from oracle import greedy_select_reference
 
 
 class TestValidate:
@@ -55,6 +57,52 @@ class TestValidate:
         )
         problems = validate_tree(tree)
         assert problems  # node 2 claims the root as ancestor from stage 2
+
+    @pytest.mark.parametrize("horizon, stage, anc, prob, expected", [
+        pytest.param(
+            2, [0, 1, 1, 2, 2], [-1, 0, 7, -1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
+            ["node 2: ancestor 7 out of range", "node 3: ancestor -1 out of range"],
+            id="ancestor-out-of-range",
+        ),
+        pytest.param(
+            2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 0], [1.0, 0.5, 0.5, 0.5, 0.5],
+            ["node 4: ancestor stage 0 != own stage 2 - 1",
+             "node 0: children probabilities sum 1.5 != 1",
+             "node 2 at stage 1 has no children"],
+            id="ancestor-on-wrong-stage",
+        ),
+        pytest.param(
+            2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
+            ["node 2 at stage 1 has no children", "stage 2 probabilities sum 0.5 != 1"],
+            id="inner-node-without-children",
+        ),
+        pytest.param(
+            1, [0, 1, 1], [-1, 0, 0], [1.0, 0.6, 0.5],
+            ["node 0: children probabilities sum 1.1 != 1", "stage 1 probabilities sum 1.1 != 1"],
+            id="children-sum-mismatch",
+        ),
+        pytest.param(
+            1, [0, 1, 2], [-1, 0, 1], [1.0, 1.0, 1.0],
+            ["node stages must lie in [0, horizon]", "leaf node 1 has children"],
+            id="leaf-with-children",
+        ),
+        pytest.param(
+            1, [0, 1], [1, 0], [1.0, 1.0],
+            ["node 0 must be the root (stage 0, no ancestor)", "leaf node 1 has children"],
+            id="root-named-as-child",
+        ),
+        pytest.param(
+            1, [0, 1, 1], [-1, 0, 0], [1.0 + 0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9],
+            ["stage 1 probabilities sum 1.0000000018 != 1"],
+            id="stage-sum",
+        ),
+    ])
+    def test_exact_messages(self, horizon, stage, anc, prob, expected):
+        tree = ScenarioTree(
+            horizon=horizon, n_demand=1, n_price=0, stage=np.array(stage),
+            anc=np.array(anc), prob=np.array(prob), eps=np.zeros((len(stage), 1)),
+        )
+        assert validate_tree(tree) == expected
 
 
 class TestAttachForecast:
@@ -160,6 +208,36 @@ class TestReduce:
         t2 = reduce_fan_to_tree(ScenarioFan(values.copy(), 1, 1), [4, 2, 2])
         np.testing.assert_array_equal(t1.prob, t2.prob)
         np.testing.assert_array_equal(t1.eps, t2.eps)
+
+
+class TestSelection:
+    @pytest.mark.parametrize("kind", ["continuous", "duplicates", "symmetric"])
+    def test_matches_reference_loop(self, rng, kind):
+        for m in range(1, 61):
+            dim = int(rng.integers(1, 4))
+            if kind == "continuous":
+                values = rng.standard_normal((m, dim))
+            elif kind == "duplicates":
+                distinct = rng.standard_normal((m // 3 + 1, dim))
+                values = distinct[rng.integers(0, m // 3 + 1, m)]
+            else:  # mirrored integer points: exact ties in distances and picks
+                half = rng.integers(-2, 3, ((m + 1) // 2, dim)).astype(float)
+                values = np.concatenate([half, -half])[:m]
+            for weights in (np.full(m, 1.0 / m), rng.random(m) + 0.01):
+                weights = weights / weights.sum()
+                for count in range(1, min(m, 5) + 1):
+                    slots = _fast_forward_select(values, weights, count)
+                    np.testing.assert_array_equal(
+                        slots, greedy_select_reference(values, weights, count),
+                        err_msg=f"m={m} count={count}",
+                    )
+
+    def test_matches_reference_above_2000_members(self, rng):
+        values = rng.standard_normal((2100, 1))
+        weights = np.full(2100, 1.0 / 2100)
+        slots = _fast_forward_select(values, weights, 4)
+        np.testing.assert_array_equal(slots, greedy_select_reference(values, weights, 4))
+        np.testing.assert_array_equal(np.unique(slots), np.arange(4))
 
 
 class TestLeafPaths:
