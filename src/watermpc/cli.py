@@ -142,10 +142,9 @@ def _cmd_solve(args) -> int:
     if args.nominal_prices:
         tree = zero_price_errors(tree)
     tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
-    instance = ProblemInstance(model, tree, weights, x, u_prev)
     try:
-        result = solve_instance(instance, solver_cfg)
-    except RuntimeError as exc:
+        result = solve_instance(ProblemInstance(model, tree, weights, x, u_prev), solver_cfg)
+    except (RuntimeError, ValueError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
     args.out.mkdir(parents=True, exist_ok=True)
@@ -175,44 +174,22 @@ def _cmd_simulate(args) -> int:
         tree = zero_price_errors(tree)
     steps = args.steps
     fc_d, fc_p = real["forecastDemand"], real["forecastPrice"]
-    nominal_d, nominal_p = real["nominalDemand"], real["nominalPrice"]
-    if fc_d is not None:
-        if fc_d.shape[0] < steps or fc_d.shape[1] != horizon:
-            print(
-                f"forecast tensor covers {fc_d.shape[0]} steps at horizon "
-                f"{fc_d.shape[1]}, need {steps} steps at horizon {horizon}",
-                file=sys.stderr,
-            )
-            return 1
-
-        def forecaster(k: int) -> ForecastSeries:
-            return ForecastSeries(d_hat=fc_d[k], alpha_hat=fc_p[k])
-
-    else:
-        if nominal_d.shape[0] < steps + horizon:
-            print(
-                f"realizations provide {nominal_d.shape[0]} nominal steps but "
-                f"{steps} + horizon {horizon} are needed",
-                file=sys.stderr,
-            )
-            return 1
-
-        def forecaster(k: int) -> ForecastSeries:
-            return ForecastSeries(
-                d_hat=nominal_d[k:k + horizon], alpha_hat=nominal_p[k:k + horizon]
-            )
-
-    config = SimulationConfig(
-        h_sim=steps,
-        weights=weights,
-        solver=solver_cfg,
-        x0=x0,
-        u_prev=u_prev,
-    )
-    try:
-        log = run_closed_loop(
-            model, tree, forecaster, real["demand"], real["price"], config
+    if fc_d.shape[0] < steps or fc_d.shape[1] != horizon:
+        print(
+            f"forecast tensor covers {fc_d.shape[0]} steps at horizon "
+            f"{fc_d.shape[1]}, need {steps} steps at horizon {horizon}",
+            file=sys.stderr,
         )
+        return 1
+
+    def forecaster(k: int) -> ForecastSeries:
+        return ForecastSeries(d_hat=fc_d[k], alpha_hat=fc_p[k])
+
+    try:
+        config = SimulationConfig(
+            h_sim=steps, weights=weights, solver=solver_cfg, x0=x0, u_prev=u_prev
+        )
+        log = run_closed_loop(model, tree, forecaster, real["demand"], real["price"], config)
     except (RuntimeError, ValueError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1

@@ -53,8 +53,6 @@ class DemoBundle:
     solver: SolverConfig
     x0: np.ndarray
     u_prev: np.ndarray
-    nominal_demand: np.ndarray
-    nominal_price: np.ndarray
     realized_demand: np.ndarray
     realized_price: np.ndarray
     forecast_demand: np.ndarray  # (h_sim, horizon, n_demand), row k issued at step k
@@ -323,8 +321,6 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
         solver=SolverConfig(max_iter=20000, tol=5e-2),
         x0=x0,
         u_prev=np.zeros(model.n_inputs),
-        nominal_demand=nominal_demand,
-        nominal_price=nominal_price,
         realized_demand=realized_demand,
         realized_price=realized_price,
         forecast_demand=forecast_demand,
@@ -353,11 +349,9 @@ def write_demo(bundle: DemoBundle, out_dir: str | Path) -> dict[str, Path]:
     wio.save_realizations(
         bundle.realized_demand,
         bundle.realized_price,
-        bundle.nominal_demand,
-        bundle.nominal_price,
+        bundle.forecast_demand,
+        bundle.forecast_price,
         paths["realizations"],
-        forecast_demand=bundle.forecast_demand,
-        forecast_price=bundle.forecast_price,
     )
     wio.save_fan(bundle.fan, paths["fan"])
     return paths

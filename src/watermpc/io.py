@@ -4,13 +4,17 @@ Five core documents drive the controller: ``network.json``,
 ``scenarioTree.json``, ``forecaster.json``, ``controllerconfig.json`` and
 ``controlOutput.json``. The simulator adds ``state.json``,
 ``realizations.json``, ``fan.json``, ``simlog.json`` and ``kpi.json``.
-Every document carries ``"schemaVersion": 1``. Numbers are serialized as
-JSON doubles with shortest round-trip formatting; NaN and infinities are
-rejected in both directions, so load -> save -> load is value-identical.
+Every document carries ``"schemaVersion": 1``, which
+:func:`load_document` checks and :func:`save_document` writes. Numbers are
+serialized as JSON doubles with shortest round-trip formatting; NaN and
+infinities are rejected in both directions, so load -> save -> load is
+value-identical.
 
 ``scenarioTree.json`` carries the tree's prediction errors
 (``errorValues``) and never node values: a node's demand and price are
 always the ``forecaster.json`` forecast for its stage plus its error.
+``realizations.json`` carries, beside the realized series, the forecast
+made at every closed-loop step (``forecastDemand``/``forecastPrice``).
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ def _reject_constant(name: str):
 
 
 def load_document(path: str | Path) -> dict:
-    """Parse a JSON document; parse errors report the byte offset."""
+    """Parse a JSON document and check its schema version; parse errors
+    report the byte offset."""
     text = Path(path).read_text()
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
@@ -54,45 +59,63 @@ def load_document(path: str | Path) -> dict:
         raise SchemaError("/", f"parse error at byte {exc.pos}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("/", "top-level value must be an object")
+    version = _integer(doc, "schemaVersion")
+    if version != SCHEMA_VERSION:
+        raise SchemaError("/schemaVersion", f"unsupported schema version {version}")
     return doc
 
 
 def save_document(doc: dict, path: str | Path) -> None:
+    """Write ``doc`` after its schema version."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
+        json.dump({"schemaVersion": SCHEMA_VERSION, **doc}, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _get(doc: dict, key: str, pointer: str = "") -> Any:
+def _get(doc: dict, key: str) -> Any:
     if key not in doc:
-        raise SchemaError(f"{pointer}/{key}", "missing required field")
+        raise SchemaError(f"/{key}", "missing required field")
     return doc[key]
 
 
-def _number(doc: dict, key: str, pointer: str = "") -> float:
-    val = _get(doc, key, pointer)
+def _number(doc: dict, key: str) -> float:
+    val = _get(doc, key)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"{pointer}/{key}", f"expected a number, got {type(val).__name__}")
+        raise SchemaError(f"/{key}", f"expected a number, got {type(val).__name__}")
     if not abs(val) <= sys.float_info.max:  # also an int beyond float range
-        raise SchemaError(f"{pointer}/{key}", "number must be finite")
+        raise SchemaError(f"/{key}", "number must be finite")
     return float(val)
 
 
-def _integer(doc: dict, key: str, pointer: str = "") -> int:
-    val = _get(doc, key, pointer)
+def _integer(doc: dict, key: str) -> int:
+    val = _get(doc, key)
     if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"{pointer}/{key}", f"expected an integer, got {type(val).__name__}")
+        raise SchemaError(f"/{key}", f"expected an integer, got {type(val).__name__}")
     return int(val)
 
 
-def _vector(doc: dict, key: str, n: int | None = None, pointer: str = "") -> np.ndarray:
-    val = _get(doc, key, pointer)
-    ptr = f"{pointer}/{key}"
+def _array(doc: dict, key: str, *shape: int | None, empty_ok: bool = False) -> np.ndarray:
+    """The array of ``len(shape)`` levels of nested lists of finite numbers
+    at ``key``; ``shape`` gives each level's length, None for any. Above
+    one level an empty array is rejected unless ``empty_ok``, which reads
+    it as zero rows of the given widths. The error names the first item
+    that is not a number, else the array as ragged or of the wrong shape."""
+    val = _get(doc, key)
+    ptr, ndim = f"/{key}", len(shape)
     if not isinstance(val, list):
         raise SchemaError(ptr, "expected an array")
-    arr = _numeric_array(val, ptr, 1)
-    if n is not None and arr.shape != (n,):
-        raise SchemaError(ptr, f"expected {n} entries, got {arr.shape[0]}")
+    if not val and ndim > 1:
+        if not empty_ok:
+            raise SchemaError(ptr, "array must not be empty")
+        arr = np.zeros((0, *(n or 0 for n in shape[1:])))
+    else:
+        arr = _plain_array(val, ndim)
+        if arr is None:
+            _raise_at_bad_item(val, ptr, ndim)
+            raise SchemaError(ptr, f"expected a rectangular {ndim}-d array")
+    want = tuple(got if n is None else n for got, n in zip(arr.shape, shape))
+    if arr.shape != want:
+        raise SchemaError(ptr, f"expected shape {want}, got {arr.shape}")
     return arr
 
 
@@ -112,40 +135,6 @@ def _int_vector(doc: dict, key: str, n: int, counts: bool = False) -> np.ndarray
     if len(val) != n:
         raise SchemaError(f"/{key}", f"expected {n} entries, got {len(val)}")
     return np.array(val, int)
-
-
-def _matrix(
-    doc: dict,
-    key: str,
-    rows: int | None = None,
-    cols: int | None = None,
-    pointer: str = "",
-    allow_empty: bool = False,
-) -> np.ndarray:
-    val = _get(doc, key, pointer)
-    ptr = f"{pointer}/{key}"
-    if not isinstance(val, list):
-        raise SchemaError(ptr, "expected an array of rows")
-    if len(val) == 0:
-        if not allow_empty:
-            raise SchemaError(ptr, "array must not be empty")
-        return np.zeros((0, cols if cols is not None else 0))
-    arr = _numeric_array(val, ptr, 2)
-    if rows is not None and arr.shape[0] != rows:
-        raise SchemaError(ptr, f"expected {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise SchemaError(ptr, f"expected {cols} columns, got {arr.shape[1]}")
-    return arr
-
-
-def _numeric_array(val: list, ptr: str, ndim: int) -> np.ndarray:
-    """The array of ``ndim`` levels of nested lists of finite numbers; the
-    error names the first item that is not one, or the array as ragged."""
-    arr = _plain_array(val, ndim)
-    if arr is None:
-        _raise_at_bad_item(val, ptr, ndim)
-        raise SchemaError(ptr, f"expected a rectangular {ndim}-d array")
-    return arr
 
 
 def _plain_array(val: list, ndim: int) -> np.ndarray | None:
@@ -183,39 +172,32 @@ def _raise_at_bad_item(val: list, ptr: str, ndim: int) -> None:
             raise SchemaError(at, "number must be finite")
 
 
-def _check_version(doc: dict) -> None:
-    version = _integer(doc, "schemaVersion")
-    if version != SCHEMA_VERSION:
-        raise SchemaError("/schemaVersion", f"unsupported schema version {version}")
-
-
 # -- network.json -----------------------------------------------------------
 
 def load_network(path: str | Path) -> NetworkModel:
     doc = load_document(path)
-    _check_version(doc)
-    A = _matrix(doc, "A")
+    A = _array(doc, "A", None, None)
     nt = A.shape[0]
     if A.shape[1] != nt:
         raise SchemaError("/A", f"must be square, got {A.shape}")
-    B = _matrix(doc, "B", rows=nt)
+    B = _array(doc, "B", nt, None)
     nu = B.shape[1]
-    Gd = _matrix(doc, "Gd", rows=nt)
+    Gd = _array(doc, "Gd", nt, None)
     nd = Gd.shape[1]
-    E = _matrix(doc, "E", cols=nu, allow_empty=True)
-    Ed = _matrix(doc, "Ed", rows=E.shape[0], cols=nd, allow_empty=True)
+    E = _array(doc, "E", None, nu, empty_ok=True)
+    Ed = _array(doc, "Ed", E.shape[0], nd, empty_ok=True)
     model = NetworkModel(
         A=A,
         B=B,
         Gd=Gd,
         E=E,
         Ed=Ed,
-        x_min=_vector(doc, "xmin", nt),
-        x_max=_vector(doc, "xmax", nt),
-        x_safe=_vector(doc, "xsafe", nt),
-        u_min=_vector(doc, "umin", nu),
-        u_max=_vector(doc, "umax", nu),
-        alpha0=_vector(doc, "alpha0", nu),
+        x_min=_array(doc, "xmin", nt),
+        x_max=_array(doc, "xmax", nt),
+        x_safe=_array(doc, "xsafe", nt),
+        u_min=_array(doc, "umin", nu),
+        u_max=_array(doc, "umax", nu),
+        alpha0=_array(doc, "alpha0", nu),
         dt=_number(doc, "dt"),
     )
     try:
@@ -227,7 +209,6 @@ def load_network(path: str | Path) -> NetworkModel:
 
 def save_network(model: NetworkModel, path: str | Path) -> None:
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "dt": model.dt,
         "A": model.A.tolist(),
         "B": model.B.tolist(),
@@ -248,16 +229,15 @@ def save_network(model: NetworkModel, path: str | Path) -> None:
 
 def load_tree(path: str | Path) -> ScenarioTree:
     doc = load_document(path)
-    _check_version(doc)
     horizon = _integer(doc, "horizon")
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
     per_stage = _int_vector(doc, "nodesPerStage", horizon + 1, counts=True)
     n_nodes = int(per_stage.sum())
     anc = _int_vector(doc, "ancestor", n_nodes)
-    prob = _vector(doc, "probability", n_nodes)
+    prob = _array(doc, "probability", n_nodes)
     stage = np.repeat(np.arange(horizon + 1), per_stage)
-    eps = _matrix(doc, "errorValues", rows=n_nodes, cols=nd + nu)
+    eps = _array(doc, "errorValues", n_nodes, nd + nu)
     for key in ("demandValues", "priceValues"):
         if doc.get(key) is not None:
             raise SchemaError(
@@ -280,7 +260,6 @@ def load_tree(path: str | Path) -> ScenarioTree:
 
 def save_tree(tree: ScenarioTree, path: str | Path) -> None:
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "horizon": tree.horizon,
         "nDemands": tree.n_demand,
         "nPrices": tree.n_price,
@@ -296,10 +275,9 @@ def save_tree(tree: ScenarioTree, path: str | Path) -> None:
 
 def load_forecast(path: str | Path) -> ForecastSeries:
     doc = load_document(path)
-    _check_version(doc)
     horizon = _integer(doc, "horizon")
-    d_hat = _matrix(doc, "dHat", rows=horizon)
-    alpha_hat = _matrix(doc, "alphaHat", rows=horizon)
+    d_hat = _array(doc, "dHat", horizon, None)
+    alpha_hat = _array(doc, "alphaHat", horizon, None)
     try:
         return ForecastSeries(d_hat=d_hat, alpha_hat=alpha_hat)
     except ValueError as exc:
@@ -309,7 +287,6 @@ def load_forecast(path: str | Path) -> ForecastSeries:
 def save_forecast(series: ForecastSeries, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "horizon": series.horizon,
             "dHat": series.d_hat.tolist(),
             "alphaHat": series.alpha_hat.tolist(),
@@ -335,9 +312,8 @@ def _config_error(exc: ValueError) -> SchemaError:
 
 def load_controller_config(path: str | Path) -> tuple[int, CostWeights, SolverConfig]:
     doc = load_document(path)
-    _check_version(doc)
     horizon = _integer(doc, "horizon")
-    wu = _matrix(doc, "Wu") if isinstance(_get(doc, "Wu"), list) else _number(doc, "Wu")
+    wu = _array(doc, "Wu", None, None) if isinstance(_get(doc, "Wu"), list) else _number(doc, "Wu")
     w_alpha, w_s, w_x = (_number(doc, key) for key in ("Walpha", "Ws", "Wx"))
     max_iter, tol = _integer(doc, "maxIter"), _number(doc, "tol")
     if doc.get("gamma") is not None:
@@ -360,7 +336,6 @@ def save_controller_config(
 ) -> None:
     wu = weights.w_u
     doc = {
-        "schemaVersion": SCHEMA_VERSION,
         "horizon": horizon,
         "Walpha": weights.w_alpha,
         "Wu": float(wu) if np.ndim(wu) == 0 else np.asarray(wu).tolist(),
@@ -376,9 +351,8 @@ def save_controller_config(
 
 def load_control_output(path: str | Path) -> dict:
     doc = load_document(path)
-    _check_version(doc)
     return {
-        "u0": _vector(doc, "u0"),
+        "u0": _array(doc, "u0", None),
         "iterations": _integer(doc, "iterations"),
         "terminationReason": str(_get(doc, "terminationReason")),
         "primalResidual": _number(doc, "primalResidual"),
@@ -390,7 +364,6 @@ def load_control_output(path: str | Path) -> dict:
 def save_control_output(result: SolverResult, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "u0": result.u0.tolist(),
             "iterations": result.iterations,
             "terminationReason": result.termination,
@@ -406,15 +379,13 @@ def save_control_output(result: SolverResult, path: str | Path) -> None:
 
 def load_state(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     doc = load_document(path)
-    _check_version(doc)
     k = _integer(doc, "k") if "k" in doc else 0
-    return _vector(doc, "x"), _vector(doc, "uPrev"), k
+    return _array(doc, "x", None), _array(doc, "uPrev", None), k
 
 
 def save_state(x: np.ndarray, u_prev: np.ndarray, k: int, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "x": np.asarray(x, float).tolist(),
             "uPrev": np.asarray(u_prev, float).tolist(),
             "k": int(k),
@@ -425,94 +396,58 @@ def save_state(x: np.ndarray, u_prev: np.ndarray, k: int, path: str | Path) -> N
 
 # -- realizations.json ---------------------------------------------------------
 
-def _tensor3(doc: dict, key: str, pointer: str = "") -> np.ndarray:
-    raw = _get(doc, key, pointer)
-    ptr = f"{pointer}/{key}"
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(ptr, "expected a non-empty array")
-    return _numeric_array(raw, ptr, 3)
-
-
 def load_realizations(path: str | Path) -> dict:
-    """Realized trajectories and the forecasts issued along the run.
+    """Realized trajectories and the forecasts made along the run.
 
-    ``nominalDemand``/``nominalPrice`` give the time-invariant nominal
-    pattern; the optional ``forecastDemand``/``forecastPrice`` tensors hold
-    the full forecast issued at each step (steps x horizon x series), for
-    forecasters that condition on observed history.
+    ``demand`` and ``price`` hold one realized row per step.
+    ``forecastDemand`` and ``forecastPrice`` hold the full forecast made
+    at each step (steps x horizon x series), with the series of ``demand``
+    and ``price``; the closed loop's forecaster reads row k at step k.
     """
     doc = load_document(path)
-    _check_version(doc)
-    demand = _matrix(doc, "demand")
-    price = _matrix(doc, "price", rows=demand.shape[0])
-    nominal_demand = _matrix(doc, "nominalDemand", cols=demand.shape[1])
-    nominal_price = _matrix(
-        doc, "nominalPrice", rows=nominal_demand.shape[0], cols=price.shape[1]
-    )
-    out = {
+    demand = _array(doc, "demand", None, None)
+    price = _array(doc, "price", demand.shape[0], None)
+    forecast_demand = _array(doc, "forecastDemand", None, None, demand.shape[1])
+    return {
         "demand": demand,
         "price": price,
-        "nominalDemand": nominal_demand,
-        "nominalPrice": nominal_price,
-        "forecastDemand": None,
-        "forecastPrice": None,
+        "forecastDemand": forecast_demand,
+        "forecastPrice": _array(doc, "forecastPrice", *forecast_demand.shape[:2], price.shape[1]),
     }
-    if doc.get("forecastDemand") is not None:
-        fc_d = out["forecastDemand"] = _tensor3(doc, "forecastDemand")
-        fc_p = out["forecastPrice"] = _tensor3(doc, "forecastPrice")
-        if fc_d.shape[2] != demand.shape[1]:
-            raise SchemaError(
-                "/forecastDemand", f"expected {demand.shape[1]} demand series, got {fc_d.shape[2]}"
-            )
-        want = fc_d.shape[:2] + price.shape[1:]  # forecastDemand's steps and horizon
-        if fc_p.shape != want:
-            raise SchemaError("/forecastPrice", f"expected shape {want}, got {fc_p.shape}")
-    return out
 
 
 def save_realizations(
     demand: np.ndarray,
     price: np.ndarray,
-    nominal_demand: np.ndarray,
-    nominal_price: np.ndarray,
+    forecast_demand: np.ndarray,
+    forecast_price: np.ndarray,
     path: str | Path,
-    forecast_demand: np.ndarray | None = None,
-    forecast_price: np.ndarray | None = None,
 ) -> None:
-    doc = {
-        "schemaVersion": SCHEMA_VERSION,
-        "demand": np.asarray(demand, float).tolist(),
-        "price": np.asarray(price, float).tolist(),
-        "nominalDemand": np.asarray(nominal_demand, float).tolist(),
-        "nominalPrice": np.asarray(nominal_price, float).tolist(),
-    }
-    if forecast_demand is not None:
-        doc["forecastDemand"] = np.asarray(forecast_demand, float).tolist()
-        doc["forecastPrice"] = np.asarray(forecast_price, float).tolist()
-    save_document(doc, path)
+    save_document(
+        {
+            "demand": np.asarray(demand, float).tolist(),
+            "price": np.asarray(price, float).tolist(),
+            "forecastDemand": np.asarray(forecast_demand, float).tolist(),
+            "forecastPrice": np.asarray(forecast_price, float).tolist(),
+        },
+        path,
+    )
 
 
 # -- fan.json -------------------------------------------------------------------
 
 def load_fan(path: str | Path) -> ScenarioFan:
     doc = load_document(path)
-    _check_version(doc)
     horizon = _integer(doc, "horizon")
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
-    values = _tensor3(doc, "scenarios")
-    if values.shape[1:] != (horizon, nd + nu):
-        raise SchemaError(
-            "/scenarios",
-            f"expected shape (S, {horizon}, {nd + nu}), got {values.shape}",
-        )
+    values = _array(doc, "scenarios", None, horizon, nd + nu)
     return ScenarioFan(values=values, n_demand=nd, n_price=nu)
 
 
 def save_fan(fan: ScenarioFan, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "horizon": fan.horizon,
             "nDemands": fan.n_demand,
             "nPrices": fan.n_price,
@@ -527,7 +462,6 @@ def save_fan(fan: ScenarioFan, path: str | Path) -> None:
 def save_simlog(log: SimulationLog, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "x": log.x.tolist(),
             "u": log.u.tolist(),
             "demand": log.demand.tolist(),
@@ -561,20 +495,19 @@ def _terminations(doc: dict, h: int) -> np.ndarray:
 
 def load_simlog(path: str | Path) -> SimulationLog:
     doc = load_document(path)
-    _check_version(doc)
-    u = _matrix(doc, "u")
+    u = _array(doc, "u", None, None)
     h = u.shape[0]
     return SimulationLog(
-        x=_matrix(doc, "x", rows=h + 1),
+        x=_array(doc, "x", h + 1, None),
         u=u,
-        demand=_matrix(doc, "demand", rows=h),
-        price=_matrix(doc, "price", rows=h),
-        solve_time_s=_vector(doc, "solveTimeS", h),
+        demand=_array(doc, "demand", h, None),
+        price=_array(doc, "price", h, None),
+        solve_time_s=_array(doc, "solveTimeS", h),
         iterations=_int_vector(doc, "iterations", h, counts=True),
-        primal_residual=_vector(doc, "primalResidual", h),
-        alpha0=_vector(doc, "alpha0"),
-        x_safe=_vector(doc, "xsafe"),
-        coupling_residual=_vector(doc, "couplingResidual", h),
+        primal_residual=_array(doc, "primalResidual", h),
+        alpha0=_array(doc, "alpha0", None),
+        x_safe=_array(doc, "xsafe", None),
+        coupling_residual=_array(doc, "couplingResidual", h),
         termination=_terminations(doc, h),
     )
 
@@ -582,7 +515,6 @@ def load_simlog(path: str | Path) -> SimulationLog:
 def save_kpi(kpi_e: float, kpi_s: float, kpi_tau: float, path: str | Path) -> None:
     save_document(
         {
-            "schemaVersion": SCHEMA_VERSION,
             "kpiE": float(kpi_e),
             "kpiS": float(kpi_s),
             "kpiTauSeconds": float(kpi_tau),
@@ -593,7 +525,6 @@ def save_kpi(kpi_e: float, kpi_s: float, kpi_tau: float, path: str | Path) -> No
 
 def load_kpi(path: str | Path) -> dict:
     doc = load_document(path)
-    _check_version(doc)
     return {
         "kpiE": _number(doc, "kpiE"),
         "kpiS": _number(doc, "kpiS"),

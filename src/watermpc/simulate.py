@@ -72,7 +72,7 @@ class SimulationLog:
     primal_residual: np.ndarray
     alpha0: np.ndarray
     x_safe: np.ndarray
-    coupling_residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    coupling_residual: np.ndarray
     termination: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=object))
 
     @property

@@ -157,6 +157,27 @@ def test_simulate_rejects_a_short_price_forecast(demo, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_simulate_rejects_a_non_positive_step_count(demo, tmp_path, capsys, steps):
+    argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
+            "--steps", steps, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "simulation failed: h_sim must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_reports_a_network_the_solver_rejects(tmp_path, capsys):
+    demo = tmp_path / "net3"
+    assert main(["generate-demo", "--kind", "net3", "--out", str(demo)]) == 0
+    doc = json.loads((demo / FILES["network"]).read_text())
+    doc["E"] = [[0.0] * len(doc["E"][0])]  # the mixing node's demand cannot be met
+    (demo / FILES["network"]).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["solve", *flags(demo, *DOCS), "--out", str(out)]) == 1
+    assert "solver failed: coupling E u = -Ed d is infeasible" in capsys.readouterr().err
+    assert not (out / "controlOutput.json").exists()
+
+
 def test_simulate_nominal_prices_runs_the_loop_on_zeroed_price_errors(demo, tmp_path):
     argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
             "--steps", "2"]

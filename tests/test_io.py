@@ -21,6 +21,9 @@ def demo_dir(tmp_path_factory):
 class TestRoundTrips:
     def test_network(self, demo_dir, tmp_path):
         model = wio.load_network(demo_dir / "network.json")
+        # tank1 has no mixing node: its empty E and Ed are zero coupling rows.
+        assert model.E.shape == (0, model.n_inputs)
+        assert model.Ed.shape == (0, model.n_demands)
         wio.save_network(model, tmp_path / "n2.json")
         model2 = wio.load_network(tmp_path / "n2.json")
         for attr in ("A", "B", "Gd", "E", "Ed", "x_min", "x_max", "x_safe",
@@ -100,13 +103,11 @@ class TestRoundTrips:
     def test_realizations(self, demo_dir, tmp_path):
         real = wio.load_realizations(demo_dir / "realizations.json")
         wio.save_realizations(
-            real["demand"], real["price"], real["nominalDemand"], real["nominalPrice"],
+            real["demand"], real["price"], real["forecastDemand"], real["forecastPrice"],
             tmp_path / "r2.json",
-            forecast_demand=real["forecastDemand"],
-            forecast_price=real["forecastPrice"],
         )
         real2 = wio.load_realizations(tmp_path / "r2.json")
-        for key in ("demand", "price", "nominalDemand", "nominalPrice", "forecastDemand"):
+        for key in ("demand", "price", "forecastDemand", "forecastPrice"):
             np.testing.assert_array_equal(real[key], real2[key])
 
     def test_fan(self, demo_dir, tmp_path):
@@ -364,10 +365,15 @@ class TestErrorPaths:
         ("forecastPrice", lambda t: [step[:-1] for step in t]),
         ("forecastPrice", lambda t: [[row + [0.0] for row in step] for step in t]),
         ("forecastDemand", lambda t: [[row + [0.0] for row in step] for step in t]),
+        pytest.param("forecastDemand", None, id="forecastDemand-deleted"),
+        pytest.param("forecastPrice", None, id="forecastPrice-deleted"),
     ])
     def test_forecast_tensors_must_agree(self, demo_dir, tmp_path, key, edit):
         doc = json.loads((demo_dir / "realizations.json").read_text())
-        doc[key] = edit(doc[key])
+        if edit is None:
+            del doc[key]
+        else:
+            doc[key] = edit(doc[key])
         path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
@@ -389,6 +395,42 @@ class TestErrorPaths:
         path = tmp_path / "n.json"
         path.write_text(json.dumps(doc))
         assert wio.load_network(path).n_tanks == 1
+
+    def test_realizations_ignore_nominal_patterns(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "realizations.json").read_text())
+        doc["nominalDemand"] = doc["nominalPrice"] = [[1.0]]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        real = wio.load_realizations(path)
+        assert set(real) == {"demand", "price", "forecastDemand", "forecastPrice"}
+        np.testing.assert_array_equal(real["forecastPrice"], np.array(doc["forecastPrice"]))
+
+    def test_empty_ed_beside_coupling_rows_rejected(self, tmp_path):
+        path = tmp_path / "n.json"
+        wio.save_network(build_demo("net3", h_sim=1).model, path)
+        doc = json.loads(path.read_text())
+        assert len(doc["E"]) == len(doc["Ed"]) == 1  # net3's mixing node
+        doc["Ed"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_network(path)
+        assert err.value.pointer == "/Ed"
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda doc: doc.update(horizon=doc["horizon"] + 1), id="horizon-too-long"),
+        pytest.param(lambda doc: doc.update(scenarios=[s[:-1] for s in doc["scenarios"]]),
+                     id="scenarios-too-short"),
+        pytest.param(lambda doc: doc.update(nPrices=doc["nPrices"] + 1), id="too-narrow"),
+        pytest.param(lambda doc: doc.update(scenarios=[]), id="empty"),
+    ])
+    def test_fan_shape_is_checked_at_scenarios(self, demo_dir, tmp_path, edit):
+        doc = json.loads((demo_dir / "fan.json").read_text())
+        edit(doc)
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_fan(path)
+        assert err.value.pointer == "/scenarios"
 
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "f.json"

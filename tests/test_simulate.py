@@ -277,3 +277,12 @@ class TestKpis:
         )
         with pytest.raises(ValueError, match="empty"):
             kpi_economic(log)
+
+    def test_coupling_residual_is_required(self):
+        # A log without it would save as [] that load_simlog rejects.
+        with pytest.raises(TypeError, match="coupling_residual"):
+            SimulationLog(
+                x=np.zeros((2, 1)), u=np.zeros((1, 1)), demand=np.zeros((1, 1)),
+                price=np.zeros((1, 1)), solve_time_s=np.zeros(1), iterations=np.ones(1, int),
+                primal_residual=np.zeros(1), alpha0=np.zeros(1), x_safe=np.zeros(1),
+            )
