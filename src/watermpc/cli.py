@@ -221,7 +221,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_generate_demo(args) -> int:
-    paths = write_demo(build_demo(args.kind, seed=args.seed), args.out)
+    try:
+        bundle = build_demo(args.kind, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    paths = write_demo(bundle, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return 0

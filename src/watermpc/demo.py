@@ -282,6 +282,8 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
     ``h_sim`` closed-loop steps of realizations and forecasts."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     topology, demand_scale, energy, x0 = _BUILDERS[kind]()
     horizon, branching, n_scenarios = _SIZES[kind]
 

@@ -281,7 +281,8 @@ def load_forecast(path: str | Path) -> ForecastSeries:
     try:
         return ForecastSeries(d_hat=d_hat, alpha_hat=alpha_hat)
     except ValueError as exc:
-        raise SchemaError("/dHat", str(exc)) from exc
+        key = "alphaHat" if "alphaHat" in str(exc) else "dHat"
+        raise SchemaError(f"/{key}", str(exc)) from exc
 
 
 def save_forecast(series: ForecastSeries, path: str | Path) -> None:

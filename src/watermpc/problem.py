@@ -10,7 +10,9 @@ in breadth-first node order.
   plus the input-increment cost ``du' W_u du`` (du taken against the
   ancestor node's input, the measured previous input at stage 1), plus the
   indicators of the node dynamics and the mixing-node coupling.
-* H: copies each node's (x, u) to the triple (x, x, u).
+* H: copies each node's (x, u) to the triple (x, x, u). Images Hz and
+  duals y are arrays of ``dual_shape``: one row [y1, y2, y3] per non-root
+  node, in the same order as z.
 * g: per node, a soft Euclidean-distance penalty keeping x inside
   [x_min, x_max] (weight w_x), a soft penalty keeping x above the safety
   level (weight w_s), and the hard box indicator on u.
@@ -178,32 +180,29 @@ class ProblemInstance:
         return self.n_nonroot * (self.model.n_inputs + self.model.n_tanks)
 
     @property
-    def n_dual(self) -> int:
-        return self.n_nonroot * (2 * self.model.n_tanks + self.model.n_inputs)
+    def dual_shape(self) -> tuple[int, int]:
+        return (self.n_nonroot, 2 * self.model.n_tanks + self.model.n_inputs)
 
-    # Flat-vector layout helpers. Primal rows are [u, x]; dual rows are
-    # [y1, y2, y3] paired with the image (x, x, u) under H.
+    # Primal rows are [u, x], stored flat; dual rows are [y1, y2, y3], one
+    # per node, paired with the image (x, x, u) under H.
     def split_primal(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nu = self.model.n_inputs
-        rows = self._rows(z, self.n_primal, nu + self.model.n_tanks, "primal")
+        z = np.asarray(z, float)
+        if z.shape != (self.n_primal,):
+            raise ValueError(f"primal vector must have shape ({self.n_primal},), got {z.shape}")
+        rows = z.reshape(self.n_nonroot, -1)
         return rows[:, :nu], rows[:, nu:]
 
     def join_primal(self, U: np.ndarray, X: np.ndarray) -> np.ndarray:
         return np.concatenate([U, X], axis=1).reshape(-1)
 
-    def split_dual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def dual_blocks(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Column views (y1, y2, y3) of dual rows of shape ``dual_shape``."""
+        Y = np.asarray(Y, float)
+        if Y.shape != self.dual_shape:
+            raise ValueError(f"dual rows must have shape {self.dual_shape}, got {Y.shape}")
         nt = self.model.n_tanks
-        rows = self._rows(y, self.n_dual, 2 * nt + self.model.n_inputs, "dual")
-        return rows[:, :nt], rows[:, nt:2 * nt], rows[:, 2 * nt:]
-
-    def join_dual(self, Y1: np.ndarray, Y2: np.ndarray, Y3: np.ndarray) -> np.ndarray:
-        return np.concatenate([Y1, Y2, Y3], axis=1).reshape(-1)
-
-    def _rows(self, v: np.ndarray, total: int, width: int, what: str) -> np.ndarray:
-        v = np.asarray(v, float)
-        if v.shape != (total,):
-            raise ValueError(f"{what} vector must have shape ({total},), got {v.shape}")
-        return v.reshape(self.n_nonroot, width)
+        return Y[:, :nt], Y[:, nt:2 * nt], Y[:, 2 * nt:]
 
     def ancestor_inputs(self, U: np.ndarray) -> np.ndarray:
         """Per row, the ancestor node's input (the measured q at stage 1)."""
@@ -280,9 +279,9 @@ def smooth_cost(instance: ProblemInstance, U: np.ndarray) -> float:
 
 
 def apply_H(instance: ProblemInstance, z: np.ndarray) -> np.ndarray:
-    """Image (x, x, u) of each node's variables."""
+    """Image (x, x, u) of each node's variables, as dual rows."""
     U, X = instance.split_primal(z)
-    return instance.join_dual(X, X, U)
+    return np.concatenate([X, X, U], axis=1)
 
 
 def _node_steps(instance: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
@@ -306,16 +305,16 @@ def prox_g_conjugate(
     evaluated here without dividing by gamma: for a penalty
     ``W dist(., C)`` it is the residual ``w - proj_{gamma C}(w)`` projected
     onto the ball of radius W, and for the input box indicator it is
-    ``w - proj_{gamma box}(w)``. ``gamma`` holds one step per non-root node,
-    applied to that node's dual row.
+    ``w - proj_{gamma box}(w)``. ``w`` and the result are dual rows, and
+    ``gamma`` holds one step per non-root node, applied to that node's row.
     """
     col = _node_steps(instance, gamma)[:, None]
     m, wts = instance.model, instance.weights
-    W1, W2, W3 = instance.split_dual(w)
+    W1, W2, W3 = instance.dual_blocks(w)
     out1 = _ball_projection(W1 - np.clip(W1, col * m.x_min, col * m.x_max), wts.w_x)
     out2 = _ball_projection(np.minimum(W2 - col * m.x_safe, 0.0), wts.w_s)
     out3 = W3 - np.clip(W3, col * m.u_min, col * m.u_max)
-    return instance.join_dual(out1, out2, out3)
+    return np.concatenate([out1, out2, out3], axis=1)
 
 
 def _ball_projection(R: np.ndarray, radius: float) -> np.ndarray:
@@ -325,9 +324,9 @@ def _ball_projection(R: np.ndarray, radius: float) -> np.ndarray:
 
 
 def g_value(instance: ProblemInstance, hx: np.ndarray) -> float:
-    """Penalties plus the hard input-box indicator, evaluated exactly."""
+    """Penalties plus the hard input-box indicator of image rows, exactly."""
     m = instance.model
-    Y1, Y2, Y3 = instance.split_dual(hx)
+    Y1, Y2, Y3 = instance.dual_blocks(hx)
     if np.any(Y3 < m.u_min) or np.any(Y3 > m.u_max):
         return np.inf
     w = instance.weights
@@ -340,7 +339,7 @@ CONJUGATE_DOMAIN_TOL = 1e-9  # relative slack on the domain of g*
 
 
 def g_conjugate_value(instance: ProblemInstance, y: np.ndarray) -> float:
-    """Convex conjugate of g.
+    """Convex conjugate of g at dual rows y.
 
     Finite on y1 with norm at most w_x, nonpositive y2 with norm at most
     w_s, and any y3; there it is the sum of the support functions of the
@@ -350,7 +349,7 @@ def g_conjugate_value(instance: ProblemInstance, y: np.ndarray) -> float:
     """
     m = instance.model
     w = instance.weights
-    Y1, Y2, Y3 = instance.split_dual(y)
+    Y1, Y2, Y3 = instance.dual_blocks(y)
     n1 = np.linalg.norm(Y1, axis=1)
     n2 = np.linalg.norm(Y2, axis=1)
     tol = CONJUGATE_DOMAIN_TOL

@@ -57,7 +57,7 @@ def primal_objective(instance: ProblemInstance, z: np.ndarray) -> float:
 
 def apply_H_adjoint(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
     """Adjoint: (y1, y2, y3) lands in the (x, u) slots as (y1 + y2, y3)."""
-    Y1, Y2, Y3 = instance.split_dual(y)
+    Y1, Y2, Y3 = instance.dual_blocks(y)
     return instance.join_primal(Y3, Y1 + Y2)
 
 
@@ -87,11 +87,11 @@ def prox_g(
         gamma = np.full(instance.n_nonroot, gamma)
     step = _node_steps(instance, gamma)
     m, w = instance.model, instance.weights
-    V1, V2, V3 = instance.split_dual(v)
+    V1, V2, V3 = instance.dual_blocks(v)
     out1 = _dist_prox(V1, np.clip(V1, m.x_min, m.x_max), step * w.w_x)
     out2 = _dist_prox(V2, np.maximum(V2, m.x_safe), step * w.w_s)
     out3 = np.clip(V3, m.u_min, m.u_max)
-    return instance.join_dual(out1, out2, out3)
+    return np.hstack([out1, out2, out3])
 
 
 @dataclass
@@ -275,7 +275,7 @@ def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
     balls and drop positive y2 components."""
     m = instance.model
     w = instance.weights
-    Y1, Y2, Y3 = (a.copy() for a in instance.split_dual(y))
+    Y1, Y2, Y3 = (a.copy() for a in instance.dual_blocks(y))
     for Y, bound in ((Y1, w.w_x), (Y2, w.w_s)):
         norms = np.linalg.norm(Y, axis=1)
         over = norms > bound
@@ -285,7 +285,7 @@ def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
             Y *= scale[:, None]
     np.minimum(Y2, 0.0, out=Y2)
     # Rescale y2 after the sign clamp cannot grow its norm, so order is safe.
-    return instance.join_dual(Y1, Y2, Y3)
+    return np.hstack([Y1, Y2, Y3])
 
 
 def duality_gap(instance: ProblemInstance, z: np.ndarray, y: np.ndarray) -> float:
@@ -300,7 +300,7 @@ def duality_gap(instance: ProblemInstance, z: np.ndarray, y: np.ndarray) -> floa
     y_c = clip_dual_to_domain(instance, y)
     z_star = dense_kkt_solve(instance, y_c)
     U_star, _ = instance.split_primal(z_star)
-    inner = smooth_cost(instance, U_star) + float(y_c @ apply_H(instance, z_star))
+    inner = smooth_cost(instance, U_star) + float(np.vdot(y_c, apply_H(instance, z_star)))
     dual_value = inner - g_conjugate_value(instance, y_c)
     return float(primal - dual_value)
 

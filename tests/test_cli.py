@@ -209,6 +209,13 @@ def test_reduce_writes_a_valid_tree(demo, tmp_path):
     np.testing.assert_array_equal(tree.nodes_per_stage[:3], [1, 2, 4])
 
 
+def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["generate-demo", "--kind", "tank1", "--seed", "-1", "--out", str(out)]) == 1
+    assert "error: seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("validate", ["--seed", "1"]),
     ("validate", ["--out", "d"]),

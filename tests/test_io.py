@@ -188,6 +188,17 @@ class TestErrorPaths:
         with pytest.raises(SchemaError, match="dHat"):
             wio.load_forecast(path)
 
+    @pytest.mark.parametrize("key, d_hat, alpha_hat", [
+        ("dHat", [[], []], [[1.0], [1.0]]),
+        ("alphaHat", [[1.0], [1.0]], [[], []]),
+    ])
+    def test_empty_forecast_rows_reported_at_their_key(self, tmp_path, key, d_hat, alpha_hat):
+        doc = {"schemaVersion": 1, "horizon": 2, "dHat": d_hat, "alphaHat": alpha_hat}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^/{key}: {key} must not be empty$"):
+            wio.load_forecast(path)
+
     def test_non_finite_rejected_on_load(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"schemaVersion": 1, "horizon": 1, "dHat": [[NaN]], "alphaHat": [[1.0]]}')

@@ -25,7 +25,7 @@ class TestDenseKkt:
         # w_alpha*(alpha0+alpha)*u + W_u*(u-q)^2 gives
         # u = q - linear / (2 W_u).
         inst = make_instance(rng, n_tanks=1, n_inputs=1, n_demands=1, horizon=1, max_nodes=2)
-        z = dense_kkt_solve(inst, np.zeros(inst.n_dual))
+        z = dense_kkt_solve(inst, np.zeros(inst.dual_shape))
         U, X = inst.split_primal(z)
         lin = inst.econ[0, 0]
         expected_u = inst.q[0] - lin / (2.0 * inst.wu[0, 0])
@@ -34,14 +34,14 @@ class TestDenseKkt:
 
     def test_solution_satisfies_constraints(self, rng):
         inst = make_instance(rng, n_mixing=2, horizon=3, max_nodes=15)
-        y = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
         z = dense_kkt_solve(inst, y)
         assert np.isfinite(eval_f(inst, z))
 
     def test_affinity_three_point_collinearity(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
-        y0 = rng.standard_normal(inst.n_dual)
-        direction = rng.standard_normal(inst.n_dual)
+        y0 = rng.standard_normal(inst.dual_shape)
+        direction = rng.standard_normal(inst.dual_shape)
         z0 = dense_kkt_solve(inst, y0)
         z1 = dense_kkt_solve(inst, y0 + direction)
         z2 = dense_kkt_solve(inst, y0 + 2.0 * direction)
@@ -51,7 +51,7 @@ class TestDenseKkt:
         # At the minimizer, the cost gradient must be orthogonal to every
         # feasible direction (checked through a feasible perturbation).
         inst = make_instance(rng, horizon=2, max_nodes=6)
-        y = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
         z = dense_kkt_solve(inst, y)
         hty = apply_H_adjoint(inst, y)
         base = eval_f(inst, z) + float(hty @ z)
@@ -112,8 +112,8 @@ class TestDualityGap:
     def test_weak_duality_at_zero(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
-        z, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
-        gap = duality_gap(inst, z, np.zeros(inst.n_dual))
+        z, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
+        gap = duality_gap(inst, z, np.zeros(inst.dual_shape))
         assert gap >= -1e-9 * (1 + abs(gap))
 
     def test_near_zero_at_optimum(self, rng):

@@ -60,12 +60,12 @@ class TestDimensions:
         weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=1.0, w_x=1.0)
         inst = ProblemInstance(model, tree, weights, np.zeros(63), np.zeros(114))
         assert inst.n_primal == 2_306_133
-        assert inst.n_dual == 3_126_960
+        assert inst.dual_shape == (13_029, 240)
 
     def test_small_dimension_formulas(self, rng):
         inst = chain_instance(rng, horizon=1)
         assert inst.n_primal == 2
-        assert inst.n_dual == 3
+        assert inst.dual_shape == (1, 3)
 
     def test_binary_tree_dimensions(self):
         stage = np.array([0, 1, 1, 2, 2, 2, 2])
@@ -138,14 +138,14 @@ class TestOperatorH:
         inst = chain_instance(rng, horizon=1, n_tanks=2)
         z = inst.join_primal(np.array([[5.0]]), np.array([[1.0, 2.0]]))
         y = apply_H(inst, z)
-        Y1, Y2, Y3 = inst.split_dual(y)
+        Y1, Y2, Y3 = inst.dual_blocks(y)
         np.testing.assert_array_equal(Y1, [[1.0, 2.0]])
         np.testing.assert_array_equal(Y2, [[1.0, 2.0]])
         np.testing.assert_array_equal(Y3, [[5.0]])
 
     def test_adjoint_values(self, rng):
         inst = chain_instance(rng, horizon=1, n_tanks=2)
-        y = inst.join_dual(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[7.0]]))
+        y = np.hstack([np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.array([[7.0]])])
         z = apply_H_adjoint(inst, y)
         U, X = inst.split_primal(z)
         np.testing.assert_array_equal(X, [[1.0, 1.0]])
@@ -155,8 +155,8 @@ class TestOperatorH:
         inst = make_instance(rng, horizon=3, max_nodes=12)
         for _ in range(10):
             z = rng.standard_normal(inst.n_primal)
-            y = rng.standard_normal(inst.n_dual)
-            lhs = float(apply_H(inst, z) @ y)
+            y = rng.standard_normal(inst.dual_shape)
+            lhs = float(np.vdot(apply_H(inst, z), y))
             rhs = float(z @ apply_H_adjoint(inst, y))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -168,7 +168,7 @@ class TestProxG:
         X_mid = np.tile(0.5 * (m.x_min + m.x_max) + m.x_safe, (inst.n_nonroot, 1))
         X_mid = np.minimum(X_mid, m.x_max - 0.1)
         U_mid = np.tile(0.5 * (m.u_min + m.u_max), (inst.n_nonroot, 1))
-        v = inst.join_dual(X_mid, X_mid, U_mid)
+        v = np.hstack([X_mid, X_mid, U_mid])
         np.testing.assert_allclose(prox_g(inst, v, 1.0), v, atol=1e-14)
 
     def test_scalar_distance_prox_example(self, rng):
@@ -180,9 +180,9 @@ class TestProxG:
         m.x_max[:] = 1.0
         m.x_safe[:] = -100.0
         inst.weights.w_x = 1.0
-        v = inst.join_dual(np.array([[3.0]]), np.array([[0.0]]), np.array([[0.0]]))
+        v = np.hstack([np.array([[3.0]]), np.array([[0.0]]), np.array([[0.0]])])
         out = prox_g(inst, v, 1.0)
-        O1, _, _ = inst.split_dual(out)
+        O1, _, _ = inst.dual_blocks(out)
         assert O1[0, 0] == pytest.approx(2.0)
 
     def test_matches_1d_grid_minimization(self, rng):
@@ -195,8 +195,8 @@ class TestProxG:
         inst.weights.w_x = 0.7
         gamma = 1.3
         for v_val in (-2.0, 0.4, 1.5, 3.0):
-            v = inst.join_dual(np.array([[v_val]]), np.zeros((1, 1)), np.zeros((1, 1)))
-            O1, _, _ = inst.split_dual(prox_g(inst, v, gamma))
+            v = np.hstack([np.array([[v_val]]), np.zeros((1, 1)), np.zeros((1, 1))])
+            O1, _, _ = inst.dual_blocks(prox_g(inst, v, gamma))
             grid = np.linspace(v_val - 5, v_val + 5, 200001)
             dist = np.abs(grid - np.clip(grid, 0.0, 1.0))
             objective = inst.weights.w_x * dist + (grid - v_val) ** 2 / (2 * gamma)
@@ -206,26 +206,26 @@ class TestProxG:
     def test_input_slot_is_projection(self, rng):
         inst = chain_instance(rng, horizon=1)
         inst.model.u_max[:] = 0.1
-        v = inst.join_dual(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[0.5]]))
-        _, _, O3 = inst.split_dual(prox_g(inst, v, 1.0))
+        v = np.hstack([np.zeros((1, 1)), np.zeros((1, 1)), np.array([[0.5]])])
+        _, _, O3 = inst.dual_blocks(prox_g(inst, v, 1.0))
         assert O3[0, 0] == pytest.approx(0.1)
 
     def test_firmly_nonexpansive(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         for gamma in (0.1, 1.0, 10.0):
             for _ in range(5):
-                v = 50 * rng.standard_normal(inst.n_dual)
-                w = 50 * rng.standard_normal(inst.n_dual)
+                v = 50 * rng.standard_normal(inst.dual_shape)
+                w = 50 * rng.standard_normal(inst.dual_shape)
                 pv, pw = prox_g(inst, v, gamma), prox_g(inst, w, gamma)
                 assert np.linalg.norm(pv - pw) <= np.linalg.norm(v - w) + 1e-12
 
     def test_node_separability_under_permutation(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
-        v = rng.standard_normal(inst.n_dual)
+        v = rng.standard_normal(inst.dual_shape)
         out = prox_g(inst, v, 0.7)
         width = 2 * inst.model.n_tanks + inst.model.n_inputs
         perm = rng.permutation(inst.n_nonroot)
-        v_perm = v.reshape(-1, width)[perm].reshape(-1)
+        v_perm = v.reshape(-1, width)[perm]
         out_perm = prox_g(inst, v_perm, 0.7)
         np.testing.assert_array_equal(
             out_perm.reshape(-1, width), out.reshape(-1, width)[perm]
@@ -235,7 +235,7 @@ class TestProxG:
         inst = chain_instance(rng, horizon=2)
         for gamma in (0.0, np.array([1.0, 0.0]), np.ones(3)):
             with pytest.raises(ValueError, match="gamma"):
-                prox_g(inst, np.zeros(inst.n_dual), gamma)
+                prox_g(inst, np.zeros(inst.dual_shape), gamma)
 
 
 class TestMoreau:
@@ -246,9 +246,9 @@ class TestMoreau:
         m = inst.model
         m.u_min[:] = 0.0
         m.u_max[:] = 1.0
-        w = inst.join_dual(np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0]]))
+        w = np.hstack([np.zeros((1, 1)), np.zeros((1, 1)), np.array([[2.0]])])
         out = prox_g_conjugate(inst, w, np.ones(inst.n_nonroot))
-        _, _, O3 = inst.split_dual(out)
+        _, _, O3 = inst.dual_blocks(out)
         assert O3[0, 0] == pytest.approx(1.0)
 
     def test_zero_fixed_point(self, rng):
@@ -258,7 +258,7 @@ class TestMoreau:
         m.u_min[:] = -1.0
         m.x_min[:] = -1.0
         m.x_safe[:] = -1.0
-        w = np.zeros(inst.n_dual)
+        w = np.zeros(inst.dual_shape)
         np.testing.assert_allclose(
             prox_g_conjugate(inst, w, np.ones(inst.n_nonroot)), 0.0, atol=1e-14
         )
@@ -267,7 +267,7 @@ class TestMoreau:
         inst = make_instance(rng, horizon=2, max_nodes=8)
         for gamma in (0.1, 1.0, 10.0):
             for _ in range(20):
-                v = 30 * rng.standard_normal(inst.n_dual)
+                v = 30 * rng.standard_normal(inst.dual_shape)
                 lhs = prox_g(inst, v, gamma) + gamma * prox_g_conjugate(
                     inst, v / gamma, np.full(inst.n_nonroot, 1.0 / gamma)
                 )
@@ -277,7 +277,7 @@ class TestMoreau:
     def test_per_node_step_acts_row_by_row(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         steps = 10.0 ** rng.uniform(-2, 2, inst.n_nonroot)
-        w = 30 * rng.standard_normal(inst.n_dual)
+        w = 30 * rng.standard_normal(inst.dual_shape)
         rows = prox_g_conjugate(inst, w, steps).reshape(inst.n_nonroot, -1)
         for i, step in enumerate(steps):
             np.testing.assert_allclose(
@@ -290,7 +290,7 @@ class TestMoreau:
     def test_scalar_step_rejected(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
         with pytest.raises(ValueError, match="gamma must have shape"):
-            prox_g_conjugate(inst, np.zeros(inst.n_dual), 1.0)
+            prox_g_conjugate(inst, np.zeros(inst.dual_shape), 1.0)
 
 
 class TestPrimalObjective:
@@ -352,11 +352,11 @@ def test_g_conjugate_on_simple_point(rng):
     inst.weights.w_s = 2.0
     m.u_min[:] = 0.0
     m.u_max[:] = 1.0
-    y = inst.join_dual(np.array([[2.0]]), np.array([[-1.0]]), np.array([[-4.0]]))
+    y = np.hstack([np.array([[2.0]]), np.array([[-1.0]]), np.array([[-4.0]])])
     # support terms: max(-1*2, 2*2) + 0.5*(-1) + max(0, -4) = 4 - 0.5 + 0
     assert g_conjugate_value(inst, y) == pytest.approx(3.5)
     # out of domain: |y1| > w_x
-    y_bad = inst.join_dual(np.array([[3.5]]), np.array([[0.0]]), np.array([[0.0]]))
+    y_bad = np.hstack([np.array([[3.5]]), np.array([[0.0]]), np.array([[0.0]])])
     assert g_conjugate_value(inst, y_bad) == np.inf
 
 

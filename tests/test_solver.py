@@ -92,7 +92,7 @@ class TestFactorStep:
                 max_nodes=12,
             )
             cache = factor_step(inst)
-            y = rng.standard_normal(inst.n_dual)
+            y = rng.standard_normal(inst.dual_shape)
             z_tree, _ = dual_gradient(cache, inst, y)
             z_dense = dense_kkt_solve(inst, y)
             assert rel_err(z_tree, z_dense) <= 1e-8
@@ -115,7 +115,7 @@ class TestFactorStep:
         )
         inst2 = ProblemInstance(inst.model, tree2, inst.weights, inst.p, inst.q)
         cache2 = factor_step(inst2, structure_from=cache)
-        y = np.zeros(inst2.n_dual)
+        y = np.zeros(inst2.dual_shape)
         z_tree, _ = dual_gradient(cache2, inst2, y)
         z_dense = dense_kkt_solve(inst2, y)
         assert rel_err(z_tree, z_dense) <= 1e-8
@@ -125,8 +125,8 @@ class TestDualGradient:
     def test_zero_dual_matches_oracle(self, rng):
         inst = make_instance(rng, n_mixing=1, horizon=3, max_nodes=10)
         cache = factor_step(inst)
-        z, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
-        z_dense = dense_kkt_solve(inst, np.zeros(inst.n_dual))
+        z, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
+        z_dense = dense_kkt_solve(inst, np.zeros(inst.dual_shape))
         assert rel_err(z, z_dense) <= 1e-8
         # Children out of parent order take the sorted segment-sum path.
         inst = permute_within_stages(
@@ -135,7 +135,7 @@ class TestDualGradient:
         order, _ = inst.child_groups[-1]
         assert not isinstance(order, slice)
         cache = factor_step(inst)
-        y = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
 
@@ -143,15 +143,15 @@ class TestDualGradient:
         inst, _ = net3_demo_instance()
         assert inst.n_primal == 399
         cache = factor_step(inst)
-        y = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
 
     def test_affinity(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
-        y1 = rng.standard_normal(inst.n_dual)
-        y2 = rng.standard_normal(inst.n_dual)
+        y1 = rng.standard_normal(inst.dual_shape)
+        y2 = rng.standard_normal(inst.dual_shape)
         za, _ = dual_gradient(cache, inst, y1)
         zb, _ = dual_gradient(cache, inst, y2)
         zm, _ = dual_gradient(cache, inst, 0.5 * y1 + 0.5 * y2)
@@ -161,24 +161,24 @@ class TestDualGradient:
         inst = make_instance(rng, n_mixing=2, horizon=3, max_nodes=12)
         cache = factor_step(inst)
         for scale in (0.0, 1.0, 1e3):
-            y = scale * rng.standard_normal(inst.n_dual)
+            y = scale * rng.standard_normal(inst.dual_shape)
             z, _ = dual_gradient(cache, inst, y)
             assert np.isfinite(eval_f(inst, z))
 
     def test_value_is_attained_infimum(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
         cache = factor_step(inst)
-        y = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
         z, value = dual_gradient(cache, inst, y)
-        direct = eval_f(inst, z) + float(y @ apply_H(inst, z))
+        direct = eval_f(inst, z) + float(np.vdot(y, apply_H(inst, z)))
         assert value == pytest.approx(direct, rel=1e-10)
 
     def test_directional_derivative_by_finite_differences(self, rng):
         # The smooth dual term phi(y) = f*(-H'y) has gradient -H x*(y).
         inst = make_instance(rng, horizon=2, max_nodes=6)
         cache = factor_step(inst)
-        y = rng.standard_normal(inst.n_dual)
-        delta = rng.standard_normal(inst.n_dual)
+        y = rng.standard_normal(inst.dual_shape)
+        delta = rng.standard_normal(inst.dual_shape)
         h = 1e-5
         z, value = dual_gradient(cache, inst, y)
         _, v_plus = dual_gradient(cache, inst, y + h * delta)
@@ -186,7 +186,7 @@ class TestDualGradient:
         # value(y) = -phi(y), so the centered difference of -value matches
         # <grad phi, delta> = -<H x*, delta>.
         fd = (v_plus - v_minus) / (2 * h)
-        analytic = float(apply_H(inst, z) @ delta)
+        analytic = float(np.vdot(apply_H(inst, z), delta))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-5)
 
     def test_mismatched_cache_rejected(self, rng):
@@ -194,7 +194,7 @@ class TestDualGradient:
         inst_b = make_instance(rng, horizon=2, max_nodes=6)
         cache = factor_step(inst_a)
         with pytest.raises(ValueError, match="does not match"):
-            dual_gradient(cache, inst_b, np.zeros(inst_b.n_dual))
+            dual_gradient(cache, inst_b, np.zeros(inst_b.dual_shape))
 
 
 class TestLipschitz:
@@ -252,10 +252,11 @@ class TestLipschitz:
         assert not isinstance(inst.child_groups[-1][0], slice)
         cache = factor_step(inst)
         L = estimate_lipschitz(cache, inst)
-        z0, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
+        z0, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
         M = np.column_stack([
-            apply_H(inst, z0 - dual_gradient(cache, inst, e)[0])
-            for e in np.eye(inst.n_dual)
+            apply_H(inst, z0 - dual_gradient(cache, inst, e.reshape(inst.dual_shape))[0])
+            .reshape(-1)
+            for e in np.eye(np.prod(inst.dual_shape))
         ])
         d = np.diag(M).reshape(inst.n_nonroot, -1).max(axis=1)
         np.testing.assert_allclose(cache.hess_diag, d, rtol=1e-10)
@@ -326,7 +327,7 @@ class TestSolve:
         m = inst.model
         # Make the unconstrained economic optimum comfortably interior.
         cache = factor_step(inst)
-        z, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
+        z, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
         U, X = inst.split_primal(z)
         m.u_min[:] = U.min() - 1.0
         m.u_max[:] = U.max() + 1.0
@@ -356,7 +357,7 @@ class TestSolve:
         m.x_min[:] = -np.inf
         m.x_max[:] = np.inf
         cache = factor_step(inst)
-        z0, _ = dual_gradient(cache, inst, np.zeros(inst.n_dual))
+        z0, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
         U0, _ = inst.split_primal(z0)
         sl = inst.stage_slices[0]
         expected_u0 = inst.prob[sl] @ U0[sl]
@@ -376,8 +377,7 @@ class TestSolve:
     def test_certifies_a_capped_solve_once(self, rng, smooth_cost_calls):
         inst = make_instance(rng, horizon=3, max_nodes=12)
         m = inst.model
-        # No input box, so the residual test always passes; safety at the
-        # capacity keeps the gap positive.
+        # No input box, and safety at the capacity keeps the gap positive.
         m.u_min[:] = -np.inf
         m.u_max[:] = np.inf
         m.x_safe[:] = m.x_max
@@ -387,13 +387,31 @@ class TestSolve:
         assert res.termination == "max_iter"
         assert len(smooth_cost_calls) == 3
 
+    def test_every_gap_check_runs_the_certificate(self, rng, monkeypatch):
+        # Each certificate restores two candidates. The averaged inputs
+        # still leave the box at every check here, and a check runs anyway.
+        calls = []
+        real = watermpc.solver.restore_feasible_inputs
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", counted)
+        inst = make_instance(rng, n_mixing=1, horizon=3, max_nodes=12)
+        checks = 4
+        res = solve(inst, SolverConfig(max_iter=checks * GAP_CHECK_EVERY, tol=1e-12))
+        assert res.termination == "max_iter"
+        assert res.primal_residual > 0.0
+        assert len(calls) == 2 * checks
+
     def test_certificate_keeps_the_cheaper_candidate(self, rng, monkeypatch):
         from watermpc.problem import g_value, restore_feasible_inputs, rollout_inputs, smooth_cost
 
         def restored_value(inst, U):
             u_f = restore_feasible_inputs(inst, U, np.linalg.pinv(inst.model.E))
             x_f = rollout_inputs(inst, u_f)
-            return smooth_cost(inst, u_f) + g_value(inst, inst.join_dual(x_f, x_f, u_f))
+            return smooth_cost(inst, u_f) + g_value(inst, np.hstack([x_f, x_f, u_f]))
 
         # The certificate restores the average, then the last iterate.
         candidates = []
@@ -433,7 +451,7 @@ class TestSolve:
         inst = make_instance(rng, horizon=2, max_nodes=8)
         m = inst.model
         # 37 is not a multiple of the gap-check interval, so the last
-        # iteration runs no residual test of its own.
+        # iteration runs no certificate of its own.
         res = solve(inst, SolverConfig(max_iter=37, tol=1e-12))
         assert res.termination == "max_iter"
         U_avg, _ = inst.split_primal(res.primal_avg)
@@ -453,10 +471,13 @@ class TestSolve:
 
     def test_malformed_start_dual_rejected(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
-        with pytest.raises(ValueError, match="shape"):
-            solve(inst, dual0=np.zeros(inst.n_dual - 1))
-        dual0 = np.zeros(inst.n_dual)
-        dual0[1] = np.nan
+        n, width = inst.dual_shape
+        # A short row, and a flat vector of the full length.
+        for bad in (np.zeros((n, width - 1)), np.zeros(n * width)):
+            with pytest.raises(ValueError, match="shape"):
+                solve(inst, dual0=bad)
+        dual0 = np.zeros(inst.dual_shape)
+        dual0[0, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             solve(inst, dual0=dual0)
 
