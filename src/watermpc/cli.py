@@ -19,7 +19,8 @@ from .demo import DEMO_KINDS, build_demo, write_demo
 from .forecast import ForecastSeries
 from .io import SchemaError
 from .problem import ProblemInstance
-from .simulate import SimulationConfig, kpi_complexity, kpi_economic, kpi_safety, run_closed_loop
+from .simulate import SimulationConfig, kpi_complexity, kpi_economic, kpi_safety
+from .simulate import run_closed_loop, warn_unconverged
 from .solver import solve as solve_instance
 from .tree import attach_forecast, reduce_fan_to_tree, zero_price_errors
 
@@ -149,8 +150,13 @@ def _cmd_solve(args) -> int:
         return 1
     args.out.mkdir(parents=True, exist_ok=True)
     wio.save_control_output(result, args.out / "controlOutput.json")
+    # An uncertified action is still written and the exit code stays 0, as
+    # in the closed loop; the summary line and the warning say so.
+    warn_unconverged(k, result)
+    gap_rel = result.duality_gap / (1.0 + abs(result.objective))
     print(
         f"iters={result.iterations} residual={result.primal_residual:.6e} "
+        f"termination={result.termination} gap_rel={gap_rel:.6e} "
         f"time_ms={result.solve_time_s * 1e3:.3f}"
     )
     return 0

@@ -296,6 +296,18 @@ def _node_steps(instance: ProblemInstance, gamma: np.ndarray) -> np.ndarray:
     return step
 
 
+def scaled_bounds(
+    instance: ProblemInstance, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the rows ``[x_min, x_safe, u_min]`` and ``[x_max, inf, u_max]``
+    times that node's step: the bounds :func:`prox_into` clips dual rows to."""
+    col = _node_steps(instance, gamma)[:, None]
+    m = instance.model
+    lo = np.concatenate([m.x_min, m.x_safe, m.u_min])
+    hi = np.concatenate([m.x_max, np.full(m.n_tanks, np.inf), m.u_max])
+    return col * lo, col * hi
+
+
 def prox_g_conjugate(
     instance: ProblemInstance, w: np.ndarray, gamma: np.ndarray
 ) -> np.ndarray:
@@ -308,19 +320,37 @@ def prox_g_conjugate(
     ``w - proj_{gamma box}(w)``. ``w`` and the result are dual rows, and
     ``gamma`` holds one step per non-root node, applied to that node's row.
     """
-    col = _node_steps(instance, gamma)[:, None]
-    m, wts = instance.model, instance.weights
-    W1, W2, W3 = instance.dual_blocks(w)
-    out1 = _ball_projection(W1 - np.clip(W1, col * m.x_min, col * m.x_max), wts.w_x)
-    out2 = _ball_projection(np.minimum(W2 - col * m.x_safe, 0.0), wts.w_s)
-    out3 = W3 - np.clip(W3, col * m.u_min, col * m.u_max)
-    return np.concatenate([out1, out2, out3], axis=1)
+    bounds = scaled_bounds(instance, gamma)
+    w = np.asarray(w, float)
+    instance.dual_blocks(w)  # checks the shape
+    return prox_into(instance, w, bounds, np.empty(instance.dual_shape))
 
 
-def _ball_projection(R: np.ndarray, radius: float) -> np.ndarray:
-    """Each row of R projected onto the Euclidean ball of the given radius."""
-    norm = np.sqrt(np.einsum("ij,ij->i", R, R))
-    return R * (radius / np.maximum(norm, max(radius, 1e-300)))[:, None]
+def prox_into(
+    instance: ProblemInstance,
+    w: np.ndarray,
+    bounds: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray,
+) -> np.ndarray:
+    """:func:`prox_g_conjugate` at the steps that ``bounds`` were scaled by
+    (see :func:`scaled_bounds`), written into ``out`` and returned. ``w`` and
+    ``out`` are distinct dual rows; neither is checked.
+
+    Each slot's residual ``w - proj(w)`` comes from one clip of the whole
+    rows, the safety half-space being the box ``[x_safe, inf)``; the two
+    penalty slots then go onto their balls."""
+    np.subtract(w, w.clip(*bounds, out=out), out=out)
+    nt = instance.model.n_tanks
+    _ball_projection(out[:, :nt], instance.weights.w_x)
+    _ball_projection(out[:, nt:2 * nt], instance.weights.w_s)
+    return out
+
+
+def _ball_projection(R: np.ndarray, radius: float) -> None:
+    """Projects each row of R onto the Euclidean ball of the given radius, in place."""
+    scale = np.sqrt(np.einsum("ij,ij->i", R, R))
+    np.maximum(scale, max(radius, 1e-300), out=scale)
+    R *= np.divide(radius, scale, out=scale)[:, None]
 
 
 def g_value(instance: ProblemInstance, hx: np.ndarray) -> float:

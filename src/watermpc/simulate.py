@@ -19,7 +19,7 @@ import numpy as np
 from .forecast import ForecastSeries
 from .network import NetworkModel
 from .problem import CostWeights, ProblemInstance
-from .solver import FactorCache, SolverConfig, factor_step, solve
+from .solver import FactorCache, SolverConfig, SolverResult, factor_step, solve
 from .tree import ScenarioTree, attach_forecast
 
 Forecaster = Callable[[int], ForecastSeries]
@@ -78,6 +78,18 @@ class SimulationLog:
     @property
     def h_sim(self) -> int:
         return self.u.shape[0]
+
+
+def warn_unconverged(k: int, result: SolverResult) -> None:
+    """Log a warning on the ``watermpc`` logger if step k applies an
+    action without a converged certificate."""
+    if result.termination != "converged":
+        logger.warning(
+            "step %d: applying an action with termination %r after %d "
+            "iterations, relative duality gap %.3g",
+            k, result.termination, result.iterations,
+            result.duality_gap / (1.0 + abs(result.objective)),
+        )
 
 
 def run_closed_loop(
@@ -144,13 +156,7 @@ def run_closed_loop(
         except RuntimeError as exc:
             raise RuntimeError(f"solver failed at simulation step {k}: {exc}") from exc
         taus[k] = time.perf_counter() - started
-        if result.termination != "converged":
-            logger.warning(
-                "step %d: applying an action with termination %r after %d "
-                "iterations, relative duality gap %.3g",
-                k, result.termination, result.iterations,
-                result.duality_gap / (1.0 + abs(result.objective)),
-            )
+        warn_unconverged(k, result)
         dual = result.dual
         us[k] = result.u0
         iters[k] = result.iterations

@@ -37,11 +37,16 @@ coupling is eliminated per node through a null-space parametrization of
 the input space, and the remaining equality-constrained problem is solved
 by a backward stage recursion followed by a forward rollout. Because the
 input-increment cost ties a node to its ancestor's input, the backward
-cost-to-go is carried in the ancestor's (state, input) pair; probability
+cost-to-go is carried in the ancestor's (input, state) pair; probability
 telescoping makes the per-node input Hessians proportional to the node
 probability with a stage-uniform core, so one factorization per stage
-suffices. Those factorizations live in :class:`FactorCache` and are
-reusable across instances sharing the same structure.
+suffices. Each pass is one stage loop over one array: the backward pass
+keeps a carry row per node and moves it to the parents with one product
+per stage, and the forward pass rolls out the rows [u, x] together (see
+:func:`_dual_gradient_parts`). The factorizations and the carry matrices
+live in :class:`FactorCache` and are reusable across instances sharing the
+same structure. One solve allocates its dual buffers and the prox's
+step-scaled bounds once, and each iteration works in place on them.
 """
 
 from __future__ import annotations
@@ -55,9 +60,10 @@ from .problem import (
     ProblemInstance,
     g_conjugate_value,
     g_value,
-    prox_g_conjugate,
+    prox_into,
     restore_feasible_inputs,
     rollout_inputs,
+    scaled_bounds,
     smooth_cost,
 )
 
@@ -124,20 +130,29 @@ class SolverResult:
 class FactorCache:
     """Precomputed quantities for fast repeated dual-gradient solves.
 
-    Structural members (null basis, per-stage gains, and the step metric:
-    the per-node Hessian diagonal with its curvature bound) depend only on
-    the model matrices, the input weight and the tree topology with its
-    probabilities; the per-node input offset (built from the coupling's
-    particular solution and the cost row) also depends on node demand and
-    price values and is rebuilt cheaply per instance.
+    Structural members (null basis, per-stage operators, the sweep's
+    carry and rollout matrices with the probability columns, and the step
+    metric: the per-node Hessian diagonal with its curvature bound) depend
+    only on the model matrices, the input weight and the tree topology
+    with its probabilities; the per-node input offset (built from the
+    coupling's particular solution and the cost row) also depends on node
+    demand and price values and is rebuilt cheaply per instance.
+
+    ``carry_in`` and ``carry_up`` are the backward pass's products on its
+    carry rows, and ``fwd`` the forward pass's per-stage rollout (see
+    :func:`_dual_gradient_parts`).
     """
 
     null_basis: np.ndarray            # orthonormal basis of null(E)
     e_pinv: np.ndarray                # pseudo-inverse of E
     e_offset: np.ndarray              # per-node input offset, dual-independent part
-    d_gain: list[np.ndarray]          # per-stage feedback on the ancestor input
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
+    carry_in: np.ndarray              # [I; B]
+    carry_up: np.ndarray              # [[0, A], [-W_u, 0]]
+    fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
+    inv_prob: np.ndarray              # 1 / p per node, a column
+    two_prob: np.ndarray              # 2 p per node, a column
     lipschitz: float | None = None    # scaled curvature bound L_D, set by estimate_lipschitz
     hess_diag: np.ndarray | None = None  # per-node d_i, set with lipschitz
     signature: tuple = field(default=(), repr=False)
@@ -184,10 +199,10 @@ def factor_step(
     if structure_from is not None:
         if structure_from.signature != sig:
             raise ValueError("cached factors were built for a different structure")
-        basis, e_pinv = structure_from.null_basis, structure_from.e_pinv
-        d_gain, t_mat = structure_from.d_gain, structure_from.t_mat
-        lam = structure_from.lam
-        lipschitz, hess_diag = structure_from.lipschitz, structure_from.hess_diag
+        c = structure_from
+        basis, e_pinv, t_mat, lam, fwd = c.null_basis, c.e_pinv, c.t_mat, c.lam, c.fwd
+        carry_in, carry_up, inv_prob, two_prob = c.carry_in, c.carry_up, c.inv_prob, c.two_prob
+        lipschitz, hess_diag = c.lipschitz, c.hess_diag
     else:
         basis, e_pinv = _null_space(m.E, m.n_inputs)
         check = m.E @ basis
@@ -197,10 +212,11 @@ def factor_step(
             raise RuntimeError("null-space basis fails E @ N = 0")
         wu = instance.wu
         horizon = instance.tree.horizon
-        d_gain = [np.empty(0)] * horizon
+        fwd = [np.empty(0)] * horizon
         t_mat = [np.empty(0)] * horizon
         lam = [np.empty(0)] * horizon
         pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
+        zero_xu = np.zeros((m.n_tanks, m.n_inputs))
         for s in range(horizon, 0, -1):
             lam_s = pi_s + 2.0 * wu
             reduced = basis.T @ lam_s @ basis
@@ -215,7 +231,12 @@ def factor_step(
             d_s = 2.0 * (t_s @ wu)
             pi_s = 2.0 * wu - 2.0 * (wu @ d_s)
             pi_s = 0.5 * (pi_s + pi_s.T)
-            lam[s - 1], t_mat[s - 1], d_gain[s - 1] = lam_s, t_s, d_s
+            lam[s - 1], t_mat[s - 1] = lam_s, t_s
+            fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
+        carry_in = np.vstack([np.eye(m.n_inputs), m.B])
+        carry_up = np.block([[zero_xu, m.A], [-wu, zero_xu.T]])
+        inv_prob = (1.0 / instance.prob)[:, None]
+        two_prob = (2.0 * instance.prob)[:, None]
         lipschitz = hess_diag = None
 
     # Particular solutions of E u = -Ed d per node, least-norm flavor.
@@ -243,9 +264,13 @@ def factor_step(
         null_basis=basis,
         e_pinv=e_pinv,
         e_offset=e_offset,
-        d_gain=d_gain,
         t_mat=t_mat,
         lam=lam,
+        carry_in=carry_in,
+        carry_up=carry_up,
+        fwd=fwd,
+        inv_prob=inv_prob,
+        two_prob=two_prob,
         lipschitz=lipschitz,
         hess_diag=hess_diag,
         signature=sig,
@@ -253,49 +278,57 @@ def factor_step(
 
 
 def _dual_gradient_parts(
-    cache: FactorCache,
-    instance: ProblemInstance,
-    Yx: np.ndarray,
-    Yu: np.ndarray,
+    cache: FactorCache, instance: ProblemInstance, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner QP solve given the collapsed dual rows (y1 + y2, y3).
+    """Inner QP solve at dual rows y.
 
-    Returns the per-node inputs U and states X minimizing f(x) + <H'y, x>;
-    :func:`dual_gradient` also prices them. Backward pass accumulates the linear
-    cost-to-go coefficients, summing each stage's rows into their parents
-    by segment sums over the instance's child groups; forward pass rolls
-    out the stage-gain feedback on the inputs, then the states.
+    Returns the per-node inputs U and states X minimizing f(x) + <H'y, x>,
+    as the column views of one array of rows ``[u, x]``;
+    :func:`dual_gradient` also prices them.
+
+    The backward pass carries one row ``[r, w, 2 p e]`` per node: the
+    linear cost-to-go on the node's input (r) and state (w, starting at
+    y1 + y2), and, once its stage is done, its input offset e times twice
+    its probability. Per stage, ``lin = [r, w] [I; B] + y3`` divided by p
+    gives ``e = e_offset - lin T_s``; the rows ``[w, 2 p e]`` are summed per
+    parent by one segment sum when the stage branches, and one product by
+    ``[[0, A], [-W_u, 0]]`` adds them into the parents' ``[r, w]``.
+
+    The forward pass rolls out inputs and states together: the rows start
+    at ``[e, e B' + Gd d]``, and each stage adds its parent's row, ``[q, p]``
+    at the root, times ``[[D_s', D_s' B'], [0, A']]``.
     """
     m = instance.model
-    n = instance.n_nonroot
-    w_bar = Yx.copy()
-    r_bar = np.zeros((n, m.n_inputs))
-    e_vec = np.empty((n, m.n_inputs))
+    nu, nt = m.n_inputs, m.n_tanks
+    k = nu + nt
+    slices = instance.stage_slices
+    Z = np.empty((instance.n_nonroot, k + nu))
+    Z[:, :nu] = 0.0
+    np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:k])
+    Yu = y[:, 2 * nt:]
+    P = np.empty((instance.n_nonroot, k))
+    U, X = P[:, :nu], P[:, nu:]
     for s in range(instance.tree.horizon, 0, -1):
-        sl = instance.stage_slices[s - 1]
-        lin = Yu[sl] + w_bar[sl] @ m.B + r_bar[sl]
-        e_vec[sl] = cache.e_offset[sl] - (
-            (lin / instance.prob[sl, None]) @ cache.t_mat[s - 1]
-        )
+        sl = slices[s - 1]
+        lin = Z[sl, :k] @ cache.carry_in
+        lin += Yu[sl]
+        lin *= cache.inv_prob[sl]
+        np.subtract(cache.e_offset[sl], lin @ cache.t_mat[s - 1], out=U[sl])
         if s > 1:
-            # Sum the stage's rows per parent, in the parent stage's order.
-            w_sum = w_bar[sl]
-            r_sum = 2.0 * instance.prob[sl, None] * e_vec[sl]
+            np.multiply(U[sl], cache.two_prob[sl], out=Z[sl, k:])
+            rows = Z[sl, nu:]
             groups = instance.child_groups[s - 1]
             if groups is not None:
                 order, starts = groups
-                w_sum = np.add.reduceat(w_sum[order], starts)
-                r_sum = np.add.reduceat(r_sum[order], starts)
-            parent_sl = instance.stage_slices[s - 2]
-            w_bar[parent_sl] += w_sum @ m.A
-            r_bar[parent_sl] -= r_sum @ instance.wu
+                rows = np.add.reduceat(rows[order], starts)
+            Z[slices[s - 2], :k] += rows @ cache.carry_up
 
-    U = np.empty((n, m.n_inputs))
-    for s in range(1, instance.tree.horizon + 1):
-        sl = instance.stage_slices[s - 1]
-        u_prev = instance.q[None, :] if s == 1 else U[instance.parent_rows[s - 1]]
-        U[sl] = u_prev @ cache.d_gain[s - 1].T + e_vec[sl]
-    return U, rollout_inputs(instance, U)
+    np.matmul(U, m.B.T, out=X)
+    X += instance.demand_gd
+    P[slices[0]] += np.concatenate([instance.q, instance.p]) @ cache.fwd[0]
+    for s in range(2, instance.tree.horizon + 1):
+        P[slices[s - 1]] += P[instance.parent_rows[s - 1]] @ cache.fwd[s - 1]
+    return U, X
 
 
 def dual_gradient(
@@ -311,9 +344,8 @@ def dual_gradient(
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
     Y1, Y2, Y3 = instance.dual_blocks(y)
-    Yx = Y1 + Y2
-    U, X = _dual_gradient_parts(cache, instance, Yx, Y3)
-    value = smooth_cost(instance, U) + float((Yx * X).sum() + (Y3 * U).sum())
+    U, X = _dual_gradient_parts(cache, instance, np.asarray(y, float))
+    value = smooth_cost(instance, U) + float(((Y1 + Y2) * X).sum() + (Y3 * U).sum())
     return instance.join_primal(U, X), value
 
 
@@ -383,16 +415,12 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     """
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
-    m, n = instance.model, instance.n_nonroot
     hess_diag = _hessian_diagonal(cache, instance)
     scale = 1.0 / np.sqrt(hess_diag)[:, None]
-    u0, x0 = _dual_gradient_parts(
-        cache, instance, np.zeros((n, m.n_tanks)), np.zeros((n, m.n_inputs))
-    )
+    u0, x0 = _dual_gradient_parts(cache, instance, np.zeros(instance.dual_shape))
 
     def operator(V: np.ndarray) -> np.ndarray:
-        Y1, Y2, Y3 = instance.dual_blocks(V * scale)
-        u, x = _dual_gradient_parts(cache, instance, Y1 + Y2, Y3)
+        u, x = _dual_gradient_parts(cache, instance, V * scale)
         return np.concatenate([x0 - x, x0 - x, u0 - u], axis=1) * scale
 
     rng = np.random.default_rng(0)
@@ -455,6 +483,7 @@ def solve(
         estimate_lipschitz(cache, instance)
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row
+    bounds = scaled_bounds(instance, gamma)
 
     m = instance.model
     n = instance.n_nonroot
@@ -466,7 +495,10 @@ def solve(
             raise ValueError(f"dual0 has shape {y.shape}, expected {instance.dual_shape}")
         if not np.isfinite(y).all():
             raise ValueError("dual0 has a non-finite entry")
-    y_prev = y
+    # Dual buffers, rotated: the prox writes y_next, which then becomes y.
+    y_prev, y_next, w = y.copy(), np.empty_like(y), np.empty_like(y)
+    W1, W2, W3 = instance.dual_blocks(w)
+    scratch_u, scratch_x = np.empty((n, m.n_inputs)), np.empty((n, m.n_tanks))
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
     X_avg = np.zeros((n, m.n_tanks))
@@ -495,26 +527,27 @@ def solve(
 
     for nu in range(config.max_iter):
         beta = theta * (1.0 / theta_prev - 1.0)
-        w = y + beta * (y - y_prev)
-        W1, W2, W3 = instance.dual_blocks(w)
-        U, X = _dual_gradient_parts(cache, instance, W1 + W2, W3)
+        np.subtract(y, y_prev, out=w)
+        w *= beta
+        w += y
+        U, X = _dual_gradient_parts(cache, instance, w)
         # The gradient step w + Gamma H z, taken in place on w's columns.
-        step_x = step * X
-        W1 += step_x
-        W2 += step_x
-        W3 += step * U
-        y_next = prox_g_conjugate(instance, w, gamma)
+        np.multiply(step, X, out=scratch_x)
+        W1 += scratch_x
+        W2 += scratch_x
+        W3 += np.multiply(step, U, out=scratch_u)
+        prox_into(instance, w, bounds, y_next)
 
         U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U
-        U_avg += theta * U
+        U_avg += np.multiply(theta, U, out=scratch_u)
         X_avg *= 1.0 - theta
-        X_avg += theta * X
+        X_avg += np.multiply(theta, X, out=scratch_x)
 
-        dual_change = float(np.max(np.abs(y_next - y)))
+        dual_change = float(np.abs(np.subtract(y_next, y, out=w), out=w).max())
         if not np.isfinite(dual_change):
             raise RuntimeError(f"solver produced a non-finite iterate at nu={nu}")
 
-        y_prev, y = y, y_next
+        y_prev, y, y_next = y, y_next, y_prev
         theta_prev, theta = theta, _next_theta(theta)
 
         if (nu + 1) % GAP_CHECK_EVERY == 0:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface on the tank1 demo files."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -176,6 +177,35 @@ def test_solve_reports_a_network_the_solver_rejects(tmp_path, capsys):
     assert main(["solve", *flags(demo, *DOCS), "--out", str(out)]) == 1
     assert "solver failed: coupling E u = -Ed d is infeasible" in capsys.readouterr().err
     assert not (out / "controlOutput.json").exists()
+
+
+def test_solve_says_when_its_action_is_uncertified(demo, tmp_path, capsys, caplog):
+    net3 = tmp_path / "net3"
+    assert main(["generate-demo", "--kind", "net3", "--out", str(net3)]) == 0
+    doc = json.loads((net3 / FILES["config"]).read_text())
+    doc["maxIter"] = 25  # far short of the tolerance on this demo
+    (net3 / FILES["config"]).write_text(json.dumps(doc))
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING, logger="watermpc"):
+        # The action is written and the exit code stays 0.
+        assert main(["solve", *flags(net3, *DOCS), "--out", str(tmp_path / "capped")]) == 0
+        capped = capsys.readouterr().out
+        assert main(["solve", *flags(demo, *DOCS), "--out", str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().out
+    written = wio.load_control_output(tmp_path / "capped" / "controlOutput.json")
+    assert written["terminationReason"] == "max_iter"
+    assert capped.startswith("iters=25 ")
+    assert " termination=max_iter " in capped
+    gap_rel = float(capped.split(" gap_rel=")[1].split()[0])
+    assert gap_rel > doc["tol"]
+    [record] = [r for r in caplog.records if r.name == "watermpc"]
+    assert record.levelno == logging.WARNING
+    assert "termination 'max_iter' after 25 iterations" in record.getMessage()
+    assert f"relative duality gap {gap_rel:.3g}" in record.getMessage()
+    # A certified solve reports it and warns of nothing.
+    assert " termination=converged " in plain
+    tol = json.loads((demo / FILES["config"]).read_text())["tol"]
+    assert float(plain.split(" gap_rel=")[1].split()[0]) <= tol
 
 
 def test_simulate_nominal_prices_runs_the_loop_on_zeroed_price_errors(demo, tmp_path):

@@ -129,15 +129,17 @@ class TestDualityGap:
         from watermpc.solver import SolverConfig, solve
 
         inst = make_instance(rng, horizon=2, max_nodes=8)
-        # Each call of the solver's conjugate prox yields the next dual iterate.
+        # Each call of the solver's conjugate prox yields the next dual
+        # iterate, in a buffer the solve writes again later.
         iterates = []
-        real = watermpc.solver.prox_g_conjugate
+        real = watermpc.solver.prox_into
 
         def recorded(*args):
-            iterates.append(real(*args))
-            return iterates[-1]
+            out = real(*args)
+            iterates.append(out.copy())
+            return out
 
-        monkeypatch.setattr(watermpc.solver, "prox_g_conjugate", recorded)
+        monkeypatch.setattr(watermpc.solver, "prox_into", recorded)
         res = solve(inst, SolverConfig(max_iter=512, tol=1e-30))
         primal = primal_objective(inst, project_primal_feasible(inst, res.primal_avg))
         assert primal == pytest.approx(res.objective, rel=1e-9)

@@ -5,10 +5,11 @@ import pytest
 
 import watermpc.solver
 from watermpc.demo import build_demo
-from watermpc.problem import ProblemInstance, apply_H
+from watermpc.problem import ProblemInstance, apply_H, rollout_inputs
 from watermpc.solver import (
     GAP_CHECK_EVERY,
     SolverConfig,
+    _dual_gradient_parts,
     _next_theta,
     dual_gradient,
     estimate_lipschitz,
@@ -49,13 +50,18 @@ def permute_within_stages(inst, rng):
     return ProblemInstance(inst.model, permuted, inst.weights, inst.p, inst.q)
 
 
-def net3_demo_instance():
-    """Step 0 of the net3 demo, seed 0, with the demo's solver config."""
-    bundle = build_demo("net3", 0)
-    fc = bundle.forecaster(0)
+def demo_instance(kind, step=0):
+    """A step of a demo, seed 0, with the demo's solver config."""
+    bundle = build_demo(kind, 0, h_sim=step + 1)
+    fc = bundle.forecaster(step)
     tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
     inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
     return inst, bundle.solver
+
+
+def net3_demo_instance():
+    """Step 0 of the net3 demo, seed 0, with the demo's solver config."""
+    return demo_instance("net3")
 
 
 class TestFactorStep:
@@ -146,6 +152,34 @@ class TestDualGradient:
         y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
+
+    def test_tank1_demo_matches_oracle(self, rng):
+        # The deepest bundled tree: 24 stages, one-to-one after branching.
+        inst, _ = demo_instance("tank1")
+        assert inst.tree.horizon == 24
+        assert inst.child_groups[-1] is None
+        cache = factor_step(inst)
+        y = rng.standard_normal(inst.dual_shape)
+        z, _ = dual_gradient(cache, inst, y)
+        assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
+    def test_sweep_states_are_the_rollout_of_its_inputs(self, rng, kind):
+        inst, _ = demo_instance(kind)
+        y = rng.standard_normal(inst.dual_shape)
+        U, X = _dual_gradient_parts(factor_step(inst), inst, y)
+        np.testing.assert_allclose(
+            X, rollout_inputs(inst, U), rtol=0, atol=1e-13 * (1 + np.abs(X).max())
+        )
+
+    def test_rebound_cache_gives_the_fresh_sweep(self, rng):
+        inst, _ = demo_instance("net3", step=1)
+        cache = factor_step(demo_instance("net3")[0])
+        y = rng.standard_normal(inst.dual_shape)
+        fresh = _dual_gradient_parts(factor_step(inst), inst, y)
+        rebound = _dual_gradient_parts(factor_step(inst, structure_from=cache), inst, y)
+        for a, b in zip(fresh, rebound):
+            np.testing.assert_array_equal(a, b)
 
     def test_affinity(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
@@ -492,15 +526,17 @@ class TestSolve:
 
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
-        # Every dual iterate leaves the solver's conjugate prox.
+        # Every dual iterate leaves the solver's conjugate prox, in a
+        # buffer the solve writes again later.
         iterates = []
-        real = watermpc.solver.prox_g_conjugate
+        real = watermpc.solver.prox_into
 
         def recorded(*args):
-            iterates.append(real(*args))
-            return iterates[-1]
+            out = real(*args)
+            iterates.append(out.copy())
+            return out
 
-        monkeypatch.setattr(watermpc.solver, "prox_g_conjugate", recorded)
+        monkeypatch.setattr(watermpc.solver, "prox_into", recorded)
         res = solve(inst, SolverConfig(max_iter=400, tol=1e-30), cache=cache)
         assert len(iterates) == 400
         # Weak duality: no dual value exceeds the certified primal value.
