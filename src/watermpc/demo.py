@@ -284,6 +284,8 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if h_sim < 1:
+        raise ValueError(f"h_sim must be at least 1, got {h_sim}")
     topology, demand_scale, energy, x0 = _BUILDERS[kind]()
     horizon, branching, n_scenarios = _SIZES[kind]
 

@@ -495,19 +495,22 @@ def _terminations(doc: dict, h: int) -> np.ndarray:
 
 
 def load_simlog(path: str | Path) -> SimulationLog:
+    """The log of a closed-loop run; ``u`` sets the step count and the
+    input width, ``x`` the tank count, and every other array must agree."""
     doc = load_document(path)
     u = _array(doc, "u", None, None)
-    h = u.shape[0]
+    h, n_inputs = u.shape
+    x = _array(doc, "x", h + 1, None)
     return SimulationLog(
-        x=_array(doc, "x", h + 1, None),
+        x=x,
         u=u,
         demand=_array(doc, "demand", h, None),
-        price=_array(doc, "price", h, None),
+        price=_array(doc, "price", h, n_inputs),
         solve_time_s=_array(doc, "solveTimeS", h),
         iterations=_int_vector(doc, "iterations", h, counts=True),
         primal_residual=_array(doc, "primalResidual", h),
-        alpha0=_array(doc, "alpha0", None),
-        x_safe=_array(doc, "xsafe", None),
+        alpha0=_array(doc, "alpha0", n_inputs),
+        x_safe=_array(doc, "xsafe", x.shape[1]),
         coupling_residual=_array(doc, "couplingResidual", h),
         termination=_terminations(doc, h),
     )

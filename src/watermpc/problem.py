@@ -46,16 +46,17 @@ class CostWeights:
     w_x: float
 
     def __post_init__(self) -> None:
-        if self.w_alpha <= 0:
-            raise ValueError("w_alpha must be positive")
+        # The chained comparisons also reject nan.
+        if not 0 < self.w_alpha < np.inf:
+            raise ValueError("w_alpha must be positive and finite")
         # Zero soft-penalty weights are permitted for diagnostics.
-        if self.w_s < 0:
-            raise ValueError("w_s must be nonnegative")
-        if self.w_x < 0:
-            raise ValueError("w_x must be nonnegative")
+        if not 0 <= self.w_s < np.inf:
+            raise ValueError("w_s must be nonnegative and finite")
+        if not 0 <= self.w_x < np.inf:
+            raise ValueError("w_x must be nonnegative and finite")
         if np.isscalar(self.w_u) or np.ndim(self.w_u) == 0:
-            if float(self.w_u) <= 0:
-                raise ValueError("w_u must be positive")
+            if not 0 < float(self.w_u) < np.inf:
+                raise ValueError("w_u must be positive and finite")
         else:
             self.w_u = np.asarray(self.w_u, float)
             _check_spd(self.w_u, "w_u")
@@ -73,6 +74,8 @@ class CostWeights:
 def _check_spd(mat: np.ndarray, name: str) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     if not np.allclose(mat, mat.T, rtol=1e-10, atol=0):
         raise ValueError(f"{name} must be symmetric")
     try:
@@ -102,12 +105,14 @@ class ProblemInstance:
     demand: np.ndarray = field(init=False, repr=False)
     price: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
-    parent_rows: list[slice | np.ndarray | None] = field(init=False, repr=False)
+    parent_rows: list[slice | np.ndarray] = field(init=False, repr=False)
     child_groups: list[tuple[slice | np.ndarray, np.ndarray] | None] = field(
         init=False, repr=False
     )
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
+    inv_prob: np.ndarray = field(init=False, repr=False)
+    two_prob: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, float)
@@ -133,26 +138,22 @@ class ProblemInstance:
 
         # Per non-root-node rows: node i lives at row i - 1.
         self.prob = tree.prob[1:].copy()
-        self.anc_row = tree.anc[1:] - 1  # -1 marks a stage-1 node (root parent)
+        self.anc_row = tree.anc[1:] - 1  # -1: the root, a sweep's extra last row
         self.demand = tree.demand[1:].copy()
         self.price = tree.price[1:].copy()
-        stages = tree.stage[1:]
-        self.stage_slices = []
-        start = 0
-        for j in range(1, tree.horizon + 1):
-            count = int(np.count_nonzero(stages == j))
-            self.stage_slices.append(slice(start, start + count))
-            start += count
-        # Child-to-parent maps of stages 2..H for the stage sweeps; entry 0
-        # (stage 1, whose parent is the root) is None. parent_rows[j] indexes
-        # each row's parent: the previous stage's slice, a view, when every
-        # node is its parent's only child in order, else the ancestor rows.
-        # child_groups[j] = (order, starts) for np.add.reduceat: order groups
-        # the rows by parent (a plain view when breadth-first numbering
-        # already does) and starts opens each group; None when one to one,
-        # as there is nothing to sum. Every node before the last stage has
-        # a child, so group i belongs to the i-th row of the previous stage.
-        self.parent_rows = [None]
+        ends = np.cumsum(tree.nodes_per_stage[1:]).tolist()
+        self.stage_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        # Child-to-parent maps for the stage sweeps. parent_rows[j] indexes
+        # each row's parent: the root row slice(-1, None) at stage 1, the
+        # previous stage's slice, a view, when every node is its parent's
+        # only child in order, else the ancestor rows. child_groups[j] =
+        # (order, starts) for np.add.reduceat: order groups the rows by
+        # parent (a plain view when breadth-first numbering already does)
+        # and starts opens each group; None at stage 1, whose sums go to
+        # the root, and when one to one, as there is nothing to sum. Every
+        # node before the last stage has a child, so group i belongs to the
+        # i-th row of the previous stage.
+        self.parent_rows = [slice(-1, None)]
         self.child_groups = [None]
         for prev, sl in zip(self.stage_slices, self.stage_slices[1:]):
             parents = self.anc_row[sl]
@@ -167,9 +168,12 @@ class ProblemInstance:
             else:
                 self.parent_rows.append(parents)
                 self.child_groups.append((order, starts))
-        # Hot-path constants: per-node demand inflow term and economic cost rows.
+        # Hot-path constants: per-node demand inflow term, economic cost rows
+        # and the sweep's probability columns.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
+        self.inv_prob = (1.0 / self.prob)[:, None]
+        self.two_prob = (2.0 * self.prob)[:, None]
 
     @property
     def n_nonroot(self) -> int:
@@ -204,12 +208,6 @@ class ProblemInstance:
         nt = self.model.n_tanks
         return Y[:, :nt], Y[:, nt:2 * nt], Y[:, 2 * nt:]
 
-    def ancestor_inputs(self, U: np.ndarray) -> np.ndarray:
-        """Per row, the ancestor node's input (the measured q at stage 1)."""
-        out = U[self.anc_row]
-        out[self.anc_row < 0] = self.q
-        return out
-
 
 def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
     """States produced by the node dynamics for given per-node inputs."""
@@ -217,11 +215,10 @@ def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
     n = instance.n_nonroot
     if U.shape != (n, m.n_inputs):
         raise ValueError(f"inputs must have shape {(n, m.n_inputs)}")
-    X = U @ m.B.T + instance.demand_gd
-    for j, sl in enumerate(instance.stage_slices):
-        x_prev = instance.p[None, :] if j == 0 else X[instance.parent_rows[j]]
-        X[sl] += x_prev @ m.A.T
-    return X
+    X = np.vstack([U @ m.B.T + instance.demand_gd, instance.p])  # root row last
+    for sl, parents in zip(instance.stage_slices, instance.parent_rows):
+        X[sl] += X[parents] @ m.A.T
+    return X[:-1]
 
 
 def restore_feasible_inputs(
@@ -270,7 +267,7 @@ def restore_feasible_inputs(
 def smooth_cost(instance: ProblemInstance, U: np.ndarray) -> float:
     """Probability-weighted economic plus input-increment cost of inputs U,
     ignoring the domain indicators of f."""
-    du = U - instance.ancestor_inputs(U)
+    du = U - np.vstack([U, instance.q])[instance.anc_row]
     price_term = (instance.econ * U).sum(axis=1)
     # One BLAS product, then a row-wise dot: a three-operand einsum loops
     # in C without BLAS and cost 10x more on net10.

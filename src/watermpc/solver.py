@@ -19,11 +19,11 @@ d_i of one bundled demo tree span three to six orders of magnitude
 (net10: 488 to 2.5e8), so a single scalar step, set by the stiffest node,
 crawls everywhere else.
 
-An ergodic primal average with weights proportional to 1/theta carries
-the accelerated convergence rate, while the last iterate often converges
-well before it. The certificate restores both to feasibility, prices
-them, and keeps the cheaper; the reported control action and primal come
-from that candidate.
+An ergodic average of the primal inputs with weights proportional to
+1/theta carries the accelerated convergence rate, while the last iterate
+often converges well before it. The certificate restores both to
+feasibility, prices them, and keeps the cheaper; the reported control
+action and primal come from that candidate's inputs and their rollout.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
@@ -51,6 +51,8 @@ step-scaled bounds once, and each iteration works in place on them.
 
 from __future__ import annotations
 
+import dataclasses
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -94,10 +96,12 @@ class SolverConfig:
     tol: float = 5e-2
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # also rejects nan
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass
@@ -105,8 +109,9 @@ class SolverResult:
     """Control action plus the certified primal and final dual for diagnostics.
 
     ``primal_avg`` is the primal candidate the certificate priced, before
-    feasibility restoration: the ergodic average or the last iterate,
-    whichever restored to the lower primal value. ``u0``,
+    feasibility restoration: the inputs of the ergodic average or of the
+    last iterate, whichever restored to the lower primal value, with the
+    states they roll out to. ``u0``,
     ``primal_residual`` (its input-box violation), ``objective`` and
     ``duality_gap`` all come from it. ``gamma`` holds the dual step of
     each non-root node, and ``dual`` the last dual iterate as rows of
@@ -136,7 +141,8 @@ class FactorCache:
     only on the model matrices, the input weight and the tree topology
     with its probabilities; the per-node input offset (built from the
     coupling's particular solution and the cost row) also depends on node
-    demand and price values and is rebuilt cheaply per instance.
+    demand and price values and is rebuilt cheaply per instance, in a copy
+    that shares every other member.
 
     ``carry_in`` and ``carry_up`` are the backward pass's products on its
     carry rows, and ``fwd`` the forward pass's per-stage rollout (see
@@ -151,8 +157,6 @@ class FactorCache:
     carry_in: np.ndarray              # [I; B]
     carry_up: np.ndarray              # [[0, A], [-W_u, 0]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
-    inv_prob: np.ndarray              # 1 / p per node, a column
-    two_prob: np.ndarray              # 2 p per node, a column
     lipschitz: float | None = None    # scaled curvature bound L_D, set by estimate_lipschitz
     hess_diag: np.ndarray | None = None  # per-node d_i, set with lipschitz
     signature: tuple = field(default=(), repr=False)
@@ -195,14 +199,10 @@ def factor_step(
     """
     m = instance.model
     sig = _structure_signature(instance)
-
     if structure_from is not None:
         if structure_from.signature != sig:
             raise ValueError("cached factors were built for a different structure")
-        c = structure_from
-        basis, e_pinv, t_mat, lam, fwd = c.null_basis, c.e_pinv, c.t_mat, c.lam, c.fwd
-        carry_in, carry_up, inv_prob, two_prob = c.carry_in, c.carry_up, c.inv_prob, c.two_prob
-        lipschitz, hess_diag = c.lipschitz, c.hess_diag
+        structural = structure_from
     else:
         basis, e_pinv = _null_space(m.E, m.n_inputs)
         check = m.E @ basis
@@ -233,16 +233,22 @@ def factor_step(
             pi_s = 0.5 * (pi_s + pi_s.T)
             lam[s - 1], t_mat[s - 1] = lam_s, t_s
             fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
-        carry_in = np.vstack([np.eye(m.n_inputs), m.B])
-        carry_up = np.block([[zero_xu, m.A], [-wu, zero_xu.T]])
-        inv_prob = (1.0 / instance.prob)[:, None]
-        two_prob = (2.0 * instance.prob)[:, None]
-        lipschitz = hess_diag = None
+        structural = FactorCache(
+            null_basis=basis,
+            e_pinv=e_pinv,
+            e_offset=np.empty((0, m.n_inputs)),  # the instance's, set below
+            t_mat=t_mat,
+            lam=lam,
+            carry_in=np.vstack([np.eye(m.n_inputs), m.B]),
+            carry_up=np.block([[zero_xu, m.A], [-wu, zero_xu.T]]),
+            fwd=fwd,
+            signature=sig,
+        )
 
     # Particular solutions of E u = -Ed d per node, least-norm flavor.
     if m.n_mixing > 0:
         rhs = instance.demand @ m.Ed.T
-        u_part = -(rhs @ e_pinv.T)
+        u_part = -(rhs @ structural.e_pinv.T)
         resid = np.abs(u_part @ m.E.T + rhs)
         scale = 1e-9 * (1.0 + np.abs(rhs))
         bad = np.nonzero(np.any(resid > scale, axis=1))[0]
@@ -256,25 +262,9 @@ def factor_step(
     # Dual-independent part of the per-node input offset:
     # (I - T_s Lam_s) u_part - T_s * (economic cost row).
     e_offset = np.empty_like(u_part)
-    for s, sl in enumerate(instance.stage_slices, start=1):
-        t_s, lam_s = t_mat[s - 1], lam[s - 1]
+    for sl, t_s, lam_s in zip(instance.stage_slices, structural.t_mat, structural.lam):
         e_offset[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
-
-    return FactorCache(
-        null_basis=basis,
-        e_pinv=e_pinv,
-        e_offset=e_offset,
-        t_mat=t_mat,
-        lam=lam,
-        carry_in=carry_in,
-        carry_up=carry_up,
-        fwd=fwd,
-        inv_prob=inv_prob,
-        two_prob=two_prob,
-        lipschitz=lipschitz,
-        hess_diag=hess_diag,
-        signature=sig,
-    )
+    return dataclasses.replace(structural, e_offset=e_offset)
 
 
 def _dual_gradient_parts(
@@ -295,27 +285,28 @@ def _dual_gradient_parts(
     ``[[0, A], [-W_u, 0]]`` adds them into the parents' ``[r, w]``.
 
     The forward pass rolls out inputs and states together: the rows start
-    at ``[e, e B' + Gd d]``, and each stage adds its parent's row, ``[q, p]``
-    at the root, times ``[[D_s', D_s' B'], [0, A']]``.
+    at ``[e, e B' + Gd d]``, and each stage adds its parent's row times
+    ``[[D_s', D_s' B'], [0, A']]``; the root's row ``[q, p]`` is the last.
     """
     m = instance.model
+    n = instance.n_nonroot
     nu, nt = m.n_inputs, m.n_tanks
     k = nu + nt
     slices = instance.stage_slices
-    Z = np.empty((instance.n_nonroot, k + nu))
+    Z = np.empty((n, k + nu))
     Z[:, :nu] = 0.0
     np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:k])
     Yu = y[:, 2 * nt:]
-    P = np.empty((instance.n_nonroot, k))
-    U, X = P[:, :nu], P[:, nu:]
+    P = np.empty((n + 1, k))
+    U, X = P[:n, :nu], P[:n, nu:]
     for s in range(instance.tree.horizon, 0, -1):
         sl = slices[s - 1]
         lin = Z[sl, :k] @ cache.carry_in
         lin += Yu[sl]
-        lin *= cache.inv_prob[sl]
+        lin *= instance.inv_prob[sl]
         np.subtract(cache.e_offset[sl], lin @ cache.t_mat[s - 1], out=U[sl])
-        if s > 1:
-            np.multiply(U[sl], cache.two_prob[sl], out=Z[sl, k:])
+        if s > 1:  # carries into the root would go unused
+            np.multiply(U[sl], instance.two_prob[sl], out=Z[sl, k:])
             rows = Z[sl, nu:]
             groups = instance.child_groups[s - 1]
             if groups is not None:
@@ -325,9 +316,9 @@ def _dual_gradient_parts(
 
     np.matmul(U, m.B.T, out=X)
     X += instance.demand_gd
-    P[slices[0]] += np.concatenate([instance.q, instance.p]) @ cache.fwd[0]
-    for s in range(2, instance.tree.horizon + 1):
-        P[slices[s - 1]] += P[instance.parent_rows[s - 1]] @ cache.fwd[s - 1]
+    P[n, :nu], P[n, nu:] = instance.q, instance.p
+    for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
+        P[sl] += P[parents] @ fwd
     return U, X
 
 
@@ -365,7 +356,7 @@ def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarr
     ``Sigma_i = N (N' 2 W_u N)^-1 N' / p_i`` (N the coupling null basis).
     One forward stage pass gives each node's input covariance P, state-input
     covariance C and state covariance V from its parent's (zero at the
-    root, whose input and state are fixed):
+    root, whose input and state are fixed, in an extra last row):
 
         P_i = P_a + Sigma_i
         C_i = A C_a + B P_i
@@ -377,26 +368,20 @@ def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarr
     basis = cache.null_basis
     core = basis @ np.linalg.solve(basis.T @ (2.0 * instance.wu) @ basis, basis.T)
     n = instance.n_nonroot
-    P = np.empty((n, m.n_inputs, m.n_inputs))
-    C = np.empty((n, m.n_tanks, m.n_inputs))
-    V = np.empty((n, m.n_tanks, m.n_tanks))
-    for j, sl in enumerate(instance.stage_slices):
-        P[sl] = core / instance.prob[sl, None, None]
-        if j == 0:
-            C[sl] = m.B @ P[sl]
-            V[sl] = C[sl] @ m.B.T
-        else:
-            parents = instance.parent_rows[j]
-            P[sl] += P[parents]
-            AC = m.A @ C[parents]
-            C[sl] = AC + m.B @ P[sl]
-            cross = AC @ m.B.T
-            V[sl] = (
-                m.A @ V[parents] @ m.A.T + cross + cross.transpose(0, 2, 1)
-                + m.B @ P[sl] @ m.B.T
-            )
-    diag_v = np.diagonal(V, axis1=1, axis2=2)
-    diag_p = np.diagonal(P, axis1=1, axis2=2)
+    P = np.zeros((n + 1, m.n_inputs, m.n_inputs))
+    C = np.zeros((n + 1, m.n_tanks, m.n_inputs))
+    V = np.zeros((n + 1, m.n_tanks, m.n_tanks))
+    for sl, parents in zip(instance.stage_slices, instance.parent_rows):
+        P[sl] = core / instance.prob[sl, None, None] + P[parents]
+        AC = m.A @ C[parents]
+        C[sl] = AC + m.B @ P[sl]
+        cross = AC @ m.B.T
+        V[sl] = (
+            m.A @ V[parents] @ m.A.T + cross + cross.transpose(0, 2, 1)
+            + m.B @ P[sl] @ m.B.T
+        )
+    diag_v = np.diagonal(V[:n], axis1=1, axis2=2)
+    diag_p = np.diagonal(P[:n], axis1=1, axis2=2)
     return np.maximum(diag_v.max(axis=1), diag_p.max(axis=1))
 
 
@@ -501,7 +486,6 @@ def solve(
     scratch_u, scratch_x = np.empty((n, m.n_inputs)), np.empty((n, m.n_tanks))
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
-    X_avg = np.zeros((n, m.n_tanks))
     iterations = config.max_iter
     termination = "max_iter"
 
@@ -515,11 +499,11 @@ def solve(
             instance, np.concatenate([x_f, x_f, u_f], axis=1)
         )
 
-    def certificate() -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+    def certificate() -> tuple[float, float, np.ndarray]:
         """Duality gap against y of the better of the average and the last
-        iterate, with its primal value and the candidate itself."""
-        candidates = ((U_avg, X_avg), (U, X))
-        values = [restored_value(U_c) for U_c, _ in candidates]
+        iterate, with its primal value and the candidate's inputs."""
+        candidates = (U_avg, U)
+        values = [restored_value(U_c) for U_c in candidates]
         best = int(np.argmin(values))
         _, inner = dual_gradient(cache, instance, y)
         dual_value = inner - g_conjugate_value(instance, y)
@@ -540,8 +524,6 @@ def solve(
 
         U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U
         U_avg += np.multiply(theta, U, out=scratch_u)
-        X_avg *= 1.0 - theta
-        X_avg += np.multiply(theta, X, out=scratch_x)
 
         dual_change = float(np.abs(np.subtract(y_next, y, out=w), out=w).max())
         if not np.isfinite(dual_change):
@@ -551,14 +533,14 @@ def solve(
         theta_prev, theta = theta, _next_theta(theta)
 
         if (nu + 1) % GAP_CHECK_EVERY == 0:
-            gap, objective, (U_c, X_c) = certificate()
+            gap, objective, U_c = certificate()
             if gap <= config.tol * (1.0 + abs(objective)):
                 iterations = nu + 1
                 termination = "converged"
                 break
 
     if termination == "max_iter" and config.max_iter % GAP_CHECK_EVERY:
-        gap, objective, (U_c, X_c) = certificate()  # the last iteration ran none
+        gap, objective, U_c = certificate()  # the last iteration ran none
     elapsed = time.perf_counter() - started
 
     sl1 = instance.stage_slices[0]
@@ -566,7 +548,7 @@ def solve(
     u0 = np.clip(u0, m.u_min, m.u_max)
     return SolverResult(
         u0=u0,
-        primal_avg=instance.join_primal(U_c, X_c),
+        primal_avg=instance.join_primal(U_c, rollout_inputs(instance, U_c)),
         dual=y,
         iterations=iterations,
         termination=termination,

@@ -9,6 +9,7 @@ import pytest
 
 import watermpc.io as wio
 from watermpc.cli import main
+from watermpc.demo import build_demo
 from watermpc.forecast import ForecastSeries
 from watermpc.problem import ProblemInstance
 from watermpc.simulate import (
@@ -244,6 +245,12 @@ def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):
     assert main(["generate-demo", "--kind", "tank1", "--seed", "-1", "--out", str(out)]) == 1
     assert "error: seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("h_sim", [0, -1])
+def test_build_demo_rejects_a_non_positive_step_count(h_sim):
+    with pytest.raises(ValueError, match=f"^h_sim must be at least 1, got {h_sim}$"):
+        build_demo("tank1", seed=0, h_sim=h_sim)
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -371,6 +371,29 @@ class TestErrorPaths:
         assert err.value.pointer == f"/iterations/{index}"
         assert str(err.value).endswith(message)
 
+    @pytest.mark.parametrize("key, value, shape", [
+        ("price", [[0.1]] * 2, "(2, 3), got (2, 1)"),
+        ("price", [[0.1] * 4] * 2, "(2, 3), got (2, 4)"),
+        ("alpha0", [0.01], "(3,), got (1,)"),
+        ("xsafe", [5.0], "(2,), got (1,)"),
+    ])
+    def test_simlog_widths_must_agree(self, tmp_path, key, value, shape):
+        from watermpc.simulate import SimulationLog
+
+        log = SimulationLog(
+            x=np.zeros((3, 2)), u=np.zeros((2, 3)), demand=np.zeros((2, 1)),
+            price=np.zeros((2, 3)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
+            primal_residual=np.zeros(2), alpha0=np.zeros(3), x_safe=np.zeros(2),
+            coupling_residual=np.zeros(2),
+        )
+        wio.save_simlog(log, tmp_path / "l.json")
+        doc = json.loads((tmp_path / "l.json").read_text())
+        doc[key] = value
+        (tmp_path / "l.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_simlog(tmp_path / "l.json")
+        assert str(err.value) == f"/{key}: expected shape {shape}"
+
     @pytest.mark.parametrize("key, edit", [
         ("forecastPrice", lambda t: t[:1]),
         ("forecastPrice", lambda t: [step[:-1] for step in t]),

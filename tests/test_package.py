@@ -6,11 +6,14 @@ which zeroes that layer's metric instead of failing. Most tests here read
 its sources, without running them, so removing such a name fails here;
 the last one runs its certificate check and layer microbenchmarks on one
 solve, so a changed signature of a function it calls fails here too.
+Installing the package pulls in numpy alone, so one test holds its
+imports to the standard library and numpy.
 """
 
 import ast
 import importlib
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from watermpc.solver import solve
 from watermpc.tree import attach_forecast
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(watermpc.__file__).resolve().parent
 
 
 def _module_tuple(path: Path, name: str) -> tuple:
@@ -54,6 +58,23 @@ def _package_attributes() -> set[tuple[str, str]]:
             and node.value.id in aliases
         }
     return used
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "watermpc"}
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0], path.name)
+    assert "numpy" in found
+    assert {top: where for top, where in found.items() if top not in allowed} == {}
 
 
 def test_every_export_resolves():

@@ -91,6 +91,19 @@ class TestDimensions:
         with pytest.raises(ValueError, match="positive definite"):
             CostWeights(w_alpha=1.0, w_u=np.array([[1.0, 2.0], [2.0, 1.0]]), w_s=1.0, w_x=1.0)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("w_alpha", np.nan, "w_alpha must be positive and finite"),
+        ("w_alpha", np.inf, "w_alpha must be positive and finite"),
+        ("w_u", np.nan, "w_u must be positive and finite"),
+        ("w_u", np.array([[1.0, 0.0], [0.0, np.inf]]), "w_u must be finite"),
+        ("w_s", np.inf, "w_s must be nonnegative and finite"),
+        ("w_x", np.nan, "w_x must be nonnegative and finite"),
+    ])
+    def test_non_finite_weight_rejected_by_name(self, name, value, message):
+        weights = {"w_alpha": 1.0, "w_u": 1.0, "w_s": 1.0, "w_x": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{message}"):
+            CostWeights(**weights)
+
 
 class TestEvalF:
     def test_constant_input_has_zero_increment_cost(self, rng):

@@ -1,5 +1,7 @@
 """Tests for the factor step, dual gradient and the accelerated solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,17 @@ class TestFactorStep:
         z_tree, _ = dual_gradient(cache2, inst2, y)
         z_dense = dense_kkt_solve(inst2, y)
         assert rel_err(z_tree, z_dense) <= 1e-8
+
+    def test_rebind_shares_every_member_but_the_offset(self):
+        inst, _ = demo_instance("net3")
+        inst2, _ = demo_instance("net3", step=1)  # same tree, next forecast
+        cache = factor_step(inst)
+        estimate_lipschitz(cache, inst)
+        rebound = factor_step(inst2, structure_from=cache)
+        for f in dataclasses.fields(cache):
+            if f.name != "e_offset":
+                assert getattr(rebound, f.name) is getattr(cache, f.name), f.name
+        assert not np.array_equal(rebound.e_offset, cache.e_offset)
 
 
 class TestDualGradient:
@@ -342,6 +355,23 @@ class TestThetaRecursion:
         assert float(resid.max()) <= 1e-14
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": np.nan}, "tol must be positive and finite"),
+    ({"tol": np.inf}, "tol must be positive and finite"),
+    ({"tol": 0.0}, "tol must be positive and finite"),
+    ({"max_iter": 2.5}, "max_iter must be an integer"),
+    ({"max_iter": True}, "max_iter must be an integer"),
+    ({"max_iter": 0}, "max_iter must be at least 1"),
+])
+def test_solver_config_names_the_rejected_field(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_takes_a_numpy_integer():
+    assert SolverConfig(max_iter=np.int64(50)).max_iter == 50
+
+
 class TestSolve:
     @pytest.fixture
     def smooth_cost_calls(self, monkeypatch):
@@ -471,10 +501,8 @@ class TestSolve:
             assert res.objective == pytest.approx(values[best], rel=1e-12)
             U_c, X_c = inst.split_primal(res.primal_avg)
             np.testing.assert_array_equal(U_c, last[best])
-            # The candidate's states are its inputs' rollout, up to rounding.
-            np.testing.assert_allclose(
-                X_c, rollout_inputs(inst, U_c), rtol=0, atol=1e-9 * (1 + np.abs(X_c).max())
-            )
+            # The candidate's states are its inputs' rollout.
+            np.testing.assert_array_equal(X_c, rollout_inputs(inst, U_c))
             sl = inst.stage_slices[0]
             np.testing.assert_array_equal(
                 res.u0, np.clip(inst.prob[sl] @ U_c[sl], inst.model.u_min, inst.model.u_max)
