@@ -16,12 +16,7 @@ from .network import (
     TopologyError,
     build_lti,
 )
-from .problem import (
-    CostWeights,
-    ProblemInstance,
-    apply_H,
-    prox_g_conjugate,
-)
+from .problem import CostWeights, ProblemInstance
 from .simulate import (
     SimulationConfig,
     SimulationLog,
@@ -67,7 +62,6 @@ __all__ = [
     "SolverResult",
     "Tank",
     "TopologyError",
-    "apply_H",
     "attach_forecast",
     "build_lti",
     "dual_gradient",
@@ -76,7 +70,6 @@ __all__ = [
     "kpi_complexity",
     "kpi_economic",
     "kpi_safety",
-    "prox_g_conjugate",
     "reduce_fan_to_tree",
     "run_closed_loop",
     "solve",

@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as wio
 from .demo import DEMO_KINDS, build_demo, write_demo
 from .forecast import ForecastSeries
@@ -25,16 +23,23 @@ from .solver import solve as solve_instance
 from .tree import attach_forecast, reduce_fan_to_tree, zero_price_errors
 
 
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
-
-
-def _add_nominal_prices(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--nominal-prices",
-        action="store_true",
-        help="ignore price uncertainty (certainty-equivalent prices)",
-    )
+# The documents each of these commands reads, in the order it loads them.
+# Each is given by the flag of the same name.
+DOCUMENTS = {
+    "validate": ("network", "tree", "forecast", "config", "state"),
+    "solve": ("network", "tree", "forecast", "config", "state"),
+    "simulate": ("network", "tree", "config", "state", "realizations"),
+}
+# Names of the watermpc.io loaders, not the functions: each is looked up on
+# the module when called, so a wrapper installed there sees every load.
+LOADERS = {
+    "network": "load_network",
+    "tree": "load_tree",
+    "forecast": "load_forecast",
+    "config": "load_controller_config",
+    "state": "load_state",
+    "realizations": "load_realizations",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,106 +50,91 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check documents and their cross-consistency")
-    p_val.add_argument("--network", type=Path)
-    p_val.add_argument("--tree", type=Path)
-    p_val.add_argument("--forecast", type=Path)
-    p_val.add_argument("--config", type=Path)
-    p_val.add_argument("--state", type=Path)
-
     p_solve = sub.add_parser("solve", help="compute one control action")
-    p_solve.add_argument("--network", type=Path, required=True)
-    p_solve.add_argument("--tree", type=Path, required=True)
-    p_solve.add_argument("--forecast", type=Path, required=True)
-    p_solve.add_argument("--config", type=Path, required=True)
-    p_solve.add_argument("--state", type=Path, required=True)
-    _add_out(p_solve)
-    _add_nominal_prices(p_solve)
-
     p_sim = sub.add_parser("simulate", help="closed-loop run with KPI summary")
-    p_sim.add_argument("--network", type=Path, required=True)
-    p_sim.add_argument("--tree", type=Path, required=True)
-    p_sim.add_argument("--realizations", type=Path, required=True)
-    p_sim.add_argument("--config", type=Path, required=True)
-    p_sim.add_argument("--state", type=Path, required=True)
+    for command, p in (("validate", p_val), ("solve", p_solve), ("simulate", p_sim)):
+        for name in DOCUMENTS[command]:
+            p.add_argument(f"--{name}", type=Path, required=command != "validate")
     p_sim.add_argument("--steps", type=int, default=168, help="simulation horizon H_s")
-    _add_out(p_sim)
-    _add_nominal_prices(p_sim)
 
     p_red = sub.add_parser("reduce", help="reduce a scenario fan to a tree")
     p_red.add_argument("--fan", type=Path, required=True)
     p_red.add_argument(
         "--branching", type=str, required=True, help="comma-separated branch counts"
     )
-    _add_out(p_red)
 
     p_demo = sub.add_parser("generate-demo", help="write a bundled demo file set")
     p_demo.add_argument("--kind", choices=DEMO_KINDS, required=True)
     p_demo.add_argument("--seed", type=int, default=0, help="random seed")
-    _add_out(p_demo)
+
+    for p in (p_solve, p_sim, p_red, p_demo):
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    for p in (p_solve, p_sim):
+        p.add_argument(
+            "--nominal-prices",
+            action="store_true",
+            help="ignore price uncertainty (certainty-equivalent prices)",
+        )
     return parser
 
 
-def _cmd_validate(args) -> int:
-    diagnostics: list[str] = []
-    horizon = weights = None
-    loaded_any = False
+def _load(args, failures: list[str] | None = None) -> tuple[dict, list[str]]:
+    """Load the command's documents by flag name and cross-check them.
 
-    def attempt(path, loader):
-        nonlocal loaded_any
+    A document that fails to load raises, unless a ``failures`` list is
+    given: then its error is appended there and the document left out.
+    Returns the documents and every problem found, failures first; each
+    problem is also printed to stderr. Without problems, ``--nominal-prices``
+    replaces the tree by its copy with zero price errors.
+    """
+    docs = {}
+    for name in DOCUMENTS[args.command]:
+        path = getattr(args, name)
         if path is None:
-            return None
-        loaded_any = True
+            continue
         try:
-            return loader(path)
+            docs[name] = getattr(wio, LOADERS[name])(path)
         except (SchemaError, OSError) as exc:
-            diagnostics.append(f"{path}: {exc}")
-            return None
+            if failures is None:
+                raise
+            failures.append(f"{path}: {exc}")
+    horizon, weights, _ = docs.get("config", (None, None, None))
+    problems = (failures or []) + wio.cross_validate(
+        model=docs.get("network"),
+        tree=docs.get("tree"),
+        forecast=docs.get("forecast"),
+        horizon=horizon,
+        weights=weights,
+        state=docs.get("state"),
+    )
+    for line in problems:
+        print(line, file=sys.stderr)
+    if not problems and getattr(args, "nominal_prices", False):
+        docs["tree"] = zero_price_errors(docs["tree"])
+    return docs, problems
 
-    model = attempt(args.network, wio.load_network)
-    tree = attempt(args.tree, wio.load_tree)
-    forecast = attempt(args.forecast, wio.load_forecast)
-    cfg = attempt(args.config, wio.load_controller_config)
-    state = attempt(args.state, wio.load_state)
-    if cfg is not None:
-        horizon, weights, _ = cfg
-    if not loaded_any:
+
+def _cmd_validate(args) -> int:
+    if all(getattr(args, name) is None for name in DOCUMENTS["validate"]):
         print("error: no documents given", file=sys.stderr)
         return 2
-    diagnostics.extend(
-        wio.cross_validate(
-            model=model,
-            tree=tree,
-            forecast=forecast,
-            horizon=horizon,
-            weights=weights,
-            state=state,
-        )
-    )
-    for line in diagnostics:
-        print(line, file=sys.stderr)
-    print("ok" if not diagnostics else f"{len(diagnostics)} problem(s) found")
-    return 0 if not diagnostics else 1
+    _, problems = _load(args, failures=[])
+    print("ok" if not problems else f"{len(problems)} problem(s) found")
+    return 0 if not problems else 1
 
 
 def _cmd_solve(args) -> int:
-    model = wio.load_network(args.network)
-    tree = wio.load_tree(args.tree)
-    forecast = wio.load_forecast(args.forecast)
-    horizon, weights, solver_cfg = wio.load_controller_config(args.config)
-    x, u_prev, k = wio.load_state(args.state)
-    problems = wio.cross_validate(
-        model=model, tree=tree, forecast=forecast, horizon=horizon,
-        weights=weights, state=(x, u_prev, k),
-    )
+    docs, problems = _load(args)
     if problems:
-        for line in problems:
-            print(line, file=sys.stderr)
         return 1
-    if args.nominal_prices:
-        tree = zero_price_errors(tree)
-    tree = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
+    forecast = docs["forecast"]
+    _, weights, solver_cfg = docs["config"]
+    x, u_prev, k = docs["state"]
+    tree = attach_forecast(docs["tree"], forecast.d_hat, forecast.alpha_hat)
     try:
-        result = solve_instance(ProblemInstance(model, tree, weights, x, u_prev), solver_cfg)
+        result = solve_instance(
+            ProblemInstance(docs["network"], tree, weights, x, u_prev), solver_cfg
+        )
     except (RuntimeError, ValueError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
@@ -163,21 +153,12 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = wio.load_network(args.network)
-    tree = wio.load_tree(args.tree)
-    horizon, weights, solver_cfg = wio.load_controller_config(args.config)
-    x0, u_prev, _ = wio.load_state(args.state)
-    real = wio.load_realizations(args.realizations)
-    problems = wio.cross_validate(
-        model=model, tree=tree, horizon=horizon, weights=weights,
-        state=(x0, u_prev, 0),
-    )
+    docs, problems = _load(args)
     if problems:
-        for line in problems:
-            print(line, file=sys.stderr)
         return 1
-    if args.nominal_prices:
-        tree = zero_price_errors(tree)
+    horizon, weights, solver_cfg = docs["config"]
+    x0, u_prev, _ = docs["state"]
+    real = docs["realizations"]
     steps = args.steps
     fc_d, fc_p = real["forecastDemand"], real["forecastPrice"]
     if fc_d.shape[0] < steps or fc_d.shape[1] != horizon:
@@ -195,7 +176,9 @@ def _cmd_simulate(args) -> int:
         config = SimulationConfig(
             h_sim=steps, weights=weights, solver=solver_cfg, x0=x0, u_prev=u_prev
         )
-        log = run_closed_loop(model, tree, forecaster, real["demand"], real["price"], config)
+        log = run_closed_loop(
+            docs["network"], docs["tree"], forecaster, real["demand"], real["price"], config
+        )
     except (RuntimeError, ValueError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
@@ -249,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

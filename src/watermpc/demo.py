@@ -21,6 +21,7 @@ intensity, so price uncertainty touches pumps but not plain valves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,6 +285,8 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    if isinstance(h_sim, bool) or not isinstance(h_sim, numbers.Integral):
+        raise ValueError(f"h_sim must be an integer, got {h_sim!r}")
     if h_sim < 1:
         raise ValueError(f"h_sim must be at least 1, got {h_sim}")
     topology, demand_scale, energy, x0 = _BUILDERS[kind]()

@@ -10,6 +10,7 @@ model (no model mismatch), so the logged state recursion is exact.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,6 +45,8 @@ class SimulationConfig:
     u_prev: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.h_sim, bool) or not isinstance(self.h_sim, numbers.Integral):
+            raise ValueError(f"h_sim must be an integer, got {self.h_sim!r}")
         if self.h_sim < 1:
             raise ValueError("h_sim must be at least 1")
         self.x0 = np.asarray(self.x0, float)

@@ -85,8 +85,8 @@ class SolverConfig:
     """Iteration budget and termination tolerance.
 
     The only termination test is a duality-gap certificate, run every
-    ``GAP_CHECK_EVERY`` iterations: ``tol`` bounds the certified gap
-    relative to the objective. The per-node dual steps are not
+    ``GAP_CHECK_EVERY`` iterations and after the last: ``tol`` bounds the
+    certified gap relative to the objective. The per-node dual steps are not
     configurable: they follow from the instance (see
     :func:`estimate_lipschitz`). A rejected value's error message opens
     with its field name.
@@ -450,9 +450,10 @@ def solve(
     Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric,
     estimated on first use (see :func:`estimate_lipschitz`).
 
-    Termination: every ``GAP_CHECK_EVERY`` iterations a duality-gap
-    certificate runs, and the solve stops once the gap falls under ``tol``
-    relative to the objective; there is no other test. The certificate
+    Termination: every ``GAP_CHECK_EVERY`` iterations and after the last
+    one a duality-gap certificate runs, and the solve stops once the gap
+    falls under ``tol`` relative to the objective; there is no other test,
+    and the last certificate decides ``termination``. The certificate
     restores the average and the last primal iterate into the box and
     coupling set and prices both; its gap is the lower primal value minus
     the dual value at the current iterate. The control action u0 is the
@@ -486,7 +487,6 @@ def solve(
     scratch_u, scratch_x = np.empty((n, m.n_inputs)), np.empty((n, m.n_tanks))
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
-    iterations = config.max_iter
     termination = "max_iter"
 
     started = time.perf_counter()
@@ -532,15 +532,13 @@ def solve(
         y_prev, y, y_next = y, y_next, y_prev
         theta_prev, theta = theta, _next_theta(theta)
 
-        if (nu + 1) % GAP_CHECK_EVERY == 0:
+        if (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter:
             gap, objective, U_c = certificate()
+            iterations = nu + 1
             if gap <= config.tol * (1.0 + abs(objective)):
-                iterations = nu + 1
                 termination = "converged"
                 break
 
-    if termination == "max_iter" and config.max_iter % GAP_CHECK_EVERY:
-        gap, objective, U_c = certificate()  # the last iteration ran none
     elapsed = time.perf_counter() - started
 
     sl1 = instance.stage_slices[0]

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -247,10 +248,19 @@ def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("h_sim", [0, -1])
-def test_build_demo_rejects_a_non_positive_step_count(h_sim):
-    with pytest.raises(ValueError, match=f"^h_sim must be at least 1, got {h_sim}$"):
+@pytest.mark.parametrize("h_sim, message", [
+    pytest.param(0, "h_sim must be at least 1, got 0", id="0"),
+    pytest.param(-1, "h_sim must be at least 1, got -1", id="-1"),
+    pytest.param(2.5, "h_sim must be an integer, got 2.5", id="2.5"),
+    pytest.param(True, "h_sim must be an integer, got True", id="True"),
+])
+def test_build_demo_rejects_a_non_positive_step_count(h_sim, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_demo("tank1", seed=0, h_sim=h_sim)
+
+
+def test_build_demo_takes_a_numpy_step_count():
+    assert build_demo("tank1", seed=0, h_sim=np.int64(2)).realized_demand.shape[0] == 2
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -4,8 +4,9 @@ The benchmark under ``perfbench/`` wraps package functions by module
 attribute and reports a wrapped name that no longer exists as missing,
 which zeroes that layer's metric instead of failing. Most tests here read
 its sources, without running them, so removing such a name fails here;
-the last one runs its certificate check and layer microbenchmarks on one
-solve, so a changed signature of a function it calls fails here too.
+the last two run its certificate check and layer microbenchmarks on one
+solve, and its call recording on the CLI, so a changed signature of a
+function it calls, or a call that bypasses a wrapped name, fails here too.
 Installing the package pulls in numpy alone, so one test holds its
 imports to the standard library and numpy.
 """
@@ -19,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import watermpc
-from watermpc.demo import build_demo
+from watermpc import cli
+from watermpc.demo import build_demo, write_demo
 from watermpc.problem import ProblemInstance
-from watermpc.solver import solve
+from watermpc.solver import SolverConfig, solve
 from watermpc.tree import attach_forecast
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -120,3 +122,32 @@ def test_perfbench_calls_run_on_one_solve(monkeypatch):
     layers = instrument.microbenchmarks(step)
     assert len(layers) == 6
     assert all(math.isfinite(value) for value in layers.values())
+
+
+def test_perfbench_sees_every_cli_load_and_solve(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    instrument = importlib.import_module("instrument")
+    files = write_demo(build_demo("tank1", seed=0, h_sim=1), tmp_path / "demo")
+
+    def flags(*names):
+        return [arg for name in names for arg in (f"--{name}", str(files[name]))]
+
+    shared = ("network", "tree", "config", "state")
+    runs = [
+        (["validate", *flags(*shared, "forecast")], []),
+        (["solve", *flags(*shared, "forecast"), "--out", str(tmp_path / "solve")], ["cli"]),
+        (["simulate", *flags(*shared, "realizations"), "--steps", "1",
+          "--out", str(tmp_path / "simulate")], ["simulate"]),
+    ]
+    for argv, callers in runs:
+        tracer, steps = instrument.Tracer(), []
+        with instrument.Patches() as patches:
+            instrument.record_solves(patches, steps)
+            tracer.install(patches)
+            assert cli.main(argv) == 0
+        assert patches.missing == []
+        assert tracer["cli.main"].count == 1
+        assert tracer["io.load"].count == 5
+        assert tracer["io.cross_validate"].count == 1
+        assert [step.caller for step in steps] == callers
+        assert all(isinstance(step.config, SolverConfig) for step in steps)

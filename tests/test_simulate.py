@@ -1,6 +1,7 @@
 """Closed-loop simulator and KPI tests."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,29 @@ class TestRunClosedLoop:
                 model, tree, pattern_forecaster(0.0, 0.0, tree.horizon),
                 np.zeros((4, 1)), np.zeros((4, 1)), config,
             )
+
+    @pytest.mark.parametrize("h_sim, message", [
+        pytest.param(0, "h_sim must be at least 1", id="0"),
+        pytest.param(2.5, "h_sim must be an integer, got 2.5", id="2.5"),
+        pytest.param(True, "h_sim must be an integer, got True", id="True"),
+    ])
+    def test_step_count_rejected(self, h_sim, message):
+        _, _, weights = one_tank_setup()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimulationConfig(
+                h_sim=h_sim, weights=weights, solver=SolverConfig(), x0=np.array([500.0])
+            )
+
+    def test_numpy_integer_step_count_runs(self):
+        model, tree, weights = one_tank_setup()
+        config = SimulationConfig(
+            h_sim=np.int64(2), weights=weights, solver=SolverConfig(), x0=np.array([500.0])
+        )
+        log = run_closed_loop(
+            model, tree, pattern_forecaster(0.0, 0.0, tree.horizon),
+            np.zeros((2, 1)), np.zeros((2, 1)), config,
+        )
+        assert log.h_sim == 2
 
     def test_forecast_horizon_mismatch_rejected(self):
         model, tree, weights = one_tank_setup(horizon=4)

@@ -512,13 +512,26 @@ class TestSolve:
     def test_residual_of_the_returned_average(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         m = inst.model
-        # 37 is not a multiple of the gap-check interval, so the last
-        # iteration runs no certificate of its own.
+        # 37 is not a multiple of the gap-check interval: the last
+        # iteration certifies off the usual schedule.
         res = solve(inst, SolverConfig(max_iter=37, tol=1e-12))
         assert res.termination == "max_iter"
         U_avg, _ = inst.split_primal(res.primal_avg)
         violation = float(np.abs(U_avg - np.clip(U_avg, m.u_min, m.u_max)).max())
         assert res.primal_residual == violation
+
+    @pytest.mark.parametrize("kind, cap", [("tank1", 446), ("net3", 337)])
+    def test_the_last_certificate_decides_termination(self, kind, cap):
+        inst, config = demo_instance(kind)
+        # The last scheduled gap check before the cap fails ...
+        last_check = cap - cap % GAP_CHECK_EVERY
+        earlier = solve(inst, dataclasses.replace(config, max_iter=last_check))
+        assert earlier.termination == "max_iter"
+        # ... and the certificate at the cap meets the tolerance.
+        res = solve(inst, dataclasses.replace(config, max_iter=cap))
+        assert res.iterations == cap
+        assert res.duality_gap <= config.tol * (1.0 + abs(res.objective))
+        assert res.termination == "converged"
 
     def test_converged_dual_restarts_at_the_first_gap_check(self):
         inst, config = net3_demo_instance()
