@@ -186,7 +186,7 @@ def load_network(path: str | Path) -> NetworkModel:
     nd = Gd.shape[1]
     E = _array(doc, "E", None, nu, empty_ok=True)
     Ed = _array(doc, "Ed", E.shape[0], nd, empty_ok=True)
-    model = NetworkModel(
+    fields = dict(
         A=A,
         B=B,
         Gd=Gd,
@@ -200,11 +200,10 @@ def load_network(path: str | Path) -> NetworkModel:
         alpha0=_array(doc, "alpha0", nu),
         dt=_number(doc, "dt"),
     )
-    try:
-        model.validate()
+    try:  # after every read: a SchemaError is a ValueError too
+        return NetworkModel(**fields)
     except ValueError as exc:
         raise SchemaError("/", str(exc)) from exc
-    return model
 
 
 def save_network(model: NetworkModel, path: str | Path) -> None:

@@ -95,6 +95,9 @@ class NetworkModel:
     alpha0: np.ndarray
     dt: float
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def n_tanks(self) -> int:
         return self.A.shape[0]
@@ -112,7 +115,8 @@ class NetworkModel:
         return self.E.shape[0]
 
     def validate(self) -> None:
-        """Check dimensional consistency and bound ordering; raise ValueError."""
+        """Check dimensional consistency and bound ordering; raise ValueError.
+        Runs on construction."""
         nt, nu, nd, ns = self.n_tanks, self.n_inputs, self.n_demands, self.n_mixing
         if self.A.shape != (nt, nt):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -134,8 +138,7 @@ class NetworkModel:
         ):
             if vec.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_dt(self.dt)
         if np.any(self.x_min > self.x_safe) or np.any(self.x_safe > self.x_max):
             raise ValueError("require x_min <= x_safe <= x_max")
         if np.any(self.u_min > self.u_max):
@@ -162,53 +165,11 @@ class NetworkModel:
         return self.E @ u + self.Ed @ d
 
 
-def _check_topology(top: NetworkTopology) -> None:
-    nt, nu, nd = len(top.tanks), len(top.flows), top.n_demands
-    if nt < 1 or nu < 1 or nd < 1:
-        raise TopologyError("need at least one tank, one controlled flow and one demand")
-    for j, tank in enumerate(top.tanks):
-        if not tank.v_min <= tank.v_safe <= tank.v_max:
-            raise TopologyError(
-                f"tank {j}: require v_min <= v_safe <= v_max, "
-                f"got ({tank.v_min}, {tank.v_safe}, {tank.v_max})"
-            )
-        overlap = set(tank.inflows) & set(tank.outflows)
-        if overlap:
-            raise TopologyError(
-                f"tank {j}: flow {sorted(overlap)[0]} is both inflow and outflow"
-            )
-    for i, flow in enumerate(top.flows):
-        if flow.q_max <= 0:
-            raise TopologyError(f"flow {i}: q_max must be positive")
-        if flow.kind not in ("pump", "valve"):
-            raise TopologyError(f"flow {i}: kind must be 'pump' or 'valve'")
-    referenced: set[int] = set()
-    for tank in top.tanks:
-        referenced.update(tank.inflows)
-        referenced.update(tank.outflows)
-    for s, node in enumerate(top.mixing_nodes):
-        if not node.inflows:
-            raise TopologyError(f"mixing node {s} has no incoming flow")
-        if not node.outflows and not node.demands:
-            raise TopologyError(f"mixing node {s} has no outgoing flow")
-        referenced.update(node.inflows)
-        referenced.update(node.outflows)
-    bad = [i for i in referenced if not 0 <= i < nu]
-    if bad:
-        raise TopologyError(f"controlled flow index {sorted(bad)[0]} out of range [0, {nu})")
-    missing = set(range(nu)) - referenced
-    if missing:
-        raise TopologyError(
-            f"controlled flow {sorted(missing)[0]} appears in no incidence list"
-        )
-    demand_refs: set[int] = set()
-    for tank in top.tanks:
-        demand_refs.update(tank.demands)
-    for node in top.mixing_nodes:
-        demand_refs.update(node.demands)
-    bad = [i for i in demand_refs if not 0 <= i < nd]
-    if bad:
-        raise TopologyError(f"demand index {bad[0]} out of range [0, {nd})")
+def _check_dt(dt: float) -> None:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not np.isfinite(dt):
+        raise ValueError("dt must be finite")
 
 
 def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
@@ -216,48 +177,69 @@ def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
 
     Tanks are pure integrators, so exact discretization gives A = I and
     forward flow sums scaled by dt. A flow may connect two tanks directly,
-    producing one +dt and one -dt entry in the same B column.
+    producing one +dt and one -dt entry in the same B column. Each
+    incidence index is range-checked as it is placed, and every controlled
+    flow must be placed at least once.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    _check_topology(topology)
-    nt, nu, nd = len(topology.tanks), len(topology.flows), topology.n_demands
-    ns = len(topology.mixing_nodes)
+    _check_dt(dt)
+    tanks, flows, nd = topology.tanks, topology.flows, topology.n_demands
+    nt, nu, ns = len(tanks), len(flows), len(topology.mixing_nodes)
+    if nt < 1 or nu < 1 or nd < 1:
+        raise TopologyError("need at least one tank, one controlled flow and one demand")
+    for i, flow in enumerate(flows):
+        if not flow.q_max > 0:
+            raise TopologyError(f"flow {i}: q_max must be positive")
+        if flow.kind not in ("pump", "valve"):
+            raise TopologyError(f"flow {i}: kind must be 'pump' or 'valve'")
+        if not np.isfinite(flow.alpha0):
+            raise TopologyError(f"flow {i}: alpha0 must be finite")
 
-    A = np.eye(nt)
-    B = np.zeros((nt, nu))
-    Gd = np.zeros((nt, nd))
-    for j, tank in enumerate(topology.tanks):
-        for i in tank.inflows:
-            B[j, i] += dt
-        for i in tank.outflows:
-            B[j, i] -= dt
-        for i in tank.demands:
-            Gd[j, i] -= dt
+    B, Gd = np.zeros((nt, nu)), np.zeros((nt, nd))
+    E, Ed = np.zeros((ns, nu)), np.zeros((ns, nd))
+    placed = np.zeros(nu, bool)
 
-    E = np.zeros((ns, nu))
-    Ed = np.zeros((ns, nd))
+    def place(flow_row, demand_row, element, scale):
+        """Add the element's incidence, times ``scale``, into its rows."""
+        for sign, indices in ((scale, element.inflows), (-scale, element.outflows)):
+            for i in indices:
+                if not 0 <= i < nu:
+                    raise TopologyError(f"controlled flow index {i} out of range [0, {nu})")
+                flow_row[i] += sign
+                placed[i] = True
+        for i in element.demands:
+            if not 0 <= i < nd:
+                raise TopologyError(f"demand index {i} out of range [0, {nd})")
+            demand_row[i] -= scale
+
+    for j, tank in enumerate(tanks):
+        if not tank.v_min <= tank.v_safe <= tank.v_max:
+            raise TopologyError(
+                f"tank {j}: require v_min <= v_safe <= v_max, "
+                f"got ({tank.v_min}, {tank.v_safe}, {tank.v_max})"
+            )
+        overlap = sorted(set(tank.inflows) & set(tank.outflows))
+        if overlap:
+            raise TopologyError(f"tank {j}: flow {overlap[0]} is both inflow and outflow")
+        place(B[j], Gd[j], tank, dt)
     for s, node in enumerate(topology.mixing_nodes):
-        for i in node.inflows:
-            E[s, i] += 1.0
-        for i in node.outflows:
-            E[s, i] -= 1.0
-        for i in node.demands:
-            Ed[s, i] -= 1.0
-
-    model = NetworkModel(
-        A=A,
+        if not node.inflows:
+            raise TopologyError(f"mixing node {s} has no incoming flow")
+        if not node.outflows and not node.demands:
+            raise TopologyError(f"mixing node {s} has no outgoing flow")
+        place(E[s], Ed[s], node, 1.0)
+    if not placed.all():
+        raise TopologyError(f"controlled flow {np.argmin(placed)} appears in no incidence list")
+    return NetworkModel(
+        A=np.eye(nt),
         B=B,
         Gd=Gd,
         E=E,
         Ed=Ed,
-        x_min=np.array([t.v_min for t in topology.tanks], float),
-        x_max=np.array([t.v_max for t in topology.tanks], float),
-        x_safe=np.array([t.v_safe for t in topology.tanks], float),
+        x_min=np.array([t.v_min for t in tanks], float),
+        x_max=np.array([t.v_max for t in tanks], float),
+        x_safe=np.array([t.v_safe for t in tanks], float),
         u_min=np.zeros(nu),
-        u_max=np.array([f.q_max for f in topology.flows], float),
-        alpha0=np.array([f.alpha0 for f in topology.flows], float),
+        u_max=np.array([f.q_max for f in flows], float),
+        alpha0=np.array([f.alpha0 for f in flows], float),
         dt=float(dt),
     )
-    model.validate()
-    return model

@@ -97,8 +97,9 @@ class ScenarioTree:
 
     @classmethod
     def single_branch(cls, horizon: int, n_demand: int, n_price: int) -> "ScenarioTree":
-        """One-scenario chain with zero errors: attached, every node sees the
-        nominal forecast (the certainty-equivalent controller)."""
+        """One-scenario chain with zero errors (the certainty-equivalent
+        controller). It is a template: :func:`attach_forecast` gives every
+        node the nominal forecast."""
         n = horizon + 1
         return cls(
             horizon=horizon,

@@ -1,12 +1,16 @@
 """Round-trip and error-path tests for the JSON document contracts."""
 
+import copy
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import watermpc.io as wio
 from watermpc.demo import build_demo, write_demo
+from watermpc.forecast import ForecastSeries
 from watermpc.io import SchemaError
 
 
@@ -439,6 +443,21 @@ class TestErrorPaths:
         assert set(real) == {"demand", "price", "forecastDemand", "forecastPrice"}
         np.testing.assert_array_equal(real["forecastPrice"], np.array(doc["forecastPrice"]))
 
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("xsafe", [2500.0], "/: require x_min <= x_safe <= x_max", id="model-check"),
+        pytest.param("dt", 0, "/: dt must be positive", id="model-dt"),
+        pytest.param("xmin", [0.0, 0.0], "/xmin: expected shape (1,), got (2,)", id="read"),
+    ])
+    def test_network_failure_keeps_its_pointer(self, demo_dir, tmp_path, key, value, message):
+        # A read error names its key; only the model's own checks fall to "/".
+        doc = json.loads((demo_dir / "network.json").read_text())
+        doc[key] = value
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_network(path)
+        assert str(err.value) == message
+
     def test_empty_ed_beside_coupling_rows_rejected(self, tmp_path):
         path = tmp_path / "n.json"
         wio.save_network(build_demo("net3", h_sim=1).model, path)
@@ -473,6 +492,39 @@ class TestErrorPaths:
             wio.load_forecast(path)
 
 
+def _tree_with(tree, **changes):
+    out = copy.copy(tree)
+    vars(out).update(changes)
+    return out
+
+
+def _series(fc, rows=None, n_demand=None, n_price=None):
+    d, a = fc.d_hat[:rows], fc.alpha_hat[:rows]
+    return ForecastSeries(
+        d_hat=d if n_demand is None else np.zeros((d.shape[0], n_demand)),
+        alpha_hat=a if n_price is None else np.zeros((a.shape[0], n_price)),
+    )
+
+
+# Each edit gives one document a width of 7 against the net3 demo's 3
+# tanks, 4 controlled flows, 3 demand sectors and horizon 10.
+CROSS_EDITS = [
+    pytest.param(lambda s: dict(s, tree=_tree_with(s["tree"], n_price=7)), 4, id="tree-prices"),
+    pytest.param(lambda s: dict(s, forecast=_series(s["forecast"], n_demand=7)), 3,
+                 id="forecast-demands"),
+    pytest.param(lambda s: dict(s, forecast=_series(s["forecast"], n_price=7)), 4,
+                 id="forecast-prices"),
+    pytest.param(lambda s: dict(s, forecast=_series(s["forecast"], rows=7)), 10,
+                 id="forecast-horizon"),
+    pytest.param(lambda s: dict(s, horizon=7), 10, id="controller-horizon"),
+    pytest.param(lambda s: dict(s, weights=replace(s["weights"], w_u=np.eye(7))), 4,
+                 id="wu-size"),
+    pytest.param(lambda s: dict(s, state=(np.zeros(7), *s["state"][1:])), 3, id="state-x"),
+    pytest.param(lambda s: dict(s, state=(s["state"][0], np.zeros(7), 0)), 4,
+                 id="state-uprev"),
+]
+
+
 class TestCrossValidation:
     def test_demand_dimension_mismatch_names_both(self, demo_dir):
         model = wio.load_network(demo_dir / "network.json")
@@ -480,6 +532,22 @@ class TestCrossValidation:
         tree.n_demand = 4
         problems = wio.cross_validate(model=model, tree=tree)
         assert any("4" in p and "1" in p for p in problems)
+
+    @pytest.fixture(scope="class")
+    def net3_set(self):
+        bundle = build_demo("net3", h_sim=1)
+        return dict(
+            model=bundle.model, tree=bundle.tree, forecast=bundle.forecaster(0),
+            horizon=bundle.horizon, weights=bundle.weights,
+            state=(bundle.x0, bundle.u_prev, 0),
+        )
+
+    @pytest.mark.parametrize("edit, expected", CROSS_EDITS)
+    def test_each_mismatch_is_one_problem_naming_both(self, net3_set, edit, expected):
+        problems = wio.cross_validate(**edit(net3_set))
+        assert len(problems) == 1
+        numbers = re.findall(r"\d+", problems[0])
+        assert "7" in numbers and str(expected) in numbers
 
     def test_consistent_demo_set_clean(self, demo_dir):
         model = wio.load_network(demo_dir / "network.json")

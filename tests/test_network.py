@@ -1,5 +1,8 @@
 """Tests for the network topology and LTI model."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,9 +124,68 @@ class TestBuildLti:
         with pytest.raises(TopologyError, match="v_min <= v_safe <= v_max"):
             build_lti(topology, 1.0)
 
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match="dt"):
-            build_lti(single_tank_topology(), 0.0)
+    @pytest.mark.parametrize("dt, message", [
+        pytest.param(0.0, "dt must be positive", id="0"),
+        pytest.param(np.nan, "dt must be positive", id="nan"),
+        pytest.param(np.inf, "dt must be finite", id="inf"),
+    ])
+    def test_nonpositive_dt_rejected(self, dt, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_lti(single_tank_topology(), dt)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(build_lti(single_tank_topology(), 1.0), dt=dt)
+
+    @pytest.mark.parametrize("q_max, alpha0, message", [
+        pytest.param(np.nan, 1.0, "flow 0: q_max must be positive", id="nan-q_max"),
+        pytest.param(0.1, np.nan, "flow 0: alpha0 must be finite", id="nan-alpha0"),
+        pytest.param(0.1, -np.inf, "flow 0: alpha0 must be finite", id="inf-alpha0"),
+    ])
+    def test_non_finite_flow_rejected(self, q_max, alpha0, message):
+        topology = replace(
+            single_tank_topology(), flows=(ControlledFlow("pump", q_max, alpha0),)
+        )
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_lti(topology, 1.0)
+
+    def test_unlimited_capacity_allowed(self):
+        topology = replace(single_tank_topology(), flows=(ControlledFlow("pump", np.inf),))
+        assert build_lti(topology, 1.0).u_max == pytest.approx([np.inf])
+
+    @pytest.mark.parametrize("tank, node, message", [
+        pytest.param(
+            Tank(0.0, 10.0, 1.0, inflows=(0, -1), demands=(0,)), MixingNode((1,), (2,)),
+            "controlled flow index -1 out of range [0, 3)", id="negative-flow-in-tank",
+        ),
+        pytest.param(
+            Tank(0.0, 10.0, 1.0, inflows=(0,), demands=(0,)), MixingNode((1,), (2, 3)),
+            "controlled flow index 3 out of range [0, 3)", id="flow-in-node",
+        ),
+        pytest.param(
+            Tank(0.0, 10.0, 1.0, inflows=(0,), demands=(0,)), MixingNode((1,), (2,), (-1,)),
+            "demand index -1 out of range [0, 1)", id="negative-demand-in-node",
+        ),
+        pytest.param(
+            Tank(0.0, 10.0, 1.0, inflows=(0,), demands=(1,)), MixingNode((1,), (2,)),
+            "demand index 1 out of range [0, 1)", id="demand-in-tank",
+        ),
+    ])
+    def test_index_out_of_range_rejected(self, tank, node, message):
+        # numpy would take -1 as the last column, so each index is checked.
+        topology = NetworkTopology(
+            tanks=(tank,),
+            flows=tuple(ControlledFlow("pump", 1.0) for _ in range(3)),
+            n_demands=1,
+            mixing_nodes=(node,),
+        )
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_lti(topology, 1.0)
+
+    def test_model_checks_itself_on_construction(self):
+        model = build_lti(single_tank_topology(), 1.0)
+        with pytest.raises(ValueError, match="x_min <= x_safe <= x_max"):
+            replace(model, x_safe=np.array([101.0]))
+        with pytest.raises(ValueError, match="alpha0 must have shape"):
+            replace(model, alpha0=np.zeros(2))
 
     @pytest.mark.parametrize("x_safe", [-1.0, 101.0])
     def test_model_with_safety_level_outside_bounds_rejected(self, x_safe):

@@ -151,3 +151,17 @@ def test_perfbench_sees_every_cli_load_and_solve(monkeypatch, tmp_path):
         assert tracer["io.cross_validate"].count == 1
         assert [step.caller for step in steps] == callers
         assert all(isinstance(step.config, SolverConfig) for step in steps)
+
+
+def test_perfbench_workloads_set_up(monkeypatch, tmp_path):
+    # The benchmark also reads DemoBundle fields, SimulationConfig keywords
+    # and the io savers' positional signatures, which the attribute guards
+    # above do not see.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    net3 = workloads.Net3Loop(0, tmp_path / "net3")
+    net3.setup()
+    net3.loop_probe([])
+    net10 = workloads.Net10Cold(0, tmp_path / "net10")
+    net10.setup()
+    assert net3.build_failures == net10.build_failures == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import watermpc.simulate
+import watermpc.solver
 from watermpc.forecast import ForecastSeries
 from watermpc.network import ControlledFlow, NetworkTopology, Tank, build_lti
 from watermpc.problem import CostWeights
@@ -172,6 +173,31 @@ class TestRunClosedLoop:
             assert f"step {k}:" in message
             assert "after 5 iterations" in message
             assert "relative duality gap" in message
+
+    def test_non_finite_iterate_stops_the_loop(self, monkeypatch):
+        model, tree, weights = one_tank_setup()
+        real = watermpc.solver.prox_into
+        calls = []
+
+        def poisoned(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(watermpc.solver, "prox_into", poisoned)
+        config = SimulationConfig(
+            h_sim=2, weights=weights, solver=SolverConfig(), x0=np.array([700.0])
+        )
+        with pytest.raises(
+            RuntimeError, match="step 0: solver produced a non-finite iterate"
+        ):
+            run_closed_loop(
+                model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
+                np.full((2, 1), 150.0), np.full((2, 1), 0.03), config,
+            )
+        assert len(calls) < SolverConfig().max_iter
 
     def test_realization_exhaustion_rejected(self):
         model, tree, weights = one_tank_setup()

@@ -21,6 +21,7 @@ class TestValidate:
     def test_single_branch_valid(self):
         tree = ScenarioTree.single_branch(horizon=4, n_demand=2, n_price=1)
         assert validate_tree(tree) == []
+        assert not tree.is_attached
 
     def test_bad_children_probabilities(self):
         tree = ScenarioTree(
