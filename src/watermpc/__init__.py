@@ -30,7 +30,6 @@ from .solver import (
     SolverConfig,
     SolverResult,
     dual_gradient,
-    estimate_lipschitz,
     factor_step,
     solve,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "attach_forecast",
     "build_lti",
     "dual_gradient",
-    "estimate_lipschitz",
     "factor_step",
     "kpi_complexity",
     "kpi_economic",

@@ -115,8 +115,7 @@ class NetworkModel:
         return self.E.shape[0]
 
     def validate(self) -> None:
-        """Check dimensional consistency and bound ordering; raise ValueError.
-        Runs on construction."""
+        """Check shapes, finiteness and bound order; raise ValueError. Runs on construction."""
         nt, nu, nd, ns = self.n_tanks, self.n_inputs, self.n_demands, self.n_mixing
         if self.A.shape != (nt, nt):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -138,6 +137,12 @@ class NetworkModel:
         ):
             if vec.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
+            if np.isnan(vec).any():
+                raise ValueError(f"{name} must not be NaN")
+        # Box bounds may be infinite; x_safe may not, as -inf * 0 is NaN in g*.
+        for name in ("A", "B", "Gd", "E", "Ed", "x_safe", "alpha0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         _check_dt(self.dt)
         if np.any(self.x_min > self.x_safe) or np.any(self.x_safe > self.x_max):
             raise ValueError("require x_min <= x_safe <= x_max")

@@ -106,9 +106,9 @@ def run_closed_loop(
     """Simulate ``config.h_sim`` steps of stochastic MPC in closed loop.
 
     ``forecaster(k)`` must return the nominal forecast issued at step k;
-    realized arrays must cover all simulated steps. Every step after the
-    first is warm-started from the dual of the step before: the tree
-    template is fixed, so the dual layout is the same at every step. A
+    realized arrays must cover all simulated steps. The tree template is
+    fixed, so every later step rebinds the first step's factors and step
+    metric and is warm-started from the dual of the step before. A
     step whose solve ends without a converged certificate still applies
     its action and logs a warning on the ``watermpc`` logger.
     """

@@ -43,10 +43,10 @@ probability with a stage-uniform core, so one factorization per stage
 suffices. Each pass is one stage loop over one array: the backward pass
 keeps a carry row per node and moves it to the parents with one product
 per stage, and the forward pass rolls out the rows [u, x] together (see
-:func:`_dual_gradient_parts`). The factorizations and the carry matrices
-live in :class:`FactorCache` and are reusable across instances sharing the
-same structure. One solve allocates its dual buffers and the prox's
-step-scaled bounds once, and each iteration works in place on them.
+:func:`_dual_gradient_parts`). The factorizations, the carry matrices and
+the step metric live in :class:`FactorCache`, built once per structure and
+rebound to each instance sharing it. One solve allocates its dual buffers
+and the prox's step-scaled bounds once; each iteration works on them in place.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class SolverConfig:
     The only termination test is a duality-gap certificate, run every
     ``GAP_CHECK_EVERY`` iterations and after the last: ``tol`` bounds the
     certified gap relative to the objective. The per-node dual steps are not
-    configurable: they follow from the instance (see
-    :func:`estimate_lipschitz`). A rejected value's error message opens
+    configurable: they follow from the instance's structure (see
+    :func:`factor_step`). A rejected value's error message opens
     with its field name.
     """
 
@@ -135,14 +135,14 @@ class SolverResult:
 class FactorCache:
     """Precomputed quantities for fast repeated dual-gradient solves.
 
-    Structural members (null basis, per-stage operators, the sweep's
-    carry and rollout matrices with the probability columns, and the step
-    metric: the per-node Hessian diagonal with its curvature bound) depend
-    only on the model matrices, the input weight and the tree topology
-    with its probabilities; the per-node input offset (built from the
-    coupling's particular solution and the cost row) also depends on node
-    demand and price values and is rebuilt cheaply per instance, in a copy
-    that shares every other member.
+    Structural members (null basis, per-stage operators, the sweep's carry
+    and rollout matrices, and the step metric: the per-node Hessian diagonal
+    with its curvature bound) depend only on the model matrices, the input
+    weight and the tree topology with its probabilities; the per-node input
+    offset (built from the coupling's particular solution and the cost row)
+    also depends on node demand and price values and is rebuilt cheaply per
+    instance, in a copy that shares every other member. :func:`factor_step`
+    returns every cache complete, and nothing writes to one afterwards.
 
     ``carry_in`` and ``carry_up`` are the backward pass's products on its
     carry rows, and ``fwd`` the forward pass's per-stage rollout (see
@@ -157,8 +157,8 @@ class FactorCache:
     carry_in: np.ndarray              # [I; B]
     carry_up: np.ndarray              # [[0, A], [-W_u, 0]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
-    lipschitz: float | None = None    # scaled curvature bound L_D, set by estimate_lipschitz
-    hess_diag: np.ndarray | None = None  # per-node d_i, set with lipschitz
+    lipschitz: float                  # scaled curvature bound L_D
+    hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
     signature: tuple = field(default=(), repr=False)
 
 
@@ -190,12 +190,12 @@ def _null_space(E: np.ndarray, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
 def factor_step(
     instance: ProblemInstance, structure_from: FactorCache | None = None
 ) -> FactorCache:
-    """Build (or rebind) the factor cache for an instance.
+    """Build (or rebind) the complete factor cache for an instance.
 
-    Passing ``structure_from`` reuses the stage factorizations and the step
-    metric of a cache built for another instance with the same model
-    matrices, weights and tree structure, recomputing only the per-node
-    vectors.
+    A fresh cache gets the stage factorizations and the step metric (see
+    :func:`_hessian_diagonal` and :func:`estimate_lipschitz`). Passing
+    ``structure_from`` shares both with a cache built on the same model
+    matrices, weights and tree structure, recomputing only the input offset.
     """
     m = instance.model
     sig = _structure_signature(instance)
@@ -242,6 +242,8 @@ def factor_step(
             carry_in=np.vstack([np.eye(m.n_inputs), m.B]),
             carry_up=np.block([[zero_xu, m.A], [-wu, zero_xu.T]]),
             fwd=fwd,
+            lipschitz=np.nan,  # set last: the power iteration goes through the offset
+            hess_diag=_hessian_diagonal(basis, instance),
             signature=sig,
         )
 
@@ -264,7 +266,10 @@ def factor_step(
     e_offset = np.empty_like(u_part)
     for sl, t_s, lam_s in zip(instance.stage_slices, structural.t_mat, structural.lam):
         e_offset[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
-    return dataclasses.replace(structural, e_offset=e_offset)
+    cache = dataclasses.replace(structural, e_offset=e_offset)
+    if structure_from is None:
+        cache = dataclasses.replace(cache, lipschitz=estimate_lipschitz(cache, instance))
+    return cache
 
 
 def _dual_gradient_parts(
@@ -347,7 +352,7 @@ def _next_theta(theta: float) -> float:
     return 2.0 * t / (t + np.sqrt(t * t + 4.0 * t))
 
 
-def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarray:
+def _hessian_diagonal(basis: np.ndarray, instance: ProblemInstance) -> np.ndarray:
     """Per node, the largest diagonal entry of its block of M = H grad^2 f* H'.
 
     M is the linear part of y -> -H z*(y). The inner QP prices only the
@@ -365,7 +370,6 @@ def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarr
     The node's diagonal of M is (diag V_i, diag V_i, diag P_i).
     """
     m = instance.model
-    basis = cache.null_basis
     core = basis @ np.linalg.solve(basis.T @ (2.0 * instance.wu) @ basis, basis.T)
     n = instance.n_nonroot
     P = np.zeros((n + 1, m.n_inputs, m.n_inputs))
@@ -386,22 +390,20 @@ def _hessian_diagonal(cache: FactorCache, instance: ProblemInstance) -> np.ndarr
 
 
 def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
-    """Curvature bound of the smooth dual term in the per-node metric.
+    """Curvature bound ``L_D`` of the smooth dual term in the per-node metric.
 
-    Computes the per-node Hessian diagonal d (see :func:`_hessian_diagonal`)
-    and runs power iteration on ``D^-1/2 M D^-1/2``, M the positive
-    semidefinite linear part of y -> -H x*(y) and D repeating d_i over
-    node i's dual row, until the Rayleigh quotient stalls within
-    ``LIPSCHITZ_REL_TOL``. Multiplies it by ``LIPSCHITZ_SAFETY`` and stores
-    the bound ``L_D`` in ``cache.lipschitz`` and d in ``cache.hess_diag``;
-    node i's dual step is then ``1 / (L_D d_i)``. Raises RuntimeError if
-    the iteration does not settle within ``LIPSCHITZ_MAX_ITER`` operator
-    applications.
+    Runs power iteration on ``D^-1/2 M D^-1/2``, M the positive semidefinite
+    linear part of y -> -H x*(y) and D repeating the cache's d_i (see
+    :func:`_hessian_diagonal`) over node i's dual row, until the Rayleigh
+    quotient stalls within ``LIPSCHITZ_REL_TOL``, and returns it times
+    ``LIPSCHITZ_SAFETY``; node i's dual step is then ``1 / (L_D d_i)``.
+    Writes nothing: the caches of :func:`factor_step` carry the bound.
+    Raises RuntimeError if the iteration does not settle within
+    ``LIPSCHITZ_MAX_ITER`` operator applications.
     """
     if cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
-    hess_diag = _hessian_diagonal(cache, instance)
-    scale = 1.0 / np.sqrt(hess_diag)[:, None]
+    scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
     u0, x0 = _dual_gradient_parts(cache, instance, np.zeros(instance.dual_shape))
 
     def operator(V: np.ndarray) -> np.ndarray:
@@ -429,10 +431,7 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
         )
     if lam <= 0.0:
         raise RuntimeError("dual curvature estimate failed (operator not positive)")
-    estimate = LIPSCHITZ_SAFETY * lam
-    cache.lipschitz = estimate
-    cache.hess_diag = hess_diag
-    return estimate
+    return LIPSCHITZ_SAFETY * lam
 
 
 def solve(
@@ -447,8 +446,8 @@ def solve(
     instance the ``dual`` of a solve on an instance with the same tree),
     or from zero when it is None; ``dual0`` itself is not modified.
 
-    Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric,
-    estimated on first use (see :func:`estimate_lipschitz`).
+    Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric (see
+    :func:`factor_step`); the solve reads the cache and never writes to it.
 
     Termination: every ``GAP_CHECK_EVERY`` iterations and after the last
     one a duality-gap certificate runs, and the solve stops once the gap
@@ -465,8 +464,6 @@ def solve(
         cache = factor_step(instance)
     elif cache.signature != _structure_signature(instance):
         raise ValueError("factor cache does not match this instance")
-    if cache.lipschitz is None:
-        estimate_lipschitz(cache, instance)
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row
     bounds = scaled_bounds(instance, gamma)

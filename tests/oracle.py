@@ -1,17 +1,21 @@
 """Slow reference implementations backing the test suite.
 
-Everything here takes the stacked dense route on purpose: constraints are
-assembled row by row and solved as one symmetric indefinite KKT system, so
-agreement with the tree-structured solver is evidence rather than
-tautology. Single-threaded, small instances only.
+Everything here takes the stacked route on purpose: the inner QP is
+assembled over the whole primal vector and solved as one symmetric
+indefinite KKT system, so agreement with the tree-structured solver is
+evidence rather than tautology. "Dense" in a name means stacked, as against
+the tree recursion: the KKT matrices are sparse, so one assembly serves
+every demo up to net10. The grid search is for tiny instances only.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from watermpc.problem import (
     ProblemInstance,
@@ -23,8 +27,6 @@ from watermpc.problem import (
     rollout_inputs,
     smooth_cost,
 )
-
-_MAX_DENSE_PRIMAL = 5000
 
 # Relative feasibility slack for domain membership in eval_f.
 FEAS_TOL = 1e-8
@@ -95,91 +97,70 @@ def prox_g(
 
 
 @dataclass
-class DenseKkt:
+class Kkt:
     """Stacked quadratic cost and equality constraints of the inner QP."""
 
-    hessian: np.ndarray
+    hessian: sp.csr_matrix
     linear: np.ndarray
-    constraints: np.ndarray
+    constraints: sp.csr_matrix
     rhs: np.ndarray
 
 
-def build_dense_kkt(instance: ProblemInstance) -> DenseKkt:
-    """Assemble the inner QP over the full primal vector, brute force."""
+def build_kkt(instance: ProblemInstance) -> Kkt:
+    """Assemble the inner QP over the full primal vector, node rows [u, x].
+
+    The tree enters only through the ancestor matrix, whose row r has a one
+    in the column of node r's non-root parent: the input increments are
+    ``(I - anc) U`` and the dynamics ``X - anc X A' - U B'``.
+    """
     m = instance.model
     nu, nt = m.n_inputs, m.n_tanks
     n = instance.n_nonroot
-    width = nu + nt
-    dim = n * width
+    parent = instance.anc_row
+    child = np.nonzero(parent >= 0)[0]
+    first = parent < 0
+    anc = sp.csr_matrix((np.ones(child.size), (child, parent[child])), shape=(n, n))
+    eye = sp.identity(n, format="csr")
+    pick_u = sp.kron(eye, sp.hstack([sp.identity(nu), sp.csr_matrix((nu, nt))]))
+    pick_x = sp.kron(eye, sp.hstack([sp.csr_matrix((nt, nu)), sp.identity(nt)]))
 
-    def u_off(r: int) -> slice:
-        return slice(r * width, r * width + nu)
+    incr = eye - anc
+    hess_u = sp.kron(incr.T @ sp.diags(2.0 * instance.prob) @ incr, instance.wu)
+    lin_u = instance.weights.w_alpha * (m.alpha0 + instance.price)
+    lin_u[first] -= 2.0 * (instance.wu @ instance.q)
+    lin_u *= instance.prob[:, None]
 
-    def x_off(r: int) -> slice:
-        return slice(r * width + nu, (r + 1) * width)
-
-    hess = np.zeros((dim, dim))
-    lin = np.zeros(dim)
-    wu = instance.wu
-    for r in range(n):
-        pr = instance.prob[r]
-        hess[u_off(r), u_off(r)] += 2.0 * pr * wu
-        a = instance.anc_row[r]
-        if a >= 0:
-            hess[u_off(r), u_off(a)] -= 2.0 * pr * wu
-            hess[u_off(a), u_off(r)] -= 2.0 * pr * wu
-            hess[u_off(a), u_off(a)] += 2.0 * pr * wu
-        else:
-            lin[u_off(r)] += -2.0 * pr * (wu @ instance.q)
-        lin[u_off(r)] += pr * instance.weights.w_alpha * (m.alpha0 + instance.price[r])
-
-    n_rows = n * (nt + m.n_mixing)
-    cons = np.zeros((n_rows, dim))
-    rhs = np.zeros(n_rows)
-    row = 0
-    for r in range(n):
-        cons[row:row + nt, x_off(r)] = np.eye(nt)
-        cons[row:row + nt, u_off(r)] = -m.B
-        a = instance.anc_row[r]
-        if a >= 0:
-            cons[row:row + nt, x_off(a)] = -m.A
-            rhs[row:row + nt] = m.Gd @ instance.demand[r]
-        else:
-            rhs[row:row + nt] = m.A @ instance.p + m.Gd @ instance.demand[r]
-        row += nt
-        if m.n_mixing > 0:
-            cons[row:row + m.n_mixing, u_off(r)] = m.E
-            rhs[row:row + m.n_mixing] = -m.Ed @ instance.demand[r]
-            row += m.n_mixing
-    return DenseKkt(hessian=hess, linear=lin, constraints=cons, rhs=rhs)
+    dynamics = pick_x - sp.kron(anc, m.A) @ pick_x - sp.kron(eye, m.B) @ pick_u
+    dyn_rhs = instance.demand @ m.Gd.T
+    dyn_rhs[first] += m.A @ instance.p
+    coupling = sp.kron(eye, m.E) @ pick_u
+    return Kkt(
+        hessian=(pick_u.T @ hess_u @ pick_u).tocsr(),
+        linear=pick_u.T @ lin_u.reshape(-1),
+        constraints=sp.vstack([dynamics, coupling]).tocsr(),
+        rhs=np.concatenate([dyn_rhs.reshape(-1), -(instance.demand @ m.Ed.T).reshape(-1)]),
+    )
 
 
 def dense_kkt_solve(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
-    """Exact minimizer of f(x) + <H'y, x> by one dense symmetric solve."""
-    if instance.n_primal > _MAX_DENSE_PRIMAL:
-        raise ValueError(
-            f"instance with {instance.n_primal} primal variables is too large "
-            f"for the dense oracle (limit {_MAX_DENSE_PRIMAL})"
-        )
-    kkt = build_dense_kkt(instance)
-    dim = kkt.hessian.shape[0]
-    n_rows = kkt.constraints.shape[0]
-    K = np.zeros((dim + n_rows, dim + n_rows))
-    K[:dim, :dim] = kkt.hessian
-    K[:dim, dim:] = kkt.constraints.T
-    K[dim:, :dim] = kkt.constraints
+    """Exact minimizer of f(x) + <H'y, x> by one solve of the stacked KKT
+    system, sparse LU at every scale."""
+    kkt = build_kkt(instance)
+    K = sp.bmat([[kkt.hessian, kkt.constraints.T], [kkt.constraints, None]], format="csc")
     full_rhs = np.concatenate([-(kkt.linear + apply_H_adjoint(instance, y)), kkt.rhs])
-    try:
-        sol = scipy.linalg.solve(K, full_rhs, assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise RuntimeError(
-            "singular KKT system: reduced cost is not strongly convex"
-        ) from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", spla.MatrixRankWarning)
+        try:
+            sol = spla.spsolve(K, full_rhs)
+        except spla.MatrixRankWarning as exc:
+            raise RuntimeError(
+                "singular KKT system: reduced cost is not strongly convex"
+            ) from exc
     resid = float(np.max(np.abs(K @ sol - full_rhs)))
     scale = 1.0 + float(np.max(np.abs(full_rhs))) + float(np.max(np.abs(sol)))
-    if not np.isfinite(resid) or resid > 1e-10 * scale * (1.0 + np.abs(K).max()):
-        raise RuntimeError(f"dense KKT solve failed: residual {resid:.3e}")
-    return sol[:dim]
+    if not np.isfinite(resid) or resid > 1e-10 * scale * (1.0 + abs(K).max()):
+        raise RuntimeError(f"KKT solve failed: residual {resid:.3e}")
+    return sol[:kkt.hessian.shape[0]]
 
 
 def _objective_on_inputs(instance: ProblemInstance, u_batch: np.ndarray) -> np.ndarray:

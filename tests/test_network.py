@@ -26,6 +26,12 @@ def single_tank_topology():
     )
 
 
+def coupled_model():
+    """The single tank with a mixing node on its flow, so E and Ed have an entry."""
+    topology = replace(single_tank_topology(), mixing_nodes=(MixingNode((0,), (), (0,)),))
+    return build_lti(topology, 1.0)
+
+
 class TestBuildLti:
     def test_single_tank(self):
         model = build_lti(single_tank_topology(), 3600.0)
@@ -194,6 +200,39 @@ class TestBuildLti:
         model.x_safe = np.array([x_safe])
         with pytest.raises(ValueError, match="x_min <= x_safe <= x_max"):
             model.validate()
+
+    def test_model_with_non_finite_entries_rejected(self):
+        model = build_lti(single_tank_topology(), 1.0)
+        nan = np.array([np.nan])
+        with pytest.raises(ValueError, match="^x_max must not be NaN$"):
+            replace(model, B=np.array([[np.nan]]), x_max=nan, u_max=nan, alpha0=np.array([np.inf]))
+
+    @pytest.mark.parametrize("name", [
+        "A", "B", "Gd", "E", "Ed", "x_min", "x_max", "x_safe", "u_min", "u_max", "alpha0",
+    ])
+    def test_nan_entry_is_named(self, name):
+        model = coupled_model()
+        bad = getattr(model, name).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must (be finite|not be NaN)$"):
+            replace(model, **{name: bad})
+
+    @pytest.mark.parametrize("name", ["A", "B", "Gd", "E", "Ed", "x_safe", "alpha0"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_entry_is_named(self, name, value):
+        model = coupled_model()
+        bad = getattr(model, name).copy()
+        bad.flat[0] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(model, **{name: bad})
+
+    def test_infinite_bounds_allowed(self):
+        model = build_lti(single_tank_topology(), 1.0)
+        widened = replace(
+            model, x_min=np.array([-np.inf]), x_max=np.array([np.inf]),
+            u_min=np.array([-np.inf]), u_max=np.array([np.inf]),
+        )
+        assert widened.u_max == pytest.approx([np.inf])
 
 
 class TestStepDynamics:

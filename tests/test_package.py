@@ -12,9 +12,12 @@ imports to the standard library and numpy.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import math
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from watermpc.problem import ProblemInstance
 from watermpc.solver import SolverConfig, solve
 from watermpc.tree import attach_forecast
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(watermpc.__file__).resolve().parent
 
@@ -165,3 +169,22 @@ def test_perfbench_workloads_set_up(monkeypatch, tmp_path):
     net10 = workloads.Net10Cold(0, tmp_path / "net10")
     net10.setup()
     assert net3.build_failures == net10.build_failures == []
+
+
+def test_readme_library_example_runs_as_written():
+    section = README.read_text().split("## Using the library\n", 1)[1].split("\n## ", 1)[0]
+    # The example is the section's one indented block.
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("    "))
+    stop = next(
+        (i for i in range(start, len(lines)) if lines[i] and not lines[i].startswith("    ")),
+        len(lines),
+    )
+    namespace, out = {}, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(textwrap.dedent("\n".join(lines[start:stop])), namespace)
+    printed = out.getvalue().strip()
+    assert f"`{printed}`" in section  # the output the README states
+    result = namespace["result"]
+    assert (result.termination, result.iterations) == ("converged", 1175)
+    assert result.u0 == pytest.approx([0.0405340432], rel=1e-8)

@@ -1,9 +1,11 @@
 """Tests for the factor step, dual gradient and the accelerated solver."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import watermpc.solver
 from watermpc.demo import build_demo
@@ -11,6 +13,7 @@ from watermpc.problem import ProblemInstance, apply_H, rollout_inputs
 from watermpc.solver import (
     GAP_CHECK_EVERY,
     SolverConfig,
+    SolverResult,
     _dual_gradient_parts,
     _next_theta,
     dual_gradient,
@@ -52,9 +55,9 @@ def permute_within_stages(inst, rng):
     return ProblemInstance(inst.model, permuted, inst.weights, inst.p, inst.q)
 
 
-def demo_instance(kind, step=0):
-    """A step of a demo, seed 0, with the demo's solver config."""
-    bundle = build_demo(kind, 0, h_sim=step + 1)
+def demo_instance(kind, step=0, seed=0):
+    """A step of a demo with the demo's solver config."""
+    bundle = build_demo(kind, seed, h_sim=step + 1)
     fc = bundle.forecaster(step)
     tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
     inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
@@ -128,15 +131,26 @@ class TestFactorStep:
         z_dense = dense_kkt_solve(inst2, y)
         assert rel_err(z_tree, z_dense) <= 1e-8
 
+    def test_fresh_cache_carries_its_metric(self, rng):
+        instances = [demo_instance("net3")[0]] + [
+            make_instance(rng, n_mixing=n_mixing, horizon=3, max_nodes=12)
+            for n_mixing in (0, 1)
+        ]
+        for inst in instances:
+            cache = factor_step(inst)
+            assert np.isfinite(cache.lipschitz) and cache.lipschitz > 0.0
+            assert cache.hess_diag.shape == (inst.n_nonroot,)
+            assert np.all(np.isfinite(cache.hess_diag)) and np.all(cache.hess_diag > 0.0)
+
     def test_rebind_shares_every_member_but_the_offset(self):
         inst, _ = demo_instance("net3")
         inst2, _ = demo_instance("net3", step=1)  # same tree, next forecast
         cache = factor_step(inst)
-        estimate_lipschitz(cache, inst)
         rebound = factor_step(inst2, structure_from=cache)
-        for f in dataclasses.fields(cache):
-            if f.name != "e_offset":
-                assert getattr(rebound, f.name) is getattr(cache, f.name), f.name
+        shared = {f.name for f in dataclasses.fields(cache)} - {"e_offset"}
+        assert {"lipschitz", "hess_diag"} <= shared
+        for name in shared:
+            assert getattr(rebound, name) is getattr(cache, name), name
         assert not np.array_equal(rebound.e_offset, cache.e_offset)
 
 
@@ -171,6 +185,15 @@ class TestDualGradient:
         inst, _ = demo_instance("tank1")
         assert inst.tree.horizon == 24
         assert inst.child_groups[-1] is None
+        cache = factor_step(inst)
+        y = rng.standard_normal(inst.dual_shape)
+        z, _ = dual_gradient(cache, inst, y)
+        assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
+
+    def test_net10_demo_matches_oracle(self, rng):
+        # 35,632 primal variables and 14,672 equality rows in one sparse solve.
+        inst, _ = demo_instance("net10", seed=3)
+        assert inst.n_primal == 35632
         cache = factor_step(inst)
         y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
@@ -251,6 +274,14 @@ class TestLipschitz:
         monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_REL_TOL", 1e-9)
         monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_SAFETY", 1.0)
 
+    @staticmethod
+    def metric(inst):
+        """factor_step's cache, whose bound estimate_lipschitz recomputes
+        exactly."""
+        cache = factor_step(inst)
+        assert estimate_lipschitz(cache, inst) == cache.lipschitz
+        return cache
+
     def one_node_instance(self, rng, wu):
         inst = make_instance(
             rng, n_tanks=1, n_inputs=1, n_demands=1, horizon=1, max_nodes=2, w_u_scale=1.0
@@ -268,11 +299,10 @@ class TestLipschitz:
         # (2 B^2 + 1) / max(B^2, 1).
         wu = 2.5
         inst = self.one_node_instance(rng, wu)
-        cache = factor_step(inst)
-        L = estimate_lipschitz(cache, inst)
+        cache = self.metric(inst)
         b2 = inst.model.B[0, 0] ** 2
         assert cache.hess_diag == pytest.approx([max(b2, 1.0) / (2.0 * wu)], rel=1e-12)
-        assert L == pytest.approx((2.0 * b2 + 1.0) / max(b2, 1.0), rel=1e-3)
+        assert cache.lipschitz == pytest.approx((2.0 * b2 + 1.0) / max(b2, 1.0), rel=1e-3)
 
     def test_doubling_weight_halves_curvature(self, rng, exact_bound):
         # Doubling w_u halves M, hence every d_i; the scaled operator and
@@ -280,10 +310,8 @@ class TestLipschitz:
         inst1 = self.one_node_instance(rng, 2.0)
         rng2 = np.random.default_rng(20240811)
         inst2 = self.one_node_instance(rng2, 4.0)
-        cache1, cache2 = factor_step(inst1), factor_step(inst2)
-        l1 = estimate_lipschitz(cache1, inst1)
-        l2 = estimate_lipschitz(cache2, inst2)
-        assert l1 == pytest.approx(l2, rel=1e-9)
+        cache1, cache2 = self.metric(inst1), self.metric(inst2)
+        assert cache1.lipschitz == pytest.approx(cache2.lipschitz, rel=1e-9)
         np.testing.assert_allclose(cache1.hess_diag / cache2.hess_diag, 2.0, rtol=1e-12)
         config = SolverConfig(max_iter=1)
         g1 = solve(inst1, config, cache=cache1).gamma
@@ -297,8 +325,7 @@ class TestLipschitz:
             make_instance(rng, n_mixing=1, horizon=3, max_nodes=14), rng
         )
         assert not isinstance(inst.child_groups[-1][0], slice)
-        cache = factor_step(inst)
-        L = estimate_lipschitz(cache, inst)
+        cache = self.metric(inst)
         z0, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
         M = np.column_stack([
             apply_H(inst, z0 - dual_gradient(cache, inst, e.reshape(inst.dual_shape))[0])
@@ -309,19 +336,44 @@ class TestLipschitz:
         np.testing.assert_allclose(cache.hess_diag, d, rtol=1e-10)
         scale = np.repeat(1.0 / np.sqrt(d), M.shape[0] // inst.n_nonroot)
         scaled = scale[:, None] * M * scale[None, :]
-        assert L == pytest.approx(np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[-1], rel=1e-3)
+        assert cache.lipschitz == pytest.approx(
+            np.linalg.eigvalsh(0.5 * (scaled + scaled.T))[-1], rel=1e-3
+        )
+
+    def test_bounds_the_largest_eigenvalue_on_net10(self, rng):
+        # Lanczos on D^-1/2 M D^-1/2, M applied through dual_gradient, which
+        # test_net10_demo_matches_oracle checks against the KKT oracle. The
+        # estimate is a Rayleigh quotient times the margin, so it lies
+        # between the largest eigenvalue and the margin times it.
+        inst, _ = demo_instance("net10", seed=3)
+        cache = factor_step(inst)
+        scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
+        z0, _ = dual_gradient(cache, inst, np.zeros(inst.dual_shape))
+
+        def scaled(v):
+            z, _ = dual_gradient(cache, inst, v.reshape(inst.dual_shape) * scale)
+            return (apply_H(inst, z0 - z) * scale).reshape(-1)
+
+        size = int(np.prod(inst.dual_shape))
+        operator = scipy.sparse.linalg.LinearOperator((size, size), matvec=scaled)
+        (lam_max,) = scipy.sparse.linalg.eigsh(
+            operator, k=1, which="LA", v0=rng.standard_normal(size),
+            return_eigenvectors=False,
+        )
+        margin = watermpc.solver.LIPSCHITZ_SAFETY
+        assert lam_max <= cache.lipschitz <= margin * lam_max * (1 + 1e-9)
 
     def test_unsettled_power_iteration_raises(self, rng, monkeypatch):
         monkeypatch.setattr(watermpc.solver, "LIPSCHITZ_MAX_ITER", 1)
         inst = make_instance(rng, horizon=2, max_nodes=8)
         with pytest.raises(RuntimeError, match="did not settle within 1 iterations"):
-            estimate_lipschitz(factor_step(inst), inst)
+            factor_step(inst)
 
     def test_invariant_under_node_permutation(self, rng, exact_bound):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         inst2 = permute_within_stages(inst, rng)
-        l1 = estimate_lipschitz(factor_step(inst), inst)
-        l2 = estimate_lipschitz(factor_step(inst2), inst2)
+        l1 = self.metric(inst).lipschitz
+        l2 = self.metric(inst2).lipschitz
         assert l1 == pytest.approx(l2, rel=1e-6)
 
 
@@ -410,6 +462,21 @@ class TestSolve:
         assert res1.iterations == res2.iterations
         np.testing.assert_array_equal(res1.u0, res2.u0)
         np.testing.assert_array_equal(res1.dual, res2.dual)
+
+    def test_solve_never_writes_to_its_cache(self):
+        inst, config = net3_demo_instance()
+        cache = factor_step(inst)
+        members = {f.name: getattr(cache, f.name) for f in dataclasses.fields(cache)}
+        before = {name: pickle.dumps(value) for name, value in members.items()}
+        first, second = (solve(inst, config, cache=cache) for _ in range(2))
+        for name, value in members.items():
+            assert getattr(cache, name) is value, name
+            assert pickle.dumps(value) == before[name], name
+        for f in dataclasses.fields(SolverResult):
+            if f.name != "solve_time_s":
+                np.testing.assert_array_equal(
+                    getattr(first, f.name), getattr(second, f.name), err_msg=f.name
+                )
 
     def test_widened_boxes_zero_weights_recover_economic_optimum(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
