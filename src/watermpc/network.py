@@ -15,7 +15,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class NetworkModel:
     entries for tank-attached demands, and E/Ed encode the mixing-node
     conservation rows with +1/-1 coefficients. Generality beyond that
     structure (for example a non-identity A) is accepted when loading a
-    model from file.
+    model from file. Array fields take any array-like and are stored as
+    float arrays.
     """
 
     A: np.ndarray
@@ -96,6 +97,12 @@ class NetworkModel:
     dt: float
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name != "dt":
+                try:
+                    setattr(self, f.name, np.asarray(getattr(self, f.name), float))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{f.name} must be an array of numbers: {exc}") from None
         self.validate()
 
     @property

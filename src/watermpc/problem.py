@@ -112,7 +112,6 @@ class ProblemInstance:
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
     inv_prob: np.ndarray = field(init=False, repr=False)
-    two_prob: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, float)
@@ -169,11 +168,10 @@ class ProblemInstance:
                 self.parent_rows.append(parents)
                 self.child_groups.append((order, starts))
         # Hot-path constants: per-node demand inflow term, economic cost rows
-        # and the sweep's probability columns.
+        # and the sweep's inverse-probability column.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
         self.inv_prob = (1.0 / self.prob)[:, None]
-        self.two_prob = (2.0 * self.prob)[:, None]
 
     @property
     def n_nonroot(self) -> int:

@@ -41,12 +41,14 @@ cost-to-go is carried in the ancestor's (input, state) pair; probability
 telescoping makes the per-node input Hessians proportional to the node
 probability with a stage-uniform core, so one factorization per stage
 suffices. Each pass is one stage loop over one array: the backward pass
-keeps a carry row per node and moves it to the parents with one product
-per stage, and the forward pass rolls out the rows [u, x] together (see
-:func:`_dual_gradient_parts`). The factorizations, the carry matrices and
-the step metric live in :class:`FactorCache`, built once per structure and
-rebound to each instance sharing it. One solve allocates its dual buffers
-and the prox's step-scaled bounds once; each iteration works on them in place.
+keeps a row [r, w, y3] per node, and one product per stage gives the
+nodes' input terms and their carries into the parents; the inputs are
+formed once after the loop, and the forward pass rolls out the rows
+[u, x] together (see :func:`_dual_gradient_parts`). The factorizations,
+the stage operators and the step metric live in :class:`FactorCache`,
+built once per structure and rebound to each instance sharing it. One
+solve allocates its dual buffers and the prox's step-scaled bounds once;
+each iteration works on them in place.
 """
 
 from __future__ import annotations
@@ -135,27 +137,26 @@ class SolverResult:
 class FactorCache:
     """Precomputed quantities for fast repeated dual-gradient solves.
 
-    Structural members (null basis, per-stage operators, the sweep's carry
+    Structural members (null basis, per-stage operators, the sweep's stage
     and rollout matrices, and the step metric: the per-node Hessian diagonal
     with its curvature bound) depend only on the model matrices, the input
     weight and the tree topology with its probabilities; the per-node input
     offset (built from the coupling's particular solution and the cost row)
-    also depends on node demand and price values and is rebuilt cheaply per
-    instance, in a copy that shares every other member. :func:`factor_step`
-    returns every cache complete, and nothing writes to one afterwards.
-
-    ``carry_in`` and ``carry_up`` are the backward pass's products on its
-    carry rows, and ``fwd`` the forward pass's per-stage rollout (see
-    :func:`_dual_gradient_parts`).
+    and its carry into the parent also depend on node demand and price
+    values and are rebuilt cheaply per instance, in a copy that shares every
+    other member. :func:`factor_step` returns every cache complete, and
+    nothing writes to one afterwards. ``stage_ops`` holds the backward
+    pass's one product per stage, and ``fwd`` the forward pass's per-stage
+    rollout (see :func:`_dual_gradient_parts`).
     """
 
     null_basis: np.ndarray            # orthonormal basis of null(E)
     e_pinv: np.ndarray                # pseudo-inverse of E
     e_offset: np.ndarray              # per-node input offset, dual-independent part
+    e_carry: np.ndarray               # per-node sum over children of -2 p e_offset W_u
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
-    carry_in: np.ndarray              # [I; B]
-    carry_up: np.ndarray              # [[0, A], [-W_u, 0]]
+    stage_ops: list[np.ndarray]       # per-stage [G_s | 2 G_s W_u | [0; A; 0]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
@@ -195,7 +196,8 @@ def factor_step(
     A fresh cache gets the stage factorizations and the step metric (see
     :func:`_hessian_diagonal` and :func:`estimate_lipschitz`). Passing
     ``structure_from`` shares both with a cache built on the same model
-    matrices, weights and tree structure, recomputing only the input offset.
+    matrices, weights and tree structure, recomputing only the input offset
+    and its carry.
     """
     m = instance.model
     sig = _structure_signature(instance)
@@ -215,8 +217,10 @@ def factor_step(
         fwd = [np.empty(0)] * horizon
         t_mat = [np.empty(0)] * horizon
         lam = [np.empty(0)] * horizon
+        stage_ops = [np.empty(0)] * horizon
         pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
         zero_xu = np.zeros((m.n_tanks, m.n_inputs))
+        state_carry = np.vstack([zero_xu.T, m.A, zero_xu.T])  # [0; A; 0]
         for s in range(horizon, 0, -1):
             lam_s = pi_s + 2.0 * wu
             reduced = basis.T @ lam_s @ basis
@@ -233,14 +237,16 @@ def factor_step(
             pi_s = 0.5 * (pi_s + pi_s.T)
             lam[s - 1], t_mat[s - 1] = lam_s, t_s
             fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
+            g_s = np.vstack([t_s, m.B @ t_s, t_s])
+            stage_ops[s - 1] = np.hstack([g_s, 2.0 * (g_s @ wu), state_carry])
         structural = FactorCache(
             null_basis=basis,
             e_pinv=e_pinv,
             e_offset=np.empty((0, m.n_inputs)),  # the instance's, set below
+            e_carry=np.empty((0, m.n_inputs)),  # likewise
             t_mat=t_mat,
             lam=lam,
-            carry_in=np.vstack([np.eye(m.n_inputs), m.B]),
-            carry_up=np.block([[zero_xu, m.A], [-wu, zero_xu.T]]),
+            stage_ops=stage_ops,
             fwd=fwd,
             lipschitz=np.nan,  # set last: the power iteration goes through the offset
             hess_diag=_hessian_diagonal(basis, instance),
@@ -261,12 +267,14 @@ def factor_step(
     else:
         u_part = np.zeros((instance.n_nonroot, m.n_inputs))
 
-    # Dual-independent part of the per-node input offset:
-    # (I - T_s Lam_s) u_part - T_s * (economic cost row).
+    # Dual-independent parts of the per-node input offset, (I - T_s Lam_s)
+    # u_part - T_s * (economic cost row), and of the carry into its parent.
     e_offset = np.empty_like(u_part)
     for sl, t_s, lam_s in zip(instance.stage_slices, structural.t_mat, structural.lam):
         e_offset[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
-    cache = dataclasses.replace(structural, e_offset=e_offset)
+    e_carry = np.zeros((instance.n_nonroot + 1, m.n_inputs))  # + the root row, unused
+    np.add.at(e_carry, instance.anc_row, -2.0 * instance.prob[:, None] * e_offset @ instance.wu)
+    cache = dataclasses.replace(structural, e_offset=e_offset, e_carry=e_carry[:-1])
     if structure_from is None:
         cache = dataclasses.replace(cache, lipschitz=estimate_lipschitz(cache, instance))
     return cache
@@ -281,13 +289,14 @@ def _dual_gradient_parts(
     as the column views of one array of rows ``[u, x]``;
     :func:`dual_gradient` also prices them.
 
-    The backward pass carries one row ``[r, w, 2 p e]`` per node: the
-    linear cost-to-go on the node's input (r) and state (w, starting at
-    y1 + y2), and, once its stage is done, its input offset e times twice
-    its probability. Per stage, ``lin = [r, w] [I; B] + y3`` divided by p
-    gives ``e = e_offset - lin T_s``; the rows ``[w, 2 p e]`` are summed per
-    parent by one segment sum when the stage branches, and one product by
-    ``[[0, A], [-W_u, 0]]`` adds them into the parents' ``[r, w]``.
+    The backward pass keeps one row ``a = [r, w, y3]`` per node: the linear
+    cost-to-go on the node's input (r, from the cache's ``e_carry``) and
+    state (w, from y1 + y2), and its input dual. Once the children's carries
+    are in, one product by ``[G_s | 2 G_s W_u | [0; A; 0]]``, with
+    ``G_s = [T_s; B T_s; T_s]``, gives ``a G_s = p (e_offset - e)``, e the
+    node's input, and the dual-dependent part of the carry into the parent's
+    ``[r, w]``, which is added there after a segment sum when the stage
+    branches. ``U = e_offset - (a G_s) / p`` follows after the stage loop.
 
     The forward pass rolls out inputs and states together: the rows start
     at ``[e, e B' + Gd d]``, and each stage adds its parent's row times
@@ -299,26 +308,25 @@ def _dual_gradient_parts(
     k = nu + nt
     slices = instance.stage_slices
     Z = np.empty((n, k + nu))
-    Z[:, :nu] = 0.0
+    Z[:, :nu] = cache.e_carry
     np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:k])
-    Yu = y[:, 2 * nt:]
-    P = np.empty((n + 1, k))
-    U, X = P[:n, :nu], P[:n, nu:]
+    Z[:, k:] = y[:, 2 * nt:]
+    M = np.empty_like(Z)
     for s in range(instance.tree.horizon, 0, -1):
         sl = slices[s - 1]
-        lin = Z[sl, :k] @ cache.carry_in
-        lin += Yu[sl]
-        lin *= instance.inv_prob[sl]
-        np.subtract(cache.e_offset[sl], lin @ cache.t_mat[s - 1], out=U[sl])
+        np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
         if s > 1:  # carries into the root would go unused
-            np.multiply(U[sl], instance.two_prob[sl], out=Z[sl, k:])
-            rows = Z[sl, nu:]
+            rows = M[sl, nu:]
             groups = instance.child_groups[s - 1]
             if groups is not None:
                 order, starts = groups
                 rows = np.add.reduceat(rows[order], starts)
-            Z[slices[s - 2], :k] += rows @ cache.carry_up
+            Z[slices[s - 2], :k] += rows
 
+    P = np.empty((n + 1, k))
+    U, X = P[:n, :nu], P[:n, nu:]
+    np.multiply(M[:, :nu], instance.inv_prob, out=U)
+    np.subtract(cache.e_offset, U, out=U)
     np.matmul(U, m.B.T, out=X)
     X += instance.demand_gd
     P[n, :nu], P[n, nu:] = instance.q, instance.p

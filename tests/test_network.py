@@ -1,7 +1,7 @@
 """Tests for the network topology and LTI model."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from watermpc.network import (
     ControlledFlow,
     MixingNode,
+    NetworkModel,
     NetworkTopology,
     Tank,
     TopologyError,
@@ -225,6 +226,25 @@ class TestBuildLti:
         bad.flat[0] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             replace(model, **{name: bad})
+
+    def test_model_accepts_array_likes(self):
+        model = coupled_model()
+        as_lists = {
+            f.name: getattr(model, f.name).tolist() if f.name != "dt" else model.dt
+            for f in fields(model)
+        }
+        twin = NetworkModel(**as_lists)
+        for f in fields(model):
+            np.testing.assert_array_equal(getattr(twin, f.name), getattr(model, f.name))
+            assert np.asarray(getattr(twin, f.name)).dtype == float, f.name
+
+    @pytest.mark.parametrize("name, value", [
+        ("B", [[1.0], [1.0, 2.0]]),
+        ("u_max", ["fast"]),
+    ], ids=["ragged-B", "string-u_max"])
+    def test_non_numeric_field_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an array of numbers"):
+            replace(coupled_model(), **{name: value})
 
     def test_infinite_bounds_allowed(self):
         model = build_lti(single_tank_topology(), 1.0)

@@ -147,11 +147,28 @@ class TestFactorStep:
         inst2, _ = demo_instance("net3", step=1)  # same tree, next forecast
         cache = factor_step(inst)
         rebound = factor_step(inst2, structure_from=cache)
-        shared = {f.name for f in dataclasses.fields(cache)} - {"e_offset"}
-        assert {"lipschitz", "hess_diag"} <= shared
+        per_instance = {"e_offset", "e_carry"}
+        shared = {f.name for f in dataclasses.fields(cache)} - per_instance
+        assert {"lipschitz", "hess_diag", "stage_ops"} <= shared
         for name in shared:
             assert getattr(rebound, name) is getattr(cache, name), name
-        assert not np.array_equal(rebound.e_offset, cache.e_offset)
+        for name in per_instance:
+            assert not np.array_equal(getattr(rebound, name), getattr(cache, name)), name
+
+    @pytest.mark.parametrize("permuted", [False, True], ids=["net3", "net3-permuted"])
+    def test_offset_carry_sums_each_nodes_children(self, permuted):
+        inst, _ = net3_demo_instance()
+        if permuted:
+            inst = permute_within_stages(inst, np.random.default_rng(5))
+            assert not isinstance(inst.child_groups[-1][0], slice)
+        cache = factor_step(inst)
+        expected = np.zeros((inst.n_nonroot, inst.model.n_inputs))
+        for c in range(inst.n_nonroot):
+            parent = inst.anc_row[c]
+            if parent >= 0:
+                expected[parent] -= 2.0 * inst.prob[c] * cache.e_offset[c] @ inst.wu
+        np.testing.assert_allclose(cache.e_carry, expected, rtol=1e-12, atol=1e-15)
+        assert np.any(expected != 0.0)
 
 
 class TestDualGradient:
