@@ -32,6 +32,9 @@ class ForecastSeries:
             raise ValueError("dHat must not be empty")
         if self.alpha_hat.size == 0:
             raise ValueError("alphaHat must not be empty")
+        for key, values in (("dHat", self.d_hat), ("alphaHat", self.alpha_hat)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{key} must be finite")
         if np.any(self.d_hat < 0):
             raise ValueError("dHat must be nonnegative")
 

@@ -79,8 +79,10 @@ class NetworkModel:
     entries for tank-attached demands, and E/Ed encode the mixing-node
     conservation rows with +1/-1 coefficients. Generality beyond that
     structure (for example a non-identity A) is accepted when loading a
-    model from file. Array fields take any array-like and are stored as
-    float arrays.
+    model from file, with one rule: each flow appears in at most one row of
+    E, so no flow runs from one mixing node to another. The exact input
+    restoration of the gap certificate relies on it. Array fields take any
+    array-like and are stored as float arrays.
     """
 
     A: np.ndarray
@@ -122,7 +124,8 @@ class NetworkModel:
         return self.E.shape[0]
 
     def validate(self) -> None:
-        """Check shapes, finiteness and bound order; raise ValueError. Runs on construction."""
+        """Check shapes, finiteness, the row rule and bound order; raise
+        ValueError. Runs on construction."""
         nt, nu, nd, ns = self.n_tanks, self.n_inputs, self.n_demands, self.n_mixing
         if self.A.shape != (nt, nt):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -151,6 +154,10 @@ class NetworkModel:
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
         _check_dt(self.dt)
+        shared = np.flatnonzero(np.count_nonzero(self.E, axis=0) > 1)
+        if shared.size:
+            raise ValueError(f"flow {shared[0]} appears in more than one mixing row of E; "
+                             "no flow may run from one mixing node to another")
         if np.any(self.x_min > self.x_safe) or np.any(self.x_safe > self.x_max):
             raise ValueError("require x_min <= x_safe <= x_max")
         if np.any(self.u_min > self.u_max):
@@ -210,8 +217,11 @@ def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
     E, Ed = np.zeros((ns, nu)), np.zeros((ns, nd))
     placed = np.zeros(nu, bool)
 
-    def place(flow_row, demand_row, element, scale):
+    def place(flow_row, demand_row, element, scale, name):
         """Add the element's incidence, times ``scale``, into its rows."""
+        overlap = sorted(set(element.inflows) & set(element.outflows))
+        if overlap:
+            raise TopologyError(f"{name}: flow {overlap[0]} is both inflow and outflow")
         for sign, indices in ((scale, element.inflows), (-scale, element.outflows)):
             for i in indices:
                 if not 0 <= i < nu:
@@ -229,16 +239,13 @@ def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
                 f"tank {j}: require v_min <= v_safe <= v_max, "
                 f"got ({tank.v_min}, {tank.v_safe}, {tank.v_max})"
             )
-        overlap = sorted(set(tank.inflows) & set(tank.outflows))
-        if overlap:
-            raise TopologyError(f"tank {j}: flow {overlap[0]} is both inflow and outflow")
-        place(B[j], Gd[j], tank, dt)
+        place(B[j], Gd[j], tank, dt, f"tank {j}")
     for s, node in enumerate(topology.mixing_nodes):
         if not node.inflows:
             raise TopologyError(f"mixing node {s} has no incoming flow")
         if not node.outflows and not node.demands:
             raise TopologyError(f"mixing node {s} has no outgoing flow")
-        place(E[s], Ed[s], node, 1.0)
+        place(E[s], Ed[s], node, 1.0, f"mixing node {s}")
     if not placed.all():
         raise TopologyError(f"controlled flow {np.argmin(placed)} appears in no incidence list")
     return NetworkModel(

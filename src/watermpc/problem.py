@@ -89,7 +89,10 @@ class ProblemInstance:
     """Assembled problem: model + forecast-attached tree + weights + state.
 
     ``p`` is the measured tank state and ``q`` the previously applied
-    input. Flat per-node arrays are row-indexed by ``node - 1``.
+    input; both must be finite. Flat per-node arrays are row-indexed by
+    ``node - 1``. Construction derives the hot-path layout once, the mixing
+    rows of :func:`restore_feasible_inputs` among it, and rejects a node
+    whose coupling ``E u = -Ed d`` has no solution inside the input box.
     """
 
     model: NetworkModel
@@ -112,6 +115,9 @@ class ProblemInstance:
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
     inv_prob: np.ndarray = field(init=False, repr=False)
+    mix_cols: np.ndarray = field(init=False, repr=False)
+    mix_coef: np.ndarray = field(init=False, repr=False)
+    mix_rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.p = np.asarray(self.p, float)
@@ -133,6 +139,9 @@ class ProblemInstance:
             raise ValueError(f"state p must have shape ({model.n_tanks},)")
         if self.q.shape != (model.n_inputs,):
             raise ValueError(f"previous input q must have shape ({model.n_inputs},)")
+        for name in ("p", "q"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         self.wu = self.weights.u_weight(model.n_inputs)
 
         # Per non-root-node rows: node i lives at row i - 1.
@@ -172,6 +181,22 @@ class ProblemInstance:
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
         self.inv_prob = (1.0 / self.prob)[:, None]
+        # Mixing rows for restore_feasible_inputs: each row's columns and
+        # coefficients, padded with coefficient 0, and each node's c = -Ed d.
+        on_row = model.E != 0
+        width = on_row.sum(axis=1).max(initial=0)
+        self.mix_cols = np.argsort(~on_row, axis=1, kind="stable")[:, :width]
+        self.mix_coef = np.take_along_axis(model.E, self.mix_cols, axis=1)
+        self.mix_rhs = -(self.demand @ model.Ed.T)
+        # The rows are disjoint, so a node's coupling has a solution inside
+        # the input box iff each c lies in the range of a'u over the box.
+        ends = [np.where(self.mix_coef != 0, b[self.mix_cols], 0.0) * self.mix_coef
+                for b in (model.u_min, model.u_max)]  # 0, not 0 * inf, off the row
+        bad = np.any((self.mix_rhs < np.minimum(*ends).sum(axis=1))
+                     | (self.mix_rhs > np.maximum(*ends).sum(axis=1)), axis=1)
+        if bad.any():
+            raise ValueError(f"coupling E u = -Ed d is infeasible at tree node "
+                             f"{int(np.argmax(bad)) + 1}: no solution inside the input box")
 
     @property
     def n_nonroot(self) -> int:
@@ -220,45 +245,54 @@ def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
 
 
 def restore_feasible_inputs(
-    instance: ProblemInstance, U: np.ndarray, e_pinv: np.ndarray
+    instance: ProblemInstance, U: np.ndarray, e_pinv: np.ndarray | None = None
 ) -> np.ndarray:
-    """Project per-node inputs onto box intersected with the coupling set.
+    """Exact Euclidean projection of per-node inputs onto the input box
+    intersected with the coupling set ``{u : E u = -Ed d}``, without a loop.
 
-    Alternating projections with Dykstra corrections, vectorized across
-    nodes; ``e_pinv`` is pinv(E), as in ``FactorCache.e_pinv``. A row stops
-    once its box point and its coupling point agree to rounding level, so
-    it sits exactly inside the box with the coupling residual at rounding
-    level; the others carry on, up to 500 steps.
+    Each input is in at most one mixing row (NetworkModel's row rule), so an
+    input in no row is clipped and a row ``a'u = c`` becomes
+    ``clip(v + lam a, lo, hi)``, lam the root of the nondecreasing
+    ``phi(lam) = a' clip(v + lam a, lo, hi) - c``. A row whose affine
+    projection stays inside the box keeps it; the others search the sorted
+    breakpoints of phi (Helgason, Kennington & Lall, Math. Prog. 1980;
+    Kiwiel, JOTA 2008). ``e_pinv`` is not read.
     """
     m = instance.model
+    out = np.clip(U, m.u_min, m.u_max)
     if m.n_mixing == 0:
-        return np.clip(U, m.u_min, m.u_max)
-    out = U.copy()
-    rows = np.arange(U.shape[0])
-    shift = instance.demand @ m.Ed.T
-    x = U
-    p_cor = np.zeros_like(x)
-    q_cor = np.zeros_like(x)
-    tol = 1e-13 * (1.0 + float(np.max(np.abs(U))))
-    for _ in range(500):
-        y = x + p_cor
-        y -= (y @ m.E.T + shift) @ e_pinv.T
-        p_cor = x + p_cor - y
-        x = np.clip(y + q_cor, m.u_min, m.u_max)
-        q_cor = y + q_cor - x
-        # A box point can sit on a clipped corner for several steps while
-        # the corrections still move, so a row is done only when it also
-        # meets the coupling point.
-        done = np.max(np.abs(x - y), axis=1) <= tol
-        if done.any():
-            out[rows[done]] = x[done]
-            active = ~done
-            rows, x, p_cor, q_cor, shift = (
-                rows[active], x[active], p_cor[active], q_cor[active], shift[active]
-            )
-            if rows.size == 0:
-                return out
-    out[rows] = x
+        return out
+    cols, a, c = instance.mix_cols, instance.mix_coef, instance.mix_rhs
+    on_row = a != 0
+    lo = np.where(on_row, m.u_min[cols], -np.inf)  # padding never binds
+    hi = np.where(on_row, m.u_max[cols], np.inf)
+    V = U[:, cols]
+    norm2 = (a * a).sum(axis=1)  # 0 on an empty row, whose c is 0
+    lam = np.divide(c - (V * a).sum(axis=2), norm2, out=np.zeros(c.shape), where=norm2 > 0)
+    W = V + lam[:, :, None] * a
+    node, row = np.nonzero(np.any((W < lo) | (W > hi), axis=2))
+    if node.size:
+        v, a, lo, hi, c = V[node, row], a[row], lo[row], hi[row], c[node, row]
+        # phi bends where an entry meets a bound. Price it at the sorted
+        # breakpoints, an infinite one standing for phi's limit, bracket the
+        # root between two neighbours and take one linear step from a finite
+        # one; the slope sums a_j^2 over the entries free in between.
+        a_div = np.where(a != 0, a, 1.0)  # padding: -inf and inf
+        t_lo, t_hi = np.sort([(lo - v) / a_div, (hi - v) / a_div], axis=0)
+        T = np.sort(np.hstack([t_lo, t_hi]), axis=1)
+        finite = np.isfinite(T)
+        at = v[:, None] + np.where(finite, T, 0.0)[:, :, None] * a[:, None]
+        phi = (a[:, None] * np.clip(at, lo[:, None], hi[:, None])).sum(axis=2) - c[:, None]
+        phi[~finite] = np.copysign(np.inf, T[~finite])
+        k = np.arange(T.shape[0])
+        right = np.minimum(np.count_nonzero(phi <= 0, axis=1), T.shape[1] - 1)
+        left = np.maximum(right - 1, 0)
+        free = (t_lo <= T[k, left, None]) & (t_hi >= T[k, right, None])
+        slope = (a * a * free).sum(axis=1)
+        end = np.where(finite[k, left], left, right)
+        step = np.divide(phi[k, end], slope, out=np.zeros_like(slope), where=slope > 0)
+        W[node, row] = np.clip(v + (T[k, end] - step)[:, None] * a, lo, hi)
+    out[:, cols[on_row]] = W[:, on_row]
     return out
 
 

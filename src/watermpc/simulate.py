@@ -144,21 +144,23 @@ def run_closed_loop(
     cache: FactorCache | None = None
     dual: np.ndarray | None = None
     for k in range(h):
-        fc = forecaster(k)
-        if fc.horizon != tree_template.horizon:
-            raise ValueError(
-                f"step {k}: forecast horizon {fc.horizon} does not match the "
-                f"tree horizon {tree_template.horizon}"
-            )
-        tree_k = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
-        instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
-        cache = factor_step(instance, structure_from=cache)
-        started = time.perf_counter()
         try:
+            fc = forecaster(k)
+            if fc.horizon != tree_template.horizon:
+                raise ValueError(
+                    f"forecast horizon {fc.horizon} does not match the "
+                    f"tree horizon {tree_template.horizon}"
+                )
+            tree_k = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
+            instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
+            cache = factor_step(instance, structure_from=cache)
+            started = time.perf_counter()
             result = solve(instance, config.solver, cache=cache, dual0=dual)
+            taus[k] = time.perf_counter() - started
         except RuntimeError as exc:
-            raise RuntimeError(f"solver failed at simulation step {k}: {exc}") from exc
-        taus[k] = time.perf_counter() - started
+            raise RuntimeError(f"simulation step {k}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"simulation step {k}: {exc}") from exc
         warn_unconverged(k, result)
         dual = result.dual
         us[k] = result.u0

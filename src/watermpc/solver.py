@@ -24,6 +24,9 @@ An ergodic average of the primal inputs with weights proportional to
 often converges well before it. The certificate restores both to
 feasibility, prices them, and keeps the cheaper; the reported control
 action and primal come from that candidate's inputs and their rollout.
+The restoration is the exact projection onto the input box and the
+coupling set (:func:`~watermpc.problem.restore_feasible_inputs`), so the
+restored point is feasible and the gap a true bound.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
@@ -178,7 +181,7 @@ def _structure_signature(instance: ProblemInstance) -> tuple:
 
 def _null_space(E: np.ndarray, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
     if E.shape[0] == 0:
-        return np.eye(n_inputs), np.zeros((0, n_inputs))
+        return np.eye(n_inputs), np.zeros((n_inputs, 0))
     _, s_svd, vt = np.linalg.svd(E)
     cutoff = max(E.shape) * np.finfo(float).eps * (s_svd[0] if s_svd.size else 0.0)
     rank = int(np.count_nonzero(s_svd > cutoff))
@@ -207,11 +210,6 @@ def factor_step(
         structural = structure_from
     else:
         basis, e_pinv = _null_space(m.E, m.n_inputs)
-        check = m.E @ basis
-        if check.size and float(np.max(np.abs(check))) > 1e-12 * (
-            1.0 + float(np.max(np.abs(m.E)))
-        ):
-            raise RuntimeError("null-space basis fails E @ N = 0")
         wu = instance.wu
         horizon = instance.tree.horizon
         fwd = [np.empty(0)] * horizon
@@ -253,19 +251,10 @@ def factor_step(
             signature=sig,
         )
 
-    # Particular solutions of E u = -Ed d per node, least-norm flavor.
-    if m.n_mixing > 0:
-        rhs = instance.demand @ m.Ed.T
-        u_part = -(rhs @ structural.e_pinv.T)
-        resid = np.abs(u_part @ m.E.T + rhs)
-        scale = 1e-9 * (1.0 + np.abs(rhs))
-        bad = np.nonzero(np.any(resid > scale, axis=1))[0]
-        if bad.size:
-            raise ValueError(
-                f"coupling E u = -Ed d is infeasible at tree node {int(bad[0]) + 1}"
-            )
-    else:
-        u_part = np.zeros((instance.n_nonroot, m.n_inputs))
+    # Least-norm particular solutions of E u = -Ed d per node. They are
+    # exact: E's rows are disjoint (NetworkModel's row rule), and
+    # ProblemInstance has rejected a nonzero right-hand side on an empty row.
+    u_part = instance.mix_rhs @ structural.e_pinv.T
 
     # Dual-independent parts of the per-node input offset, (I - T_s Lam_s)
     # u_part - T_s * (economic cost row), and of the carry into its parent.
@@ -498,7 +487,7 @@ def solve(
 
     def restored_value(U_c: np.ndarray) -> float:
         """Primal value of per-node inputs restored to feasibility."""
-        u_f = restore_feasible_inputs(instance, U_c, cache.e_pinv)
+        u_f = restore_feasible_inputs(instance, U_c)
         x_f = rollout_inputs(instance, u_f)
         return smooth_cost(instance, u_f) + g_value(
             instance, np.concatenate([x_f, x_f, u_f], axis=1)

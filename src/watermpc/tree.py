@@ -115,9 +115,10 @@ class ScenarioTree:
 def validate_tree(tree: ScenarioTree) -> list[str]:
     """Return a list of violated invariants (empty means valid).
 
-    Checks link consistency, breadth-first stage ordering, probability
-    telescoping and stage normalization to tolerance 1e-9, and value-array
-    shapes. Diagnostics, not exceptions.
+    Checks link consistency, breadth-first stage ordering, probabilities in
+    (0, 1] with telescoping and stage normalization to tolerance 1e-9,
+    finite prediction errors, and value arrays of the right shape with
+    finite entries. Diagnostics, not exceptions.
     """
     out: list[str] = []
     n = tree.n_nodes
@@ -136,7 +137,7 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
         out.append("nodes must be ordered breadth-first by stage")
     if np.any(tree.stage > tree.horizon) or np.any(tree.stage < 0):
         out.append("node stages must lie in [0, horizon]")
-    if np.any((tree.prob <= 0) | (tree.prob > 1 + _PROB_TOL)):
+    if not np.all((tree.prob > 0) & (tree.prob <= 1 + _PROB_TOL)):  # NaN too
         out.append("node probabilities must lie in (0, 1]")
 
     anc = tree.anc[1:]
@@ -175,14 +176,18 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
 
     if tree.eps.shape != (n, tree.n_demand + tree.n_price):
         out.append(f"eps shape {tree.eps.shape} != {(n, tree.n_demand + tree.n_price)}")
+    elif not np.isfinite(tree.eps).all():
+        out.append("prediction errors eps must be finite")
     elif np.any(tree.eps[0] != 0.0):
         out.append("root prediction error must be zero")
     if (tree.demand is None) != (tree.price is None):
         out.append("demand and price values must be attached together")
-    if tree.demand is not None and tree.demand.shape != (n, tree.n_demand):
-        out.append(f"demand value shape {tree.demand.shape} != {(n, tree.n_demand)}")
-    if tree.price is not None and tree.price.shape != (n, tree.n_price):
-        out.append(f"price value shape {tree.price.shape} != {(n, tree.n_price)}")
+    for name, values, width in (("demand", tree.demand, tree.n_demand),
+                                ("price", tree.price, tree.n_price)):
+        if values is not None and values.shape != (n, width):
+            out.append(f"{name} value shape {values.shape} != {(n, width)}")
+        elif values is not None and not np.isfinite(values).all():
+            out.append(f"{name} values must be finite")
     return out
 
 

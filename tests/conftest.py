@@ -24,7 +24,7 @@ def make_model(
     dt: float = 1.0,
     identity_a: bool = True,
 ) -> NetworkModel:
-    """Random dense model with consistent bounds and full-row-rank coupling."""
+    """Random dense model with consistent bounds and disjoint coupling rows."""
     A = np.eye(n_tanks) if identity_a else np.eye(n_tanks) + 0.05 * rng.standard_normal((n_tanks, n_tanks))
     B = dt * rng.choice([-1.0, 0.0, 1.0], size=(n_tanks, n_inputs))
     if not B.any():
@@ -32,6 +32,9 @@ def make_model(
     Gd = -dt * (rng.random((n_tanks, n_demands)) < 0.5)
     if n_mixing:
         E = rng.standard_normal((n_mixing, n_inputs))
+        # Each input in one row (NetworkModel's row rule), row i taking
+        # the inputs j with j % n_mixing == i.
+        E *= np.arange(n_inputs) % n_mixing == np.arange(n_mixing)[:, None]
         # Ed = -E W for a small positive W keeps the coupling set reachable
         # from inside the input box for moderate nonnegative demands.
         W = 0.3 * rng.random((n_inputs, n_demands))

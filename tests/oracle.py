@@ -23,13 +23,15 @@ from watermpc.problem import (
     apply_H,
     g_conjugate_value,
     g_value,
-    restore_feasible_inputs,
     rollout_inputs,
     smooth_cost,
 )
 
 # Relative feasibility slack for domain membership in eval_f.
 FEAS_TOL = 1e-8
+
+# Step cap of dykstra_restore, far above what its stop test needs.
+DYKSTRA_MAX_ITER = 200_000
 
 
 def eval_f(instance: ProblemInstance, z: np.ndarray) -> float:
@@ -243,11 +245,40 @@ def brute_force_min(
     return z, val
 
 
+def dykstra_restore(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
+    """Projection of per-node inputs onto the input box intersected with the
+    coupling set ``{u : E u = -Ed d}``, by Dykstra's alternating projections.
+
+    Each step projects onto the coupling set through pinv(E), then clips
+    into the box, with Dykstra's corrections on both. It stops once every
+    node's box point agrees with its coupling point and no longer moves,
+    to 1e-14 relative to the largest input, and raises RuntimeError if that
+    takes ``DYKSTRA_MAX_ITER`` steps. It assumes nothing of E's rows.
+    """
+    m = instance.model
+    if m.n_mixing == 0:
+        return np.clip(U, m.u_min, m.u_max)
+    e_pinv, shift = np.linalg.pinv(m.E), instance.demand @ m.Ed.T
+    tol = 1e-14 * (1.0 + float(np.max(np.abs(U))))
+    x, p_cor, q_cor = U.copy(), np.zeros_like(U), np.zeros_like(U)
+    for _ in range(DYKSTRA_MAX_ITER):
+        y = x + p_cor
+        y -= (y @ m.E.T + shift) @ e_pinv.T
+        p_cor += x - y
+        x_next = np.clip(y + q_cor, m.u_min, m.u_max)
+        q_cor += y - x_next
+        moved = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if max(float(np.max(np.abs(x - y))), moved) <= tol:
+            return x
+    raise RuntimeError(f"Dykstra's projections did not settle in {DYKSTRA_MAX_ITER} steps")
+
+
 def project_primal_feasible(instance: ProblemInstance, z: np.ndarray) -> np.ndarray:
     """Restore hard feasibility: inputs into box and coupling (Dykstra),
     states re-rolled from the dynamics."""
     U, _ = instance.split_primal(z)
-    U_f = restore_feasible_inputs(instance, U, np.linalg.pinv(instance.model.E))
+    U_f = dykstra_restore(instance, U)
     return instance.join_primal(U_f, rollout_inputs(instance, U_f))
 
 

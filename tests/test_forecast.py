@@ -25,3 +25,10 @@ class TestForecastSeries:
         with pytest.raises(ValueError, match="horizon"):
             ForecastSeries(d_hat=np.ones((3, 1)), alpha_hat=np.ones((2, 1)))
 
+
+    @pytest.mark.parametrize("key, field", [("dHat", "d_hat"), ("alphaHat", "alpha_hat")])
+    def test_non_finite_entry_is_named(self, key, field):
+        arrays = {"d_hat": np.ones((2, 1)), "alpha_hat": np.ones((2, 1))}
+        arrays[field][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            ForecastSeries(**arrays)

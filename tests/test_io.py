@@ -458,6 +458,18 @@ class TestErrorPaths:
             wio.load_network(path)
         assert str(err.value) == message
 
+    def test_flow_in_two_mixing_rows_rejected(self, tmp_path):
+        path = tmp_path / "n.json"
+        wio.save_network(build_demo("net3", h_sim=1).model, path)
+        doc = json.loads(path.read_text())
+        doc["E"].append([-e for e in doc["E"][0]])  # net3's row again, negated
+        doc["Ed"].append([0.0] * len(doc["Ed"][0]))
+        path.write_text(json.dumps(doc))
+        flow = int(np.flatnonzero(doc["E"][0])[0])
+        with pytest.raises(SchemaError, match=f"flow {flow} appears in more than one") as err:
+            wio.load_network(path)
+        assert err.value.pointer == "/"
+
     def test_empty_ed_beside_coupling_rows_rejected(self, tmp_path):
         path = tmp_path / "n.json"
         wio.save_network(build_demo("net3", h_sim=1).model, path)

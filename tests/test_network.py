@@ -103,6 +103,32 @@ class TestBuildLti:
         with pytest.raises(TopologyError, match="both inflow and outflow"):
             build_lti(topology, 1.0)
 
+    def test_flow_in_and_out_of_same_mixing_node_rejected(self):
+        # Accepted, flow 1 would be a phantom input: zero in both B and E.
+        topology = NetworkTopology(
+            tanks=(Tank(0.0, 10.0, 1.0, outflows=(0,)),
+                   Tank(0.0, 10.0, 1.0, inflows=(2,), demands=(0,))),
+            flows=(ControlledFlow("pump", 1.0),) * 3,
+            n_demands=1,
+            mixing_nodes=(MixingNode(inflows=(0, 1), outflows=(1, 2)),),
+        )
+        with pytest.raises(TopologyError,
+                           match="^mixing node 0: flow 1 is both inflow and outflow$"):
+            build_lti(topology, 1.0)
+
+    def test_flow_between_mixing_nodes_rejected(self):
+        # Flow 1 runs from mixing node 0 into mixing node 1: two rows of E.
+        topology = NetworkTopology(
+            tanks=(Tank(0.0, 10.0, 1.0, outflows=(0,)),
+                   Tank(0.0, 10.0, 1.0, inflows=(2,), demands=(0,))),
+            flows=(ControlledFlow("pump", 1.0),) * 3,
+            n_demands=1,
+            mixing_nodes=(MixingNode(inflows=(0,), outflows=(1,)),
+                          MixingNode(inflows=(1,), outflows=(2,))),
+        )
+        with pytest.raises(ValueError, match="^flow 1 appears in more than one mixing row"):
+            build_lti(topology, 1.0)
+
     def test_mixing_node_without_outgoing_rejected(self):
         topology = NetworkTopology(
             tanks=(Tank(0.0, 10.0, 1.0, outflows=(0,), demands=(0,)),),

@@ -1,8 +1,12 @@
 """Tests for the assembled instance, the f/g/H splitting and the prox maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import watermpc.solver
+from watermpc.demo import build_demo
 from watermpc.network import NetworkModel
 from watermpc.problem import (
     CostWeights,
@@ -18,7 +22,7 @@ from watermpc.problem import (
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance, make_model, make_tree
-from oracle import apply_H_adjoint, eval_f, primal_objective, prox_g
+from oracle import apply_H_adjoint, dykstra_restore, eval_f, primal_objective, prox_g
 
 
 def chain_instance(rng, horizon=3, n_tanks=1, n_inputs=1, n_demands=1, **kw):
@@ -383,6 +387,26 @@ def test_g_value_matches_prox_penalties(rng):
     assert np.isfinite(val) and val >= 0.0
 
 
+@pytest.mark.parametrize("name", ["p", "q"])
+def test_non_finite_state_is_named(rng, name):
+    inst = make_instance(rng, horizon=2, max_nodes=5)
+    state = {"p": inst.p.copy(), "q": inst.q.copy()}
+    state[name][0] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        ProblemInstance(inst.model, inst.tree, inst.weights, **state)
+
+
+def test_coupling_without_a_solution_in_the_box_is_rejected(rng):
+    inst = make_instance(rng, n_inputs=4, n_mixing=2, horizon=2, max_nodes=5)
+    m = inst.model
+    # Row 1 holds inputs 1 and 3; pinning both to 0 leaves only c = 0.
+    u_max = m.u_max.copy()
+    u_max[[1, 3]] = 0.0
+    model = dataclasses.replace(m, u_max=u_max)
+    with pytest.raises(ValueError, match="infeasible at tree node 1: no solution inside"):
+        ProblemInstance(model, inst.tree, inst.weights, inst.p, inst.q)
+
+
 def test_restore_finishes_a_row_left_on_a_clipped_corner(rng):
     # Restoring every row, then putting row r back to its raw value and
     # restoring again, once left row r box-feasible but off the coupling
@@ -400,3 +424,66 @@ def test_restore_finishes_a_row_left_on_a_clipped_corner(rng):
         assert np.all(out >= m.u_min) and np.all(out <= m.u_max)
         resid = out @ m.E.T + inst.demand @ m.Ed.T
         assert float(np.max(np.abs(resid))) <= 1e-10 * (1.0 + float(np.max(np.abs(start))))
+
+
+def _capped_cases():
+    """Instances and inputs on which a Dykstra loop capped at 500 steps
+    stopped off the coupling set, by up to 2.8e-2 with one mixing row and
+    6.8e-2 with two."""
+    for n_mixing, seeds in ((1, (19, 26, 38)), (2, (0, 4, 12, 29))):
+        for seed in seeds:
+            inst = make_instance(np.random.default_rng(seed), n_inputs=5,
+                                 n_mixing=n_mixing, horizon=2, max_nodes=8)
+            draws = np.random.default_rng(seed)
+            for _ in range(3):
+                yield inst, 3.0 * draws.standard_normal((inst.n_nonroot, 5))
+
+
+def _infinite_bound_cases():
+    """Two mixing rows whose inputs have an infinite lower bound, an
+    infinite upper bound, both, or neither."""
+    rng = np.random.default_rng(7)
+    inst = make_instance(rng, n_inputs=8, n_mixing=2, horizon=2, max_nodes=8)
+    m = inst.model
+    u_min, u_max = m.u_min.copy(), m.u_max.copy()
+    u_min[[0, 3, 4]] = -np.inf  # row 0 holds inputs 0, 2, 4, 6; row 1 the odd ones
+    u_max[[1, 4, 5]] = np.inf
+    model = dataclasses.replace(m, u_min=u_min, u_max=u_max)
+    inst = ProblemInstance(model, inst.tree, inst.weights, inst.p, inst.q)
+    for scale in (0.5, 3.0, 30.0):
+        yield inst, scale * rng.standard_normal((inst.n_nonroot, 8))
+
+
+def _certificate_cases():
+    """The inputs the certificate restores in short cold solves of the
+    net3 (seed 0) and net10 (seed 3) demos."""
+    for kind, seed, iters in (("net3", 0, 100), ("net10", 3, 50)):
+        bundle = build_demo(kind, seed, h_sim=1)
+        fc = bundle.forecaster(0)
+        tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+        inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+        seen = []
+
+        def recorded(instance, U, *args):
+            seen.append(U.copy())
+            return restore_feasible_inputs(instance, U, *args)
+
+        config = dataclasses.replace(bundle.solver, max_iter=iters, tol=1e-30)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(watermpc.solver, "restore_feasible_inputs", recorded)
+            watermpc.solver.solve(inst, config)
+        assert len(seen) == 2 * iters // watermpc.solver.GAP_CHECK_EVERY
+        for U in seen:
+            yield inst, U
+
+
+@pytest.mark.parametrize("cases", [_capped_cases, _infinite_bound_cases, _certificate_cases])
+def test_restore_agrees_with_dykstra(cases):
+    for inst, U in cases():
+        m = inst.model
+        out = restore_feasible_inputs(inst, U)
+        np.testing.assert_allclose(out, dykstra_restore(inst, U), rtol=0, atol=1e-9)
+        assert np.all(out >= m.u_min) and np.all(out <= m.u_max)
+        scale = 1.0 + float(np.max(np.abs(U)))
+        resid = out @ m.E.T + inst.demand @ m.Ed.T
+        assert float(np.max(np.abs(resid))) <= 1e-12 * scale

@@ -9,7 +9,7 @@ import pytest
 import watermpc.simulate
 import watermpc.solver
 from watermpc.forecast import ForecastSeries
-from watermpc.network import ControlledFlow, NetworkTopology, Tank, build_lti
+from watermpc.network import ControlledFlow, MixingNode, NetworkTopology, Tank, build_lti
 from watermpc.problem import CostWeights
 from watermpc.simulate import (
     SimulationConfig,
@@ -198,6 +198,31 @@ class TestRunClosedLoop:
                 np.full((2, 1), 150.0), np.full((2, 1), 0.03), config,
             )
         assert len(calls) < SolverConfig().max_iter
+
+    def test_a_failing_step_is_named(self):
+        # Flow 1 leaves the tank for a mixing node that serves the demand,
+        # so a demand above its 100 m^3/s capacity has no feasible input.
+        topology = NetworkTopology(
+            tanks=(Tank(0.0, 2000.0, 300.0, inflows=(0,), outflows=(1,)),),
+            flows=(ControlledFlow("pump", 600.0, 0.02), ControlledFlow("valve", 100.0)),
+            n_demands=1,
+            mixing_nodes=(MixingNode(inflows=(1,), demands=(0,)),),
+        )
+        model = build_lti(topology, 1.0)
+        tree = ScenarioTree.single_branch(horizon=4, n_demand=1, n_price=2)
+        weights = CostWeights(w_alpha=1.0, w_u=1e-3, w_s=1.0, w_x=100.0)
+
+        def forecaster(k):
+            return ForecastSeries(d_hat=np.full((4, 1), 50.0 if k < 2 else 150.0),
+                                  alpha_hat=np.full((4, 2), 0.03))
+
+        config = SimulationConfig(
+            h_sim=3, weights=weights, solver=SolverConfig(max_iter=50), x0=np.array([700.0])
+        )
+        with pytest.raises(ValueError, match="^simulation step 2: coupling E u = -Ed d is "
+                                             "infeasible at tree node 1"):
+            run_closed_loop(model, tree, forecaster, np.full((3, 1), 50.0),
+                            np.full((3, 2), 0.03), config)
 
     def test_realization_exhaustion_rejected(self):
         model, tree, weights = one_tank_setup()

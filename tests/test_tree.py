@@ -105,6 +105,18 @@ class TestValidate:
         )
         assert validate_tree(tree) == expected
 
+    @pytest.mark.parametrize("field, expected", [
+        ("prob", "node probabilities must lie in (0, 1]"),
+        ("eps", "prediction errors eps must be finite"),
+        ("demand", "demand values must be finite"),
+        ("price", "price values must be finite"),
+    ])
+    def test_nan_is_named(self, field, expected):
+        tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
+        tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 1)))
+        getattr(tree, field)[1] = np.nan
+        assert validate_tree(tree) == [expected]
+
 
 class TestAttachForecast:
     def test_zero_errors_reproduce_forecast(self):
