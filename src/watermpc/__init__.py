@@ -38,7 +38,6 @@ from .tree import (
     ScenarioTree,
     attach_forecast,
     reduce_fan_to_tree,
-    validate_tree,
     zero_price_errors,
 )
 
@@ -71,6 +70,5 @@ __all__ = [
     "reduce_fan_to_tree",
     "run_closed_loop",
     "solve",
-    "validate_tree",
     "zero_price_errors",
 ]

@@ -15,7 +15,8 @@ import numpy as np
 
 @dataclass
 class ForecastSeries:
-    """H_p-step nominal forecasts: demands (m^3/s) and prices per flow."""
+    """H_p-step nominal forecasts: demands (m^3 per time unit of the model's
+    dt) and prices per flow."""
 
     d_hat: np.ndarray      # (horizon, n_demand)
     alpha_hat: np.ndarray  # (horizon, n_price)

@@ -32,7 +32,7 @@ from .network import NetworkModel
 from .problem import CostWeights
 from .simulate import SimulationLog
 from .solver import SolverConfig, SolverResult
-from .tree import ScenarioFan, ScenarioTree, validate_tree
+from .tree import ScenarioFan, ScenarioTree
 
 SCHEMA_VERSION = 1
 
@@ -242,19 +242,11 @@ def load_tree(path: str | Path) -> ScenarioTree:
             raise SchemaError(
                 f"/{key}", "node values are not read; they are the forecast plus errorValues"
             )
-    tree = ScenarioTree(
-        horizon=horizon,
-        n_demand=nd,
-        n_price=nu,
-        stage=stage,
-        anc=anc,
-        prob=prob,
-        eps=eps,
-    )
-    problems = validate_tree(tree)
-    if problems:
-        raise SchemaError("/", f"invalid scenario tree: {problems[0]}")
-    return tree
+    try:
+        return ScenarioTree(horizon=horizon, n_demand=nd, n_price=nu,
+                            stage=stage, anc=anc, prob=prob, eps=eps)
+    except ValueError as exc:
+        raise SchemaError("/", f"invalid scenario tree: {exc}") from exc
 
 
 def save_tree(tree: ScenarioTree, path: str | Path) -> None:
@@ -408,6 +400,11 @@ def load_realizations(path: str | Path) -> dict:
     demand = _array(doc, "demand", None, None)
     price = _array(doc, "price", demand.shape[0], None)
     forecast_demand = _array(doc, "forecastDemand", None, None, demand.shape[1])
+    negative = np.flatnonzero((forecast_demand < 0).any(axis=(1, 2)))
+    if negative.size:  # ForecastSeries' rule, checked before the first step runs
+        raise SchemaError(
+            "/forecastDemand", f"step {negative[0]}: demand forecast must be nonnegative"
+        )
     return {
         "demand": demand,
         "price": price,

@@ -2,8 +2,9 @@
 
 Tanks integrate controlled flows and consumer demand; mixing nodes impose
 storage-free flow conservation. With tank volumes x (m^3), controlled flow
-set-points u (m^3/s) and demand-sector flows d (m^3/s), the discrete-time
-model over a sampling interval dt is
+set-points u and demand-sector flows d, both in m^3 per time unit of dt
+(the demos use m^3/h with dt = 1 h), the discrete-time model over a
+sampling interval dt is
 
     x[k+1] = A x[k] + B u[k] + Gd d[k]
     0      = E u[k] + Ed d[k]
@@ -43,7 +44,8 @@ class Tank:
 
 @dataclass(frozen=True)
 class ControlledFlow:
-    """Pump or valve with capacity q_max (m^3/s) and production price alpha0."""
+    """Pump or valve with capacity q_max (m^3 per time unit of dt) and production
+    price alpha0."""
 
     kind: str
     q_max: float

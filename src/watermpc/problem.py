@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import NetworkModel
-from .tree import ScenarioTree, validate_tree
+from .tree import ScenarioTree
 
 
 @dataclass
@@ -125,9 +125,6 @@ class ProblemInstance:
         model, tree = self.model, self.tree
         if not tree.is_attached:
             raise ValueError("scenario tree is not forecast-attached")
-        problems = validate_tree(tree)
-        if problems:
-            raise ValueError(f"invalid scenario tree: {problems[0]}")
         if tree.horizon < 1:
             raise ValueError("prediction horizon must be at least 1")
         if tree.n_demand != model.n_demands or tree.n_price != model.n_inputs:

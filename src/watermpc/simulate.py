@@ -120,10 +120,13 @@ def run_closed_loop(
             f"realizations cover {realized_demand.shape[0]} demand and "
             f"{realized_price.shape[0]} price steps but h_sim = {h}"
         )
-    if realized_demand.shape[1] != model.n_demands:
-        raise ValueError("realized demand dimension does not match the network")
-    if realized_price.shape[1] != model.n_inputs:
-        raise ValueError("realized price dimension does not match the network")
+    for name, values, width in (("demand", realized_demand, model.n_demands),
+                                ("price", realized_price, model.n_inputs)):
+        if values.shape[1] != width:
+            raise ValueError(f"realized {name} dimension does not match the network")
+        bad = np.flatnonzero(~np.isfinite(values[:h]).all(axis=1))
+        if bad.size:
+            raise ValueError(f"realized {name} is not finite at step {bad[0]}")
     if config.x0.shape != (model.n_tanks,):
         raise ValueError(f"x0 must have shape ({model.n_tanks},)")
 
@@ -146,11 +149,6 @@ def run_closed_loop(
     for k in range(h):
         try:
             fc = forecaster(k)
-            if fc.horizon != tree_template.horizon:
-                raise ValueError(
-                    f"forecast horizon {fc.horizon} does not match the "
-                    f"tree horizon {tree_template.horizon}"
-                )
             tree_k = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
             instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
             cache = factor_step(instance, structure_from=cache)

@@ -140,7 +140,7 @@ class SolverResult:
 class FactorCache:
     """Precomputed quantities for fast repeated dual-gradient solves.
 
-    Structural members (null basis, per-stage operators, the sweep's stage
+    Structural members (per-stage operators, the sweep's stage
     and rollout matrices, and the step metric: the per-node Hessian diagonal
     with its curvature bound) depend only on the model matrices, the input
     weight and the tree topology with its probabilities; the per-node input
@@ -153,7 +153,6 @@ class FactorCache:
     rollout (see :func:`_dual_gradient_parts`).
     """
 
-    null_basis: np.ndarray            # orthonormal basis of null(E)
     e_pinv: np.ndarray                # pseudo-inverse of E
     e_offset: np.ndarray              # per-node input offset, dual-independent part
     e_carry: np.ndarray               # per-node sum over children of -2 p e_offset W_u
@@ -238,7 +237,6 @@ def factor_step(
             g_s = np.vstack([t_s, m.B @ t_s, t_s])
             stage_ops[s - 1] = np.hstack([g_s, 2.0 * (g_s @ wu), state_carry])
         structural = FactorCache(
-            null_basis=basis,
             e_pinv=e_pinv,
             e_offset=np.empty((0, m.n_inputs)),  # the instance's, set below
             e_carry=np.empty((0, m.n_inputs)),  # likewise

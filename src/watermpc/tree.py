@@ -78,6 +78,73 @@ class ScenarioTree:
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
         self.eps = np.asarray(self.eps, float)
+        self.validate()
+
+    def validate(self) -> None:
+        """Raise ValueError at the first violated invariant: links, breadth-first
+        stages, probabilities in (0, 1] that telescope and sum to 1 per stage
+        within 1e-9, finite errors with a zero root row, and attached values of
+        the right shape, finite. Construction runs it."""
+        n = self.n_nodes
+        if n == 0:
+            raise ValueError("tree has no nodes")
+        if self.anc.shape != (n,) or self.prob.shape != (n,):
+            raise ValueError("stage, anc and prob arrays must have equal length")
+        stage, anc, prob = self.stage, self.anc[1:], self.prob
+        if stage[0] != 0 or self.anc[0] != -1:
+            raise ValueError("node 0 must be the root (stage 0, no ancestor)")
+        if np.count_nonzero(stage == 0) != 1:
+            raise ValueError("exactly one node may sit at stage 0")
+        if abs(prob[0] - 1.0) > _PROB_TOL:
+            raise ValueError(f"root probability {prob[0]} != 1")
+        if np.any(np.diff(stage) < 0):
+            raise ValueError("nodes must be ordered breadth-first by stage")
+        if np.any(stage > self.horizon) or np.any(stage < 0):
+            raise ValueError("node stages must lie in [0, horizon]")
+        if not np.all((prob > 0) & (prob <= 1 + _PROB_TOL)):  # NaN too
+            raise ValueError("node probabilities must lie in (0, 1]")
+
+        out_of_range = (anc < 0) | (anc >= n)
+        wrong_stage = stage[np.where(out_of_range, 0, anc)] != stage[1:] - 1
+        bad = np.flatnonzero(out_of_range | wrong_stage)
+        if bad.size:
+            i, a = bad[0] + 1, anc[bad[0]]
+            if out_of_range[bad[0]]:
+                raise ValueError(f"node {i}: ancestor {a} out of range")
+            raise ValueError(f"node {i}: ancestor stage {stage[a]} != own stage {stage[i]} - 1")
+
+        # Telescoping: every non-leaf node's probability equals its children's sum.
+        child_sum = np.bincount(anc, weights=prob[1:], minlength=n)
+        has_kids = np.bincount(anc, minlength=n) > 0
+        mismatch = ~has_kids | (np.abs(child_sum - prob) > _PROB_TOL)
+        bad = np.flatnonzero((stage < self.horizon) & mismatch)
+        if bad.size:
+            i = bad[0]
+            if not has_kids[i]:
+                raise ValueError(f"node {i} at stage {stage[i]} has no children")
+            raise ValueError(
+                f"node {i}: children probabilities sum {child_sum[i]:.12g} != {prob[i]:.12g}"
+            )
+        # Stages are contiguous by now; a slice's pairwise sum can differ in the
+        # last bit from np.bincount's running one, across the 1e-9 tolerance.
+        for j, part in enumerate(np.split(prob, np.cumsum(self.nodes_per_stage)[:-1])):
+            if abs(part.sum() - 1.0) > _PROB_TOL:
+                raise ValueError(f"stage {j} probabilities sum {part.sum():.12g} != 1")
+
+        if self.eps.shape != (n, self.n_demand + self.n_price):
+            raise ValueError(f"eps shape {self.eps.shape} != {(n, self.n_demand + self.n_price)}")
+        if not np.isfinite(self.eps).all():
+            raise ValueError("prediction errors eps must be finite")
+        if np.any(self.eps[0] != 0.0):
+            raise ValueError("root prediction error must be zero")
+        if (self.demand is None) != (self.price is None):
+            raise ValueError("demand and price values must be attached together")
+        for name, values, cols in (("demand", self.demand, self.n_demand),
+                                   ("price", self.price, self.n_price)):
+            if values is not None and values.shape != (n, cols):
+                raise ValueError(f"{name} value shape {values.shape} != {(n, cols)}")
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} values must be finite")
 
     @property
     def n_nodes(self) -> int:
@@ -112,85 +179,6 @@ class ScenarioTree:
         )
 
 
-def validate_tree(tree: ScenarioTree) -> list[str]:
-    """Return a list of violated invariants (empty means valid).
-
-    Checks link consistency, breadth-first stage ordering, probabilities in
-    (0, 1] with telescoping and stage normalization to tolerance 1e-9,
-    finite prediction errors, and value arrays of the right shape with
-    finite entries. Diagnostics, not exceptions.
-    """
-    out: list[str] = []
-    n = tree.n_nodes
-    if n == 0:
-        return ["tree has no nodes"]
-    if tree.anc.shape != (n,) or tree.prob.shape != (n,):
-        out.append("stage, anc and prob arrays must have equal length")
-        return out
-    if tree.stage[0] != 0 or tree.anc[0] != -1:
-        out.append("node 0 must be the root (stage 0, no ancestor)")
-    if np.count_nonzero(tree.stage == 0) != 1:
-        out.append("exactly one node may sit at stage 0")
-    if abs(tree.prob[0] - 1.0) > _PROB_TOL:
-        out.append(f"root probability {tree.prob[0]} != 1")
-    if np.any(np.diff(tree.stage) < 0):
-        out.append("nodes must be ordered breadth-first by stage")
-    if np.any(tree.stage > tree.horizon) or np.any(tree.stage < 0):
-        out.append("node stages must lie in [0, horizon]")
-    if not np.all((tree.prob > 0) & (tree.prob <= 1 + _PROB_TOL)):  # NaN too
-        out.append("node probabilities must lie in (0, 1]")
-
-    anc = tree.anc[1:]
-    out_of_range = (anc < 0) | (anc >= n)
-    wrong_stage = tree.stage[np.where(out_of_range, 0, anc)] != tree.stage[1:] - 1
-    for i in np.flatnonzero(out_of_range | wrong_stage) + 1:
-        a = tree.anc[i]
-        if out_of_range[i - 1]:
-            out.append(f"node {i}: ancestor {a} out of range")
-        else:
-            own = tree.stage[i]
-            out.append(f"node {i}: ancestor stage {tree.stage[a]} != own stage {own} - 1")
-
-    # Telescoping: every non-leaf node's probability equals its children's sum.
-    if not np.any(out_of_range):
-        child_sum = np.zeros(n)
-        np.add.at(child_sum, anc, tree.prob[1:])
-        has_kids = np.isin(np.arange(n), tree.anc)
-        inner = tree.stage < tree.horizon
-        childless = inner & ~has_kids
-        mismatch = inner & has_kids & (np.abs(child_sum - tree.prob) > _PROB_TOL)
-        for i in np.flatnonzero(childless | mismatch | (has_kids & ~inner)):
-            if childless[i]:
-                out.append(f"node {i} at stage {tree.stage[i]} has no children")
-            elif mismatch[i]:
-                out.append(
-                    f"node {i}: children probabilities sum {child_sum[i]:.12g} "
-                    f"!= {tree.prob[i]:.12g}"
-                )
-            else:
-                out.append(f"leaf node {i} has children")
-        for j in range(tree.horizon + 1):
-            s = tree.prob[tree.stage == j].sum()
-            if abs(s - 1.0) > _PROB_TOL:
-                out.append(f"stage {j} probabilities sum {s:.12g} != 1")
-
-    if tree.eps.shape != (n, tree.n_demand + tree.n_price):
-        out.append(f"eps shape {tree.eps.shape} != {(n, tree.n_demand + tree.n_price)}")
-    elif not np.isfinite(tree.eps).all():
-        out.append("prediction errors eps must be finite")
-    elif np.any(tree.eps[0] != 0.0):
-        out.append("root prediction error must be zero")
-    if (tree.demand is None) != (tree.price is None):
-        out.append("demand and price values must be attached together")
-    for name, values, width in (("demand", tree.demand, tree.n_demand),
-                                ("price", tree.price, tree.n_price)):
-        if values is not None and values.shape != (n, width):
-            out.append(f"{name} value shape {values.shape} != {(n, width)}")
-        elif values is not None and not np.isfinite(values).all():
-            out.append(f"{name} values must be finite")
-    return out
-
-
 def attach_forecast(
     tree: ScenarioTree, d_hat: np.ndarray, alpha_hat: np.ndarray
 ) -> ScenarioTree:
@@ -202,14 +190,13 @@ def attach_forecast(
     """
     d_hat = np.atleast_2d(np.asarray(d_hat, float))
     alpha_hat = np.atleast_2d(np.asarray(alpha_hat, float))
-    if d_hat.shape != (tree.horizon, tree.n_demand):
-        raise ValueError(
-            f"demand forecast shape {d_hat.shape} != {(tree.horizon, tree.n_demand)}"
-        )
-    if alpha_hat.shape != (tree.horizon, tree.n_price):
-        raise ValueError(
-            f"price forecast shape {alpha_hat.shape} != {(tree.horizon, tree.n_price)}"
-        )
+    for name, values, width in (("demand", d_hat, tree.n_demand),
+                                ("price", alpha_hat, tree.n_price)):
+        if values.shape != (tree.horizon, width):
+            raise ValueError(
+                f"{name} forecast shape {values.shape} != {(tree.horizon, width)} "
+                f"(tree horizon {tree.horizon})"
+            )
     nd = tree.n_demand
     demand = np.zeros((tree.n_nodes, nd))
     price = np.zeros((tree.n_nodes, tree.n_price))

@@ -21,7 +21,7 @@ from watermpc.simulate import (
     run_closed_loop,
 )
 from watermpc.solver import solve
-from watermpc.tree import attach_forecast, validate_tree, zero_price_errors
+from watermpc.tree import attach_forecast, zero_price_errors
 
 DOCS = ("network", "tree", "forecast", "config", "state")
 FILES = {
@@ -237,7 +237,7 @@ def test_reduce_writes_a_valid_tree(demo, tmp_path):
     out = tmp_path / "out"
     assert main(["reduce", *flags(demo, "fan"), "--branching", "2,2", "--out", str(out)]) == 0
     tree = wio.load_tree(out / "scenarioTree.json")
-    assert validate_tree(tree) == []
+    tree.validate()
     np.testing.assert_array_equal(tree.nodes_per_stage[:3], [1, 2, 4])
 
 

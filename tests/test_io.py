@@ -418,6 +418,15 @@ class TestErrorPaths:
             wio.load_realizations(path)
         assert err.value.pointer == f"/{key}"
 
+    def test_negative_demand_forecast_names_its_step(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "realizations.json").read_text())
+        doc["forecastDemand"][2][0][0] = -5.0
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_realizations(path)
+        assert str(err.value) == "/forecastDemand: step 2: demand forecast must be nonnegative"
+
     def test_tree_without_errors_rejected(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "scenarioTree.json").read_text())
         del doc["errorValues"]
@@ -426,6 +435,19 @@ class TestErrorPaths:
         with pytest.raises(SchemaError) as err:
             wio.load_tree(path)
         assert err.value.pointer == "/errorValues"
+
+    def test_invalid_tree_is_reported_at_the_root(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        doc["ancestor"][-1] = 0  # a leaf hung from the root
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        leaf = len(doc["ancestor"]) - 1
+        assert str(err.value) == (
+            f"/: invalid scenario tree: node {leaf}: ancestor stage 0 != own stage "
+            f"{doc['horizon']} - 1"
+        )
 
     def test_network_labels_ignored(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "network.json").read_text())

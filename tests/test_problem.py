@@ -1,6 +1,7 @@
 """Tests for the assembled instance, the f/g/H splitting and the prox maps."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -372,9 +373,10 @@ def test_g_conjugate_on_simple_point(rng):
     y = np.hstack([np.array([[2.0]]), np.array([[-1.0]]), np.array([[-4.0]])])
     # support terms: max(-1*2, 2*2) + 0.5*(-1) + max(0, -4) = 4 - 0.5 + 0
     assert g_conjugate_value(inst, y) == pytest.approx(3.5)
-    # out of domain: |y1| > w_x
-    y_bad = np.hstack([np.array([[3.5]]), np.array([[0.0]]), np.array([[0.0]])])
-    assert g_conjugate_value(inst, y_bad) == np.inf
+    # out of domain: |y1| > w_x, |y2| > w_s, y2 > 0
+    for y1, y2 in ((3.5, 0.0), (0.0, -2.5), (0.0, 0.1)):
+        y_bad = np.array([[y1, y2, 0.0]])
+        assert g_conjugate_value(inst, y_bad) == np.inf
 
 
 def test_g_value_matches_prox_penalties(rng):
@@ -394,6 +396,29 @@ def test_non_finite_state_is_named(rng, name):
     state[name][0] = np.nan
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         ProblemInstance(inst.model, inst.tree, inst.weights, **state)
+
+
+def _attached(tree):
+    """The tree with zero forecasts attached."""
+    return attach_forecast(
+        tree, np.zeros((tree.horizon, tree.n_demand)), np.zeros((tree.horizon, tree.n_price))
+    )
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param("tree", _attached(ScenarioTree.single_branch(0, 2, 4)),
+                 "prediction horizon must be at least 1", id="horizon-0"),
+    pytest.param("tree", _attached(ScenarioTree.single_branch(2, 3, 4)),
+                 "tree values sized (3, 4) do not match network (2 demands, 4 inputs)",
+                 id="tree-width"),
+    pytest.param("p", np.zeros(4), "state p must have shape (3,)", id="p-shape"),
+    pytest.param("q", np.zeros(3), "previous input q must have shape (4,)", id="q-shape"),
+])
+def test_mismatched_part_is_named(rng, name, value, message):
+    inst = make_instance(rng, horizon=2, max_nodes=5)  # 3 tanks, 4 inputs, 2 demands
+    parts = {"tree": inst.tree, "p": inst.p, "q": inst.q, name: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProblemInstance(inst.model, parts["tree"], inst.weights, parts["p"], parts["q"])
 
 
 def test_coupling_without_a_solution_in_the_box_is_rejected(rng):

@@ -235,6 +235,32 @@ class TestRunClosedLoop:
                 np.zeros((4, 1)), np.zeros((4, 1)), config,
             )
 
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param({"demand": np.zeros((3, 2))},
+                     "realized demand dimension does not match the network", id="demand-width"),
+        pytest.param({"price": np.zeros((3, 2))},
+                     "realized price dimension does not match the network", id="price-width"),
+        pytest.param({"x0": np.array([500.0, 500.0])}, "x0 must have shape (1,)", id="x0-shape"),
+        pytest.param({"price": np.array([[0.03], [np.nan], [0.03]])},
+                     "realized price is not finite at step 1", id="nan-price"),
+        pytest.param({"demand": np.array([[150.0], [150.0], [np.inf]])},
+                     "realized demand is not finite at step 2", id="inf-demand-last-step"),
+        pytest.param({"demand": np.array([[150.0], [np.nan], [150.0]])},
+                     "realized demand is not finite at step 1", id="nan-demand"),
+    ])
+    def test_bad_inputs_rejected(self, changes, message):
+        model, tree, weights = one_tank_setup()
+        inputs = {"demand": np.full((3, 1), 150.0), "price": np.full((3, 1), 0.03),
+                  "x0": np.array([500.0]), **changes}
+        config = SimulationConfig(
+            h_sim=3, weights=weights, solver=SolverConfig(), x0=inputs["x0"]
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_closed_loop(
+                model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
+                inputs["demand"], inputs["price"], config,
+            )
+
     @pytest.mark.parametrize("h_sim, message", [
         pytest.param(0, "h_sim must be at least 1", id="0"),
         pytest.param(2.5, "h_sim must be an integer, got 2.5", id="2.5"),

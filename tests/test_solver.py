@@ -16,6 +16,7 @@ from watermpc.solver import (
     SolverResult,
     _dual_gradient_parts,
     _next_theta,
+    _null_space,
     dual_gradient,
     estimate_lipschitz,
     factor_step,
@@ -73,23 +74,20 @@ class TestFactorStep:
     def test_no_coupling_gives_identity_basis(self, rng):
         inst = make_instance(rng, n_mixing=0, horizon=2, max_nodes=5)
         cache = factor_step(inst)
-        np.testing.assert_array_equal(cache.null_basis, np.eye(inst.model.n_inputs))
+        basis, _ = _null_space(inst.model.E, inst.model.n_inputs)
+        np.testing.assert_array_equal(basis, np.eye(inst.model.n_inputs))
         # No coupling leaves no particular solution in the input offset.
         for s, sl in enumerate(inst.stage_slices):
             np.testing.assert_array_equal(
                 cache.e_offset[sl], -(inst.econ[sl] @ cache.t_mat[s])
             )
 
-    def test_two_flow_conservation_null_space(self, rng):
-        inst = make_instance(rng, n_inputs=2, n_mixing=1, horizon=1, max_nodes=2)
-        inst.model.E[:] = np.array([[1.0, -1.0]])
-        inst.model.Ed[:] = 0.0
-        inst.demand[:] = 0.0
-        cache = factor_step(inst)
-        basis = cache.null_basis
+    def test_two_flow_conservation_null_space(self):
+        E = np.array([[1.0, -1.0]])
+        basis, _ = _null_space(E, 2)
         assert basis.shape == (2, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [np.sqrt(0.5)] * 2, atol=1e-12)
-        assert float(np.max(np.abs(inst.model.E @ basis))) <= 1e-12
+        assert float(np.max(np.abs(E @ basis))) <= 1e-12
 
     def test_inner_solve_matches_dense_kkt(self, rng):
         for trial in range(5):
@@ -282,6 +280,10 @@ class TestDualGradient:
         cache = factor_step(inst_a)
         with pytest.raises(ValueError, match="does not match"):
             dual_gradient(cache, inst_b, np.zeros(inst_b.dual_shape))
+        with pytest.raises(ValueError, match="does not match"):
+            solve(inst_b, cache=cache)
+        with pytest.raises(ValueError, match="does not match"):
+            estimate_lipschitz(cache, inst_b)
 
 
 class TestLipschitz:

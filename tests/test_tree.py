@@ -1,5 +1,8 @@
 """Tests for scenario trees and fan reduction."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from watermpc.tree import (
     _fast_forward_select,
     attach_forecast,
     reduce_fan_to_tree,
-    validate_tree,
     zero_price_errors,
 )
 
@@ -20,90 +22,104 @@ from oracle import greedy_select_reference
 class TestValidate:
     def test_single_branch_valid(self):
         tree = ScenarioTree.single_branch(horizon=4, n_demand=2, n_price=1)
-        assert validate_tree(tree) == []
+        tree.validate()
         assert not tree.is_attached
 
     def test_bad_children_probabilities(self):
-        tree = ScenarioTree(
-            horizon=1,
-            n_demand=1,
-            n_price=1,
-            stage=np.array([0, 1, 1]),
-            anc=np.array([-1, 0, 0]),
-            prob=np.array([1.0, 0.6, 0.5]),
-            eps=np.zeros((3, 2)),
-        )
-        problems = validate_tree(tree)
-        assert any("1.1" in p for p in problems)
+        with pytest.raises(ValueError, match="1.1"):
+            ScenarioTree(
+                horizon=1,
+                n_demand=1,
+                n_price=1,
+                stage=np.array([0, 1, 1]),
+                anc=np.array([-1, 0, 0]),
+                prob=np.array([1.0, 0.6, 0.5]),
+                eps=np.zeros((3, 2)),
+            )
 
     def test_reduced_tree_valid(self, rng):
         fan = ScenarioFan(rng.standard_normal((60, 3, 2)), n_demand=1, n_price=1)
-        tree = reduce_fan_to_tree(fan, [3, 2, 2])
-        assert validate_tree(tree) == []
+        reduce_fan_to_tree(fan, [3, 2, 2]).validate()
 
     def test_random_builder_trees_valid(self, rng):
         for _ in range(10):
-            tree = make_tree(rng, horizon=3, n_demand=2, n_price=2)
-            assert validate_tree(tree) == []
+            make_tree(rng, horizon=3, n_demand=2, n_price=2).validate()
 
     def test_orphan_stage_detected(self):
-        tree = ScenarioTree(
-            horizon=2,
-            n_demand=1,
-            n_price=1,
-            stage=np.array([0, 1, 2]),
-            anc=np.array([-1, 0, 0]),
-            prob=np.array([1.0, 1.0, 1.0]),
-            eps=np.zeros((3, 2)),
-        )
-        problems = validate_tree(tree)
-        assert problems  # node 2 claims the root as ancestor from stage 2
+        # node 2 claims the root as ancestor from stage 2
+        with pytest.raises(ValueError, match="ancestor stage"):
+            ScenarioTree(
+                horizon=2,
+                n_demand=1,
+                n_price=1,
+                stage=np.array([0, 1, 2]),
+                anc=np.array([-1, 0, 0]),
+                prob=np.array([1.0, 1.0, 1.0]),
+                eps=np.zeros((3, 2)),
+            )
 
     @pytest.mark.parametrize("horizon, stage, anc, prob, expected", [
         pytest.param(
             2, [0, 1, 1, 2, 2], [-1, 0, 7, -1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
-            ["node 2: ancestor 7 out of range", "node 3: ancestor -1 out of range"],
+            "node 2: ancestor 7 out of range",
             id="ancestor-out-of-range",
         ),
         pytest.param(
             2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 0], [1.0, 0.5, 0.5, 0.5, 0.5],
-            ["node 4: ancestor stage 0 != own stage 2 - 1",
-             "node 0: children probabilities sum 1.5 != 1",
-             "node 2 at stage 1 has no children"],
+            "node 4: ancestor stage 0 != own stage 2 - 1",
             id="ancestor-on-wrong-stage",
         ),
         pytest.param(
             2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
-            ["node 2 at stage 1 has no children", "stage 2 probabilities sum 0.5 != 1"],
+            "node 2 at stage 1 has no children",
             id="inner-node-without-children",
         ),
         pytest.param(
             1, [0, 1, 1], [-1, 0, 0], [1.0, 0.6, 0.5],
-            ["node 0: children probabilities sum 1.1 != 1", "stage 1 probabilities sum 1.1 != 1"],
+            "node 0: children probabilities sum 1.1 != 1",
             id="children-sum-mismatch",
         ),
         pytest.param(
             1, [0, 1, 2], [-1, 0, 1], [1.0, 1.0, 1.0],
-            ["node stages must lie in [0, horizon]", "leaf node 1 has children"],
+            "node stages must lie in [0, horizon]",
             id="leaf-with-children",
         ),
         pytest.param(
             1, [0, 1], [1, 0], [1.0, 1.0],
-            ["node 0 must be the root (stage 0, no ancestor)", "leaf node 1 has children"],
+            "node 0 must be the root (stage 0, no ancestor)",
             id="root-named-as-child",
         ),
         pytest.param(
             1, [0, 1, 1], [-1, 0, 0], [1.0 + 0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9],
-            ["stage 1 probabilities sum 1.0000000018 != 1"],
+            "stage 1 probabilities sum 1.0000000018 != 1",
             id="stage-sum",
+        ),
+        pytest.param(1, [], [], [], "tree has no nodes", id="no-nodes"),
+        pytest.param(
+            1, [0, 1], [-1], [1.0, 1.0],
+            "stage, anc and prob arrays must have equal length",
+            id="unequal-lengths",
+        ),
+        pytest.param(
+            1, [0, 0, 1], [-1, 0, 0], [1.0, 1.0, 1.0],
+            "exactly one node may sit at stage 0",
+            id="two-roots",
+        ),
+        pytest.param(
+            1, [0, 1], [-1, 0], [0.5, 0.5], "root probability 0.5 != 1", id="root-probability",
+        ),
+        pytest.param(
+            2, [0, 2, 1], [-1, 2, 0], [1.0, 1.0, 1.0],
+            "nodes must be ordered breadth-first by stage",
+            id="not-breadth-first",
         ),
     ])
     def test_exact_messages(self, horizon, stage, anc, prob, expected):
-        tree = ScenarioTree(
-            horizon=horizon, n_demand=1, n_price=0, stage=np.array(stage),
-            anc=np.array(anc), prob=np.array(prob), eps=np.zeros((len(stage), 1)),
-        )
-        assert validate_tree(tree) == expected
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ScenarioTree(
+                horizon=horizon, n_demand=1, n_price=0, stage=np.array(stage),
+                anc=np.array(anc), prob=np.array(prob), eps=np.zeros((len(stage), 1)),
+            )
 
     @pytest.mark.parametrize("field, expected", [
         ("prob", "node probabilities must lie in (0, 1]"),
@@ -115,7 +131,22 @@ class TestValidate:
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
         tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 1)))
         getattr(tree, field)[1] = np.nan
-        assert validate_tree(tree) == [expected]
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            tree.validate()
+
+
+    @pytest.mark.parametrize("changes, expected", [
+        ({"eps": np.zeros((3, 1))}, "eps shape (3, 1) != (3, 2)"),
+        ({"eps": np.ones((3, 2))}, "root prediction error must be zero"),
+        ({"price": None}, "demand and price values must be attached together"),
+        ({"demand": np.ones((3, 2))}, "demand value shape (3, 2) != (3, 1)"),
+        ({"price": np.ones((2, 1))}, "price value shape (2, 1) != (3, 1)"),
+    ])
+    def test_replaced_field_is_named(self, changes, expected):
+        tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
+        tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 1)))
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            replace(tree, **changes)
 
 
 class TestAttachForecast:
@@ -164,7 +195,7 @@ class TestReduce:
         path = np.tile(np.array([[1.0, 2.0], [3.0, 4.0]]), (8, 1, 1))
         fan = ScenarioFan(path, n_demand=1, n_price=1)
         tree = reduce_fan_to_tree(fan, [3, 2])
-        assert validate_tree(tree) == []
+        tree.validate()
         np.testing.assert_array_equal(tree.nodes_per_stage, [1, 1, 1])
         np.testing.assert_allclose(tree.prob, [1.0, 1.0, 1.0])
         np.testing.assert_allclose(tree.eps[1:], path[0])
@@ -182,7 +213,7 @@ class TestReduce:
     def test_gaussian_fan_shape_and_mass(self, rng):
         fan = ScenarioFan(rng.standard_normal((1000, 3, 2)), n_demand=1, n_price=1)
         tree = reduce_fan_to_tree(fan, [5, 3, 2])
-        assert validate_tree(tree) == []
+        tree.validate()
         assert tree.nodes_per_stage[-1] == 30
         for j in range(4):
             assert tree.prob[tree.stage == j].sum() == pytest.approx(1.0, abs=1e-12)
@@ -200,7 +231,7 @@ class TestReduce:
         values[:, 1, 0] = np.arange(5.0)
         fan = ScenarioFan(values, n_demand=1, n_price=0)
         tree = reduce_fan_to_tree(fan, [2, 2])
-        assert validate_tree(tree) == []
+        tree.validate()
         np.testing.assert_array_equal(tree.nodes_per_stage, [1, 2, 3])
         np.testing.assert_allclose(tree.prob, [1.0, 0.8, 0.2, 0.4, 0.4, 0.2])
 
@@ -269,7 +300,7 @@ def test_zero_price_errors_keeps_demand_part(rng):
     out = zero_price_errors(tree)
     np.testing.assert_array_equal(out.eps[:, :2], tree.eps[:, :2])
     assert np.all(out.eps[:, 2:] == 0.0)
-    assert validate_tree(out) == []
+    out.validate()
 
 
 def test_telescoping_exact(rng):
