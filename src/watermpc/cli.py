@@ -130,11 +130,11 @@ def _cmd_solve(args) -> int:
     forecast = docs["forecast"]
     _, weights, solver_cfg = docs["config"]
     x, u_prev, k = docs["state"]
-    tree = attach_forecast(docs["tree"], forecast.d_hat, forecast.alpha_hat)
+    demand, price = attach_forecast(docs["tree"], forecast.d_hat, forecast.alpha_hat)
     try:
-        result = solve_instance(
-            ProblemInstance(docs["network"], tree, weights, x, u_prev), solver_cfg
-        )
+        instance = ProblemInstance(docs["network"], docs["tree"], weights, x, u_prev,
+                                   demand, price)
+        result = solve_instance(instance, solver_cfg)
     except (RuntimeError, ValueError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1

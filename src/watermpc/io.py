@@ -476,11 +476,11 @@ def save_simlog(log: SimulationLog, path: str | Path) -> None:
 
 
 def _terminations(doc: dict, h: int) -> np.ndarray:
-    """Per-step termination reasons: none (key absent or empty) or one per step."""
-    val = doc.get("termination", [])
+    """Per-step termination reasons, one string per step."""
+    val = _get(doc, "termination")
     if not isinstance(val, list):
         raise SchemaError("/termination", "expected an array")
-    if len(val) not in (0, h):
+    if len(val) != h:
         raise SchemaError("/termination", f"expected {h} entries, got {len(val)}")
     for i, item in enumerate(val):
         if not isinstance(item, str):

@@ -86,13 +86,15 @@ def _check_spd(mat: np.ndarray, name: str) -> None:
 
 @dataclass
 class ProblemInstance:
-    """Assembled problem: model + forecast-attached tree + weights + state.
+    """Assembled problem: model + tree template + weights + one step's values.
 
     ``p`` is the measured tank state and ``q`` the previously applied
-    input; both must be finite. Flat per-node arrays are row-indexed by
-    ``node - 1``. Construction derives the hot-path layout once, the mixing
-    rows of :func:`restore_feasible_inputs` among it, and rejects a node
-    whose coupling ``E u = -Ed d`` has no solution inside the input box.
+    input; ``demand`` and ``price`` are the rows of the non-root nodes that
+    :func:`~watermpc.tree.attach_forecast` gives. All four must be finite.
+    Flat per-node arrays are row-indexed by ``node - 1``. Construction
+    derives the hot-path layout once, the mixing rows of
+    :func:`restore_feasible_inputs` among it, and rejects a node whose
+    coupling ``E u = -Ed d`` has no solution inside the input box.
     """
 
     model: NetworkModel
@@ -100,13 +102,13 @@ class ProblemInstance:
     weights: CostWeights
     p: np.ndarray
     q: np.ndarray
+    demand: np.ndarray
+    price: np.ndarray
 
     # Derived layout, filled at construction.
     wu: np.ndarray = field(init=False, repr=False)
     prob: np.ndarray = field(init=False, repr=False)
     anc_row: np.ndarray = field(init=False, repr=False)
-    demand: np.ndarray = field(init=False, repr=False)
-    price: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
     parent_rows: list[slice | np.ndarray] = field(init=False, repr=False)
     child_groups: list[tuple[slice | np.ndarray, np.ndarray] | None] = field(
@@ -120,32 +122,28 @@ class ProblemInstance:
     mix_rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.p = np.asarray(self.p, float)
-        self.q = np.asarray(self.q, float)
         model, tree = self.model, self.tree
-        if not tree.is_attached:
-            raise ValueError("scenario tree is not forecast-attached")
-        if tree.horizon < 1:
-            raise ValueError("prediction horizon must be at least 1")
         if tree.n_demand != model.n_demands or tree.n_price != model.n_inputs:
             raise ValueError(
                 f"tree values sized ({tree.n_demand}, {tree.n_price}) do not match "
                 f"network ({model.n_demands} demands, {model.n_inputs} inputs)"
             )
-        if self.p.shape != (model.n_tanks,):
-            raise ValueError(f"state p must have shape ({model.n_tanks},)")
-        if self.q.shape != (model.n_inputs,):
-            raise ValueError(f"previous input q must have shape ({model.n_inputs},)")
-        for name in ("p", "q"):
-            if not np.isfinite(getattr(self, name)).all():
+        n = tree.n_nonroot
+        for name, label, shape in (("p", "state p", (model.n_tanks,)),
+                                   ("q", "previous input q", (model.n_inputs,)),
+                                   ("demand", "demand", (n, model.n_demands)),
+                                   ("price", "price", (n, model.n_inputs))):
+            value = np.asarray(getattr(self, name), float)
+            setattr(self, name, value)
+            if value.shape != shape:
+                raise ValueError(f"{label} must have shape {shape}")
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
         self.wu = self.weights.u_weight(model.n_inputs)
 
         # Per non-root-node rows: node i lives at row i - 1.
         self.prob = tree.prob[1:].copy()
         self.anc_row = tree.anc[1:] - 1  # -1: the root, a sweep's extra last row
-        self.demand = tree.demand[1:].copy()
-        self.price = tree.price[1:].copy()
         ends = np.cumsum(tree.nodes_per_stage[1:]).tolist()
         self.stage_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         # Child-to-parent maps for the stage sweeps. parent_rows[j] indexes

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,10 @@ class SimulationConfig:
         self.x0 = np.asarray(self.x0, float)
         if self.u_prev is not None:
             self.u_prev = np.asarray(self.u_prev, float)
+        for name in ("x0", "u_prev"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass
@@ -76,7 +80,7 @@ class SimulationLog:
     alpha0: np.ndarray
     x_safe: np.ndarray
     coupling_residual: np.ndarray
-    termination: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=object))
+    termination: np.ndarray
 
     @property
     def h_sim(self) -> int:
@@ -129,6 +133,8 @@ def run_closed_loop(
             raise ValueError(f"realized {name} is not finite at step {bad[0]}")
     if config.x0.shape != (model.n_tanks,):
         raise ValueError(f"x0 must have shape ({model.n_tanks},)")
+    if config.u_prev is not None and config.u_prev.shape != (model.n_inputs,):
+        raise ValueError(f"u_prev must have shape ({model.n_inputs},)")
 
     x = config.x0.copy()
     u_prev = (
@@ -149,8 +155,9 @@ def run_closed_loop(
     for k in range(h):
         try:
             fc = forecaster(k)
-            tree_k = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
-            instance = ProblemInstance(model, tree_k, config.weights, x, u_prev)
+            demand, price = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
+            instance = ProblemInstance(model, tree_template, config.weights, x, u_prev,
+                                       demand, price)
             cache = factor_step(instance, structure_from=cache)
             started = time.perf_counter()
             result = solve(instance, config.solver, cache=cache, dual0=dual)

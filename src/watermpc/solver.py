@@ -150,7 +150,8 @@ class FactorCache:
     other member. :func:`factor_step` returns every cache complete, and
     nothing writes to one afterwards. ``stage_ops`` holds the backward
     pass's one product per stage, and ``fwd`` the forward pass's per-stage
-    rollout (see :func:`_dual_gradient_parts`).
+    rollout (see :func:`_dual_gradient_parts`). ``instance`` is the one
+    instance the cache was built or rebound for, the only one it serves.
     """
 
     e_pinv: np.ndarray                # pseudo-inverse of E
@@ -162,7 +163,7 @@ class FactorCache:
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
-    signature: tuple = field(default=(), repr=False)
+    instance: ProblemInstance = field(repr=False)
 
 
 def _structure_signature(instance: ProblemInstance) -> tuple:
@@ -202,9 +203,8 @@ def factor_step(
     and its carry.
     """
     m = instance.model
-    sig = _structure_signature(instance)
     if structure_from is not None:
-        if structure_from.signature != sig:
+        if _structure_signature(structure_from.instance) != _structure_signature(instance):
             raise ValueError("cached factors were built for a different structure")
         structural = structure_from
     else:
@@ -246,7 +246,7 @@ def factor_step(
             fwd=fwd,
             lipschitz=np.nan,  # set last: the power iteration goes through the offset
             hess_diag=_hessian_diagonal(basis, instance),
-            signature=sig,
+            instance=instance,
         )
 
     # Least-norm particular solutions of E u = -Ed d per node. They are
@@ -261,7 +261,8 @@ def factor_step(
         e_offset[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
     e_carry = np.zeros((instance.n_nonroot + 1, m.n_inputs))  # + the root row, unused
     np.add.at(e_carry, instance.anc_row, -2.0 * instance.prob[:, None] * e_offset @ instance.wu)
-    cache = dataclasses.replace(structural, e_offset=e_offset, e_carry=e_carry[:-1])
+    cache = dataclasses.replace(structural, e_offset=e_offset, e_carry=e_carry[:-1],
+                                instance=instance)
     if structure_from is None:
         cache = dataclasses.replace(cache, lipschitz=estimate_lipschitz(cache, instance))
     return cache
@@ -332,7 +333,7 @@ def dual_gradient(
     minimizer is affine. The returned value is the attained infimum, the
     negative of f*(-H'y).
     """
-    if cache.signature != _structure_signature(instance):
+    if cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
     Y1, Y2, Y3 = instance.dual_blocks(y)
     U, X = _dual_gradient_parts(cache, instance, np.asarray(y, float))
@@ -396,7 +397,7 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     Raises RuntimeError if the iteration does not settle within
     ``LIPSCHITZ_MAX_ITER`` operator applications.
     """
-    if cache.signature != _structure_signature(instance):
+    if cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
     scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
     u0, x0 = _dual_gradient_parts(cache, instance, np.zeros(instance.dual_shape))
@@ -457,7 +458,7 @@ def solve(
     config = config or SolverConfig()
     if cache is None:
         cache = factor_step(instance)
-    elif cache.signature != _structure_signature(instance):
+    elif cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row

@@ -2,11 +2,11 @@
 
 A tree spans stages 0..horizon. The root (index 0) is the present with
 zero prediction error; every later node carries an error vector
-``eps = (demand part, price part)`` and, once a nominal forecast is
-attached, the contingent demand and price values for its stage: the
-forecast plus the error. Nodes are
-numbered breadth-first by stage so per-stage node ranges are contiguous
-slices of every flat array.
+``eps = (demand part, price part)``. A tree is a template: it holds no
+forecast, and :func:`attach_forecast` adds a nominal forecast to the
+errors to give the contingent demand and price of every non-root node.
+Nodes are numbered breadth-first by stage so per-stage node ranges are
+contiguous slices of every flat array.
 
 Trees are immutable after construction; functions that modify return new
 instances.
@@ -14,6 +14,7 @@ instances.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,9 +59,7 @@ class ScenarioTree:
 
     ``stage``, ``anc`` and ``prob`` are flat arrays over all nodes; the
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
-    prediction errors (root row zero). ``demand`` and ``price`` are None
-    until :func:`attach_forecast` sets them to the contingent per-node
-    values, the nominal forecast plus the errors.
+    prediction errors (root row zero).
     """
 
     horizon: int
@@ -70,10 +69,12 @@ class ScenarioTree:
     anc: np.ndarray
     prob: np.ndarray
     eps: np.ndarray
-    demand: np.ndarray | None = None
-    price: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for name, least in (("horizon", 1), ("n_demand", 0), ("n_price", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         self.stage = np.asarray(self.stage, int)
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
@@ -83,8 +84,10 @@ class ScenarioTree:
     def validate(self) -> None:
         """Raise ValueError at the first violated invariant: links, breadth-first
         stages, probabilities in (0, 1] that telescope and sum to 1 per stage
-        within 1e-9, finite errors with a zero root row, and attached values of
-        the right shape, finite. Construction runs it."""
+        within 1e-9, and finite errors with a zero root row. Construction
+        runs it."""
+        if self.stage.ndim != 1 or self.anc.ndim != 1 or self.prob.ndim != 1:
+            raise ValueError("stage, anc and prob must be 1-d arrays")
         n = self.n_nodes
         if n == 0:
             raise ValueError("tree has no nodes")
@@ -137,14 +140,6 @@ class ScenarioTree:
             raise ValueError("prediction errors eps must be finite")
         if np.any(self.eps[0] != 0.0):
             raise ValueError("root prediction error must be zero")
-        if (self.demand is None) != (self.price is None):
-            raise ValueError("demand and price values must be attached together")
-        for name, values, cols in (("demand", self.demand, self.n_demand),
-                                   ("price", self.price, self.n_price)):
-            if values is not None and values.shape != (n, cols):
-                raise ValueError(f"{name} value shape {values.shape} != {(n, cols)}")
-            if values is not None and not np.isfinite(values).all():
-                raise ValueError(f"{name} values must be finite")
 
     @property
     def n_nodes(self) -> int:
@@ -153,10 +148,6 @@ class ScenarioTree:
     @property
     def n_nonroot(self) -> int:
         return self.n_nodes - 1
-
-    @property
-    def is_attached(self) -> bool:
-        return self.demand is not None and self.price is not None
 
     @property
     def nodes_per_stage(self) -> np.ndarray:
@@ -181,12 +172,14 @@ class ScenarioTree:
 
 def attach_forecast(
     tree: ScenarioTree, d_hat: np.ndarray, alpha_hat: np.ndarray
-) -> ScenarioTree:
+) -> tuple[np.ndarray, np.ndarray]:
     """Combine nominal forecasts with per-node errors into node values.
 
     ``d_hat[j-1]`` and ``alpha_hat[j-1]`` are the nominal demand and price
     for stage j; each non-root node adds its error split into demand and
-    price parts. Returns a new tree carrying ``demand`` and ``price``.
+    price parts. Returns the ``(demand, price)`` rows of the non-root
+    nodes in node order, as :class:`~watermpc.problem.ProblemInstance`
+    takes them.
     """
     d_hat = np.atleast_2d(np.asarray(d_hat, float))
     alpha_hat = np.atleast_2d(np.asarray(alpha_hat, float))
@@ -197,14 +190,8 @@ def attach_forecast(
                 f"{name} forecast shape {values.shape} != {(tree.horizon, width)} "
                 f"(tree horizon {tree.horizon})"
             )
-    nd = tree.n_demand
-    demand = np.zeros((tree.n_nodes, nd))
-    price = np.zeros((tree.n_nodes, tree.n_price))
-    nonroot = np.arange(1, tree.n_nodes)
-    stages = tree.stage[nonroot]
-    demand[nonroot] = d_hat[stages - 1] + tree.eps[nonroot, :nd]
-    price[nonroot] = alpha_hat[stages - 1] + tree.eps[nonroot, nd:]
-    return replace(tree, demand=demand, price=price)
+    nd, prev = tree.n_demand, tree.stage[1:] - 1
+    return d_hat[prev] + tree.eps[1:, :nd], alpha_hat[prev] + tree.eps[1:, nd:]
 
 
 def zero_price_errors(tree: ScenarioTree) -> ScenarioTree:
@@ -216,7 +203,7 @@ def zero_price_errors(tree: ScenarioTree) -> ScenarioTree:
     """
     eps = tree.eps.copy()
     eps[:, tree.n_demand:] = 0.0
-    return replace(tree, eps=eps, demand=None, price=None)
+    return replace(tree, eps=eps)
 
 
 def _fast_forward_select(values: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:

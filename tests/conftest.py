@@ -125,10 +125,10 @@ def make_instance(
     tree = make_tree(rng, horizon, n_demands, n_inputs, max_nodes=max_nodes)
     d_hat = 0.3 + 0.2 * rng.random((horizon, n_demands))
     alpha_hat = 0.5 + rng.random((horizon, n_inputs))
-    tree = attach_forecast(tree, d_hat, alpha_hat)
+    demand, price = attach_forecast(tree, d_hat, alpha_hat)
     wu = rng.standard_normal((n_inputs, n_inputs))
     wu = w_u_scale * (wu @ wu.T + n_inputs * np.eye(n_inputs))
     weights = CostWeights(w_alpha=1.0, w_u=wu, w_s=2.0, w_x=5.0)
     p = model.x_safe * (1.2 + 0.5 * rng.random(n_tanks))
     q = 0.3 * rng.random(n_inputs)
-    return ProblemInstance(model, tree, weights, p, q)
+    return ProblemInstance(model, tree, weights, p, q, demand, price)

@@ -84,13 +84,12 @@ def test_validate_on_an_edited_document(demo, tmp_path, capsys, name, key, liter
 def solve_demo_files(demo, tree_map=lambda tree: tree):
     """The in-process solve of the demo documents, on ``tree_map`` of the tree."""
     forecast = wio.load_forecast(demo / FILES["forecast"])
-    tree = attach_forecast(
-        tree_map(wio.load_tree(demo / FILES["tree"])), forecast.d_hat, forecast.alpha_hat
-    )
+    tree = tree_map(wio.load_tree(demo / FILES["tree"]))
+    demand, price = attach_forecast(tree, forecast.d_hat, forecast.alpha_hat)
     _, weights, config = wio.load_controller_config(demo / FILES["config"])
     x, u_prev, _ = wio.load_state(demo / FILES["state"])
     model = wio.load_network(demo / FILES["network"])
-    return solve(ProblemInstance(model, tree, weights, x, u_prev), config)
+    return solve(ProblemInstance(model, tree, weights, x, u_prev, demand, price), config)
 
 
 def test_solve_writes_the_solver_result(demo, tmp_path):

@@ -147,17 +147,21 @@ class TestRoundTrips:
         assert log2.termination.dtype == object
         wio.save_simlog(log2, tmp_path / "l2.json")
         assert (tmp_path / "l1.json").read_bytes() == (tmp_path / "l2.json").read_bytes()
-        # A document written without termination reasons still loads.
+        # Every step's termination reason is required: a log without them
+        # cannot show whether an applied action was certified.
         doc = json.loads((tmp_path / "l1.json").read_text())
-        del doc["termination"]
-        (tmp_path / "l3.json").write_text(json.dumps(doc))
-        log3 = wio.load_simlog(tmp_path / "l3.json")
-        assert log3.termination.shape == (0,)
-        np.testing.assert_array_equal(log3.u, log.u)
-        doc["termination"] = ["converged"]
-        (tmp_path / "l4.json").write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="/termination"):
-            wio.load_simlog(tmp_path / "l4.json")
+        for value, message in ((None, "/termination: missing required field"),
+                               ([], "/termination: expected 3 entries, got 0"),
+                               (["converged"], "/termination: expected 3 entries, got 1"),
+                               (["converged", 1, "max_iter"],
+                                "/termination/1: expected a string")):
+            if value is None:
+                del doc["termination"]
+            else:
+                doc["termination"] = value
+            (tmp_path / "l3.json").write_text(json.dumps(doc))
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                wio.load_simlog(tmp_path / "l3.json")
 
     def test_kpi(self, tmp_path):
         wio.save_kpi(1.5, 0.0, 0.125, tmp_path / "kpi.json")
@@ -364,6 +368,7 @@ class TestErrorPaths:
             price=np.zeros((2, 1)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
             primal_residual=np.zeros(2), alpha0=np.zeros(1), x_safe=np.zeros(1),
             coupling_residual=np.zeros(2),
+            termination=np.array(["converged", "max_iter"], dtype=object),
         )
         wio.save_simlog(log, tmp_path / "l.json")
         doc = json.loads((tmp_path / "l.json").read_text())
@@ -389,6 +394,7 @@ class TestErrorPaths:
             price=np.zeros((2, 3)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
             primal_residual=np.zeros(2), alpha0=np.zeros(3), x_safe=np.zeros(2),
             coupling_residual=np.zeros(2),
+            termination=np.array(["converged", "max_iter"], dtype=object),
         )
         wio.save_simlog(log, tmp_path / "l.json")
         doc = json.loads((tmp_path / "l.json").read_text())

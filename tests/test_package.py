@@ -118,8 +118,9 @@ def test_perfbench_calls_run_on_one_solve(monkeypatch):
 
     bundle = build_demo("tank1", seed=0, h_sim=1)
     forecast = bundle.forecaster(0)
-    tree = attach_forecast(bundle.tree, forecast.d_hat, forecast.alpha_hat)
-    instance = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+    demand, price = attach_forecast(bundle.tree, forecast.d_hat, forecast.alpha_hat)
+    instance = ProblemInstance(bundle.model, bundle.tree, bundle.weights, bundle.x0,
+                               bundle.u_prev, demand, price)
     result = solve(instance, bundle.solver)
     step = instrument.StepSolve("simulate", instance, bundle.solver, result, 0.0)
     assert checks.check_certificates([step]) == []
@@ -131,7 +132,7 @@ def test_perfbench_calls_run_on_one_solve(monkeypatch):
 def test_perfbench_sees_every_cli_load_and_solve(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     instrument = importlib.import_module("instrument")
-    files = write_demo(build_demo("tank1", seed=0, h_sim=1), tmp_path / "demo")
+    files = write_demo(build_demo("tank1", seed=0, h_sim=2), tmp_path / "demo")
 
     def flags(*names):
         return [arg for name in names for arg in (f"--{name}", str(files[name]))]
@@ -140,8 +141,8 @@ def test_perfbench_sees_every_cli_load_and_solve(monkeypatch, tmp_path):
     runs = [
         (["validate", *flags(*shared, "forecast")], []),
         (["solve", *flags(*shared, "forecast"), "--out", str(tmp_path / "solve")], ["cli"]),
-        (["simulate", *flags(*shared, "realizations"), "--steps", "1",
-          "--out", str(tmp_path / "simulate")], ["simulate"]),
+        (["simulate", *flags(*shared, "realizations"), "--steps", "2",
+          "--out", str(tmp_path / "simulate")], ["simulate"] * 2),
     ]
     for argv, callers in runs:
         tracer, steps = instrument.Tracer(), []
@@ -154,6 +155,8 @@ def test_perfbench_sees_every_cli_load_and_solve(monkeypatch, tmp_path):
         assert tracer["io.load"].count == 5
         assert tracer["io.cross_validate"].count == 1
         assert [step.caller for step in steps] == callers
+        # One forecast attached per step solve, through the module's own global.
+        assert tracer["tree.attach_forecast"].count == len(callers)
         assert all(isinstance(step.config, SolverConfig) for step in steps)
 
 

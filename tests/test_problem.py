@@ -46,7 +46,7 @@ class TestDimensions:
         tree = ScenarioTree.single_branch(horizon=n_nonroot, n_demand=88, n_price=114)
         d_hat = np.zeros((n_nonroot, 88))
         a_hat = np.zeros((n_nonroot, 114))
-        tree = attach_forecast(tree, d_hat, a_hat)
+        demand, price = attach_forecast(tree, d_hat, a_hat)
         model = NetworkModel(
             A=np.eye(63),
             B=np.zeros((63, 114)),
@@ -63,7 +63,7 @@ class TestDimensions:
         )
         model.B[:, :63] = np.eye(63) * 3600.0
         weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=1.0, w_x=1.0)
-        inst = ProblemInstance(model, tree, weights, np.zeros(63), np.zeros(114))
+        inst = ProblemInstance(model, tree, weights, np.zeros(63), np.zeros(114), demand, price)
         assert inst.n_primal == 2_306_133
         assert inst.dual_shape == (13_029, 240)
 
@@ -77,17 +77,18 @@ class TestDimensions:
         anc = np.array([-1, 0, 0, 1, 1, 2, 2])
         prob = np.array([1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
         tree = ScenarioTree(2, 1, 3, stage, anc, prob, eps=np.zeros((7, 4)))
-        tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 3)))
+        demand, price = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 3)))
         rng = np.random.default_rng(0)
         model = make_model(rng, n_tanks=2, n_inputs=3, n_demands=1)
         weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=1.0, w_x=1.0)
-        inst = ProblemInstance(model, tree, weights, np.ones(2), np.zeros(3))
+        inst = ProblemInstance(model, tree, weights, np.ones(2), np.zeros(3), demand, price)
         assert inst.n_primal == 6 * 5 == 30
 
     def test_unattached_tree_rejected(self, rng):
+        # The tree is a template; an instance needs the node values too.
         model = make_model(rng, 1, 1, 1)
         tree = ScenarioTree.single_branch(horizon=1, n_demand=1, n_price=1)
-        with pytest.raises(ValueError, match="attached"):
+        with pytest.raises(TypeError, match="'demand' and 'price'"):
             ProblemInstance(
                 model, tree, CostWeights(1.0, 1.0, 1.0, 1.0), np.ones(1), np.zeros(1)
             )
@@ -389,36 +390,37 @@ def test_g_value_matches_prox_penalties(rng):
     assert np.isfinite(val) and val >= 0.0
 
 
-@pytest.mark.parametrize("name", ["p", "q"])
+def _parts(inst):
+    """The constructor arguments of an instance after its model and tree."""
+    return {"weights": inst.weights, "p": inst.p, "q": inst.q,
+            "demand": inst.demand, "price": inst.price}
+
+
+@pytest.mark.parametrize("name", ["p", "q", "demand", "price"])
 def test_non_finite_state_is_named(rng, name):
     inst = make_instance(rng, horizon=2, max_nodes=5)
-    state = {"p": inst.p.copy(), "q": inst.q.copy()}
-    state[name][0] = np.nan
+    parts = _parts(inst)
+    parts[name] = parts[name].copy()
+    parts[name].flat[-1] = np.nan
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        ProblemInstance(inst.model, inst.tree, inst.weights, **state)
-
-
-def _attached(tree):
-    """The tree with zero forecasts attached."""
-    return attach_forecast(
-        tree, np.zeros((tree.horizon, tree.n_demand)), np.zeros((tree.horizon, tree.n_price))
-    )
+        ProblemInstance(inst.model, inst.tree, **parts)
 
 
 @pytest.mark.parametrize("name, value, message", [
-    pytest.param("tree", _attached(ScenarioTree.single_branch(0, 2, 4)),
-                 "prediction horizon must be at least 1", id="horizon-0"),
-    pytest.param("tree", _attached(ScenarioTree.single_branch(2, 3, 4)),
+    pytest.param("tree", ScenarioTree.single_branch(2, 3, 4),
                  "tree values sized (3, 4) do not match network (2 demands, 4 inputs)",
                  id="tree-width"),
     pytest.param("p", np.zeros(4), "state p must have shape (3,)", id="p-shape"),
     pytest.param("q", np.zeros(3), "previous input q must have shape (4,)", id="q-shape"),
+    pytest.param("demand", np.zeros((4, 3)), "demand must have shape (4, 2)",
+                 id="demand-shape"),
+    pytest.param("price", np.zeros((5, 4)), "price must have shape (4, 4)", id="price-shape"),
 ])
 def test_mismatched_part_is_named(rng, name, value, message):
-    inst = make_instance(rng, horizon=2, max_nodes=5)  # 3 tanks, 4 inputs, 2 demands
-    parts = {"tree": inst.tree, "p": inst.p, "q": inst.q, name: value}
+    inst = make_instance(rng, horizon=2, max_nodes=5)  # 3 tanks, 4 inputs, 2 demands, 4 nodes
+    parts = {"tree": inst.tree, **_parts(inst), name: value}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ProblemInstance(inst.model, parts["tree"], inst.weights, parts["p"], parts["q"])
+        ProblemInstance(inst.model, **parts)
 
 
 def test_coupling_without_a_solution_in_the_box_is_rejected(rng):
@@ -429,7 +431,7 @@ def test_coupling_without_a_solution_in_the_box_is_rejected(rng):
     u_max[[1, 3]] = 0.0
     model = dataclasses.replace(m, u_max=u_max)
     with pytest.raises(ValueError, match="infeasible at tree node 1: no solution inside"):
-        ProblemInstance(model, inst.tree, inst.weights, inst.p, inst.q)
+        ProblemInstance(model, inst.tree, **_parts(inst))
 
 
 def test_restore_finishes_a_row_left_on_a_clipped_corner(rng):
@@ -474,7 +476,7 @@ def _infinite_bound_cases():
     u_min[[0, 3, 4]] = -np.inf  # row 0 holds inputs 0, 2, 4, 6; row 1 the odd ones
     u_max[[1, 4, 5]] = np.inf
     model = dataclasses.replace(m, u_min=u_min, u_max=u_max)
-    inst = ProblemInstance(model, inst.tree, inst.weights, inst.p, inst.q)
+    inst = ProblemInstance(model, inst.tree, **_parts(inst))
     for scale in (0.5, 3.0, 30.0):
         yield inst, scale * rng.standard_normal((inst.n_nonroot, 8))
 
@@ -485,8 +487,9 @@ def _certificate_cases():
     for kind, seed, iters in (("net3", 0, 100), ("net10", 3, 50)):
         bundle = build_demo(kind, seed, h_sim=1)
         fc = bundle.forecaster(0)
-        tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
-        inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+        demand, price = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+        inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, bundle.x0,
+                               bundle.u_prev, demand, price)
         seen = []
 
         def recorded(instance, U, *args):

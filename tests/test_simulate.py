@@ -150,6 +150,31 @@ class TestRunClosedLoop:
         for k in range(1, h):
             assert np.array_equal(calls[k][0], calls[k - 1][1].dual)
 
+    def test_each_step_rebinds_the_first_steps_factors(self, monkeypatch):
+        model, tree, weights = one_tank_setup()
+        h = 3
+        calls = []
+        real = watermpc.simulate.solve
+
+        def recorded(instance, config, cache=None, dual0=None):
+            calls.append((instance, cache))
+            return real(instance, config, cache=cache, dual0=dual0)
+
+        monkeypatch.setattr(watermpc.simulate, "solve", recorded)
+        config = SimulationConfig(
+            h_sim=h, weights=weights, solver=SolverConfig(max_iter=500), x0=np.array([700.0])
+        )
+        run_closed_loop(
+            model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
+            np.full((h, 1), 150.0), np.full((h, 1), 0.03), config,
+        )
+        assert len(calls) == h
+        first = calls[0][1]
+        for instance, cache in calls:
+            assert instance.tree is tree  # the template, never a copy
+            assert cache.instance is instance
+            assert cache.stage_ops is first.stage_ops and cache.lipschitz == first.lipschitz
+
     def test_unconverged_steps_are_reported(self, caplog):
         model, tree, weights = one_tank_setup()
         h = 3
@@ -241,6 +266,7 @@ class TestRunClosedLoop:
         pytest.param({"price": np.zeros((3, 2))},
                      "realized price dimension does not match the network", id="price-width"),
         pytest.param({"x0": np.array([500.0, 500.0])}, "x0 must have shape (1,)", id="x0-shape"),
+        pytest.param({"u_prev": np.zeros(2)}, "u_prev must have shape (1,)", id="u_prev-shape"),
         pytest.param({"price": np.array([[0.03], [np.nan], [0.03]])},
                      "realized price is not finite at step 1", id="nan-price"),
         pytest.param({"demand": np.array([[150.0], [150.0], [np.inf]])},
@@ -251,15 +277,23 @@ class TestRunClosedLoop:
     def test_bad_inputs_rejected(self, changes, message):
         model, tree, weights = one_tank_setup()
         inputs = {"demand": np.full((3, 1), 150.0), "price": np.full((3, 1), 0.03),
-                  "x0": np.array([500.0]), **changes}
+                  "x0": np.array([500.0]), "u_prev": None, **changes}
         config = SimulationConfig(
-            h_sim=3, weights=weights, solver=SolverConfig(), x0=inputs["x0"]
+            h_sim=3, weights=weights, solver=SolverConfig(), x0=inputs["x0"],
+            u_prev=inputs["u_prev"],
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_closed_loop(
                 model, tree, pattern_forecaster(150.0, 0.03, tree.horizon),
                 inputs["demand"], inputs["price"], config,
             )
+
+    @pytest.mark.parametrize("name", ["x0", "u_prev"])
+    def test_non_finite_start_is_named(self, name):
+        _, _, weights = one_tank_setup()
+        start = {"x0": np.array([500.0]), "u_prev": np.zeros(1), name: np.array([np.nan])}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SimulationConfig(h_sim=1, weights=weights, solver=SolverConfig(), **start)
 
     @pytest.mark.parametrize("h_sim, message", [
         pytest.param(0, "h_sim must be at least 1", id="0"),
@@ -310,6 +344,7 @@ class TestKpis:
             alpha0=alpha0,
             x_safe=x_safe,
             coupling_residual=np.zeros(h),
+            termination=np.full(h, "converged", dtype=object),
         )
 
     def test_kpi_economic_arithmetic(self):
@@ -380,8 +415,9 @@ class TestKpis:
             kpi_economic(log)
 
     def test_coupling_residual_is_required(self):
-        # A log without it would save as [] that load_simlog rejects.
-        with pytest.raises(TypeError, match="coupling_residual"):
+        # A log without it would save as [] that load_simlog rejects; the
+        # same holds for the termination reasons.
+        with pytest.raises(TypeError, match="'coupling_residual' and 'termination'"):
             SimulationLog(
                 x=np.zeros((2, 1)), u=np.zeros((1, 1)), demand=np.zeros((1, 1)),
                 price=np.zeros((1, 1)), solve_time_s=np.zeros(1), iterations=np.ones(1, int),

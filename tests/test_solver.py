@@ -50,18 +50,19 @@ def permute_within_stages(inst, rng):
         anc=new_anc,
         prob=tree.prob[perm],
         eps=tree.eps[perm],
-        demand=tree.demand[perm],
-        price=tree.price[perm],
     )
-    return ProblemInstance(inst.model, permuted, inst.weights, inst.p, inst.q)
+    rows = perm[1:] - 1
+    return ProblemInstance(inst.model, permuted, inst.weights, inst.p, inst.q,
+                           inst.demand[rows], inst.price[rows])
 
 
 def demo_instance(kind, step=0, seed=0):
     """A step of a demo with the demo's solver config."""
     bundle = build_demo(kind, seed, h_sim=step + 1)
     fc = bundle.forecaster(step)
-    tree = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
-    inst = ProblemInstance(bundle.model, tree, bundle.weights, bundle.x0, bundle.u_prev)
+    demand, price = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+    inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, bundle.x0, bundle.u_prev,
+                           demand, price)
     return inst, bundle.solver
 
 
@@ -116,13 +117,12 @@ class TestFactorStep:
     def test_structure_reuse_same_tree_new_values(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
-        tree2 = attach_forecast(
+        demand, price = attach_forecast(
             inst.tree,
-            inst.tree.demand[1:][inst.tree.stage[1:] == 1][:1].repeat(inst.tree.horizon, 0) * 0.0
-            + 0.4,
+            np.full((inst.tree.horizon, inst.model.n_demands), 0.4),
             np.full((inst.tree.horizon, inst.model.n_inputs), 0.9),
         )
-        inst2 = ProblemInstance(inst.model, tree2, inst.weights, inst.p, inst.q)
+        inst2 = ProblemInstance(inst.model, inst.tree, inst.weights, inst.p, inst.q, demand, price)
         cache2 = factor_step(inst2, structure_from=cache)
         y = np.zeros(inst2.dual_shape)
         z_tree, _ = dual_gradient(cache2, inst2, y)
@@ -146,12 +146,13 @@ class TestFactorStep:
         cache = factor_step(inst)
         rebound = factor_step(inst2, structure_from=cache)
         per_instance = {"e_offset", "e_carry"}
-        shared = {f.name for f in dataclasses.fields(cache)} - per_instance
+        shared = {f.name for f in dataclasses.fields(cache)} - per_instance - {"instance"}
         assert {"lipschitz", "hess_diag", "stage_ops"} <= shared
         for name in shared:
             assert getattr(rebound, name) is getattr(cache, name), name
         for name in per_instance:
             assert not np.array_equal(getattr(rebound, name), getattr(cache, name)), name
+        assert cache.instance is inst and rebound.instance is inst2
 
     @pytest.mark.parametrize("permuted", [False, True], ids=["net3", "net3-permuted"])
     def test_offset_carry_sums_each_nodes_children(self, permuted):
@@ -284,6 +285,22 @@ class TestDualGradient:
             solve(inst_b, cache=cache)
         with pytest.raises(ValueError, match="does not match"):
             estimate_lipschitz(cache, inst_b)
+
+    def test_cache_of_another_step_rejected(self):
+        # tank1 seed 0: with the step-0 cache, the step-12 solve reported
+        # "converged" at gap 38.17 on objective 1067.38, a dual bound of
+        # 1029.22 above the optimum, which a tol=1e-6 solve puts at 1026.04.
+        inst0, config = demo_instance("tank1")
+        inst12, _ = demo_instance("tank1", step=12)
+        cache = factor_step(inst0)
+        for call in (lambda: solve(inst12, config, cache=cache),
+                     lambda: dual_gradient(cache, inst12, np.zeros(inst12.dual_shape)),
+                     lambda: estimate_lipschitz(cache, inst12)):
+            with pytest.raises(ValueError, match="^factor cache does not match this instance$"):
+                call()
+        rebound = factor_step(inst12, structure_from=cache)
+        assert rebound.instance is inst12
+        assert solve(inst12, config, cache=rebound).termination == "converged"
 
 
 class TestLipschitz:

@@ -23,7 +23,6 @@ class TestValidate:
     def test_single_branch_valid(self):
         tree = ScenarioTree.single_branch(horizon=4, n_demand=2, n_price=1)
         tree.validate()
-        assert not tree.is_attached
 
     def test_bad_children_probabilities(self):
         with pytest.raises(ValueError, match="1.1"):
@@ -124,29 +123,47 @@ class TestValidate:
     @pytest.mark.parametrize("field, expected", [
         ("prob", "node probabilities must lie in (0, 1]"),
         ("eps", "prediction errors eps must be finite"),
-        ("demand", "demand values must be finite"),
-        ("price", "price values must be finite"),
     ])
     def test_nan_is_named(self, field, expected):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
-        tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 1)))
         getattr(tree, field)[1] = np.nan
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             tree.validate()
 
-
     @pytest.mark.parametrize("changes, expected", [
         ({"eps": np.zeros((3, 1))}, "eps shape (3, 1) != (3, 2)"),
         ({"eps": np.ones((3, 2))}, "root prediction error must be zero"),
-        ({"price": None}, "demand and price values must be attached together"),
-        ({"demand": np.ones((3, 2))}, "demand value shape (3, 2) != (3, 1)"),
-        ({"price": np.ones((2, 1))}, "price value shape (2, 1) != (3, 1)"),
     ])
     def test_replaced_field_is_named(self, changes, expected):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
-        tree = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 1)))
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             replace(tree, **changes)
+
+    @pytest.mark.parametrize("changes, expected", [
+        pytest.param({"horizon": 0}, "horizon must be an integer of at least 1, got 0",
+                     id="horizon-0"),
+        pytest.param({"horizon": 1.5}, "horizon must be an integer of at least 1, got 1.5",
+                     id="horizon-float"),
+        pytest.param({"horizon": True}, "horizon must be an integer of at least 1, got True",
+                     id="horizon-bool"),
+        pytest.param({"n_demand": -1, "n_price": 3},
+                     "n_demand must be an integer of at least 0, got -1", id="n_demand-negative"),
+        pytest.param({"n_price": 1.0}, "n_price must be an integer of at least 0, got 1.0",
+                     id="n_price-float"),
+        pytest.param({"stage": np.int64(0)}, "stage, anc and prob must be 1-d arrays",
+                     id="stage-0d"),
+        pytest.param({"anc": [[-1, 0, 1]]}, "stage, anc and prob must be 1-d arrays",
+                     id="anc-2d"),
+        pytest.param({"prob": 1.0}, "stage, anc and prob must be 1-d arrays", id="prob-0d"),
+    ])
+    def test_bad_scalar_or_array_rank_is_named(self, changes, expected):
+        tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            replace(tree, **changes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        tree = ScenarioTree.single_branch(horizon=np.int64(2), n_demand=np.int32(1), n_price=0)
+        assert tree.n_nonroot == 2
 
 
 class TestAttachForecast:
@@ -154,35 +171,37 @@ class TestAttachForecast:
         tree = ScenarioTree.single_branch(horizon=3, n_demand=2, n_price=1)
         d_hat = np.arange(6, dtype=float).reshape(3, 2)
         a_hat = np.array([[10.0], [20.0], [30.0]])
-        out = attach_forecast(tree, d_hat, a_hat)
-        np.testing.assert_allclose(out.demand[1:], d_hat)
-        np.testing.assert_allclose(out.price[1:], a_hat)
+        demand, price = attach_forecast(tree, d_hat, a_hat)
+        np.testing.assert_allclose(demand, d_hat)
+        np.testing.assert_allclose(price, a_hat)
 
     def test_single_node_arithmetic(self):
         tree = ScenarioTree.single_branch(horizon=1, n_demand=1, n_price=1)
         tree.eps[1] = [0.1, -2.0]
-        out = attach_forecast(tree, np.array([[1.0]]), np.array([[30.0]]))
-        assert out.demand[1, 0] == pytest.approx(1.1)
-        assert out.price[1, 0] == pytest.approx(28.0)
+        demand, price = attach_forecast(tree, np.array([[1.0]]), np.array([[30.0]]))
+        assert demand.shape == price.shape == (1, 1)
+        assert demand[0, 0] == pytest.approx(1.1)
+        assert price[0, 0] == pytest.approx(28.0)
 
     def test_matches_node_loop_oracle(self, rng):
         tree = make_tree(rng, horizon=3, n_demand=2, n_price=3)
         d_hat = rng.random((3, 2))
         a_hat = rng.random((3, 3))
-        out = attach_forecast(tree, d_hat, a_hat)
+        demand, price = attach_forecast(tree, d_hat, a_hat)
+        assert demand.shape == (tree.n_nonroot, 2) and price.shape == (tree.n_nonroot, 3)
         for i in range(1, tree.n_nodes):
             j = tree.stage[i]
-            np.testing.assert_array_equal(out.demand[i], d_hat[j - 1] + tree.eps[i, :2])
-            np.testing.assert_array_equal(out.price[i], a_hat[j - 1] + tree.eps[i, 2:])
+            np.testing.assert_array_equal(demand[i - 1], d_hat[j - 1] + tree.eps[i, :2])
+            np.testing.assert_array_equal(price[i - 1], a_hat[j - 1] + tree.eps[i, 2:])
 
     def test_affine_in_forecast(self, rng):
         tree = make_tree(rng, horizon=2, n_demand=2, n_price=1)
         d_hat = rng.random((2, 2))
         a_hat = rng.random((2, 1))
         shift = 0.37
-        base = attach_forecast(tree, d_hat, a_hat)
-        moved = attach_forecast(tree, d_hat + shift, a_hat)
-        np.testing.assert_allclose(moved.demand[1:], base.demand[1:] + shift)
+        base, _ = attach_forecast(tree, d_hat, a_hat)
+        moved, _ = attach_forecast(tree, d_hat + shift, a_hat)
+        np.testing.assert_allclose(moved, base + shift)
 
     def test_dimension_mismatch(self):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
