@@ -12,7 +12,9 @@ value-identical.
 
 ``scenarioTree.json`` carries the tree's prediction errors
 (``errorValues``) and never node values: a node's demand and price are
-always the ``forecaster.json`` forecast for its stage plus its error.
+always the ``forecaster.json`` forecast for its stage plus its error. Its
+nodes are numbered breadth-first, and a stage's ``ancestor`` entries never
+decrease: siblings are consecutive and follow their parents' order.
 ``realizations.json`` carries, beside the realized series, the forecast
 made at every closed-loop step (``forecastDemand``/``forecastPrice``).
 """
@@ -87,11 +89,21 @@ def _number(doc: dict, key: str) -> float:
     return float(val)
 
 
-def _integer(doc: dict, key: str) -> int:
+def _integer(doc: dict, key: str, counts: bool = False) -> int:
+    """A JSON integer (booleans are not), non-negative if ``counts``."""
     val = _get(doc, key)
     if isinstance(val, bool) or not isinstance(val, int):
         raise SchemaError(f"/{key}", f"expected an integer, got {type(val).__name__}")
+    if counts and val < 0:
+        raise SchemaError(f"/{key}", f"count {val} is negative")
     return int(val)
+
+
+def _string(doc: dict, key: str) -> str:
+    val = _get(doc, key)
+    if not isinstance(val, str):
+        raise SchemaError(f"/{key}", f"expected a string, got {type(val).__name__}")
+    return val
 
 
 def _array(doc: dict, key: str, *shape: int | None, empty_ok: bool = False) -> np.ndarray:
@@ -345,8 +357,8 @@ def load_control_output(path: str | Path) -> dict:
     doc = load_document(path)
     return {
         "u0": _array(doc, "u0", None),
-        "iterations": _integer(doc, "iterations"),
-        "terminationReason": str(_get(doc, "terminationReason")),
+        "iterations": _integer(doc, "iterations", counts=True),
+        "terminationReason": _string(doc, "terminationReason"),
         "primalResidual": _number(doc, "primalResidual"),
         "dualChange": _number(doc, "dualChange"),
         "solveTimeMs": _number(doc, "solveTimeMs"),
@@ -371,7 +383,7 @@ def save_control_output(result: SolverResult, path: str | Path) -> None:
 
 def load_state(path: str | Path) -> tuple[np.ndarray, np.ndarray, int]:
     doc = load_document(path)
-    k = _integer(doc, "k") if "k" in doc else 0
+    k = _integer(doc, "k", counts=True)
     return _array(doc, "x", None), _array(doc, "uPrev", None), k
 
 
@@ -439,7 +451,10 @@ def load_fan(path: str | Path) -> ScenarioFan:
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
     values = _array(doc, "scenarios", None, horizon, nd + nu)
-    return ScenarioFan(values=values, n_demand=nd, n_price=nu)
+    try:
+        return ScenarioFan(values=values, n_demand=nd, n_price=nu)
+    except ValueError as exc:
+        raise SchemaError("/", f"invalid scenario fan: {exc}") from exc
 
 
 def save_fan(fan: ScenarioFan, path: str | Path) -> None:

@@ -111,9 +111,7 @@ class ProblemInstance:
     anc_row: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
     parent_rows: list[slice | np.ndarray] = field(init=False, repr=False)
-    child_groups: list[tuple[slice | np.ndarray, np.ndarray] | None] = field(
-        init=False, repr=False
-    )
+    child_groups: list[np.ndarray | None] = field(init=False, repr=False)
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
     inv_prob: np.ndarray = field(init=False, repr=False)
@@ -149,28 +147,20 @@ class ProblemInstance:
         # Child-to-parent maps for the stage sweeps. parent_rows[j] indexes
         # each row's parent: the root row slice(-1, None) at stage 1, the
         # previous stage's slice, a view, when every node is its parent's
-        # only child in order, else the ancestor rows. child_groups[j] =
-        # (order, starts) for np.add.reduceat: order groups the rows by
-        # parent (a plain view when breadth-first numbering already does)
-        # and starts opens each group; None at stage 1, whose sums go to
-        # the root, and when one to one, as there is nothing to sum. Every
-        # node before the last stage has a child, so group i belongs to the
-        # i-th row of the previous stage.
+        # only child, else the ancestor rows. A stage follows its parents'
+        # order, so each parent's children are one run of rows, and
+        # child_groups[j] holds the runs' starts for np.add.reduceat; None at
+        # stage 1, whose sums go to the root, and when one to one, as there
+        # is nothing to sum. Every node before the last stage has a child,
+        # so run i belongs to the i-th row of the previous stage.
         self.parent_rows = [slice(-1, None)]
         self.child_groups = [None]
         for prev, sl in zip(self.stage_slices, self.stage_slices[1:]):
             parents = self.anc_row[sl]
-            order: slice | np.ndarray = slice(None)
-            if np.any(parents[1:] < parents[:-1]):
-                order = np.argsort(parents, kind="stable")
-            grouped = parents[order]
-            starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
-            if isinstance(order, slice) and starts.size == parents.size:
-                self.parent_rows.append(prev)
-                self.child_groups.append(None)
-            else:
-                self.parent_rows.append(parents)
-                self.child_groups.append((order, starts))
+            starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+            one_to_one = starts.size == parents.size
+            self.parent_rows.append(prev if one_to_one else parents)
+            self.child_groups.append(None if one_to_one else starts)
         # Hot-path constants: per-node demand inflow term, economic cost rows
         # and the sweep's inverse-probability column.
         self.demand_gd = self.demand @ model.Gd.T

@@ -67,7 +67,9 @@ class SimulationLog:
     and ``x_safe`` are copies of the model vectors so indicators can be
     computed from the log alone. ``termination`` holds each step's
     solver termination reason (``"converged"`` or ``"max_iter"``), which
-    ``iterations`` alone cannot tell apart at the cap.
+    ``iterations`` alone cannot tell apart at the cap. Construction
+    rejects a log of no steps and any array whose length or width
+    disagrees with ``u`` and ``x``, naming the field.
     """
 
     x: np.ndarray
@@ -81,6 +83,20 @@ class SimulationLog:
     x_safe: np.ndarray
     coupling_residual: np.ndarray
     termination: np.ndarray
+
+    def __post_init__(self) -> None:
+        h = np.shape(self.u)[0] if np.ndim(self.u) == 2 else 0
+        if h == 0:
+            raise ValueError("u must be a 2-d array with at least one step")
+        nu = np.shape(self.u)[1]
+        nt, nd = (np.shape(a)[1] if np.ndim(a) == 2 else None for a in (self.x, self.demand))
+        for name, want in (("x", (h + 1, nt)), ("demand", (h, nd)), ("price", (h, nu)),
+                           ("solve_time_s", (h,)), ("iterations", (h,)),
+                           ("primal_residual", (h,)), ("alpha0", (nu,)), ("x_safe", (nt,)),
+                           ("coupling_residual", (h,)), ("termination", (h,))):
+            got = np.shape(getattr(self, name))
+            if got != want:
+                raise ValueError(f"{name} must have shape {want}, got {got}")
 
     @property
     def h_sim(self) -> int:
@@ -197,20 +213,14 @@ def run_closed_loop(
 
 def kpi_economic(log: SimulationLog) -> float:
     """Average per-step operating cost, (1/H_s) sum_k (alpha0 + alpha_k)' u_k."""
-    if log.h_sim == 0:
-        raise ValueError("empty simulation log")
     return float(((log.alpha0[None, :] + log.price) * log.u).sum() / log.h_sim)
 
 
 def kpi_safety(log: SimulationLog) -> float:
     """Accumulated safety-level shortfall sum_k ||max(x_safe - x_k, 0)||_1 (m^3)."""
-    if log.h_sim == 0:
-        raise ValueError("empty simulation log")
     return float(np.maximum(log.x_safe[None, :] - log.x[1:], 0.0).sum())
 
 
 def kpi_complexity(log: SimulationLog) -> float:
     """Worst-case per-step solve time in seconds."""
-    if log.h_sim == 0:
-        raise ValueError("empty simulation log")
     return float(log.solve_time_s.max())

@@ -305,10 +305,9 @@ def _dual_gradient_parts(
         np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
         if s > 1:  # carries into the root would go unused
             rows = M[sl, nu:]
-            groups = instance.child_groups[s - 1]
-            if groups is not None:
-                order, starts = groups
-                rows = np.add.reduceat(rows[order], starts)
+            starts = instance.child_groups[s - 1]
+            if starts is not None:
+                rows = np.add.reduceat(rows, starts)
             Z[slices[s - 2], :k] += rows
 
     P = np.empty((n + 1, k))

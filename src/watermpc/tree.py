@@ -5,7 +5,8 @@ zero prediction error; every later node carries an error vector
 ``eps = (demand part, price part)``. A tree is a template: it holds no
 forecast, and :func:`attach_forecast` adds a nominal forecast to the
 errors to give the contingent demand and price of every non-root node.
-Nodes are numbered breadth-first by stage so per-stage node ranges are
+Nodes are numbered breadth-first: by stage, and within a stage in their
+parents' order, so per-stage node ranges and each node's children are
 contiguous slices of every flat array.
 
 Trees are immutable after construction; functions that modify return new
@@ -22,6 +23,15 @@ import numpy as np
 _PROB_TOL = 1e-9
 # Rows per block of the selection's distances: caps the (rows, m, dim) temporary.
 _DIST_BLOCK_ROWS = 64
+
+
+def _check_sizes(obj: object, **least: int) -> None:
+    """Raise ValueError unless each named attribute is an integer, not a
+    bool, of at least its given least value."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 @dataclass
@@ -41,6 +51,7 @@ class ScenarioFan:
         return self.values.shape[1]
 
     def __post_init__(self) -> None:
+        _check_sizes(self, n_demand=0, n_price=0)
         self.values = np.asarray(self.values, float)
         if self.values.ndim != 3:
             raise ValueError("fan values must be a 3-d array (scenario, stage, component)")
@@ -51,11 +62,16 @@ class ScenarioFan:
             )
         if self.values.shape[0] == 0:
             raise ValueError("fan must contain at least one scenario")
+        if self.values.shape[1] == 0:
+            raise ValueError("fan must span at least one stage")
+        if not np.isfinite(self.values).all():
+            raise ValueError("fan values must be finite")
 
 
 @dataclass
 class ScenarioTree:
-    """Stage-indexed scenario tree in breadth-first node order.
+    """Stage-indexed scenario tree in breadth-first node order: a stage's
+    nodes follow their parents' order.
 
     ``stage``, ``anc`` and ``prob`` are flat arrays over all nodes; the
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
@@ -71,10 +87,7 @@ class ScenarioTree:
     eps: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, least in (("horizon", 1), ("n_demand", 0), ("n_price", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        _check_sizes(self, horizon=1, n_demand=0, n_price=0)
         self.stage = np.asarray(self.stage, int)
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
@@ -83,9 +96,9 @@ class ScenarioTree:
 
     def validate(self) -> None:
         """Raise ValueError at the first violated invariant: links, breadth-first
-        stages, probabilities in (0, 1] that telescope and sum to 1 per stage
-        within 1e-9, and finite errors with a zero root row. Construction
-        runs it."""
+        stages whose nodes follow their parents' order, probabilities in
+        (0, 1] that telescope and sum to 1 per stage within 1e-9, and finite
+        errors with a zero root row. Construction runs it."""
         if self.stage.ndim != 1 or self.anc.ndim != 1 or self.prob.ndim != 1:
             raise ValueError("stage, anc and prob must be 1-d arrays")
         n = self.n_nodes
@@ -115,6 +128,11 @@ class ScenarioTree:
             if out_of_range[bad[0]]:
                 raise ValueError(f"node {i}: ancestor {a} out of range")
             raise ValueError(f"node {i}: ancestor stage {stage[a]} != own stage {stage[i]} - 1")
+        bad = np.flatnonzero(np.diff(anc) < 0)  # a stage follows its parents' order
+        if bad.size:
+            i = bad[0] + 2
+            raise ValueError(f"node {i}: ancestor {anc[i - 1]} precedes node {i - 1}'s "
+                             f"ancestor {anc[i - 2]}")
 
         # Telescoping: every non-leaf node's probability equals its children's sum.
         child_sum = np.bincount(anc, weights=prob[1:], minlength=n)

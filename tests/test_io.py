@@ -355,6 +355,36 @@ class TestErrorPaths:
         assert err.value.pointer == f"/{key}/{index}"
         assert str(err.value) == f"/{key}/{index}: {message}"
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc.pop("k"), "/k: missing required field", id="missing"),
+        pytest.param(lambda doc: doc.update(k=-3), "/k: count -3 is negative", id="negative"),
+    ])
+    def test_state_step_is_a_required_count(self, demo_dir, tmp_path, edit, message):
+        doc = json.loads((demo_dir / "state.json").read_text())
+        edit(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            wio.load_state(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("terminationReason", 7, "expected a string, got int", id="reason-int"),
+        pytest.param("terminationReason", None, "expected a string, got NoneType",
+                     id="reason-null"),
+        pytest.param("iterations", -1, "count -1 is negative", id="iterations-negative"),
+    ])
+    def test_control_output_fields_are_typed(self, tmp_path, key, value, message):
+        doc = {"schemaVersion": 1, "u0": [1.0], "iterations": 3,
+               "terminationReason": "converged", "primalResidual": 0.0,
+               "dualChange": 0.0, "solveTimeMs": 1.0}
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps(doc))
+        assert wio.load_control_output(path)["iterations"] == 3
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'/{key}: {message}')}$"):
+            wio.load_control_output(path)
+
     @pytest.mark.parametrize("index, literal, message", [
         (1, "-1", "count -1 is negative"),
         (0, "2.5", "expected an integer, got float"),
@@ -455,6 +485,22 @@ class TestErrorPaths:
             f"{doc['horizon']} - 1"
         )
 
+    def test_stage_out_of_parent_order_is_reported_at_the_root(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        anc = doc["ancestor"]
+        stage = np.repeat(np.arange(doc["horizon"] + 1), doc["nodesPerStage"])
+        i = next(i for i in range(2, len(anc))
+                 if stage[i - 1] == stage[i] and anc[i - 1] < anc[i])
+        anc[i - 1], anc[i] = anc[i], anc[i - 1]  # siblings of two parents interleave
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        assert str(err.value) == (
+            f"/: invalid scenario tree: node {i}: ancestor {anc[i]} precedes "
+            f"node {i - 1}'s ancestor {anc[i - 1]}"
+        )
+
     def test_network_labels_ignored(self, demo_dir, tmp_path):
         doc = json.loads((demo_dir / "network.json").read_text())
         doc["tankNames"], doc["flowNames"] = 5, "T1"
@@ -524,6 +570,17 @@ class TestErrorPaths:
         with pytest.raises(SchemaError) as err:
             wio.load_fan(path)
         assert err.value.pointer == "/scenarios"
+
+    def test_negative_fan_count_is_reported_at_the_root(self, demo_dir, tmp_path):
+        doc = json.loads((demo_dir / "fan.json").read_text())
+        doc["nDemands"], doc["nPrices"] = -1, doc["nDemands"] + doc["nPrices"] + 1
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_fan(path)
+        assert str(err.value) == (
+            "/: invalid scenario fan: n_demand must be an integer of at least 0, got -1"
+        )
 
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "f.json"

@@ -2,6 +2,7 @@
 
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,12 +408,35 @@ class TestKpis:
         assert kpi_complexity(log) == pytest.approx(0.42)
 
     def test_empty_log_rejected(self):
-        log = self.make_log(
-            np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((1, 1)),
-            alpha0=np.zeros(1), x_safe=np.zeros(1), tau=np.zeros(0),
-        )
-        with pytest.raises(ValueError, match="empty"):
-            kpi_economic(log)
+        with pytest.raises(ValueError, match="^u must be a 2-d array with at least one step$"):
+            self.make_log(
+                np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((1, 1)),
+                alpha0=np.zeros(1), x_safe=np.zeros(1), tau=np.zeros(0),
+            )
+
+    @pytest.mark.parametrize("name, value, message", [
+        pytest.param("x", np.zeros((5, 1)), "x must have shape (3, 1), got (5, 1)", id="x-rows"),
+        pytest.param("x", np.zeros(3), "x must have shape (3, None), got (3,)", id="x-1d"),
+        pytest.param("termination", np.empty(0, dtype=object),
+                     "termination must have shape (2,), got (0,)", id="termination-empty"),
+        pytest.param("iterations", np.ones(3, int), "iterations must have shape (2,), got (3,)",
+                     id="iterations-long"),
+        pytest.param("demand", np.zeros((1, 1)), "demand must have shape (2, 1), got (1, 1)",
+                     id="demand-short"),
+        pytest.param("price", np.zeros((2, 2)), "price must have shape (2, 1), got (2, 2)",
+                     id="price-wide"),
+        pytest.param("alpha0", np.zeros(2), "alpha0 must have shape (1,), got (2,)",
+                     id="alpha0-wide"),
+        pytest.param("x_safe", np.zeros(2), "x_safe must have shape (1,), got (2,)",
+                     id="x_safe-wide"),
+    ])
+    def test_mismatched_field_is_named(self, name, value, message):
+        # Without the check a short termination saved and then failed to
+        # load, and extra state rows went into kpi_safety.
+        log = self.make_log(np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((3, 1)),
+                            alpha0=np.zeros(1), x_safe=np.zeros(1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(log, **{name: value})
 
     def test_coupling_residual_is_required(self):
         # A log without it would save as [] that load_simlog rejects; the

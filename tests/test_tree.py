@@ -112,6 +112,11 @@ class TestValidate:
             "nodes must be ordered breadth-first by stage",
             id="not-breadth-first",
         ),
+        pytest.param(
+            2, [0, 1, 1, 2, 2], [-1, 0, 0, 2, 1], [1.0, 0.5, 0.5, 0.5, 0.5],
+            "node 4: ancestor 1 precedes node 3's ancestor 2",
+            id="stage-out-of-parent-order",
+        ),
     ])
     def test_exact_messages(self, horizon, stage, anc, prob, expected):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
@@ -164,6 +169,28 @@ class TestValidate:
     def test_numpy_integer_sizes_accepted(self):
         tree = ScenarioTree.single_branch(horizon=np.int64(2), n_demand=np.int32(1), n_price=0)
         assert tree.n_nonroot == 2
+
+
+class TestFan:
+    @pytest.mark.parametrize("values, n_demand, n_price, expected", [
+        pytest.param(np.zeros((3, 2, 1)), -1, 2,
+                     "n_demand must be an integer of at least 0, got -1", id="n_demand-negative"),
+        pytest.param(np.zeros((3, 2, 1)), 1.0, 0,
+                     "n_demand must be an integer of at least 0, got 1.0", id="n_demand-float"),
+        pytest.param(np.zeros((3, 2, 1)), 0, True,
+                     "n_price must be an integer of at least 0, got True", id="n_price-bool"),
+        pytest.param(np.zeros((3, 0, 1)), 1, 0, "fan must span at least one stage",
+                     id="no-stage"),
+        pytest.param(np.full((3, 2, 1), np.nan), 1, 0, "fan values must be finite", id="nan"),
+        pytest.param(np.full((3, 2, 1), np.inf), 1, 0, "fan values must be finite", id="inf"),
+    ])
+    def test_bad_fan_is_named(self, values, n_demand, n_price, expected):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ScenarioFan(values, n_demand=n_demand, n_price=n_price)
+
+    def test_numpy_integer_sizes_accepted(self):
+        fan = ScenarioFan(np.zeros((3, 2, 2)), n_demand=np.int64(1), n_price=np.int32(1))
+        assert fan.horizon == 2
 
 
 class TestAttachForecast:
