@@ -292,6 +292,39 @@ def smooth_cost(instance: ProblemInstance, U: np.ndarray) -> float:
     return float(instance.prob @ (price_term + quad_term))
 
 
+def _in_box_pricer(instance: ProblemInstance):
+    """Primal value ``price(U, X)`` of inputs U inside the input box and
+    their states X: :func:`smooth_cost` of U plus :func:`g_value` of the
+    rows [X, X, U], whose input-box term is then 0. The buffers are
+    allocated once here; the arguments are not checked, nor is U's box."""
+    m, w = instance.model, instance.weights
+    n, nt = instance.n_nonroot, m.n_tanks
+    ext = np.empty((n + 1, m.n_inputs))  # U with q in the root's row, last
+    ext[n] = instance.q
+    du, du_w = np.empty((n, m.n_inputs)), np.empty((n, m.n_inputs))
+    p_col = instance.prob[:, None]
+    p_econ = p_col * instance.econ
+    # The state slots [x, x] of g's rows, their bounds and their distances.
+    lo = np.concatenate([m.x_min, m.x_safe])
+    hi = np.concatenate([m.x_max, np.full(nt, np.inf)])
+    rows, proj = np.empty((n, 2 * nt)), np.empty((n, 2 * nt))
+    dist = rows.reshape(n, 2, nt)
+    weights = np.array([w.w_x, w.w_s])
+
+    def price(U: np.ndarray, X: np.ndarray) -> float:
+        ext[:n] = U
+        np.subtract(U, np.take(ext, instance.anc_row, axis=0, out=du), out=du)
+        np.matmul(du, instance.wu, out=du_w)
+        value = np.vdot(p_econ, U) + np.vdot(np.multiply(du, p_col, out=du), du_w)
+        rows[:, :nt] = X
+        rows[:, nt:] = X
+        np.subtract(rows, np.clip(rows, lo, hi, out=proj), out=rows)
+        np.multiply(rows, rows, out=rows)
+        return float(value + np.sqrt(dist.sum(axis=2)).sum(axis=0) @ weights)
+
+    return price
+
+
 def apply_H(instance: ProblemInstance, z: np.ndarray) -> np.ndarray:
     """Image (x, x, u) of each node's variables, as dual rows."""
     U, X = instance.split_primal(z)

@@ -9,6 +9,7 @@ model (no model mismatch), so the logged state recursion is exact.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import numbers
 import time
@@ -67,9 +68,10 @@ class SimulationLog:
     and ``x_safe`` are copies of the model vectors so indicators can be
     computed from the log alone. ``termination`` holds each step's
     solver termination reason (``"converged"`` or ``"max_iter"``), which
-    ``iterations`` alone cannot tell apart at the cap. Construction
-    rejects a log of no steps and any array whose length or width
-    disagrees with ``u`` and ``x``, naming the field.
+    ``iterations`` alone cannot tell apart at the cap. Construction turns
+    every field into an array, so lists are accepted, and rejects a log of
+    no steps and any array whose length or width disagrees with ``u`` and
+    ``x``, naming the field.
     """
 
     x: np.ndarray
@@ -85,16 +87,18 @@ class SimulationLog:
     termination: np.ndarray
 
     def __post_init__(self) -> None:
-        h = np.shape(self.u)[0] if np.ndim(self.u) == 2 else 0
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name)))
+        h = self.u.shape[0] if self.u.ndim == 2 else 0
         if h == 0:
             raise ValueError("u must be a 2-d array with at least one step")
-        nu = np.shape(self.u)[1]
-        nt, nd = (np.shape(a)[1] if np.ndim(a) == 2 else None for a in (self.x, self.demand))
+        nu = self.u.shape[1]
+        nt, nd = (a.shape[1] if a.ndim == 2 else None for a in (self.x, self.demand))
         for name, want in (("x", (h + 1, nt)), ("demand", (h, nd)), ("price", (h, nu)),
                            ("solve_time_s", (h,)), ("iterations", (h,)),
                            ("primal_residual", (h,)), ("alpha0", (nu,)), ("x_safe", (nt,)),
                            ("coupling_residual", (h,)), ("termination", (h,))):
-            got = np.shape(getattr(self, name))
+            got = getattr(self, name).shape
             if got != want:
                 raise ValueError(f"{name} must have shape {want}, got {got}")
 

@@ -21,18 +21,28 @@ crawls everywhere else.
 
 An ergodic average of the primal inputs with weights proportional to
 1/theta carries the accelerated convergence rate, while the last iterate
-often converges well before it. The certificate restores both to
-feasibility, prices them, and keeps the cheaper; the reported control
-action and primal come from that candidate's inputs and their rollout.
-The restoration is the exact projection onto the input box and the
-coupling set (:func:`~watermpc.problem.restore_feasible_inputs`), so the
-restored point is feasible and the gap a true bound.
+often converges well before it but swings in value from one iteration to
+the next. Every feasible primal point prices an upper bound on the optimum
+and every dual value a lower bound, so the solve keeps one record: the
+lowest primal value seen, with its inputs, against the latest certified
+dual value. A sweep's inputs satisfy the dynamics and the coupling by
+construction, so when they also lie inside the input box they are priced
+as they stand, with their states; this catches the last iterate's dips.
+Every ``GAP_CHECK_EVERY`` iterations, and after the last, the certificate
+restores the average and the last iterate to feasibility, prices both,
+offers the cheaper to the record, and takes the dual value at the current
+dual iterate as the bound. The restoration is the exact projection onto
+the input box and the coupling set
+(:func:`~watermpc.problem.restore_feasible_inputs`), so the restored point
+is feasible and the gap a true bound. The reported control action and
+primal come from the record's inputs and their rollout.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
 since consecutive instances share their tree and differ only in state,
-previous input and forecast values. The theta recursion and the average
-start afresh either way.
+previous input and forecast values. The dual value at the start point is
+the first bound, so a warm start can stop at its first in-box iterate.
+The theta recursion and the average start afresh either way.
 
 The inner QP (minimize the smooth cost subject to node dynamics and
 mixing-node coupling) is solved exactly by a tree-structured recursion:
@@ -65,6 +75,7 @@ import numpy as np
 
 from .problem import (
     ProblemInstance,
+    _in_box_pricer,
     g_conjugate_value,
     g_value,
     prox_into,
@@ -74,7 +85,8 @@ from .problem import (
     smooth_cost,
 )
 
-# Iterations between two gap certificates, the only termination test.
+# Iterations between two gap certificates, which restore and price the
+# average and the last iterate and take a new dual value.
 GAP_CHECK_EVERY = 25
 
 # Power iteration in estimate_lipschitz: relative stall tolerance, cap on
@@ -89,12 +101,12 @@ LIPSCHITZ_SAFETY = 1.1
 class SolverConfig:
     """Iteration budget and termination tolerance.
 
-    The only termination test is a duality-gap certificate, run every
-    ``GAP_CHECK_EVERY`` iterations and after the last: ``tol`` bounds the
-    certified gap relative to the objective. The per-node dual steps are not
-    configurable: they follow from the instance's structure (see
-    :func:`factor_step`). A rejected value's error message opens
-    with its field name.
+    The only termination test is the duality gap of the record, the lowest
+    primal value seen against the latest certified dual value (see
+    :func:`solve`): ``tol`` bounds it relative to that primal value. The
+    per-node dual steps are not configurable: they follow from the
+    instance's structure (see :func:`factor_step`). A rejected value's
+    error message opens with its field name.
     """
 
     max_iter: int = 20000
@@ -111,16 +123,18 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
-    """Control action plus the certified primal and final dual for diagnostics.
+    """Control action plus the certified primal and dual for diagnostics.
 
-    ``primal_avg`` is the primal candidate the certificate priced, before
-    feasibility restoration: the inputs of the ergodic average or of the
-    last iterate, whichever restored to the lower primal value, with the
-    states they roll out to. ``u0``,
-    ``primal_residual`` (its input-box violation), ``objective`` and
-    ``duality_gap`` all come from it. ``gamma`` holds the dual step of
-    each non-root node, and ``dual`` the last dual iterate as rows of
-    ``ProblemInstance.dual_shape``.
+    ``primal_avg`` is the record's primal point, the lowest-priced of the
+    solve: the inputs of an in-box iterate, or of the average or last
+    iterate a certificate restored (before that restoration), with the
+    states they roll out to. ``u0``, ``primal_residual`` (its input-box
+    violation) and ``objective`` come from it. ``dual`` is the certifying
+    dual point, as rows of ``ProblemInstance.dual_shape``: the dual
+    iterate of the last certificate, or the start point when none ran, and
+    ``duality_gap`` is ``objective`` minus the dual value there.
+    ``dual_change`` is the largest entry change of the last dual step.
+    ``gamma`` holds the dual step of each non-root node.
     """
 
     u0: np.ndarray
@@ -444,15 +458,19 @@ def solve(
     Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric (see
     :func:`factor_step`); the solve reads the cache and never writes to it.
 
-    Termination: every ``GAP_CHECK_EVERY`` iterations and after the last
-    one a duality-gap certificate runs, and the solve stops once the gap
-    falls under ``tol`` relative to the objective; there is no other test,
-    and the last certificate decides ``termination``. The certificate
-    restores the average and the last primal iterate into the box and
-    coupling set and prices both; its gap is the lower primal value minus
-    the dual value at the current iterate. The control action u0 is the
-    probability-weighted average of the stage-1 node inputs of that
-    candidate, clipped to the box.
+    Termination: the solve keeps a record, the lowest primal value seen
+    with its inputs, and a bound, the latest certified dual value, which
+    starts as the dual value at the start point. After every sweep whose
+    inputs lie inside the input box, those inputs are priced with their
+    states as they stand. Every ``GAP_CHECK_EVERY`` iterations and after
+    the last, a certificate restores the average and the last primal
+    iterate into the box and coupling set, prices both, and takes the dual
+    value at the current dual iterate as the new bound. The cheaper
+    candidate joins the record when it beats it. Whenever the record or
+    the bound changes, the solve stops once ``record - bound`` falls under
+    ``tol`` relative to the record; there is no other test. The control
+    action u0 is the probability-weighted average of the record's stage-1
+    node inputs, clipped to the box.
     """
     config = config or SolverConfig()
     if cache is None:
@@ -477,8 +495,10 @@ def solve(
     y_prev, y_next, w = y.copy(), np.empty_like(y), np.empty_like(y)
     W1, W2, W3 = instance.dual_blocks(w)
     scratch_u, scratch_x = np.empty((n, m.n_inputs)), np.empty((n, m.n_tanks))
+    inside = np.empty((n, m.n_inputs), bool)
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
+    price_in_box = _in_box_pricer(instance)
     termination = "max_iter"
 
     started = time.perf_counter()
@@ -491,15 +511,13 @@ def solve(
             instance, np.concatenate([x_f, x_f, u_f], axis=1)
         )
 
-    def certificate() -> tuple[float, float, np.ndarray]:
-        """Duality gap against y of the better of the average and the last
-        iterate, with its primal value and the candidate's inputs."""
-        candidates = (U_avg, U)
-        values = [restored_value(U_c) for U_c in candidates]
-        best = int(np.argmin(values))
-        _, inner = dual_gradient(cache, instance, y)
-        dual_value = inner - g_conjugate_value(instance, y)
-        return values[best] - dual_value, values[best], candidates[best]
+    def dual_value(y_c: np.ndarray) -> float:
+        _, inner = dual_gradient(cache, instance, y_c)
+        return inner - g_conjugate_value(instance, y_c)
+
+    # The record, and the bound with its certifying dual point.
+    best, U_best = np.inf, None
+    bound, dual = dual_value(y), y.copy()
 
     for nu in range(config.max_iter):
         beta = theta * (1.0 / theta_prev - 1.0)
@@ -514,6 +532,15 @@ def solve(
         W3 += np.multiply(step, U, out=scratch_u)
         prox_into(instance, w, bounds, y_next)
 
+        # Inputs inside the box are feasible as the sweep returns them, so
+        # they and their states are priced as they stand.
+        changed = False
+        if (np.greater_equal(U, m.u_min, out=inside).all()
+                and np.less_equal(U, m.u_max, out=inside).all()):
+            value = price_in_box(U, X)
+            if value < best:
+                best, U_best, changed = value, U.copy(), True
+
         U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U
         U_avg += np.multiply(theta, U, out=scratch_u)
 
@@ -521,31 +548,38 @@ def solve(
         theta_prev, theta = theta, _next_theta(theta)
 
         if (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter:
-            gap, objective, U_c = certificate()
-            iterations = nu + 1
+            # The certificate: the cheaper of the restored average and last
+            # iterate joins the record, and the dual value at y is the bound.
+            for U_c in (U_avg, U):
+                value = restored_value(U_c)
+                if value < best:
+                    best, U_best = value, U_c.copy()
+            bound, dual, changed = dual_value(y), y.copy(), True
             # A finite iterate is in the domain of g*, so its gap is finite.
-            if not np.isfinite(gap):
+            if not np.isfinite(best - bound):
                 raise RuntimeError(f"solver produced a non-finite iterate by nu={nu}")
-            if gap <= config.tol * (1.0 + abs(objective)):
-                termination = "converged"
-                break
+        if changed and best - bound <= config.tol * (1.0 + abs(best)):
+            termination = "converged"
+            break
 
     elapsed = time.perf_counter() - started
     dual_change = float(np.abs(y - y_prev).max())
 
     sl1 = instance.stage_slices[0]
-    u0 = instance.prob[sl1] @ U_c[sl1]
+    u0 = instance.prob[sl1] @ U_best[sl1]
     u0 = np.clip(u0, m.u_min, m.u_max)
     return SolverResult(
         u0=u0,
-        primal_avg=instance.join_primal(U_c, rollout_inputs(instance, U_c)),
-        dual=y,
-        iterations=iterations,
+        primal_avg=instance.join_primal(U_best, rollout_inputs(instance, U_best)),
+        dual=dual,
+        iterations=nu + 1,
         termination=termination,
-        primal_residual=float(np.max(np.maximum(U_c - m.u_max, m.u_min - U_c), initial=0.0)),
+        primal_residual=float(
+            np.max(np.maximum(U_best - m.u_max, m.u_min - U_best), initial=0.0)
+        ),
         dual_change=dual_change,
-        duality_gap=gap,
-        objective=objective,
+        duality_gap=best - bound,
+        objective=best,
         solve_time_s=elapsed,
         gamma=gamma,
     )

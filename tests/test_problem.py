@@ -12,6 +12,7 @@ from watermpc.network import NetworkModel
 from watermpc.problem import (
     CostWeights,
     ProblemInstance,
+    _in_box_pricer,
     apply_H,
     g_conjugate_value,
     g_value,
@@ -359,6 +360,20 @@ class TestPrimalObjective:
         U = np.array([[inst.model.u_max[0] + 0.01]])
         z = inst.join_primal(U, rollout_inputs(inst, U))
         assert primal_objective(inst, z) == np.inf
+
+    @pytest.mark.parametrize("n_mixing", [0, 1])
+    def test_in_box_price_matches_the_public_pair(self, rng, n_mixing):
+        # Inputs anywhere in the box, and states pushed across both the
+        # state bounds and the safety level, so every penalty is active.
+        inst = make_instance(rng, n_mixing=n_mixing, horizon=3, max_nodes=15)
+        m = inst.model
+        price = _in_box_pricer(inst)
+        for _ in range(3):
+            U = m.u_min + rng.random((inst.n_nonroot, m.n_inputs)) * (m.u_max - m.u_min)
+            X = rollout_inputs(inst, U) + 20.0 * rng.standard_normal((inst.n_nonroot, m.n_tanks))
+            expected = smooth_cost(inst, U) + g_value(inst, np.hstack([X, X, U]))
+            assert g_value(inst, np.hstack([X, X, U])) > 0.0
+            assert price(U, X) == pytest.approx(expected, rel=1e-13)
 
 
 def test_g_conjugate_on_simple_point(rng):

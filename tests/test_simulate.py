@@ -407,6 +407,22 @@ class TestKpis:
         )
         assert kpi_complexity(log) == pytest.approx(0.42)
 
+    def test_log_built_from_lists(self):
+        # A 2-step log of plain lists, as from a JSON document.
+        log = SimulationLog(
+            x=[[10.0], [7.5], [12.0]], u=[[2.0, 3.0], [1.0, 0.0]],
+            demand=[[0.0], [0.0]], price=[[0.0, 1.0], [1.0, 0.0]],
+            solve_time_s=[0.1, 0.3], iterations=[25, 50], primal_residual=[0.0, 0.0],
+            alpha0=[1.0, 1.0], x_safe=[10.0], coupling_residual=[0.0, 0.0],
+            termination=["converged", "max_iter"],
+        )
+        assert isinstance(log.termination, np.ndarray)
+        assert log.h_sim == 2
+        # (1, 2) . (2, 3) + (2, 1) . (1, 0) = 8 + 2, over two steps
+        assert kpi_economic(log) == pytest.approx(5.0)
+        assert kpi_safety(log) == pytest.approx(2.5)
+        assert kpi_complexity(log) == pytest.approx(0.3)
+
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="^u must be a 2-d array with at least one step$"):
             self.make_log(

@@ -9,7 +9,15 @@ import scipy.sparse.linalg
 
 import watermpc.solver
 from watermpc.demo import build_demo
-from watermpc.problem import ProblemInstance, apply_H, rollout_inputs
+from watermpc.problem import (
+    ProblemInstance,
+    apply_H,
+    g_conjugate_value,
+    g_value,
+    restore_feasible_inputs,
+    rollout_inputs,
+    smooth_cost,
+)
 from watermpc.solver import (
     GAP_CHECK_EVERY,
     SolverConfig,
@@ -72,6 +80,17 @@ def demo_instance(kind, step=0, seed=0):
     inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, bundle.x0, bundle.u_prev,
                            demand, price)
     return inst, bundle.solver
+
+
+def recomputed_gap(inst, res):
+    """Duality gap and primal value of a result from public functions: its
+    primal restored, rolled out and priced, and the dual value at its dual."""
+    u, _ = inst.split_primal(res.primal_avg)
+    u_f = restore_feasible_inputs(inst, u)
+    x_f = rollout_inputs(inst, u_f)
+    primal = smooth_cost(inst, u_f) + g_value(inst, apply_H(inst, inst.join_primal(u_f, x_f)))
+    _, inner = dual_gradient(factor_step(inst), inst, res.dual)
+    return primal - (inner - g_conjugate_value(inst, res.dual)), primal
 
 
 def net3_demo_instance():
@@ -478,6 +497,24 @@ class TestSolve:
         monkeypatch.setattr(watermpc.solver, "smooth_cost", counted)
         return calls
 
+    @pytest.fixture
+    def priced_iterates(self, monkeypatch):
+        """One entry per in-box iterate the solver prices."""
+        calls = []
+        real = watermpc.solver._in_box_pricer
+
+        def counted_pricer(instance):
+            price = real(instance)
+
+            def counted(U, X):
+                calls.append(1)
+                return price(U, X)
+
+            return counted
+
+        monkeypatch.setattr(watermpc.solver, "_in_box_pricer", counted_pricer)
+        return calls
+
     def test_inactive_constraints_converge_immediately(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=6)
         m = inst.model
@@ -535,17 +572,21 @@ class TestSolve:
         res = solve(inst, SolverConfig(max_iter=100, tol=1e-9), cache=cache)
         np.testing.assert_allclose(res.u0, expected_u0, atol=1e-9 * (1 + np.abs(expected_u0).max()))
 
-    def test_iterations_skip_the_objective_value(self, rng, smooth_cost_calls):
+    def test_iterations_skip_the_objective_value(self, rng, smooth_cost_calls,
+                                                 priced_iterates):
         inst = make_instance(rng, horizon=3, max_nodes=12)
-        # No gap check inside the loop, so the only certificate is the
-        # final one: the primal values of the average and the last
-        # iterate plus its dual inner value.
+        # No gap check inside the loop, and every iterate leaves the input
+        # box, so none is priced. The only smooth_cost calls are the dual
+        # value at the start and the final certificate: the primal values
+        # of the average and the last iterate plus its dual inner value.
         config = SolverConfig(max_iter=GAP_CHECK_EVERY - 1, tol=1e-30)
         res = solve(inst, config)
         assert res.termination == "max_iter"
-        assert len(smooth_cost_calls) == 3
+        assert res.primal_residual > 0.0
+        assert len(priced_iterates) == 0
+        assert len(smooth_cost_calls) == 1 + 3
 
-    def test_certifies_a_capped_solve_once(self, rng, smooth_cost_calls):
+    def test_certifies_a_capped_solve_once(self, rng, smooth_cost_calls, priced_iterates):
         inst = make_instance(rng, horizon=3, max_nodes=12)
         m = inst.model
         # No input box, and safety at the capacity keeps the gap positive.
@@ -554,9 +595,12 @@ class TestSolve:
         m.x_safe[:] = m.x_max
         # The last iteration is a gap-check iteration whose certificate
         # fails; the capped solve reports it rather than running it again.
+        # Every iterate is in the box and priced, without smooth_cost: its
+        # calls are the start's dual value and the one certificate.
         res = solve(inst, SolverConfig(max_iter=GAP_CHECK_EVERY, tol=1e-30))
         assert res.termination == "max_iter"
-        assert len(smooth_cost_calls) == 3
+        assert len(priced_iterates) == GAP_CHECK_EVERY
+        assert len(smooth_cost_calls) == 1 + 3
 
     def test_every_gap_check_runs_the_certificate(self, rng, monkeypatch):
         # Each certificate restores two candidates. The averaged inputs
@@ -577,8 +621,6 @@ class TestSolve:
         assert len(calls) == 2 * checks
 
     def test_certificate_keeps_the_cheaper_candidate(self, rng, monkeypatch):
-        from watermpc.problem import g_value, restore_feasible_inputs, rollout_inputs, smooth_cost
-
         def restored_value(inst, U):
             u_f = restore_feasible_inputs(inst, U, np.linalg.pinv(inst.model.E))
             x_f = rollout_inputs(inst, u_f)
@@ -627,7 +669,7 @@ class TestSolve:
         violation = float(np.abs(U_avg - np.clip(U_avg, m.u_min, m.u_max)).max())
         assert res.primal_residual == violation
 
-    @pytest.mark.parametrize("kind, cap", [("tank1", 446), ("net3", 337)])
+    @pytest.mark.parametrize("kind, cap", [("net3", 337)])
     def test_the_last_certificate_decides_termination(self, kind, cap):
         inst, config = demo_instance(kind)
         # The last scheduled gap check before the cap fails ...
@@ -639,6 +681,49 @@ class TestSolve:
         assert res.iterations == cap
         assert res.duality_gap <= config.tol * (1.0 + abs(res.objective))
         assert res.termination == "converged"
+
+    def test_an_in_box_iterate_ends_a_solve_off_cadence(self):
+        # The cold tank1 step's last iterate dips in value between two gap
+        # checks, inside the input box; the record catches the dip and the
+        # solve stops there, with a true gap.
+        inst, config = demo_instance("tank1")
+        res = solve(inst, config)
+        assert res.termination == "converged"
+        assert res.iterations < 2 * GAP_CHECK_EVERY
+        assert res.iterations % GAP_CHECK_EVERY != 0
+        assert res.primal_residual == 0.0
+        gap, primal = recomputed_gap(inst, res)
+        assert gap == pytest.approx(res.duality_gap, rel=1e-9, abs=1e-9 * (1 + abs(primal)))
+        assert primal == pytest.approx(res.objective, rel=1e-9)
+        assert gap <= config.tol * (1.0 + abs(primal))
+
+    @pytest.mark.parametrize("kind, seed", [("tank1", 0), ("tank1", 1), ("net3", 0)])
+    def test_returned_certificates_tell_the_truth(self, kind, seed):
+        # On a cold step and the warm step after it: the returned gap and
+        # objective recompute from public functions, and the dual bound of
+        # either the demo-tolerance or a tight solve lies below the other's
+        # objective. The tight solve's cap leaves it a relative gap near
+        # 1e-3; capped or not, its certificate bounds the optimum.
+        bundle = build_demo(kind, seed, h_sim=2)
+        cache = dual0 = None
+        x, q = bundle.x0, bundle.u_prev
+        for step in range(2):
+            fc = bundle.forecaster(step)
+            demand, price = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+            inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, x, q, demand, price)
+            cache = factor_step(inst, structure_from=cache)
+            res = solve(inst, bundle.solver, cache=cache, dual0=dual0)
+            assert res.termination == "converged"
+            gap, primal = recomputed_gap(inst, res)
+            scale = 1.0 + abs(primal) + abs(gap)
+            assert abs(gap - res.duality_gap) <= 1e-9 * scale
+            assert abs(primal - res.objective) <= 1e-9 * scale
+            tight = solve(inst, SolverConfig(max_iter=1000, tol=1e-6), cache=cache)
+            assert tight.duality_gap < res.duality_gap
+            for a, b in ((res, tight), (tight, res)):
+                assert a.objective - a.duality_gap <= b.objective + 1e-9 * abs(b.objective)
+            dual0 = res.dual
+            x, q = bundle.model.step_dynamics(x, res.u0, bundle.realized_demand[step]), res.u0
 
     @pytest.mark.parametrize("kind, seed", [("tank1", 0), ("net3", 0), ("net3", 4)])
     def test_certificates_agree_across_tolerances(self, kind, seed):
@@ -682,8 +767,6 @@ class TestSolve:
         assert res.iterations == 3
 
     def test_dual_objective_best_so_far_monotone(self, rng, monkeypatch):
-        from watermpc.problem import g_conjugate_value
-
         inst = make_instance(rng, horizon=2, max_nodes=8)
         cache = factor_step(inst)
         # Every dual iterate leaves the solver's conjugate prox, in a
