@@ -283,6 +283,8 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
     ``h_sim`` closed-loop steps of realizations and forecasts."""
     if kind not in _BUILDERS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     if isinstance(h_sim, bool) or not isinstance(h_sim, numbers.Integral):

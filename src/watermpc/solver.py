@@ -29,13 +29,15 @@ dual value. A sweep's inputs satisfy the dynamics and the coupling by
 construction, so when they also lie inside the input box they are priced
 as they stand, with their states; this catches the last iterate's dips.
 Every ``GAP_CHECK_EVERY`` iterations, and after the last, the certificate
-restores the average and the last iterate to feasibility, prices both,
-offers the cheaper to the record, and takes the dual value at the current
-dual iterate as the bound. The restoration is the exact projection onto
-the input box and the coupling set
+restores the average to feasibility, and the last iterate too when it left
+the box, offers each restored point to the record, and takes the dual
+value at the current dual iterate as the bound. The restoration is the
+exact projection onto the input box and the coupling set
 (:func:`~watermpc.problem.restore_feasible_inputs`), so the restored point
-is feasible and the gap a true bound. The reported control action and
-primal come from the record's inputs and their rollout.
+is feasible and the gap a true bound. Every candidate lies in the box, so
+one price serves all: the smooth cost plus its states' penalties. The
+reported control action and primal come from the record's inputs and their
+rollout.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
@@ -77,7 +79,6 @@ from .problem import (
     ProblemInstance,
     _in_box_pricer,
     g_conjugate_value,
-    g_value,
     prox_into,
     restore_feasible_inputs,
     rollout_inputs,
@@ -86,7 +87,8 @@ from .problem import (
 )
 
 # Iterations between two gap certificates, which restore and price the
-# average and the last iterate and take a new dual value.
+# average, and the last iterate when it left the input box, and take a new
+# dual value.
 GAP_CHECK_EVERY = 25
 
 # Power iteration in estimate_lipschitz: relative stall tolerance, cap on
@@ -126,15 +128,16 @@ class SolverResult:
     """Control action plus the certified primal and dual for diagnostics.
 
     ``primal_avg`` is the record's primal point, the lowest-priced of the
-    solve: the inputs of an in-box iterate, or of the average or last
-    iterate a certificate restored (before that restoration), with the
-    states they roll out to. ``u0``, ``primal_residual`` (its input-box
-    violation) and ``objective`` come from it. ``dual`` is the certifying
-    dual point, as rows of ``ProblemInstance.dual_shape``: the dual
-    iterate of the last certificate, or the start point when none ran, and
-    ``duality_gap`` is ``objective`` minus the dual value there.
-    ``dual_change`` is the largest entry change of the last dual step.
-    ``gamma`` holds the dual step of each non-root node.
+    solve: the inputs of an in-box iterate, or of the average or an
+    out-of-box last iterate that a certificate restored (before that
+    restoration), with the states they roll out to. ``u0``,
+    ``primal_residual`` (its input-box violation) and ``objective`` come
+    from it. ``dual`` is the certifying dual point, as rows of
+    ``ProblemInstance.dual_shape``: the dual iterate of the last
+    certificate, or the start point when none ran, and ``duality_gap`` is
+    ``objective`` minus the dual value there. ``dual_change`` is the
+    largest entry change of the last dual step. ``gamma`` holds the dual
+    step of each non-root node.
     """
 
     u0: np.ndarray
@@ -463,14 +466,15 @@ def solve(
     starts as the dual value at the start point. After every sweep whose
     inputs lie inside the input box, those inputs are priced with their
     states as they stand. Every ``GAP_CHECK_EVERY`` iterations and after
-    the last, a certificate restores the average and the last primal
-    iterate into the box and coupling set, prices both, and takes the dual
-    value at the current dual iterate as the new bound. The cheaper
-    candidate joins the record when it beats it. Whenever the record or
-    the bound changes, the solve stops once ``record - bound`` falls under
-    ``tol`` relative to the record; there is no other test. The control
-    action u0 is the probability-weighted average of the record's stage-1
-    node inputs, clipped to the box.
+    the last, a certificate restores the average into the box and coupling
+    set, and the last primal iterate too when it left the box, prices the
+    restored points, and takes the dual value at the current dual iterate
+    as the new bound. Every candidate has the one price, and each joins the
+    record when it beats it. Whenever the record or the bound changes, the
+    solve stops once ``record - bound`` falls under ``tol`` relative to the
+    record; there is no other test. The control action u0 is the
+    probability-weighted average of the record's stage-1 node inputs,
+    clipped to the box.
     """
     config = config or SolverConfig()
     if cache is None:
@@ -503,14 +507,6 @@ def solve(
 
     started = time.perf_counter()
 
-    def restored_value(U_c: np.ndarray) -> float:
-        """Primal value of per-node inputs restored to feasibility."""
-        u_f = restore_feasible_inputs(instance, U_c)
-        x_f = rollout_inputs(instance, u_f)
-        return smooth_cost(instance, u_f) + g_value(
-            instance, np.concatenate([x_f, x_f, u_f], axis=1)
-        )
-
     def dual_value(y_c: np.ndarray) -> float:
         _, inner = dual_gradient(cache, instance, y_c)
         return inner - g_conjugate_value(instance, y_c)
@@ -532,28 +528,30 @@ def solve(
         W3 += np.multiply(step, U, out=scratch_u)
         prox_into(instance, w, bounds, y_next)
 
-        # Inputs inside the box are feasible as the sweep returns them, so
-        # they and their states are priced as they stand.
-        changed = False
-        if (np.greater_equal(U, m.u_min, out=inside).all()
-                and np.less_equal(U, m.u_max, out=inside).all()):
-            value = price_in_box(U, X)
-            if value < best:
-                best, U_best, changed = value, U.copy(), True
-
         U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U
         U_avg += np.multiply(theta, U, out=scratch_u)
 
         y_prev, y, y_next = y, y_next, y_prev
         theta_prev, theta = theta, _next_theta(theta)
 
-        if (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter:
-            # The certificate: the cheaper of the restored average and last
-            # iterate joins the record, and the dual value at y is the bound.
-            for U_c in (U_avg, U):
-                value = restored_value(U_c)
-                if value < best:
-                    best, U_best = value, U_c.copy()
+        # The candidates, as (inputs the record keeps, feasible inputs, their
+        # states). Inputs inside the box are feasible as the sweep returns
+        # them. A certificate restores the average, and the last iterate
+        # when it left the box; a restored point lies in the box too.
+        in_box = (np.greater_equal(U, m.u_min, out=inside).all()
+                  and np.less_equal(U, m.u_max, out=inside).all())
+        candidates = [(U, U, X)] if in_box else []
+        certify = (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter
+        if certify:
+            for U_c in (U_avg,) if in_box else (U_avg, U):
+                U_f = restore_feasible_inputs(instance, U_c)
+                candidates.append((U_c, U_f, rollout_inputs(instance, U_f)))
+        changed = False
+        for U_c, U_f, X_f in candidates:
+            value = price_in_box(U_f, X_f)
+            if value < best:
+                best, U_best, changed = value, U_c.copy(), True
+        if certify:
             bound, dual, changed = dual_value(y), y.copy(), True
             # A finite iterate is in the domain of g*, so its gap is finite.
             if not np.isfinite(best - bound):

@@ -266,6 +266,9 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
     centroid as its error value. Identical members collapse, so degenerate
     fans yield fewer children than requested.
     """
+    for b in branching:
+        if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 1:
+            raise ValueError(f"branch counts must be integers of at least 1, got {b!r}")
     branching = [int(b) for b in branching]
     if len(branching) == 0:
         raise ValueError("branching must name at least one stage")
@@ -273,8 +276,6 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
         raise ValueError(
             f"branching spans {len(branching)} stages but fan horizon is {fan.horizon}"
         )
-    if any(b < 1 for b in branching):
-        raise ValueError("branch counts must be at least 1")
     branching = branching + [1] * (fan.horizon - len(branching))
     n_leaves = int(np.prod(branching))
     if n_leaves > fan.n_scenarios:

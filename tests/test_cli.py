@@ -262,6 +262,13 @@ def test_build_demo_takes_a_numpy_step_count():
     assert build_demo("tank1", seed=0, h_sim=np.int64(2)).realized_demand.shape[0] == 2
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["1.5", "True", "str"])
+def test_build_demo_rejects_a_non_integer_seed(seed):
+    message = f"seed must be an integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_demo("tank1", seed=seed, h_sim=2)
+
+
 @pytest.mark.parametrize("command, extra", [
     ("validate", ["--seed", "1"]),
     ("validate", ["--out", "d"]),

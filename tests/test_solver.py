@@ -499,7 +499,7 @@ class TestSolve:
 
     @pytest.fixture
     def priced_iterates(self, monkeypatch):
-        """One entry per in-box iterate the solver prices."""
+        """One entry per primal candidate the solver prices."""
         calls = []
         real = watermpc.solver._in_box_pricer
 
@@ -513,6 +513,19 @@ class TestSolve:
             return counted
 
         monkeypatch.setattr(watermpc.solver, "_in_box_pricer", counted_pricer)
+        return calls
+
+    @pytest.fixture
+    def restored(self, monkeypatch):
+        """A copy of the inputs of each restore the solver makes, in order."""
+        calls = []
+        real = watermpc.solver.restore_feasible_inputs
+
+        def recorded(inst, U, *args):
+            calls.append(U.copy())
+            return real(inst, U, *args)
+
+        monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", recorded)
         return calls
 
     def test_inactive_constraints_converge_immediately(self, rng):
@@ -576,15 +589,15 @@ class TestSolve:
                                                  priced_iterates):
         inst = make_instance(rng, horizon=3, max_nodes=12)
         # No gap check inside the loop, and every iterate leaves the input
-        # box, so none is priced. The only smooth_cost calls are the dual
-        # value at the start and the final certificate: the primal values
-        # of the average and the last iterate plus its dual inner value.
+        # box, so none is priced as it stands. The final certificate prices
+        # the restored average and last iterate. The only smooth_cost calls
+        # are the dual values at the start and at the certificate.
         config = SolverConfig(max_iter=GAP_CHECK_EVERY - 1, tol=1e-30)
         res = solve(inst, config)
         assert res.termination == "max_iter"
         assert res.primal_residual > 0.0
-        assert len(priced_iterates) == 0
-        assert len(smooth_cost_calls) == 1 + 3
+        assert len(priced_iterates) == 2
+        assert len(smooth_cost_calls) == 1 + 1
 
     def test_certifies_a_capped_solve_once(self, rng, smooth_cost_calls, priced_iterates):
         inst = make_instance(rng, horizon=3, max_nodes=12)
@@ -595,55 +608,62 @@ class TestSolve:
         m.x_safe[:] = m.x_max
         # The last iteration is a gap-check iteration whose certificate
         # fails; the capped solve reports it rather than running it again.
-        # Every iterate is in the box and priced, without smooth_cost: its
-        # calls are the start's dual value and the one certificate.
+        # Every iterate is in the box and priced, and so is the certificate's
+        # restored average. smooth_cost prices the dual values only, at the
+        # start and at the one certificate.
         res = solve(inst, SolverConfig(max_iter=GAP_CHECK_EVERY, tol=1e-30))
         assert res.termination == "max_iter"
-        assert len(priced_iterates) == GAP_CHECK_EVERY
-        assert len(smooth_cost_calls) == 1 + 3
+        assert len(priced_iterates) == GAP_CHECK_EVERY + 1
+        assert len(smooth_cost_calls) == 1 + 1
 
-    def test_every_gap_check_runs_the_certificate(self, rng, monkeypatch):
-        # Each certificate restores two candidates. The averaged inputs
-        # still leave the box at every check here, and a check runs anyway.
-        calls = []
-        real = watermpc.solver.restore_feasible_inputs
+    def test_certificate_restores_only_an_out_of_box_last_iterate(self, rng, restored):
+        inst = make_instance(rng, horizon=3, max_nodes=12)
+        m = inst.model
+        m.u_min[:] = -np.inf
+        m.u_max[:] = np.inf
+        m.x_safe[:] = m.x_max
+        res = solve(inst, SolverConfig(max_iter=GAP_CHECK_EVERY, tol=1e-30))
+        assert res.termination == "max_iter"
+        # Without a box the last iterate was priced as it stands, so the
+        # one certificate restores the average alone.
+        assert len(restored) == 1
+        # The record's value is the public pair's price of its restored inputs.
+        U_c, _ = inst.split_primal(res.primal_avg)
+        u_f = restore_feasible_inputs(inst, U_c)
+        x_f = rollout_inputs(inst, u_f)
+        value = smooth_cost(inst, u_f) + g_value(inst, np.hstack([x_f, x_f, u_f]))
+        assert res.objective == pytest.approx(value, rel=1e-9, abs=1e-9)
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", counted)
+    def test_every_gap_check_runs_the_certificate(self, rng, restored):
+        # Each certificate restores two candidates: the averaged inputs and
+        # the last iterate still leave the box at every check here, and a
+        # check runs anyway.
         inst = make_instance(rng, n_mixing=1, horizon=3, max_nodes=12)
         checks = 4
         res = solve(inst, SolverConfig(max_iter=checks * GAP_CHECK_EVERY, tol=1e-12))
         assert res.termination == "max_iter"
         assert res.primal_residual > 0.0
-        assert len(calls) == 2 * checks
+        assert len(restored) == 2 * checks
 
-    def test_certificate_keeps_the_cheaper_candidate(self, rng, monkeypatch):
+    def test_certificate_keeps_the_cheaper_candidate(self, rng, restored):
         def restored_value(inst, U):
             u_f = restore_feasible_inputs(inst, U, np.linalg.pinv(inst.model.E))
             x_f = rollout_inputs(inst, u_f)
             return smooth_cost(inst, u_f) + g_value(inst, np.hstack([x_f, x_f, u_f]))
 
-        # The certificate restores the average, then the last iterate.
-        candidates = []
-        real = watermpc.solver.restore_feasible_inputs
-
-        def recorded(inst, U, *args):
-            candidates.append(U.copy())
-            return real(inst, U, *args)
-
-        monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", recorded)
+        # The certificate restores the average, then the last iterate when
+        # it left the box, which it has at the last check of both cases.
         # On the net3 demo the last iterate prices lower after 200
         # iterations; on this random instance the average does.
         cases = [(net3_demo_instance()[0], 200),
                  (make_instance(rng, n_mixing=1, horizon=3, max_nodes=12), 300)]
         winners = []
         for inst, iters in cases:
-            candidates.clear()
+            restored.clear()
             res = solve(inst, SolverConfig(max_iter=iters, tol=1e-30))
-            last = dict(zip(("average", "iterate"), candidates[-2:]))
+            last = dict(zip(("average", "iterate"), restored[-2:]))
+            m = inst.model
+            assert np.any((last["iterate"] < m.u_min) | (last["iterate"] > m.u_max))
             values = {k: restored_value(inst, U) for k, U in last.items()}
             best = min(values, key=values.get)
             winners.append(best)

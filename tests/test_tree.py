@@ -291,6 +291,19 @@ class TestReduce:
         with pytest.raises(ValueError, match="horizon"):
             reduce_fan_to_tree(fan, [2, 2, 2])
 
+    @pytest.mark.parametrize("branching", [[2.7], [True, 2], ["2"], [0]],
+                             ids=["2.7", "True", "str", "0"])
+    def test_branch_count_must_be_a_positive_integer(self, rng, branching):
+        fan = ScenarioFan(rng.standard_normal((50, 2, 1)), n_demand=1, n_price=0)
+        message = f"branch counts must be integers of at least 1, got {branching[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reduce_fan_to_tree(fan, branching)
+
+    def test_numpy_branch_counts_are_accepted(self, rng):
+        fan = ScenarioFan(rng.standard_normal((50, 2, 1)), n_demand=1, n_price=0)
+        tree = reduce_fan_to_tree(fan, np.array([3, 2]))
+        np.testing.assert_array_equal(tree.nodes_per_stage, [1, 3, 6])
+
     def test_deterministic(self, rng):
         values = rng.standard_normal((200, 3, 2))
         fan = ScenarioFan(values, n_demand=1, n_price=1)
