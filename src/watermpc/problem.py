@@ -266,8 +266,13 @@ def restore_feasible_inputs(
         t_lo, t_hi = np.sort([(lo - v) / a_div, (hi - v) / a_div], axis=0)
         T = np.sort(np.hstack([t_lo, t_hi]), axis=1)
         finite = np.isfinite(T)
-        at = v[:, None] + np.where(finite, T, 0.0)[:, :, None] * a[:, None]
-        phi = (a[:, None] * np.clip(at, lo[:, None], hi[:, None])).sum(axis=2) - c[:, None]
+        # In place on one (rows, breakpoints, entries) buffer: on net10 it is
+        # the largest array a solve allocates.
+        at = np.where(finite, T, 0.0)[:, :, None] * a[:, None]
+        at += v[:, None]
+        np.minimum(np.maximum(at, lo[:, None], out=at), hi[:, None], out=at)
+        at *= a[:, None]
+        phi = at.sum(axis=2) - c[:, None]
         phi[~finite] = np.copysign(np.inf, T[~finite])
         k = np.arange(T.shape[0])
         right = np.minimum(np.count_nonzero(phi <= 0, axis=1), T.shape[1] - 1)
@@ -386,7 +391,9 @@ def prox_into(
     Each slot's residual ``w - proj(w)`` comes from one clip of the whole
     rows, the safety half-space being the box ``[x_safe, inf)``; the two
     penalty slots then go onto their balls."""
-    np.subtract(w, w.clip(*bounds, out=out), out=out)
+    lo, hi = bounds
+    np.minimum(np.maximum(w, lo, out=out), hi, out=out)
+    np.subtract(w, out, out=out)
     nt = instance.model.n_tanks
     _ball_projection(out[:, :nt], instance.weights.w_x)
     _ball_projection(out[:, nt:2 * nt], instance.weights.w_s)

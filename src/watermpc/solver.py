@@ -55,15 +55,17 @@ input-increment cost ties a node to its ancestor's input, the backward
 cost-to-go is carried in the ancestor's (input, state) pair; probability
 telescoping makes the per-node input Hessians proportional to the node
 probability with a stage-uniform core, so one factorization per stage
-suffices. Each pass is one stage loop over one array: the backward pass
-keeps a row [r, w, y3] per node, and one product per stage gives the
-nodes' input terms and their carries into the parents; the inputs are
-formed once after the loop, and the forward pass rolls out the rows
-[u, x] together (see :func:`_dual_gradient_parts`). The factorizations,
-the stage operators and the step metric live in :class:`FactorCache`,
-built once per structure and rebound to each instance sharing it. One
-solve allocates its dual buffers and the prox's step-scaled bounds once;
-each iteration works on them in place.
+suffices. Each pass is one stage loop over one array. The backward pass
+keeps a row [r, w] per node, the linear cost-to-go on its input and
+state, with the input dual folded into r once before the loop, and one
+product per stage by a narrow operator gives the nodes' [u, x] terms and
+their carries into the parents. One scaled subtract from the cache's
+per-node offset rows then forms every row [u, x], and the forward pass
+rolls them out together (see :func:`_dual_gradient_parts`). The
+factorizations, the stage operators and the step metric live in
+:class:`FactorCache`, built once per structure and rebound to each
+instance sharing it. One solve allocates its dual buffers and the
+prox's step-scaled bounds once; each iteration works on them in place.
 """
 
 from __future__ import annotations
@@ -160,23 +162,24 @@ class FactorCache:
     Structural members (per-stage operators, the sweep's stage
     and rollout matrices, and the step metric: the per-node Hessian diagonal
     with its curvature bound) depend only on the model matrices, the input
-    weight and the tree topology with its probabilities; the per-node input
-    offset (built from the coupling's particular solution and the cost row)
-    and its carry into the parent also depend on node demand and price
-    values and are rebuilt cheaply per instance, in a copy that shares every
-    other member. :func:`factor_step` returns every cache complete, and
-    nothing writes to one afterwards. ``stage_ops`` holds the backward
-    pass's one product per stage, and ``fwd`` the forward pass's per-stage
-    rollout (see :func:`_dual_gradient_parts`). ``instance`` is the one
-    instance the cache was built or rebound for, the only one it serves.
+    weight and the tree topology with its probabilities; the per-node offset
+    rows (built from the coupling's particular solution, the cost row and
+    the demand inflow) and the input offset's carry into the parent also
+    depend on node demand and price values and are rebuilt cheaply per
+    instance, in a copy that shares every other member. :func:`factor_step`
+    returns every cache complete, and nothing writes to one afterwards.
+    ``stage_ops`` holds the backward pass's one product per stage, and
+    ``fwd`` the forward pass's per-stage rollout (see
+    :func:`_dual_gradient_parts`). ``instance`` is the one instance the
+    cache was built or rebound for, the only one it serves.
     """
 
     e_pinv: np.ndarray                # pseudo-inverse of E
-    e_offset: np.ndarray              # per-node input offset, dual-independent part
-    e_carry: np.ndarray               # per-node sum over children of -2 p e_offset W_u
+    e_offset: np.ndarray              # per-node rows [e_0, e_0 B' + Gd d], e_0 the input offset
+    e_carry: np.ndarray               # per-node sum over children of -2 p e_0 W_u
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
-    stage_ops: list[np.ndarray]       # per-stage [G_s | 2 G_s W_u | [0; A; 0]]
+    stage_ops: list[np.ndarray]       # per-stage [G_s | G_s B' | 2 G_s W_u | [0; A]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
@@ -234,7 +237,7 @@ def factor_step(
         stage_ops = [np.empty(0)] * horizon
         pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
         zero_xu = np.zeros((m.n_tanks, m.n_inputs))
-        state_carry = np.vstack([zero_xu.T, m.A, zero_xu.T])  # [0; A; 0]
+        state_carry = np.vstack([zero_xu.T, m.A])  # [0; A]
         for s in range(horizon, 0, -1):
             lam_s = pi_s + 2.0 * wu
             reduced = basis.T @ lam_s @ basis
@@ -251,11 +254,11 @@ def factor_step(
             pi_s = 0.5 * (pi_s + pi_s.T)
             lam[s - 1], t_mat[s - 1] = lam_s, t_s
             fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
-            g_s = np.vstack([t_s, m.B @ t_s, t_s])
-            stage_ops[s - 1] = np.hstack([g_s, 2.0 * (g_s @ wu), state_carry])
+            g_s = np.vstack([t_s, m.B @ t_s])
+            stage_ops[s - 1] = np.hstack([g_s, g_s @ m.B.T, 2.0 * (g_s @ wu), state_carry])
         structural = FactorCache(
             e_pinv=e_pinv,
-            e_offset=np.empty((0, m.n_inputs)),  # the instance's, set below
+            e_offset=np.empty((0, m.n_inputs + m.n_tanks)),  # the instance's, set below
             e_carry=np.empty((0, m.n_inputs)),  # likewise
             t_mat=t_mat,
             lam=lam,
@@ -271,13 +274,17 @@ def factor_step(
     # ProblemInstance has rejected a nonzero right-hand side on an empty row.
     u_part = instance.mix_rhs @ structural.e_pinv.T
 
-    # Dual-independent parts of the per-node input offset, (I - T_s Lam_s)
-    # u_part - T_s * (economic cost row), and of the carry into its parent.
-    e_offset = np.empty_like(u_part)
+    # Dual-independent parts of the per-node input offset, e_0 = (I - T_s Lam_s)
+    # u_part - T_s * (economic cost row), of its row [e_0, e_0 B' + Gd d] of
+    # inputs and states, and of its carry into the parent.
+    nu = m.n_inputs
+    e_offset = np.empty((instance.n_nonroot, nu + m.n_tanks))
+    e_u = e_offset[:, :nu]
     for sl, t_s, lam_s in zip(instance.stage_slices, structural.t_mat, structural.lam):
-        e_offset[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
-    e_carry = np.zeros((instance.n_nonroot + 1, m.n_inputs))  # + the root row, unused
-    np.add.at(e_carry, instance.anc_row, -2.0 * instance.prob[:, None] * e_offset @ instance.wu)
+        e_u[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
+    np.add(e_u @ m.B.T, instance.demand_gd, out=e_offset[:, nu:])
+    e_carry = np.zeros((instance.n_nonroot + 1, nu))  # + the root row, unused
+    np.add.at(e_carry, instance.anc_row, -2.0 * instance.prob[:, None] * e_u @ instance.wu)
     cache = dataclasses.replace(structural, e_offset=e_offset, e_carry=e_carry[:-1],
                                 instance=instance)
     if structure_from is None:
@@ -294,49 +301,48 @@ def _dual_gradient_parts(
     as the column views of one array of rows ``[u, x]``;
     :func:`dual_gradient` also prices them.
 
-    The backward pass keeps one row ``a = [r, w, y3]`` per node: the linear
-    cost-to-go on the node's input (r, from the cache's ``e_carry``) and
-    state (w, from y1 + y2), and its input dual. Once the children's carries
-    are in, one product by ``[G_s | 2 G_s W_u | [0; A; 0]]``, with
-    ``G_s = [T_s; B T_s; T_s]``, gives ``a G_s = p (e_offset - e)``, e the
-    node's input, and the dual-dependent part of the carry into the parent's
-    ``[r, w]``, which is added there after a segment sum when the stage
-    branches. ``U = e_offset - (a G_s) / p`` follows after the stage loop.
+    The backward pass keeps one row ``a = [r, w]`` per node: the linear
+    cost-to-go on the node's input (r, from the cache's ``e_carry`` and the
+    input dual y3, added once before the stage loop) and on its state (w,
+    from y1 + y2). Once the children's carries are in, one product by
+    ``[G_s | G_s B' | 2 G_s W_u | [0; A]]``, with ``G_s = [T_s; B T_s]``,
+    gives ``a G_s = p (e_0 - e)``, e the node's input and e_0 its
+    dual-independent part, then that term's image under B', and the
+    dual-dependent part of the carry into the parent's ``[r, w]``, which is
+    added there after a segment sum when the stage branches. After the
+    stage loop one scaled subtract from the cache's offset rows
+    ``e_offset = [e_0, e_0 B' + Gd d]`` gives every row ``[e, e B' + Gd d]``.
 
-    The forward pass rolls out inputs and states together: the rows start
-    at ``[e, e B' + Gd d]``, and each stage adds its parent's row times
-    ``[[D_s', D_s' B'], [0, A']]``; the root's row ``[q, p]`` is the last.
+    The forward pass rolls out inputs and states together: each stage adds
+    its parent's row times ``[[D_s', D_s' B'], [0, A']]`` to those rows;
+    the root's row ``[q, p]`` is the last.
     """
     m = instance.model
     n = instance.n_nonroot
     nu, nt = m.n_inputs, m.n_tanks
     k = nu + nt
     slices = instance.stage_slices
-    Z = np.empty((n, k + nu))
-    Z[:, :nu] = cache.e_carry
-    np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:k])
-    Z[:, k:] = y[:, 2 * nt:]
-    M = np.empty_like(Z)
+    Z = np.empty((n, k))
+    np.add(cache.e_carry, y[:, 2 * nt:], out=Z[:, :nu])
+    np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:])
+    M = np.empty((n, 2 * k))
     for s in range(instance.tree.horizon, 0, -1):
         sl = slices[s - 1]
         np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
         if s > 1:  # carries into the root would go unused
-            rows = M[sl, nu:]
+            rows = M[sl, k:]
             starts = instance.child_groups[s - 1]
             if starts is not None:
                 rows = np.add.reduceat(rows, starts)
-            Z[slices[s - 2], :k] += rows
+            Z[slices[s - 2]] += rows
 
     P = np.empty((n + 1, k))
-    U, X = P[:n, :nu], P[:n, nu:]
-    np.multiply(M[:, :nu], instance.inv_prob, out=U)
-    np.subtract(cache.e_offset, U, out=U)
-    np.matmul(U, m.B.T, out=X)
-    X += instance.demand_gd
+    np.multiply(M[:, :k], instance.inv_prob, out=P[:n])
+    np.subtract(cache.e_offset, P[:n], out=P[:n])
     P[n, :nu], P[n, nu:] = instance.q, instance.p
     for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
         P[sl] += P[parents] @ fwd
-    return U, X
+    return P[:n, :nu], P[:n, nu:]
 
 
 def dual_gradient(
@@ -351,10 +357,19 @@ def dual_gradient(
     """
     if cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
-    Y1, Y2, Y3 = instance.dual_blocks(y)
-    U, X = _dual_gradient_parts(cache, instance, np.asarray(y, float))
-    value = smooth_cost(instance, U) + float(((Y1 + Y2) * X).sum() + (Y3 * U).sum())
-    return instance.join_primal(U, X), value
+    y = np.asarray(y, float)
+    instance.dual_blocks(y)  # checks the shape
+    U, X = _dual_gradient_parts(cache, instance, y)
+    return instance.join_primal(U, X), _attained_value(instance, y, U, X)
+
+
+def _attained_value(
+    instance: ProblemInstance, y: np.ndarray, U: np.ndarray, X: np.ndarray
+) -> float:
+    """f(x) + <H'y, x> at the sweep's inputs U and states X for dual rows y."""
+    nt = instance.model.n_tanks
+    coupled = ((y[:, :nt] + y[:, nt:2 * nt]) * X).sum() + (y[:, 2 * nt:] * U).sum()
+    return smooth_cost(instance, U) + float(coupled)
 
 
 def _next_theta(theta: float) -> float:
@@ -373,7 +388,7 @@ def _hessian_diagonal(basis: np.ndarray, instance: ProblemInstance) -> np.ndarra
     ``Sigma_i = N (N' 2 W_u N)^-1 N' / p_i`` (N the coupling null basis).
     One forward stage pass gives each node's input covariance P, state-input
     covariance C and state covariance V from its parent's (zero at the
-    root, whose input and state are fixed, in an extra last row):
+    root, whose input and state are fixed), holding one stage at a time:
 
         P_i = P_a + Sigma_i
         C_i = A C_a + B P_i
@@ -383,22 +398,24 @@ def _hessian_diagonal(basis: np.ndarray, instance: ProblemInstance) -> np.ndarra
     """
     m = instance.model
     core = basis @ np.linalg.solve(basis.T @ (2.0 * instance.wu) @ basis, basis.T)
-    n = instance.n_nonroot
-    P = np.zeros((n + 1, m.n_inputs, m.n_inputs))
-    C = np.zeros((n + 1, m.n_tanks, m.n_inputs))
-    V = np.zeros((n + 1, m.n_tanks, m.n_tanks))
-    for sl, parents in zip(instance.stage_slices, instance.parent_rows):
-        P[sl] = core / instance.prob[sl, None, None] + P[parents]
-        AC = m.A @ C[parents]
-        C[sl] = AC + m.B @ P[sl]
+    diag = np.empty(instance.n_nonroot)
+    # The parents' stage, first the root alone; `first` is its first row.
+    P = np.zeros((1, m.n_inputs, m.n_inputs))
+    C = np.zeros((1, m.n_tanks, m.n_inputs))
+    V = np.zeros((1, m.n_tanks, m.n_tanks))
+    first = -1
+    for sl in instance.stage_slices:
+        parents = instance.anc_row[sl] - first
+        P_a, C_a, V_a = P[parents], C[parents], V[parents]
+        P = core / instance.prob[sl, None, None] + P_a
+        AC = m.A @ C_a
+        C = AC + m.B @ P
         cross = AC @ m.B.T
-        V[sl] = (
-            m.A @ V[parents] @ m.A.T + cross + cross.transpose(0, 2, 1)
-            + m.B @ P[sl] @ m.B.T
-        )
-    diag_v = np.diagonal(V[:n], axis1=1, axis2=2)
-    diag_p = np.diagonal(P[:n], axis1=1, axis2=2)
-    return np.maximum(diag_v.max(axis=1), diag_p.max(axis=1))
+        V = m.A @ V_a @ m.A.T + cross + cross.transpose(0, 2, 1) + m.B @ P @ m.B.T
+        diag[sl] = np.maximum(np.diagonal(V, axis1=1, axis2=2).max(axis=1),
+                              np.diagonal(P, axis1=1, axis2=2).max(axis=1))
+        first = sl.start
+    return diag
 
 
 def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
@@ -497,8 +514,8 @@ def solve(
             raise ValueError("dual0 has a non-finite entry")
     # Dual buffers, rotated: the prox writes y_next, which then becomes y.
     y_prev, y_next, w = y.copy(), np.empty_like(y), np.empty_like(y)
-    W1, W2, W3 = instance.dual_blocks(w)
-    scratch_u, scratch_x = np.empty((n, m.n_inputs)), np.empty((n, m.n_tanks))
+    nt = m.n_tanks
+    scratch_u = np.empty((n, m.n_inputs))
     inside = np.empty((n, m.n_inputs), bool)
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
@@ -508,8 +525,8 @@ def solve(
     started = time.perf_counter()
 
     def dual_value(y_c: np.ndarray) -> float:
-        _, inner = dual_gradient(cache, instance, y_c)
-        return inner - g_conjugate_value(instance, y_c)
+        U_c, X_c = _dual_gradient_parts(cache, instance, y_c)
+        return _attained_value(instance, y_c, U_c, X_c) - g_conjugate_value(instance, y_c)
 
     # The record, and the bound with its certifying dual point.
     best, U_best = np.inf, None
@@ -521,11 +538,14 @@ def solve(
         w *= beta
         w += y
         U, X = _dual_gradient_parts(cache, instance, w)
-        # The gradient step w + Gamma H z, taken in place on w's columns.
-        np.multiply(step, X, out=scratch_x)
-        W1 += scratch_x
-        W2 += scratch_x
-        W3 += np.multiply(step, U, out=scratch_u)
+        # The gradient step w + Gamma H z, taken in place on w. The image
+        # [X, X, U] goes into y_next, which the prox overwrites next.
+        img = y_next
+        img[:, :nt] = X
+        img[:, nt:2 * nt] = X
+        img[:, 2 * nt:] = U
+        img *= step
+        w += img
         prox_into(instance, w, bounds, y_next)
 
         U_avg *= 1.0 - theta  # theta is 1 at nu = 0: the average starts at U

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from watermpc.network import NetworkModel
 from watermpc.problem import (
     CostWeights,
     ProblemInstance,
+    _ball_projection,
     _in_box_pricer,
     apply_H,
     g_conjugate_value,
     g_value,
     prox_g_conjugate,
+    prox_into,
     restore_feasible_inputs,
     rollout_inputs,
+    scaled_bounds,
     smooth_cost,
 )
 from watermpc.tree import ScenarioTree, attach_forecast
@@ -311,6 +315,33 @@ class TestMoreau:
         inst = make_instance(rng, horizon=2, max_nodes=6)
         with pytest.raises(ValueError, match="gamma must have shape"):
             prox_g_conjugate(inst, np.zeros(inst.dual_shape), 1.0)
+
+    def test_prox_into_is_the_clip_form_bit_for_bit(self, rng):
+        # Infinite bounds: the safety slot's upper end, and inputs open below,
+        # above or both; a NaN entry goes through the same way, quietly.
+        inst = make_instance(rng, n_tanks=2, n_inputs=4, horizon=3, max_nodes=12)
+        m = inst.model
+        m.u_min[:] = [-np.inf, 0.0, -np.inf, 0.0]
+        m.u_max[:] = [1.0, np.inf, np.inf, 1.5]
+        nt = m.n_tanks
+        bounds = scaled_bounds(inst, 10.0 ** rng.uniform(-3, 3, inst.n_nonroot))
+        w = 40.0 * rng.standard_normal(inst.dual_shape)
+        w[1, 0] = w[2, 2 * nt + 1] = np.nan
+
+        def clip_form(w):
+            out = np.empty_like(w)
+            np.subtract(w, w.clip(*bounds, out=out), out=out)
+            _ball_projection(out[:, :nt], inst.weights.w_x)
+            _ball_projection(out[:, nt:2 * nt], inst.weights.w_s)
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prox_into(inst, w, bounds, np.empty(inst.dual_shape))
+        expected = clip_form(w)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got[1, :nt]).all() and np.isnan(got[2, 2 * nt + 1])
+        assert np.isfinite(np.delete(got, [1, 2], axis=0)).all()
 
 
 class TestPrimalObjective:

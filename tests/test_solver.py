@@ -105,9 +105,10 @@ class TestFactorStep:
         basis, _ = _null_space(inst.model.E, inst.model.n_inputs)
         np.testing.assert_array_equal(basis, np.eye(inst.model.n_inputs))
         # No coupling leaves no particular solution in the input offset.
+        nu = inst.model.n_inputs
         for s, sl in enumerate(inst.stage_slices):
             np.testing.assert_array_equal(
-                cache.e_offset[sl], -(inst.econ[sl] @ cache.t_mat[s])
+                cache.e_offset[sl, :nu], -(inst.econ[sl] @ cache.t_mat[s])
             )
 
     def test_two_flow_conservation_null_space(self):
@@ -187,13 +188,23 @@ class TestFactorStep:
         if permuted:
             inst = shuffle_children(inst, np.random.default_rng(5))
         cache = factor_step(inst)
-        expected = np.zeros((inst.n_nonroot, inst.model.n_inputs))
+        nu = inst.model.n_inputs
+        expected = np.zeros((inst.n_nonroot, nu))
         for c in range(inst.n_nonroot):
             parent = inst.anc_row[c]
             if parent >= 0:
-                expected[parent] -= 2.0 * inst.prob[c] * cache.e_offset[c] @ inst.wu
+                expected[parent] -= 2.0 * inst.prob[c] * cache.e_offset[c, :nu] @ inst.wu
         np.testing.assert_allclose(cache.e_carry, expected, rtol=1e-12, atol=1e-15)
         assert np.any(expected != 0.0)
+
+    def test_offset_rows_hold_the_offsets_states(self):
+        inst, _ = net3_demo_instance()
+        cache = factor_step(inst)
+        nu = inst.model.n_inputs
+        assert cache.e_offset.shape == (inst.n_nonroot, nu + inst.model.n_tanks)
+        np.testing.assert_array_equal(
+            cache.e_offset[:, nu:], cache.e_offset[:, :nu] @ inst.model.B.T + inst.demand_gd
+        )
 
 
 class TestDualGradient:
@@ -238,6 +249,22 @@ class TestDualGradient:
         y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8
+
+    @pytest.mark.parametrize("part", ["y3", "y1y2"])
+    @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
+    def test_folded_rows_match_oracle(self, rng, kind, part):
+        # The input dual is folded into the cost rows before the stage loop
+        # and the state duals are summed there: each alone must reproduce
+        # the stacked solve, so that errors in the two cannot cancel.
+        inst, _ = demo_instance(kind, seed=3)
+        nt = inst.model.n_tanks
+        y = rng.standard_normal(inst.dual_shape)
+        if part == "y3":
+            y[:, :2 * nt] = 0.0
+        else:
+            y[:, 2 * nt:] = 0.0
+        U, X = _dual_gradient_parts(factor_step(inst), inst, y)
+        assert rel_err(inst.join_primal(U, X), dense_kkt_solve(inst, y)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
     def test_sweep_states_are_the_rollout_of_its_inputs(self, rng, kind):
