@@ -145,9 +145,8 @@ def _cmd_solve(args) -> int:
     warn_unconverged(k, result)
     gap_rel = result.duality_gap / (1.0 + abs(result.objective))
     print(
-        f"iters={result.iterations} residual={result.primal_residual:.6e} "
-        f"termination={result.termination} gap_rel={gap_rel:.6e} "
-        f"time_ms={result.solve_time_s * 1e3:.3f}"
+        f"iters={result.iterations} termination={result.termination} "
+        f"gap_rel={gap_rel:.6e} time_ms={result.solve_time_s * 1e3:.3f}"
     )
     return 0
 

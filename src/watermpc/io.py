@@ -359,8 +359,6 @@ def load_control_output(path: str | Path) -> dict:
         "u0": _array(doc, "u0", None),
         "iterations": _integer(doc, "iterations", counts=True),
         "terminationReason": _string(doc, "terminationReason"),
-        "primalResidual": _number(doc, "primalResidual"),
-        "dualChange": _number(doc, "dualChange"),
         "solveTimeMs": _number(doc, "solveTimeMs"),
     }
 
@@ -371,8 +369,6 @@ def save_control_output(result: SolverResult, path: str | Path) -> None:
             "u0": result.u0.tolist(),
             "iterations": result.iterations,
             "terminationReason": result.termination,
-            "primalResidual": result.primal_residual,
-            "dualChange": result.dual_change,
             "solveTimeMs": result.solve_time_s * 1e3,
         },
         path,
@@ -480,7 +476,6 @@ def save_simlog(log: SimulationLog, path: str | Path) -> None:
             "price": log.price.tolist(),
             "solveTimeS": log.solve_time_s.tolist(),
             "iterations": [int(i) for i in log.iterations],
-            "primalResidual": log.primal_residual.tolist(),
             "couplingResidual": log.coupling_residual.tolist(),
             "termination": [str(t) for t in log.termination],
             "alpha0": log.alpha0.tolist(),
@@ -519,7 +514,6 @@ def load_simlog(path: str | Path) -> SimulationLog:
         price=_array(doc, "price", h, n_inputs),
         solve_time_s=_array(doc, "solveTimeS", h),
         iterations=_int_vector(doc, "iterations", h, counts=True),
-        primal_residual=_array(doc, "primalResidual", h),
         alpha0=_array(doc, "alpha0", n_inputs),
         x_safe=_array(doc, "xsafe", x.shape[1]),
         coupling_residual=_array(doc, "couplingResidual", h),

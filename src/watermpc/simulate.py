@@ -80,7 +80,6 @@ class SimulationLog:
     price: np.ndarray
     solve_time_s: np.ndarray
     iterations: np.ndarray
-    primal_residual: np.ndarray
     alpha0: np.ndarray
     x_safe: np.ndarray
     coupling_residual: np.ndarray
@@ -95,9 +94,9 @@ class SimulationLog:
         nu = self.u.shape[1]
         nt, nd = (a.shape[1] if a.ndim == 2 else None for a in (self.x, self.demand))
         for name, want in (("x", (h + 1, nt)), ("demand", (h, nd)), ("price", (h, nu)),
-                           ("solve_time_s", (h,)), ("iterations", (h,)),
-                           ("primal_residual", (h,)), ("alpha0", (nu,)), ("x_safe", (nt,)),
-                           ("coupling_residual", (h,)), ("termination", (h,))):
+                           ("solve_time_s", (h,)), ("iterations", (h,)), ("alpha0", (nu,)),
+                           ("x_safe", (nt,)), ("coupling_residual", (h,)),
+                           ("termination", (h,))):
             got = getattr(self, name).shape
             if got != want:
                 raise ValueError(f"{name} must have shape {want}, got {got}")
@@ -165,7 +164,6 @@ def run_closed_loop(
     us = np.empty((h, model.n_inputs))
     taus = np.empty(h)
     iters = np.empty(h, int)
-    resid = np.empty(h)
     coup = np.empty(h)
     terms = np.empty(h, dtype=object)
     xs[0] = x
@@ -191,7 +189,6 @@ def run_closed_loop(
         us[k] = result.u0
         iters[k] = result.iterations
         terms[k] = result.termination
-        resid[k] = result.primal_residual
         d_k = realized_demand[k]
         coup[k] = float(
             np.max(np.abs(model.coupling_residual(result.u0, d_k)), initial=0.0)
@@ -207,7 +204,6 @@ def run_closed_loop(
         price=realized_price[:h].copy(),
         solve_time_s=taus,
         iterations=iters,
-        primal_residual=resid,
         alpha0=model.alpha0.copy(),
         x_safe=model.x_safe.copy(),
         coupling_residual=coup,

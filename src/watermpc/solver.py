@@ -24,10 +24,11 @@ An ergodic average of the primal inputs with weights proportional to
 often converges well before it but swings in value from one iteration to
 the next. Every feasible primal point prices an upper bound on the optimum
 and every dual value a lower bound, so the solve keeps one record: the
-lowest primal value seen, with its inputs, against the latest certified
-dual value. A sweep's inputs satisfy the dynamics and the coupling by
-construction, so when they also lie inside the input box they are priced
-as they stand, with their states; this catches the last iterate's dips.
+lowest primal value seen, with the point it priced, against the latest
+certified dual value. A sweep's inputs satisfy the dynamics and the
+coupling by construction, so when they also lie inside the input box they
+are priced as they stand, with their states; this catches the last
+iterate's dips.
 Every ``GAP_CHECK_EVERY`` iterations, and after the last, the certificate
 restores the average to feasibility, and the last iterate too when it left
 the box, offers each restored point to the record, and takes the dual
@@ -36,8 +37,10 @@ exact projection onto the input box and the coupling set
 (:func:`~watermpc.problem.restore_feasible_inputs`), so the restored point
 is feasible and the gap a true bound. Every candidate lies in the box, so
 one price serves all: the smooth cost plus its states' penalties. The
-reported control action and primal come from the record's inputs and their
-rollout.
+record keeps the feasible inputs and states it priced, so the returned
+primal is that point and the reported objective exactly its price; the
+control action is the probability-weighted average of its stage-1 inputs,
+clipped to the box only against rounding.
 
 The iteration starts at ``y = y_prev = 0``, or at a caller-supplied dual
 of the same layout; the closed loop passes the previous step's dual,
@@ -129,16 +132,16 @@ class SolverConfig:
 class SolverResult:
     """Control action plus the certified primal and dual for diagnostics.
 
-    ``primal_avg`` is the record's primal point, the lowest-priced of the
-    solve: the inputs of an in-box iterate, or of the average or an
-    out-of-box last iterate that a certificate restored (before that
-    restoration), with the states they roll out to. ``u0``,
-    ``primal_residual`` (its input-box violation) and ``objective`` come
-    from it. ``dual`` is the certifying dual point, as rows of
+    ``primal_avg`` is the record's primal point, the lowest-priced feasible
+    point of the solve: an in-box iterate's inputs and states as the sweep
+    returned them, or the average or an out-of-box last iterate as a
+    certificate restored it, with the states it rolls out to.
+    ``objective`` is exactly its price, and ``u0`` the probability-weighted
+    average of its stage-1 inputs, clipped to the box only against
+    rounding. ``dual`` is the certifying dual point, as rows of
     ``ProblemInstance.dual_shape``: the dual iterate of the last
     certificate, or the start point when none ran, and ``duality_gap`` is
-    ``objective`` minus the dual value there. ``dual_change`` is the
-    largest entry change of the last dual step. ``gamma`` holds the dual
+    ``objective`` minus the dual value there. ``gamma`` holds the dual
     step of each non-root node.
     """
 
@@ -147,8 +150,6 @@ class SolverResult:
     dual: np.ndarray
     iterations: int
     termination: str
-    primal_residual: float
-    dual_change: float
     duality_gap: float
     objective: float
     solve_time_s: float
@@ -479,19 +480,21 @@ def solve(
     :func:`factor_step`); the solve reads the cache and never writes to it.
 
     Termination: the solve keeps a record, the lowest primal value seen
-    with its inputs, and a bound, the latest certified dual value, which
-    starts as the dual value at the start point. After every sweep whose
-    inputs lie inside the input box, those inputs are priced with their
-    states as they stand. Every ``GAP_CHECK_EVERY`` iterations and after
-    the last, a certificate restores the average into the box and coupling
-    set, and the last primal iterate too when it left the box, prices the
-    restored points, and takes the dual value at the current dual iterate
-    as the new bound. Every candidate has the one price, and each joins the
-    record when it beats it. Whenever the record or the bound changes, the
-    solve stops once ``record - bound`` falls under ``tol`` relative to the
-    record; there is no other test. The control action u0 is the
-    probability-weighted average of the record's stage-1 node inputs,
-    clipped to the box.
+    with the feasible inputs and states it priced, and a bound, the latest
+    certified dual value, which starts as the dual value at the start
+    point. After every sweep whose inputs lie inside the input box, those
+    inputs are priced with their states as they stand. Every
+    ``GAP_CHECK_EVERY`` iterations and after the last, a certificate
+    restores the average into the box and coupling set, and the last
+    primal iterate too when it left the box, prices the restored points
+    with their rollouts, and takes the dual value at the current dual
+    iterate as the new bound. Every candidate has the one price, and each
+    joins the record when it beats it. Whenever the record or the bound
+    changes, the solve stops once ``record - bound`` falls under ``tol``
+    relative to the record; there is no other test. The returned ``primal_avg`` is the
+    record's point and ``objective`` exactly its price. The control action
+    u0 is the probability-weighted average of the record's stage-1 node
+    inputs; they lie in the box, and the clip to it guards only rounding.
     """
     config = config or SolverConfig()
     if cache is None:
@@ -529,7 +532,7 @@ def solve(
         return _attained_value(instance, y_c, U_c, X_c) - g_conjugate_value(instance, y_c)
 
     # The record, and the bound with its certifying dual point.
-    best, U_best = np.inf, None
+    best, U_best, X_best = np.inf, None, None
     bound, dual = dual_value(y), y.copy()
 
     for nu in range(config.max_iter):
@@ -554,23 +557,24 @@ def solve(
         y_prev, y, y_next = y, y_next, y_prev
         theta_prev, theta = theta, _next_theta(theta)
 
-        # The candidates, as (inputs the record keeps, feasible inputs, their
-        # states). Inputs inside the box are feasible as the sweep returns
-        # them. A certificate restores the average, and the last iterate
-        # when it left the box; a restored point lies in the box too.
+        # The candidates, as feasible (inputs, states). Inputs inside the box
+        # are feasible as the sweep returns them. A certificate restores the
+        # average, and the last iterate when it left the box; a restored
+        # point lies in the box too. The record keeps a pair as it stands:
+        # each is a fresh array that nothing writes again.
         in_box = (np.greater_equal(U, m.u_min, out=inside).all()
                   and np.less_equal(U, m.u_max, out=inside).all())
-        candidates = [(U, U, X)] if in_box else []
+        candidates = [(U, X)] if in_box else []
         certify = (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter
         if certify:
             for U_c in (U_avg,) if in_box else (U_avg, U):
                 U_f = restore_feasible_inputs(instance, U_c)
-                candidates.append((U_c, U_f, rollout_inputs(instance, U_f)))
+                candidates.append((U_f, rollout_inputs(instance, U_f)))
         changed = False
-        for U_c, U_f, X_f in candidates:
-            value = price_in_box(U_f, X_f)
+        for U_c, X_c in candidates:
+            value = price_in_box(U_c, X_c)
             if value < best:
-                best, U_best, changed = value, U_c.copy(), True
+                best, U_best, X_best, changed = value, U_c, X_c, True
         if certify:
             bound, dual, changed = dual_value(y), y.copy(), True
             # A finite iterate is in the domain of g*, so its gap is finite.
@@ -581,21 +585,16 @@ def solve(
             break
 
     elapsed = time.perf_counter() - started
-    dual_change = float(np.abs(y - y_prev).max())
 
     sl1 = instance.stage_slices[0]
     u0 = instance.prob[sl1] @ U_best[sl1]
-    u0 = np.clip(u0, m.u_min, m.u_max)
+    u0 = np.clip(u0, m.u_min, m.u_max)  # the weighted sum of in-box rows may round out
     return SolverResult(
         u0=u0,
-        primal_avg=instance.join_primal(U_best, rollout_inputs(instance, U_best)),
+        primal_avg=instance.join_primal(U_best, X_best),
         dual=dual,
         iterations=nu + 1,
         termination=termination,
-        primal_residual=float(
-            np.max(np.maximum(U_best - m.u_max, m.u_min - U_best), initial=0.0)
-        ),
-        dual_change=dual_change,
         duality_gap=best - bound,
         objective=best,
         solve_time_s=elapsed,

@@ -100,8 +100,8 @@ def test_solve_writes_the_solver_result(demo, tmp_path):
     np.testing.assert_array_equal(written["u0"], res.u0)
     assert written["iterations"] == res.iterations
     assert written["terminationReason"] == res.termination
-    assert written["primalResidual"] == res.primal_residual
-    assert written["dualChange"] == res.dual_change
+    keys = set(json.loads((out / "controlOutput.json").read_text()))
+    assert keys == {"schemaVersion", "u0", "iterations", "terminationReason", "solveTimeMs"}
 
 
 def test_simulate_writes_agreeing_log_and_kpis(demo, tmp_path):
@@ -195,8 +195,7 @@ def test_solve_says_when_its_action_is_uncertified(demo, tmp_path, capsys, caplo
         plain = capsys.readouterr().out
     written = wio.load_control_output(tmp_path / "capped" / "controlOutput.json")
     assert written["terminationReason"] == "max_iter"
-    assert capped.startswith("iters=25 ")
-    assert " termination=max_iter " in capped
+    assert capped.startswith("iters=25 termination=max_iter gap_rel=")
     gap_rel = float(capped.split(" gap_rel=")[1].split()[0])
     assert gap_rel > doc["tol"]
     [record] = [r for r in caplog.records if r.name == "watermpc"]

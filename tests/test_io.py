@@ -77,8 +77,6 @@ class TestRoundTrips:
             dual=np.zeros(1),
             iterations=17,
             termination="converged",
-            primal_residual=1.25e-3,
-            dual_change=3.5e-7,
             duality_gap=0.5,
             objective=123.0,
             solve_time_s=0.25,
@@ -132,7 +130,6 @@ class TestRoundTrips:
             price=rng.random((h, 3)),
             solve_time_s=rng.random(h),
             iterations=np.array([25, 400, 1000]),
-            primal_residual=rng.random(h),
             alpha0=rng.random(3),
             x_safe=rng.random(2),
             coupling_residual=rng.random(h),
@@ -141,15 +138,19 @@ class TestRoundTrips:
         wio.save_simlog(log, tmp_path / "l1.json")
         log2 = wio.load_simlog(tmp_path / "l1.json")
         for attr in ("x", "u", "demand", "price", "solve_time_s", "iterations",
-                     "primal_residual", "alpha0", "x_safe", "coupling_residual",
-                     "termination"):
+                     "alpha0", "x_safe", "coupling_residual", "termination"):
             np.testing.assert_array_equal(getattr(log, attr), getattr(log2, attr))
         assert log2.termination.dtype == object
         wio.save_simlog(log2, tmp_path / "l2.json")
         assert (tmp_path / "l1.json").read_bytes() == (tmp_path / "l2.json").read_bytes()
+        # A log written before primalResidual was dropped still loads: the
+        # key is ignored like any unknown key.
+        doc = json.loads((tmp_path / "l1.json").read_text())
+        (tmp_path / "old.json").write_text(json.dumps({**doc, "primalResidual": [0.0] * h}))
+        wio.save_simlog(wio.load_simlog(tmp_path / "old.json"), tmp_path / "l4.json")
+        assert (tmp_path / "l4.json").read_bytes() == (tmp_path / "l1.json").read_bytes()
         # Every step's termination reason is required: a log without them
         # cannot show whether an applied action was certified.
-        doc = json.loads((tmp_path / "l1.json").read_text())
         for value, message in ((None, "/termination: missing required field"),
                                ([], "/termination: expected 3 entries, got 0"),
                                (["converged"], "/termination: expected 3 entries, got 1"),
@@ -374,12 +375,16 @@ class TestErrorPaths:
         pytest.param("iterations", -1, "count -1 is negative", id="iterations-negative"),
     ])
     def test_control_output_fields_are_typed(self, tmp_path, key, value, message):
+        # An older document's primalResidual and dualChange are ignored
+        # like any unknown key.
         doc = {"schemaVersion": 1, "u0": [1.0], "iterations": 3,
                "terminationReason": "converged", "primalResidual": 0.0,
                "dualChange": 0.0, "solveTimeMs": 1.0}
         path = tmp_path / "o.json"
         path.write_text(json.dumps(doc))
-        assert wio.load_control_output(path)["iterations"] == 3
+        loaded = wio.load_control_output(path)
+        assert loaded["iterations"] == 3
+        assert set(loaded) == {"u0", "iterations", "terminationReason", "solveTimeMs"}
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"^{re.escape(f'/{key}: {message}')}$"):
@@ -396,8 +401,7 @@ class TestErrorPaths:
         log = SimulationLog(
             x=np.zeros((3, 1)), u=np.zeros((2, 1)), demand=np.zeros((2, 1)),
             price=np.zeros((2, 1)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
-            primal_residual=np.zeros(2), alpha0=np.zeros(1), x_safe=np.zeros(1),
-            coupling_residual=np.zeros(2),
+            alpha0=np.zeros(1), x_safe=np.zeros(1), coupling_residual=np.zeros(2),
             termination=np.array(["converged", "max_iter"], dtype=object),
         )
         wio.save_simlog(log, tmp_path / "l.json")
@@ -422,8 +426,7 @@ class TestErrorPaths:
         log = SimulationLog(
             x=np.zeros((3, 2)), u=np.zeros((2, 3)), demand=np.zeros((2, 1)),
             price=np.zeros((2, 3)), solve_time_s=np.zeros(2), iterations=np.array([3, 4]),
-            primal_residual=np.zeros(2), alpha0=np.zeros(3), x_safe=np.zeros(2),
-            coupling_residual=np.zeros(2),
+            alpha0=np.zeros(3), x_safe=np.zeros(2), coupling_residual=np.zeros(2),
             termination=np.array(["converged", "max_iter"], dtype=object),
         )
         wio.save_simlog(log, tmp_path / "l.json")

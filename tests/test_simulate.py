@@ -341,7 +341,6 @@ class TestKpis:
             price=price,
             solve_time_s=np.asarray(tau if tau is not None else np.ones(h)),
             iterations=np.ones(h, int),
-            primal_residual=np.zeros(h),
             alpha0=alpha0,
             x_safe=x_safe,
             coupling_residual=np.zeros(h),
@@ -412,8 +411,8 @@ class TestKpis:
         log = SimulationLog(
             x=[[10.0], [7.5], [12.0]], u=[[2.0, 3.0], [1.0, 0.0]],
             demand=[[0.0], [0.0]], price=[[0.0, 1.0], [1.0, 0.0]],
-            solve_time_s=[0.1, 0.3], iterations=[25, 50], primal_residual=[0.0, 0.0],
-            alpha0=[1.0, 1.0], x_safe=[10.0], coupling_residual=[0.0, 0.0],
+            solve_time_s=[0.1, 0.3], iterations=[25, 50], alpha0=[1.0, 1.0],
+            x_safe=[10.0], coupling_residual=[0.0, 0.0],
             termination=["converged", "max_iter"],
         )
         assert isinstance(log.termination, np.ndarray)
@@ -461,5 +460,5 @@ class TestKpis:
             SimulationLog(
                 x=np.zeros((2, 1)), u=np.zeros((1, 1)), demand=np.zeros((1, 1)),
                 price=np.zeros((1, 1)), solve_time_s=np.zeros(1), iterations=np.ones(1, int),
-                primal_residual=np.zeros(1), alpha0=np.zeros(1), x_safe=np.zeros(1),
+                alpha0=np.zeros(1), x_safe=np.zeros(1),
             )

@@ -98,6 +98,18 @@ def net3_demo_instance():
     return demo_instance("net3")
 
 
+def out_of_box_cases(rng):
+    """Two capped solves whose last certificate restores a last iterate that
+    left the input box: on the net3 demo the restored last iterate prices
+    lower after 200 iterations, on this random instance the average does."""
+    return [(net3_demo_instance()[0], 200),
+            (make_instance(rng, n_mixing=1, horizon=3, max_nodes=12), 300)]
+
+
+def outside_box(model, U):
+    return bool(np.any((U < model.u_min) | (U > model.u_max)))
+
+
 class TestFactorStep:
     def test_no_coupling_gives_identity_basis(self, rng):
         inst = make_instance(rng, n_mixing=0, horizon=2, max_nodes=5)
@@ -613,7 +625,7 @@ class TestSolve:
         np.testing.assert_allclose(res.u0, expected_u0, atol=1e-9 * (1 + np.abs(expected_u0).max()))
 
     def test_iterations_skip_the_objective_value(self, rng, smooth_cost_calls,
-                                                 priced_iterates):
+                                                 priced_iterates, restored):
         inst = make_instance(rng, horizon=3, max_nodes=12)
         # No gap check inside the loop, and every iterate leaves the input
         # box, so none is priced as it stands. The final certificate prices
@@ -622,7 +634,7 @@ class TestSolve:
         config = SolverConfig(max_iter=GAP_CHECK_EVERY - 1, tol=1e-30)
         res = solve(inst, config)
         assert res.termination == "max_iter"
-        assert res.primal_residual > 0.0
+        assert len(restored) == 2 and outside_box(inst.model, restored[-1])
         assert len(priced_iterates) == 2
         assert len(smooth_cost_calls) == 1 + 1
 
@@ -669,52 +681,49 @@ class TestSolve:
         checks = 4
         res = solve(inst, SolverConfig(max_iter=checks * GAP_CHECK_EVERY, tol=1e-12))
         assert res.termination == "max_iter"
-        assert res.primal_residual > 0.0
         assert len(restored) == 2 * checks
+        assert all(outside_box(inst.model, U) for U in restored[1::2])
 
     def test_certificate_keeps_the_cheaper_candidate(self, rng, restored):
-        def restored_value(inst, U):
-            u_f = restore_feasible_inputs(inst, U, np.linalg.pinv(inst.model.E))
-            x_f = rollout_inputs(inst, u_f)
-            return smooth_cost(inst, u_f) + g_value(inst, np.hstack([x_f, x_f, u_f]))
-
         # The certificate restores the average, then the last iterate when
         # it left the box, which it has at the last check of both cases.
-        # On the net3 demo the last iterate prices lower after 200
-        # iterations; on this random instance the average does.
-        cases = [(net3_demo_instance()[0], 200),
-                 (make_instance(rng, n_mixing=1, horizon=3, max_nodes=12), 300)]
         winners = []
-        for inst, iters in cases:
+        for inst, iters in out_of_box_cases(rng):
             restored.clear()
             res = solve(inst, SolverConfig(max_iter=iters, tol=1e-30))
             last = dict(zip(("average", "iterate"), restored[-2:]))
-            m = inst.model
-            assert np.any((last["iterate"] < m.u_min) | (last["iterate"] > m.u_max))
-            values = {k: restored_value(inst, U) for k, U in last.items()}
+            assert outside_box(inst.model, last["iterate"])
+            points, values = {}, {}
+            for k, U in last.items():
+                u_f = restore_feasible_inputs(inst, U)
+                x_f = rollout_inputs(inst, u_f)
+                points[k] = u_f, x_f
+                values[k] = smooth_cost(inst, u_f) + g_value(inst, np.hstack([x_f, x_f, u_f]))
             best = min(values, key=values.get)
             winners.append(best)
             assert res.objective == pytest.approx(values[best], rel=1e-12)
+            # The record keeps the restored winner and its rollout.
             U_c, X_c = inst.split_primal(res.primal_avg)
-            np.testing.assert_array_equal(U_c, last[best])
-            # The candidate's states are its inputs' rollout.
-            np.testing.assert_array_equal(X_c, rollout_inputs(inst, U_c))
+            np.testing.assert_array_equal(U_c, points[best][0])
+            np.testing.assert_array_equal(X_c, points[best][1])
             sl = inst.stage_slices[0]
             np.testing.assert_array_equal(
                 res.u0, np.clip(inst.prob[sl] @ U_c[sl], inst.model.u_min, inst.model.u_max)
             )
         assert winners == ["iterate", "average"]
 
-    def test_residual_of_the_returned_average(self, rng):
-        inst = make_instance(rng, horizon=2, max_nodes=8)
-        m = inst.model
-        # 37 is not a multiple of the gap-check interval: the last
-        # iteration certifies off the usual schedule.
-        res = solve(inst, SolverConfig(max_iter=37, tol=1e-12))
-        assert res.termination == "max_iter"
-        U_avg, _ = inst.split_primal(res.primal_avg)
-        violation = float(np.abs(U_avg - np.clip(U_avg, m.u_min, m.u_max)).max())
-        assert res.primal_residual == violation
+    def test_the_returned_primal_is_the_point_it_priced(self, rng):
+        # Each case's last certificate restores an out-of-box last iterate;
+        # the returned primal is still feasible and priced by its objective.
+        for inst, iters in out_of_box_cases(rng):
+            res = solve(inst, SolverConfig(max_iter=iters, tol=1e-30))
+            m = inst.model
+            U, _ = inst.split_primal(res.primal_avg)
+            assert not outside_box(m, U)
+            coupling = U @ m.E.T + inst.demand @ m.Ed.T
+            assert np.abs(coupling).max() <= 1e-12 * (1.0 + np.abs(U).max())
+            value = smooth_cost(inst, U) + g_value(inst, apply_H(inst, res.primal_avg))
+            assert res.objective == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("kind, cap", [("net3", 337)])
     def test_the_last_certificate_decides_termination(self, kind, cap):
@@ -738,7 +747,8 @@ class TestSolve:
         assert res.termination == "converged"
         assert res.iterations < 2 * GAP_CHECK_EVERY
         assert res.iterations % GAP_CHECK_EVERY != 0
-        assert res.primal_residual == 0.0
+        U, _ = inst.split_primal(res.primal_avg)
+        assert not outside_box(inst.model, U)
         gap, primal = recomputed_gap(inst, res)
         assert gap == pytest.approx(res.duality_gap, rel=1e-9, abs=1e-9 * (1 + abs(primal)))
         assert primal == pytest.approx(res.objective, rel=1e-9)
