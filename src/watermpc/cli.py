@@ -18,7 +18,7 @@ from .forecast import ForecastSeries
 from .io import SchemaError
 from .problem import ProblemInstance
 from .simulate import SimulationConfig, kpi_complexity, kpi_economic, kpi_safety
-from .simulate import run_closed_loop, warn_unconverged
+from .simulate import relative_gap, run_closed_loop, warn_unconverged
 from .solver import solve as solve_instance
 from .tree import attach_forecast, reduce_fan_to_tree, zero_price_errors
 
@@ -143,10 +143,9 @@ def _cmd_solve(args) -> int:
     # An uncertified action is still written and the exit code stays 0, as
     # in the closed loop; the summary line and the warning say so.
     warn_unconverged(k, result)
-    gap_rel = result.duality_gap / (1.0 + abs(result.objective))
     print(
         f"iters={result.iterations} termination={result.termination} "
-        f"gap_rel={gap_rel:.6e} time_ms={result.solve_time_s * 1e3:.3f}"
+        f"gap_rel={relative_gap(result):.6e} time_ms={result.solve_time_s * 1e3:.3f}"
     )
     return 0
 

@@ -14,9 +14,12 @@ per-second flow units with an hourly step do not.
 
 Demands follow a daily pattern per sector; electricity prices follow a
 volatile day-ahead pattern with an evening peak. Prediction errors come
-from a persistent process with occasional right-skewed price spikes
-(mean-compensated), mapped onto flows through their pumping energy
-intensity, so price uncertainty touches pumps but not plain valves.
+from a persistent process with occasional right-skewed price spikes,
+mapped onto flows through their pumping energy intensity, so price
+uncertainty touches pumps but not plain valves. The spikes keep their
+mean, 0.05 * 0.06 / (1 - 0.75) = 0.012 EUR/m^3 in steady state: the point
+forecast carries no spike term, so the controller sees the spike mean
+only through the scenario tree.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .network import ControlledFlow, MixingNode, NetworkModel, NetworkTopology, 
 from .problem import CostWeights
 from .solver import SolverConfig
 from .tree import ScenarioFan, ScenarioTree, reduce_fan_to_tree
-
-DEMO_KINDS = ("tank1", "net3", "net10")
 
 # Weight tuning of the bundled demos, matched to their hourly unit system.
 DEMO_WEIGHTS = dict(w_alpha=1.0, w_u=1e-2, w_s=1.0, w_x=100.0)
@@ -162,18 +163,13 @@ def _net10_topology() -> tuple[NetworkTopology, np.ndarray, np.ndarray, np.ndarr
     return topology, demand_scale, energy, x0
 
 
-_BUILDERS = {
-    "tank1": _tank1_topology,
-    "net3": _net3_topology,
-    "net10": _net10_topology,
+_DEMOS = {
+    # builder, horizon, branching, fan size
+    "tank1": (_tank1_topology, 24, [2, 2], 200),
+    "net3": (_net3_topology, 10, [3, 2], 300),
+    "net10": (_net10_topology, 24, [4, 3, 2, 2], 400),
 }
-
-_SIZES = {
-    # horizon, branching, fan size
-    "tank1": (24, [2, 2], 200),
-    "net3": (10, [3, 2], 300),
-    "net10": (24, [4, 3, 2, 2], 400),
-}
+DEMO_KINDS = tuple(_DEMOS)
 
 
 def demand_pattern(hours: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -216,17 +212,23 @@ _SPIKE_MEAN = 0.06          # EUR/m^3
 _SPIKE_RHO = 0.75           # per-step spike decay
 
 
+def _ar1(innovations: np.ndarray, rho: float) -> np.ndarray:
+    """AR(1) paths along the last axis from a zero state: each entry is
+    ``rho`` times the one before it plus its innovation."""
+    out = np.empty_like(innovations)
+    state = np.zeros(innovations.shape[:-1])
+    for j in range(innovations.shape[-1]):
+        state = rho * state + innovations[..., j]
+        out[..., j] = state
+    return out
+
+
 def _spike_path(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Decaying spike component along the last axis."""
     hits = np.where(
         rng.random(shape) < _SPIKE_PROB, rng.exponential(_SPIKE_MEAN, shape), 0.0
     )
-    out = np.empty(shape)
-    state = np.zeros(shape[:-1])
-    for j in range(shape[-1]):
-        state = _SPIKE_RHO * state + hits[..., j]
-        out[..., j] = state
-    return out
+    return _ar1(hits, _SPIKE_RHO)
 
 
 def build_error_fan(
@@ -261,19 +263,11 @@ def _realized_errors(
     rng: np.random.Generator, steps: int, demand_scale: np.ndarray, energy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stationary persistent error processes for the closed-loop plant."""
-    nd = demand_scale.size
-    d_err = np.zeros((steps, nd))
-    state_d = np.zeros(nd)
-    for t in range(steps):
-        state_d = _AR_RHO * state_d + rng.normal(0.0, 1.0, nd) * (
-            _DEMAND_WALK_SD * demand_scale
-        )
-        d_err[t] = state_d
-    walk = np.zeros(steps)
-    state_w = 0.0
-    for t in range(steps):
-        state_w = _AR_RHO * state_w + rng.normal(0.0, _PRICE_WALK_SD)
-        walk[t] = state_w
+    d_steps = rng.normal(0.0, 1.0, (steps, demand_scale.size)) * (
+        _DEMAND_WALK_SD * demand_scale
+    )
+    d_err = _ar1(d_steps.T, _AR_RHO).T
+    walk = _ar1(rng.normal(0.0, _PRICE_WALK_SD, steps), _AR_RHO)
     p_err = walk + _spike_path(rng, (steps,))
     return d_err, np.outer(p_err, energy)
 
@@ -281,7 +275,7 @@ def _realized_errors(
 def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
     """Assemble one demo bundle deterministically from a seed, with
     ``h_sim`` closed-loop steps of realizations and forecasts."""
-    if kind not in _BUILDERS:
+    if kind not in _DEMOS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
@@ -291,8 +285,8 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
         raise ValueError(f"h_sim must be an integer, got {h_sim!r}")
     if h_sim < 1:
         raise ValueError(f"h_sim must be at least 1, got {h_sim}")
-    topology, demand_scale, energy, x0 = _BUILDERS[kind]()
-    horizon, branching, n_scenarios = _SIZES[kind]
+    builder, horizon, branching, n_scenarios = _DEMOS[kind]
+    topology, demand_scale, energy, x0 = builder()
 
     model = build_lti(topology, DEMO_DT)
     rng = np.random.default_rng(np.random.SeedSequence([1000, seed]))
@@ -307,18 +301,15 @@ def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
     realized_demand = np.maximum(nominal_demand[:h_sim] + d_err, 0.0)
     realized_price = np.maximum(nominal_price[:h_sim] + p_err, 0.0)
 
-    # Conditional forecasts issued at each step: pattern plus the decayed
-    # last observed deviation (zero before the first observation).
-    decay = _AR_RHO ** np.arange(1, horizon + 1)
-    forecast_demand = np.empty((h_sim, horizon, demand_scale.size))
-    forecast_price = np.empty((h_sim, horizon, energy.size))
-    for k in range(h_sim):
-        dev_d = d_err[k - 1] if k > 0 else np.zeros(demand_scale.size)
-        dev_p = p_err[k - 1] if k > 0 else np.zeros(energy.size)
-        forecast_demand[k] = np.maximum(
-            nominal_demand[k:k + horizon] + decay[:, None] * dev_d[None, :], 0.0
-        )
-        forecast_price[k] = nominal_price[k:k + horizon] + decay[:, None] * dev_p[None, :]
+    # Conditional forecasts issued at each step k over hours k .. k+horizon-1:
+    # pattern plus the decayed last observed deviation (zero before the
+    # first observation).
+    lead = np.arange(h_sim)[:, None] + np.arange(horizon)
+    decay = (_AR_RHO ** np.arange(1, horizon + 1))[None, :, None]
+    dev_d = np.concatenate([np.zeros_like(d_err[:1]), d_err[:-1]])[:, None, :]
+    dev_p = np.concatenate([np.zeros_like(p_err[:1]), p_err[:-1]])[:, None, :]
+    forecast_demand = np.maximum(nominal_demand[lead] + decay * dev_d, 0.0)
+    forecast_price = nominal_price[lead] + decay * dev_p
 
     return DemoBundle(
         name=kind,

@@ -106,6 +106,12 @@ class SimulationLog:
         return self.u.shape[0]
 
 
+def relative_gap(result: SolverResult) -> float:
+    """The solve's duality gap over ``1 + |objective|``, the scale of the
+    solver's tolerance test."""
+    return result.duality_gap / (1.0 + abs(result.objective))
+
+
 def warn_unconverged(k: int, result: SolverResult) -> None:
     """Log a warning on the ``watermpc`` logger if step k applies an
     action without a converged certificate."""
@@ -113,8 +119,7 @@ def warn_unconverged(k: int, result: SolverResult) -> None:
         logger.warning(
             "step %d: applying an action with termination %r after %d "
             "iterations, relative duality gap %.3g",
-            k, result.termination, result.iterations,
-            result.duality_gap / (1.0 + abs(result.objective)),
+            k, result.termination, result.iterations, relative_gap(result),
         )
 
 
