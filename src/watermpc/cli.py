@@ -191,7 +191,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_reduce(args) -> int:
     fan = wio.load_fan(args.fan)
     try:
-        branching = [int(tok) for tok in args.branching.split(",") if tok.strip()]
+        branching = [int(tok) for tok in args.branching.split(",")]
     except ValueError:
         print(f"invalid branching spec {args.branching!r}", file=sys.stderr)
         return 2

@@ -247,7 +247,6 @@ def load_tree(path: str | Path) -> ScenarioTree:
     n_nodes = int(per_stage.sum())
     anc = _int_vector(doc, "ancestor", n_nodes)
     prob = _array(doc, "probability", n_nodes)
-    stage = np.repeat(np.arange(horizon + 1), per_stage)
     eps = _array(doc, "errorValues", n_nodes, nd + nu)
     for key in ("demandValues", "priceValues"):
         if doc.get(key) is not None:
@@ -256,7 +255,7 @@ def load_tree(path: str | Path) -> ScenarioTree:
             )
     try:
         return ScenarioTree(horizon=horizon, n_demand=nd, n_price=nu,
-                            stage=stage, anc=anc, prob=prob, eps=eps)
+                            nodes_per_stage=per_stage, anc=anc, prob=prob, eps=eps)
     except ValueError as exc:
         raise SchemaError("/", f"invalid scenario tree: {exc}") from exc
 

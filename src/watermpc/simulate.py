@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import numbers
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +65,8 @@ class SimulationLog:
     ``x`` has ``h_sim + 1`` rows, ``x[0]`` being the initial state, and
     satisfies ``x[k+1] = A x[k] + B u[k] + Gd d[k]`` exactly. ``alpha0``
     and ``x_safe`` are copies of the model vectors so indicators can be
-    computed from the log alone. ``termination`` holds each step's
+    computed from the log alone. ``solve_time_s`` holds each step's
+    ``SolverResult.solve_time_s``. ``termination`` holds each step's
     solver termination reason (``"converged"`` or ``"max_iter"``), which
     ``iterations`` alone cannot tell apart at the cap. Construction turns
     every field into an array, so lists are accepted, and rejects a log of
@@ -182,15 +182,14 @@ def run_closed_loop(
             instance = ProblemInstance(model, tree_template, config.weights, x, u_prev,
                                        demand, price)
             cache = factor_step(instance, structure_from=cache)
-            started = time.perf_counter()
             result = solve(instance, config.solver, cache=cache, dual0=dual)
-            taus[k] = time.perf_counter() - started
         except RuntimeError as exc:
             raise RuntimeError(f"simulation step {k}: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"simulation step {k}: {exc}") from exc
         warn_unconverged(k, result)
         dual = result.dual
+        taus[k] = result.solve_time_s
         us[k] = result.u0
         iters[k] = result.iterations
         terms[k] = result.termination

@@ -501,6 +501,7 @@ def solve(
         cache = factor_step(instance)
     elif cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
+    started = time.perf_counter()
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row
     bounds = scaled_bounds(instance, gamma)
@@ -524,8 +525,6 @@ def solve(
     U_avg = np.zeros((n, m.n_inputs))
     price_in_box = _in_box_pricer(instance)
     termination = "max_iter"
-
-    started = time.perf_counter()
 
     def dual_value(y_c: np.ndarray) -> float:
         U_c, X_c = _dual_gradient_parts(cache, instance, y_c)

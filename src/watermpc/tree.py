@@ -7,7 +7,8 @@ forecast, and :func:`attach_forecast` adds a nominal forecast to the
 errors to give the contingent demand and price of every non-root node.
 Nodes are numbered breadth-first: by stage, and within a stage in their
 parents' order, so per-stage node ranges and each node's children are
-contiguous slices of every flat array.
+contiguous slices of every flat array. A tree stores the node count of
+each stage, not the stage of each node.
 
 Trees are immutable after construction; functions that modify return new
 instances.
@@ -73,7 +74,9 @@ class ScenarioTree:
     """Stage-indexed scenario tree in breadth-first node order: a stage's
     nodes follow their parents' order.
 
-    ``stage``, ``anc`` and ``prob`` are flat arrays over all nodes; the
+    ``nodes_per_stage`` counts the nodes of each stage 0..horizon (1 for
+    the root), as ``scenarioTree.json`` does; stage j's nodes are the next
+    ``nodes_per_stage[j]`` of the flat arrays ``anc`` and ``prob``. The
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
     prediction errors (root row zero).
     """
@@ -81,42 +84,39 @@ class ScenarioTree:
     horizon: int
     n_demand: int
     n_price: int
-    stage: np.ndarray
+    nodes_per_stage: np.ndarray
     anc: np.ndarray
     prob: np.ndarray
     eps: np.ndarray
 
     def __post_init__(self) -> None:
         _check_sizes(self, horizon=1, n_demand=0, n_price=0)
-        self.stage = np.asarray(self.stage, int)
+        self.nodes_per_stage = np.asarray(self.nodes_per_stage, int)
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
         self.eps = np.asarray(self.eps, float)
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError at the first violated invariant: links, breadth-first
-        stages whose nodes follow their parents' order, probabilities in
-        (0, 1] that telescope and sum to 1 per stage within 1e-9, and finite
-        errors with a zero root row. Construction runs it."""
-        if self.stage.ndim != 1 or self.anc.ndim != 1 or self.prob.ndim != 1:
-            raise ValueError("stage, anc and prob must be 1-d arrays")
+        """Raise ValueError at the first violated invariant: stage counts,
+        links, stages whose nodes follow their parents' order, probabilities
+        in (0, 1] that telescope and sum to 1 per stage within 1e-9, and
+        finite errors with a zero root row. Construction runs it."""
+        counts = self.nodes_per_stage
+        if counts.shape != (self.horizon + 1,) or counts[0] != 1 or np.any(counts < 0):
+            raise ValueError(f"nodes_per_stage must be horizon + 1 = {self.horizon + 1} "
+                             f"nonnegative counts starting at 1, got {counts.tolist()}")
+        if self.anc.ndim != 1 or self.prob.ndim != 1:
+            raise ValueError("anc and prob must be 1-d arrays")
         n = self.n_nodes
-        if n == 0:
-            raise ValueError("tree has no nodes")
         if self.anc.shape != (n,) or self.prob.shape != (n,):
-            raise ValueError("stage, anc and prob arrays must have equal length")
-        stage, anc, prob = self.stage, self.anc[1:], self.prob
-        if stage[0] != 0 or self.anc[0] != -1:
-            raise ValueError("node 0 must be the root (stage 0, no ancestor)")
-        if np.count_nonzero(stage == 0) != 1:
-            raise ValueError("exactly one node may sit at stage 0")
+            raise ValueError(f"anc and prob must have {n} entries, one per node")
+        stage = np.repeat(np.arange(self.horizon + 1), counts)
+        anc, prob = self.anc[1:], self.prob
+        if self.anc[0] != -1:
+            raise ValueError("node 0 must be the root (no ancestor)")
         if abs(prob[0] - 1.0) > _PROB_TOL:
             raise ValueError(f"root probability {prob[0]} != 1")
-        if np.any(np.diff(stage) < 0):
-            raise ValueError("nodes must be ordered breadth-first by stage")
-        if np.any(stage > self.horizon) or np.any(stage < 0):
-            raise ValueError("node stages must lie in [0, horizon]")
         if not np.all((prob > 0) & (prob <= 1 + _PROB_TOL)):  # NaN too
             raise ValueError("node probabilities must lie in (0, 1]")
 
@@ -146,9 +146,9 @@ class ScenarioTree:
             raise ValueError(
                 f"node {i}: children probabilities sum {child_sum[i]:.12g} != {prob[i]:.12g}"
             )
-        # Stages are contiguous by now; a slice's pairwise sum can differ in the
-        # last bit from np.bincount's running one, across the 1e-9 tolerance.
-        for j, part in enumerate(np.split(prob, np.cumsum(self.nodes_per_stage)[:-1])):
+        # A slice's pairwise sum can differ in the last bit from np.bincount's
+        # running one, across the 1e-9 tolerance.
+        for j, part in enumerate(np.split(prob, np.cumsum(counts)[:-1])):
             if abs(part.sum() - 1.0) > _PROB_TOL:
                 raise ValueError(f"stage {j} probabilities sum {part.sum():.12g} != 1")
 
@@ -161,15 +161,11 @@ class ScenarioTree:
 
     @property
     def n_nodes(self) -> int:
-        return self.stage.shape[0]
+        return int(self.nodes_per_stage.sum())
 
     @property
     def n_nonroot(self) -> int:
         return self.n_nodes - 1
-
-    @property
-    def nodes_per_stage(self) -> np.ndarray:
-        return np.bincount(self.stage, minlength=self.horizon + 1)
 
     @classmethod
     def single_branch(cls, horizon: int, n_demand: int, n_price: int) -> "ScenarioTree":
@@ -181,7 +177,7 @@ class ScenarioTree:
             horizon=horizon,
             n_demand=n_demand,
             n_price=n_price,
-            stage=np.arange(n),
+            nodes_per_stage=np.ones(n, int),
             anc=np.arange(-1, n - 1),
             prob=np.ones(n),
             eps=np.zeros((n, n_demand + n_price)),
@@ -208,7 +204,7 @@ def attach_forecast(
                 f"{name} forecast shape {values.shape} != {(tree.horizon, width)} "
                 f"(tree horizon {tree.horizon})"
             )
-    nd, prev = tree.n_demand, tree.stage[1:] - 1
+    nd, prev = tree.n_demand, np.repeat(np.arange(tree.horizon), tree.nodes_per_stage[1:])
     return d_hat[prev] + tree.eps[1:, :nd], alpha_hat[prev] + tree.eps[1:, nd:]
 
 
@@ -287,7 +283,7 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
     s = fan.n_scenarios
     base_w = np.full(s, 1.0 / s)
 
-    stage_list = [0]
+    counts = [1]
     anc_list = [-1]
     prob_list = [1.0]
     eps_list = [np.zeros(fan.values.shape[2])]
@@ -306,19 +302,19 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
             for slot in np.unique(assign):
                 mask = assign == slot
                 w_slot = weights[mask]
-                node = len(stage_list)
-                stage_list.append(j)
+                node = len(anc_list)
                 anc_list.append(parent_node)
                 prob_list.append(float(w_slot.sum()))
                 eps_list.append(w_slot @ vals[mask] / w_slot.sum())
                 next_bundles.append((node, members[mask], w_slot))
         bundles = next_bundles
+        counts.append(len(bundles))
 
     return ScenarioTree(
         horizon=fan.horizon,
         n_demand=fan.n_demand,
         n_price=fan.n_price,
-        stage=np.array(stage_list),
+        nodes_per_stage=np.array(counts),
         anc=np.array(anc_list),
         prob=np.array(prob_list),
         eps=np.array(eps_list),

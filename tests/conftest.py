@@ -101,11 +101,16 @@ def make_tree(
         horizon=horizon,
         n_demand=n_demand,
         n_price=n_price,
-        stage=np.array(stage),
+        nodes_per_stage=np.bincount(stage, minlength=horizon + 1),
         anc=anc_arr,
         prob=prob_arr,
         eps=eps,
     )
+
+
+def node_stages(tree: ScenarioTree) -> np.ndarray:
+    """Each node's stage, from the tree's per-stage counts."""
+    return np.repeat(np.arange(tree.horizon + 1), tree.nodes_per_stage)
 
 
 def make_instance(

@@ -147,6 +147,32 @@ def test_validate_rejects_a_negative_stage_count(demo, tmp_path, capsys):
     assert "/nodesPerStage/2: count -2 is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_a_failed_cross_check_stops_the_command(demo, tmp_path, capsys, command):
+    x, u_prev, k = wio.load_state(demo / FILES["state"])
+    state = tmp_path / "state.json"
+    wio.save_state(np.r_[x, x], u_prev, k, state)  # two tanks on a one-tank network
+    others = {"solve": ("network", "tree", "forecast", "config"),
+              "simulate": ("network", "tree", "realizations", "config")}[command]
+    argv = [command, *flags(demo, *others), "--state", str(state),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "state x has 2 entries but the network has 1 tanks" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_rejects_more_steps_than_the_forecasts_cover(demo, tmp_path, capsys):
+    argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
+            "--steps", "200", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    horizon = json.loads((demo / FILES["tree"]).read_text())["horizon"]
+    assert capsys.readouterr().err.strip() == (
+        f"forecast tensor covers 168 steps at horizon {horizon}, need 200 steps at "
+        f"horizon {horizon}"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_a_short_price_forecast(demo, tmp_path, capsys):
     doc = json.loads((demo / FILES["realizations"]).read_text())
     doc["forecastPrice"] = doc["forecastPrice"][:1]
@@ -237,6 +263,19 @@ def test_reduce_writes_a_valid_tree(demo, tmp_path):
     tree = wio.load_tree(out / "scenarioTree.json")
     tree.validate()
     np.testing.assert_array_equal(tree.nodes_per_stage[:3], [1, 2, 4])
+
+
+@pytest.mark.parametrize("spec, code, message", [
+    pytest.param("2,x", 2, "invalid branching spec '2,x'", id="not-a-number"),
+    pytest.param("2,,2", 2, "invalid branching spec '2,,2'", id="empty-entry"),
+    pytest.param("0", 1, "error: branch counts must be integers of at least 1, got 0",
+                 id="zero"),
+])
+def test_reduce_rejects_a_bad_branching(demo, tmp_path, capsys, spec, code, message):
+    out = tmp_path / "out"
+    assert main(["reduce", *flags(demo, "fan"), "--branching", spec, "--out", str(out)]) == code
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
 
 
 def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):

@@ -359,6 +359,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda doc: doc.pop("k"), "/k: missing required field", id="missing"),
         pytest.param(lambda doc: doc.update(k=-3), "/k: count -3 is negative", id="negative"),
+        pytest.param(lambda doc: doc.update(k=1.5), "/k: expected an integer, got float",
+                     id="float"),
     ])
     def test_state_step_is_a_required_count(self, demo_dir, tmp_path, edit, message):
         doc = json.loads((demo_dir / "state.json").read_text())
@@ -413,6 +415,22 @@ class TestErrorPaths:
             wio.load_simlog(tmp_path / "l.json")
         assert err.value.pointer == f"/iterations/{index}"
         assert str(err.value).endswith(message)
+
+    def test_simlog_termination_must_be_an_array(self, tmp_path):
+        from watermpc.simulate import SimulationLog
+
+        log = SimulationLog(
+            x=np.zeros((2, 1)), u=np.zeros((1, 1)), demand=np.zeros((1, 1)),
+            price=np.zeros((1, 1)), solve_time_s=np.zeros(1), iterations=np.array([3]),
+            alpha0=np.zeros(1), x_safe=np.zeros(1), coupling_residual=np.zeros(1),
+            termination=np.array(["converged"], dtype=object),
+        )
+        wio.save_simlog(log, tmp_path / "l.json")
+        doc = json.loads((tmp_path / "l.json").read_text())
+        doc["termination"] = "converged"
+        (tmp_path / "l.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^/termination: expected an array$"):
+            wio.load_simlog(tmp_path / "l.json")
 
     @pytest.mark.parametrize("key, value, shape", [
         ("price", [[0.1]] * 2, "(2, 3), got (2, 1)"),
@@ -524,6 +542,9 @@ class TestErrorPaths:
         pytest.param("xsafe", [2500.0], "/: require x_min <= x_safe <= x_max", id="model-check"),
         pytest.param("dt", 0, "/: dt must be positive", id="model-dt"),
         pytest.param("xmin", [0.0, 0.0], "/xmin: expected shape (1,), got (2,)", id="read"),
+        pytest.param("xmin", 0.0, "/xmin: expected an array", id="not-an-array"),
+        pytest.param("A", [1.0], "/A/0: expected an array", id="row-not-an-array"),
+        pytest.param("A", [[1.0, 0.0]], "/A: must be square, got (1, 2)", id="not-square"),
     ])
     def test_network_failure_keeps_its_pointer(self, demo_dir, tmp_path, key, value, message):
         # A read error names its key; only the model's own checks fall to "/".
@@ -584,6 +605,30 @@ class TestErrorPaths:
         assert str(err.value) == (
             "/: invalid scenario fan: n_demand must be an integer of at least 0, got -1"
         )
+
+    def test_top_level_value_must_be_an_object(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text('[{"schemaVersion": 1}]')
+        with pytest.raises(SchemaError, match="^/: top-level value must be an object$"):
+            wio.load_forecast(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda counts: 3, "/nodesPerStage: expected an array", id="not-an-array"),
+        pytest.param(lambda counts: counts[:-1], "/nodesPerStage: expected 25 entries, got 24",
+                     id="too-short"),
+        pytest.param(lambda counts: [2, counts[1] - 1, *counts[2:]],  # the same total
+                     "/: invalid scenario tree: nodes_per_stage must be horizon + 1 = 25 "
+                     "nonnegative counts starting at 1, got {counts}", id="root-count-2"),
+    ])
+    def test_tree_stage_counts_are_checked(self, demo_dir, tmp_path, edit, message):
+        doc = json.loads((demo_dir / "scenarioTree.json").read_text())
+        assert doc["horizon"] == 24
+        doc["nodesPerStage"] = edit(doc["nodesPerStage"])
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            wio.load_tree(path)
+        assert str(err.value) == message.format(counts=doc["nodesPerStage"])
 
     def test_wrong_schema_version(self, tmp_path):
         path = tmp_path / "f.json"

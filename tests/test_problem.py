@@ -78,10 +78,10 @@ class TestDimensions:
         assert inst.dual_shape == (1, 3)
 
     def test_binary_tree_dimensions(self):
-        stage = np.array([0, 1, 1, 2, 2, 2, 2])
+        counts = np.array([1, 2, 4])
         anc = np.array([-1, 0, 0, 1, 1, 2, 2])
         prob = np.array([1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25])
-        tree = ScenarioTree(2, 1, 3, stage, anc, prob, eps=np.zeros((7, 4)))
+        tree = ScenarioTree(2, 1, 3, counts, anc, prob, eps=np.zeros((7, 4)))
         demand, price = attach_forecast(tree, np.ones((2, 1)), np.ones((2, 3)))
         rng = np.random.default_rng(0)
         model = make_model(rng, n_tanks=2, n_inputs=3, n_demands=1)

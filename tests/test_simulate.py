@@ -176,6 +176,26 @@ class TestRunClosedLoop:
             assert cache.instance is instance
             assert cache.stage_ops is first.stage_ops and cache.lipschitz == first.lipschitz
 
+    def test_each_step_logs_its_solves_own_time(self, monkeypatch):
+        from watermpc.demo import build_demo
+
+        b = build_demo("tank1", seed=0, h_sim=3)
+        results = []
+        real = watermpc.simulate.solve
+
+        def recorded(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(watermpc.simulate, "solve", recorded)
+        config = SimulationConfig(h_sim=3, weights=b.weights, solver=b.solver, x0=b.x0,
+                                  u_prev=b.u_prev)
+        log = run_closed_loop(b.model, b.tree, b.forecaster, b.realized_demand,
+                              b.realized_price, config)
+        assert len(results) == 3
+        for k, result in enumerate(results):
+            assert log.solve_time_s[k] == result.solve_time_s
+
     def test_unconverged_steps_are_reported(self, caplog):
         model, tree, weights = one_tank_setup()
         h = 3

@@ -9,7 +9,9 @@ import scipy.sparse.linalg
 
 import watermpc.solver
 from watermpc.demo import build_demo
+from watermpc.network import NetworkModel
 from watermpc.problem import (
+    CostWeights,
     ProblemInstance,
     apply_H,
     g_conjugate_value,
@@ -62,7 +64,7 @@ def shuffle_children(inst, rng):
         horizon=tree.horizon,
         n_demand=tree.n_demand,
         n_price=tree.n_price,
-        stage=tree.stage[perm],
+        nodes_per_stage=tree.nodes_per_stage,
         anc=np.r_[-1, inv[tree.anc[perm[1:]]]],
         prob=tree.prob[perm],
         eps=tree.eps[perm],
@@ -153,6 +155,21 @@ class TestFactorStep:
         cache_a = factor_step(inst_a)
         with pytest.raises(ValueError, match="different structure"):
             factor_step(inst_b, structure_from=cache_a)
+
+    def test_coupling_that_fixes_every_input_rejected(self):
+        # One tank whose only flow feeds a demand through a mixing node:
+        # E u = -Ed d fixes the input, so no input is left to optimize.
+        model = NetworkModel(
+            A=np.eye(1), B=-np.eye(1), Gd=np.zeros((1, 1)), E=np.eye(1), Ed=-np.eye(1),
+            x_min=np.zeros(1), x_max=np.full(1, 10.0), x_safe=np.full(1, 2.0),
+            u_min=np.zeros(1), u_max=np.ones(1), alpha0=np.ones(1), dt=1.0,
+        )
+        tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
+        demand, price = attach_forecast(tree, np.full((2, 1), 0.5), np.ones((2, 1)))
+        inst = ProblemInstance(model, tree, CostWeights(1.0, 1.0, 1.0, 1.0), np.full(1, 5.0),
+                               np.zeros(1), demand, price)
+        with pytest.raises(ValueError, match="^mixing-node coupling leaves no free inputs$"):
+            solve(inst)
 
     def test_structure_reuse_same_tree_new_values(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)

@@ -15,7 +15,7 @@ from watermpc.tree import (
     zero_price_errors,
 )
 
-from conftest import make_tree
+from conftest import make_tree, node_stages
 from oracle import greedy_select_reference
 
 
@@ -30,7 +30,7 @@ class TestValidate:
                 horizon=1,
                 n_demand=1,
                 n_price=1,
-                stage=np.array([0, 1, 1]),
+                nodes_per_stage=np.array([1, 2]),
                 anc=np.array([-1, 0, 0]),
                 prob=np.array([1.0, 0.6, 0.5]),
                 eps=np.zeros((3, 2)),
@@ -51,78 +51,85 @@ class TestValidate:
                 horizon=2,
                 n_demand=1,
                 n_price=1,
-                stage=np.array([0, 1, 2]),
+                nodes_per_stage=np.array([1, 1, 1]),
                 anc=np.array([-1, 0, 0]),
                 prob=np.array([1.0, 1.0, 1.0]),
                 eps=np.zeros((3, 2)),
             )
 
-    @pytest.mark.parametrize("horizon, stage, anc, prob, expected", [
+    @pytest.mark.parametrize("horizon, counts, anc, prob, expected", [
         pytest.param(
-            2, [0, 1, 1, 2, 2], [-1, 0, 7, -1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
+            2, [1, 2, 2], [-1, 0, 7, -1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
             "node 2: ancestor 7 out of range",
             id="ancestor-out-of-range",
         ),
         pytest.param(
-            2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 0], [1.0, 0.5, 0.5, 0.5, 0.5],
+            2, [1, 2, 2], [-1, 0, 0, 1, 0], [1.0, 0.5, 0.5, 0.5, 0.5],
             "node 4: ancestor stage 0 != own stage 2 - 1",
             id="ancestor-on-wrong-stage",
         ),
         pytest.param(
-            2, [0, 1, 1, 2, 2], [-1, 0, 0, 1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
+            2, [1, 2, 2], [-1, 0, 0, 1, 1], [1.0, 0.5, 0.5, 0.25, 0.25],
             "node 2 at stage 1 has no children",
             id="inner-node-without-children",
         ),
         pytest.param(
-            1, [0, 1, 1], [-1, 0, 0], [1.0, 0.6, 0.5],
+            2, [1, 1, 0], [-1, 0], [1.0, 1.0],
+            "node 1 at stage 1 has no children",
+            id="empty-inner-stage",
+        ),
+        pytest.param(
+            1, [1, 2], [-1, 0, 0], [1.0, 0.6, 0.5],
             "node 0: children probabilities sum 1.1 != 1",
             id="children-sum-mismatch",
         ),
         pytest.param(
-            1, [0, 1, 2], [-1, 0, 1], [1.0, 1.0, 1.0],
-            "node stages must lie in [0, horizon]",
-            id="leaf-with-children",
+            1, [1, 1, 1], [-1, 0, 1], [1.0, 1.0, 1.0],
+            "nodes_per_stage must be horizon + 1 = 2 nonnegative counts starting at 1, "
+            "got [1, 1, 1]",
+            id="counts-wrong-length",
         ),
         pytest.param(
-            1, [0, 1], [1, 0], [1.0, 1.0],
-            "node 0 must be the root (stage 0, no ancestor)",
+            1, [2, 1], [-1, -1, 0], [1.0, 1.0, 1.0],
+            "nodes_per_stage must be horizon + 1 = 2 nonnegative counts starting at 1, "
+            "got [2, 1]",
+            id="root-count-2",
+        ),
+        pytest.param(
+            2, [1, 2, -1], [-1, 0, 0], [1.0, 0.5, 0.5],
+            "nodes_per_stage must be horizon + 1 = 3 nonnegative counts starting at 1, "
+            "got [1, 2, -1]",
+            id="negative-count",
+        ),
+        pytest.param(
+            1, [1, 1], [1, 0], [1.0, 1.0],
+            "node 0 must be the root (no ancestor)",
             id="root-named-as-child",
         ),
         pytest.param(
-            1, [0, 1, 1], [-1, 0, 0], [1.0 + 0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9],
+            1, [1, 2], [-1, 0, 0], [1.0 + 0.9e-9, 0.5 + 0.9e-9, 0.5 + 0.9e-9],
             "stage 1 probabilities sum 1.0000000018 != 1",
             id="stage-sum",
         ),
-        pytest.param(1, [], [], [], "tree has no nodes", id="no-nodes"),
         pytest.param(
-            1, [0, 1], [-1], [1.0, 1.0],
-            "stage, anc and prob arrays must have equal length",
+            1, [1, 1], [-1], [1.0, 1.0],
+            "anc and prob must have 2 entries, one per node",
             id="unequal-lengths",
         ),
         pytest.param(
-            1, [0, 0, 1], [-1, 0, 0], [1.0, 1.0, 1.0],
-            "exactly one node may sit at stage 0",
-            id="two-roots",
+            1, [1, 1], [-1, 0], [0.5, 0.5], "root probability 0.5 != 1", id="root-probability",
         ),
         pytest.param(
-            1, [0, 1], [-1, 0], [0.5, 0.5], "root probability 0.5 != 1", id="root-probability",
-        ),
-        pytest.param(
-            2, [0, 2, 1], [-1, 2, 0], [1.0, 1.0, 1.0],
-            "nodes must be ordered breadth-first by stage",
-            id="not-breadth-first",
-        ),
-        pytest.param(
-            2, [0, 1, 1, 2, 2], [-1, 0, 0, 2, 1], [1.0, 0.5, 0.5, 0.5, 0.5],
+            2, [1, 2, 2], [-1, 0, 0, 2, 1], [1.0, 0.5, 0.5, 0.5, 0.5],
             "node 4: ancestor 1 precedes node 3's ancestor 2",
             id="stage-out-of-parent-order",
         ),
     ])
-    def test_exact_messages(self, horizon, stage, anc, prob, expected):
+    def test_exact_messages(self, horizon, counts, anc, prob, expected):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             ScenarioTree(
-                horizon=horizon, n_demand=1, n_price=0, stage=np.array(stage),
-                anc=np.array(anc), prob=np.array(prob), eps=np.zeros((len(stage), 1)),
+                horizon=horizon, n_demand=1, n_price=0, nodes_per_stage=np.array(counts),
+                anc=np.array(anc), prob=np.array(prob), eps=np.zeros((len(anc), 1)),
             )
 
     @pytest.mark.parametrize("field, expected", [
@@ -155,11 +162,11 @@ class TestValidate:
                      "n_demand must be an integer of at least 0, got -1", id="n_demand-negative"),
         pytest.param({"n_price": 1.0}, "n_price must be an integer of at least 0, got 1.0",
                      id="n_price-float"),
-        pytest.param({"stage": np.int64(0)}, "stage, anc and prob must be 1-d arrays",
-                     id="stage-0d"),
-        pytest.param({"anc": [[-1, 0, 1]]}, "stage, anc and prob must be 1-d arrays",
-                     id="anc-2d"),
-        pytest.param({"prob": 1.0}, "stage, anc and prob must be 1-d arrays", id="prob-0d"),
+        pytest.param({"nodes_per_stage": np.int64(3)},
+                     "nodes_per_stage must be horizon + 1 = 3 nonnegative counts starting at 1, "
+                     "got 3", id="counts-0d"),
+        pytest.param({"anc": [[-1, 0, 1]]}, "anc and prob must be 1-d arrays", id="anc-2d"),
+        pytest.param({"prob": 1.0}, "anc and prob must be 1-d arrays", id="prob-0d"),
     ])
     def test_bad_scalar_or_array_rank_is_named(self, changes, expected):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
@@ -183,6 +190,12 @@ class TestFan:
                      id="no-stage"),
         pytest.param(np.full((3, 2, 1), np.nan), 1, 0, "fan values must be finite", id="nan"),
         pytest.param(np.full((3, 2, 1), np.inf), 1, 0, "fan values must be finite", id="inf"),
+        pytest.param(np.zeros((3, 2)), 1, 0,
+                     "fan values must be a 3-d array (scenario, stage, component)", id="2-d"),
+        pytest.param(np.zeros((3, 2, 2)), 1, 0, "fan component dimension 2 != "
+                     "n_demand + n_price = 1", id="too-wide"),
+        pytest.param(np.zeros((0, 2, 1)), 1, 0, "fan must contain at least one scenario",
+                     id="no-scenario"),
     ])
     def test_bad_fan_is_named(self, values, n_demand, n_price, expected):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
@@ -216,8 +229,7 @@ class TestAttachForecast:
         a_hat = rng.random((3, 3))
         demand, price = attach_forecast(tree, d_hat, a_hat)
         assert demand.shape == (tree.n_nonroot, 2) and price.shape == (tree.n_nonroot, 3)
-        for i in range(1, tree.n_nodes):
-            j = tree.stage[i]
+        for i, j in enumerate(node_stages(tree)[1:], start=1):
             np.testing.assert_array_equal(demand[i - 1], d_hat[j - 1] + tree.eps[i, :2])
             np.testing.assert_array_equal(price[i - 1], a_hat[j - 1] + tree.eps[i, 2:])
 
@@ -262,7 +274,7 @@ class TestReduce:
         tree.validate()
         assert tree.nodes_per_stage[-1] == 30
         for j in range(4):
-            assert tree.prob[tree.stage == j].sum() == pytest.approx(1.0, abs=1e-12)
+            assert tree.prob[node_stages(tree) == j].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_one_branch_preserves_mean(self, rng):
         fan = ScenarioFan(rng.standard_normal((50, 4, 3)), n_demand=2, n_price=1)
@@ -298,6 +310,11 @@ class TestReduce:
         message = f"branch counts must be integers of at least 1, got {branching[0]!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reduce_fan_to_tree(fan, branching)
+
+    def test_empty_branching_rejected(self, rng):
+        fan = ScenarioFan(rng.standard_normal((10, 2, 1)), n_demand=1, n_price=0)
+        with pytest.raises(ValueError, match="^branching must name at least one stage$"):
+            reduce_fan_to_tree(fan, [])
 
     def test_numpy_branch_counts_are_accepted(self, rng):
         fan = ScenarioFan(rng.standard_normal((50, 2, 1)), n_demand=1, n_price=0)
@@ -347,7 +364,7 @@ class TestLeafPaths:
     def test_masses_match_reduction_bundles(self, rng):
         fan = ScenarioFan(rng.standard_normal((100, 2, 1)), n_demand=1, n_price=0)
         tree = reduce_fan_to_tree(fan, [4, 2])
-        leaf_mass = tree.prob[tree.stage == tree.horizon]
+        leaf_mass = tree.prob[node_stages(tree) == tree.horizon]
         assert leaf_mass.size == 8
         # Each leaf holds a whole bundle of the 100 equally weighted scenarios.
         np.testing.assert_allclose(leaf_mass * 100, np.round(leaf_mass * 100), atol=1e-9)
