@@ -10,6 +10,13 @@ serialized as JSON doubles with shortest round-trip formatting; NaN and
 infinities are rejected in both directions, so load -> save -> load is
 value-identical.
 
+Documents are UTF-8 JSON, and each failure to parse or check one is a
+:class:`SchemaError` at a JSON pointer. :func:`_checked` holds the rule of
+each value kind, wherever in a document the value sits: a number is an int
+or float, not a bool, of magnitude at most ``sys.float_info.max``; an
+integer is an int, not a bool, in ``[-2**63, 2**63)``, and non-negative
+where it counts; a string is a str.
+
 ``scenarioTree.json`` carries the tree's prediction errors
 (``errorValues``) and never node values: a node's demand and price are
 always the ``forecaster.json`` forecast for its stage plus its error. Its
@@ -52,13 +59,17 @@ def _reject_constant(name: str):
 
 
 def load_document(path: str | Path) -> dict:
-    """Parse a JSON document and check its schema version; parse errors
-    report the byte offset."""
-    text = Path(path).read_text()
+    """Parse a UTF-8 JSON document and check its schema version; a parse
+    error reports the byte offset where the decoder reports one."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"parse error at byte {exc.pos}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # not UTF-8, nested too deep, or an integer literal of too many digits
+        raise SchemaError("/", f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("/", "top-level value must be an object")
     version = _integer(doc, "schemaVersion")
@@ -80,30 +91,34 @@ def _get(doc: dict, key: str) -> Any:
     return doc[key]
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _checked(val: Any, ptr: str, kind: type = float, counts: bool = False) -> Any:
+    """``val`` as ``kind`` (float for a number, int or str), if it is a JSON
+    value of that kind; an integer must also be non-negative if ``counts``."""
+    if isinstance(val, bool) or not isinstance(val, (int, float) if kind is float else kind):
+        raise SchemaError(ptr, f"expected {_KIND_NAMES[kind]}, got {type(val).__name__}")
+    if kind is float and not abs(val) <= sys.float_info.max:  # also an int beyond float range
+        raise SchemaError(ptr, "number must be finite")
+    if kind is int:
+        if counts and val < 0:
+            raise SchemaError(ptr, f"count {val} is negative")
+        if not -(2**63) <= val < 2**63:
+            raise SchemaError(ptr, "integer out of range")
+    return kind(val)
+
+
 def _number(doc: dict, key: str) -> float:
-    val = _get(doc, key)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise SchemaError(f"/{key}", f"expected a number, got {type(val).__name__}")
-    if not abs(val) <= sys.float_info.max:  # also an int beyond float range
-        raise SchemaError(f"/{key}", "number must be finite")
-    return float(val)
+    return _checked(_get(doc, key), f"/{key}")
 
 
 def _integer(doc: dict, key: str, counts: bool = False) -> int:
-    """A JSON integer (booleans are not), non-negative if ``counts``."""
-    val = _get(doc, key)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SchemaError(f"/{key}", f"expected an integer, got {type(val).__name__}")
-    if counts and val < 0:
-        raise SchemaError(f"/{key}", f"count {val} is negative")
-    return int(val)
+    return _checked(_get(doc, key), f"/{key}", int, counts)
 
 
 def _string(doc: dict, key: str) -> str:
-    val = _get(doc, key)
-    if not isinstance(val, str):
-        raise SchemaError(f"/{key}", f"expected a string, got {type(val).__name__}")
-    return val
+    return _checked(_get(doc, key), f"/{key}", str)
 
 
 def _array(doc: dict, key: str, *shape: int | None, empty_ok: bool = False) -> np.ndarray:
@@ -131,22 +146,17 @@ def _array(doc: dict, key: str, *shape: int | None, empty_ok: bool = False) -> n
     return arr
 
 
-def _int_vector(doc: dict, key: str, n: int, counts: bool = False) -> np.ndarray:
-    """A vector of ``n`` JSON integers (booleans are not), non-negative if
-    ``counts``; the error names the first item that is not one."""
+def _list(doc: dict, key: str, n: int, kind: type, counts: bool = False) -> np.ndarray:
+    """A vector of ``n`` JSON values of ``kind`` (see :func:`_checked`),
+    strings as an object array; the error names the first item that is not
+    one, else the vector's length."""
     val = _get(doc, key)
     if not isinstance(val, list):
         raise SchemaError(f"/{key}", "expected an array")
-    for i, item in enumerate(val):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise SchemaError(f"/{key}/{i}", f"expected an integer, got {type(item).__name__}")
-        if counts and item < 0:
-            raise SchemaError(f"/{key}/{i}", f"count {item} is negative")
-        if not -(2**63) <= item < 2**63:
-            raise SchemaError(f"/{key}/{i}", "integer out of range")
-    if len(val) != n:
-        raise SchemaError(f"/{key}", f"expected {n} entries, got {len(val)}")
-    return np.array(val, int)
+    items = [_checked(item, f"/{key}/{i}", kind, counts) for i, item in enumerate(val)]
+    if len(items) != n:
+        raise SchemaError(f"/{key}", f"expected {n} entries, got {len(items)}")
+    return np.array(items, int if kind is int else object)
 
 
 def _plain_array(val: list, ndim: int) -> np.ndarray | None:
@@ -174,14 +184,12 @@ def _raise_at_bad_item(val: list, ptr: str, ndim: int) -> None:
     (above the last level) or not a finite number (at it)."""
     for i, item in enumerate(val):
         at = f"{ptr}/{i}"
-        if ndim > 1:
-            if not isinstance(item, list):
-                raise SchemaError(at, "expected an array")
+        if ndim == 1:
+            _checked(item, at)
+        elif not isinstance(item, list):
+            raise SchemaError(at, "expected an array")
+        else:
             _raise_at_bad_item(item, at, ndim - 1)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(at, "expected a number")
-        elif not abs(item) <= sys.float_info.max:  # also an int beyond float range
-            raise SchemaError(at, "number must be finite")
 
 
 # -- network.json -----------------------------------------------------------
@@ -243,9 +251,9 @@ def load_tree(path: str | Path) -> ScenarioTree:
     horizon = _integer(doc, "horizon")
     nd = _integer(doc, "nDemands")
     nu = _integer(doc, "nPrices")
-    per_stage = _int_vector(doc, "nodesPerStage", horizon + 1, counts=True)
+    per_stage = _list(doc, "nodesPerStage", horizon + 1, int, counts=True)
     n_nodes = int(per_stage.sum())
-    anc = _int_vector(doc, "ancestor", n_nodes)
+    anc = _list(doc, "ancestor", n_nodes, int)
     prob = _array(doc, "probability", n_nodes)
     eps = _array(doc, "errorValues", n_nodes, nd + nu)
     for key in ("demandValues", "priceValues"):
@@ -484,21 +492,6 @@ def save_simlog(log: SimulationLog, path: str | Path) -> None:
     )
 
 
-def _terminations(doc: dict, h: int) -> np.ndarray:
-    """Per-step termination reasons, one string per step."""
-    val = _get(doc, "termination")
-    if not isinstance(val, list):
-        raise SchemaError("/termination", "expected an array")
-    if len(val) != h:
-        raise SchemaError("/termination", f"expected {h} entries, got {len(val)}")
-    for i, item in enumerate(val):
-        if not isinstance(item, str):
-            raise SchemaError(f"/termination/{i}", "expected a string")
-    out = np.empty(len(val), dtype=object)
-    out[:] = val
-    return out
-
-
 def load_simlog(path: str | Path) -> SimulationLog:
     """The log of a closed-loop run; ``u`` sets the step count and the
     input width, ``x`` the tank count, and every other array must agree."""
@@ -512,11 +505,11 @@ def load_simlog(path: str | Path) -> SimulationLog:
         demand=_array(doc, "demand", h, None),
         price=_array(doc, "price", h, n_inputs),
         solve_time_s=_array(doc, "solveTimeS", h),
-        iterations=_int_vector(doc, "iterations", h, counts=True),
+        iterations=_list(doc, "iterations", h, int, counts=True),
         alpha0=_array(doc, "alpha0", n_inputs),
         x_safe=_array(doc, "xsafe", x.shape[1]),
         coupling_residual=_array(doc, "couplingResidual", h),
-        termination=_terminations(doc, h),
+        termination=_list(doc, "termination", h, str),
     )
 
 

@@ -16,6 +16,7 @@ instances.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -273,7 +274,7 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
             f"branching spans {len(branching)} stages but fan horizon is {fan.horizon}"
         )
     branching = branching + [1] * (fan.horizon - len(branching))
-    n_leaves = int(np.prod(branching))
+    n_leaves = math.prod(branching)
     if n_leaves > fan.n_scenarios:
         raise ValueError(
             f"branching exceeds scenario count: {n_leaves} leaves requested "

@@ -67,6 +67,15 @@ def test_validate_reports_a_malformed_document(demo, tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_validate_reports_a_document_that_is_not_utf_8(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(b'\xff{"schemaVersion": 1}')
+    assert main(["validate", "--state", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: /: parse error: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name, key, literal, code", [
     pytest.param("config", "tol", "1" + "0" * 400, 1, id="int-beyond-float-tol"),
     pytest.param("network", "tankNames", "5", 0, id="ignored-tank-names"),
@@ -294,6 +303,11 @@ def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):
 def test_build_demo_rejects_a_non_positive_step_count(h_sim, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_demo("tank1", seed=0, h_sim=h_sim)
+
+
+def test_build_demo_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown demo kind 'net4'; choose from "):
+        build_demo("net4")
 
 
 def test_build_demo_takes_a_numpy_step_count():

@@ -155,7 +155,7 @@ class TestRoundTrips:
                                ([], "/termination: expected 3 entries, got 0"),
                                (["converged"], "/termination: expected 3 entries, got 1"),
                                (["converged", 1, "max_iter"],
-                                "/termination/1: expected a string")):
+                                "/termination/1: expected a string, got int")):
             if value is None:
                 del doc["termination"]
             else:
@@ -211,8 +211,24 @@ class TestErrorPaths:
     def test_non_finite_rejected_on_load(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text('{"schemaVersion": 1, "horizon": 1, "dHat": [[NaN]], "alphaHat": [[1.0]]}')
-        with pytest.raises(SchemaError, match="non-finite"):
+        with pytest.raises(SchemaError, match="^/: non-finite number 'NaN' is not permitted$"):
             wio.load_forecast(path)
+
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'\xff{"schemaVersion": 1}', "'utf-8' codec can't decode byte 0xff",
+                     id="not-utf-8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded",
+                     id="nested-too-deep"),
+        pytest.param(b'{"schemaVersion": 1, "k": ' + b"1" * 5001 + b"}",
+                     "Exceeds the limit", id="integer-of-5001-digits"),
+    ])
+    def test_undecodable_document_is_reported_at_the_root(self, tmp_path, content, message):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as err:
+            wio.load_state(path)
+        assert err.value.pointer == "/"
+        assert str(err.value).startswith(f"/: parse error: {message}")
 
     def test_non_finite_rejected_on_save(self, tmp_path):
         from watermpc.forecast import ForecastSeries
@@ -253,8 +269,8 @@ class TestErrorPaths:
         ("fan.json", "scenarios"),
     ])
     @pytest.mark.parametrize("literal, message", [
-        ("true", "expected a number"),
-        ('"12.5"', "expected a number"),
+        pytest.param("true", "expected a number, got bool", id="true-expected a number"),
+        pytest.param('"12.5"', "expected a number, got str", id='"12.5"-expected a number'),
         ("1e400", "number must be finite"),
     ])
     def test_bad_item_in_tensor_names_its_pointer(
@@ -277,8 +293,8 @@ class TestErrorPaths:
         np.testing.assert_array_equal(values, np.array(doc[key]))
 
     @pytest.mark.parametrize("literal, message", [
-        ("true", "expected a number"),
-        ('"0.5"', "expected a number"),
+        pytest.param("true", "expected a number, got bool", id="true-expected a number"),
+        pytest.param('"0.5"', "expected a number, got str", id='"0.5"-expected a number'),
         ("1e400", "number must be finite"),
         pytest.param("1" + "0" * 400, "number must be finite", id="int-beyond-float"),
     ])
@@ -361,6 +377,8 @@ class TestErrorPaths:
         pytest.param(lambda doc: doc.update(k=-3), "/k: count -3 is negative", id="negative"),
         pytest.param(lambda doc: doc.update(k=1.5), "/k: expected an integer, got float",
                      id="float"),
+        pytest.param(lambda doc: doc.update(k=2**63), "/k: integer out of range",
+                     id="beyond-int64"),
     ])
     def test_state_step_is_a_required_count(self, demo_dir, tmp_path, edit, message):
         doc = json.loads((demo_dir / "state.json").read_text())
@@ -375,6 +393,7 @@ class TestErrorPaths:
         pytest.param("terminationReason", None, "expected a string, got NoneType",
                      id="reason-null"),
         pytest.param("iterations", -1, "count -1 is negative", id="iterations-negative"),
+        pytest.param("iterations", 2**63, "integer out of range", id="iterations-beyond-int64"),
     ])
     def test_control_output_fields_are_typed(self, tmp_path, key, value, message):
         # An older document's primalResidual and dualChange are ignored

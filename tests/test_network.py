@@ -148,6 +148,18 @@ class TestBuildLti:
         with pytest.raises(TopologyError, match="no incidence list"):
             build_lti(topology, 1.0)
 
+    @pytest.mark.parametrize("topology, message", [
+        pytest.param(replace(single_tank_topology(), tanks=()),
+                     "need at least one tank, one controlled flow and one demand", id="no-tank"),
+        pytest.param(replace(single_tank_topology(), flows=(ControlledFlow("turbine", 0.1),)),
+                     "flow 0: kind must be 'pump' or 'valve'", id="bad-kind"),
+        pytest.param(replace(single_tank_topology(), mixing_nodes=(MixingNode((), (), (0,)),)),
+                     "mixing node 0 has no incoming flow", id="node-without-inflow"),
+    ])
+    def test_malformed_topology_rejected(self, topology, message):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build_lti(topology, 1.0)
+
     def test_bad_safety_ordering_rejected(self):
         topology = NetworkTopology(
             tanks=(Tank(0.0, 10.0, 11.0, inflows=(0,), demands=(0,)),),
@@ -219,6 +231,17 @@ class TestBuildLti:
             replace(model, x_safe=np.array([101.0]))
         with pytest.raises(ValueError, match="alpha0 must have shape"):
             replace(model, alpha0=np.zeros(2))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("A", np.zeros((1, 2)), "A must be square, got (1, 2)"),
+        ("B", np.zeros((2, 1)), "B shape (2, 1) inconsistent with 1 tanks"),
+        ("Gd", np.zeros((2, 1)), "Gd shape (2, 1) inconsistent with 1 tanks"),
+        ("E", np.zeros((2, 1)), "coupling shapes E(2, 1), Ed(1, 1) inconsistent"),
+        ("u_min", np.array([1.0]), "u_min must not exceed u_max"),
+    ])
+    def test_inconsistent_model_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(coupled_model(), **{name: value})
 
     @pytest.mark.parametrize("x_safe", [-1.0, 101.0])
     def test_model_with_safety_level_outside_bounds_rejected(self, x_safe):
@@ -309,8 +332,12 @@ class TestStepDynamics:
 
     def test_dimension_mismatch(self):
         model = build_lti(single_tank_topology(), 3600.0)
-        with pytest.raises(ValueError, match="input"):
-            model.step_dynamics(np.array([1.0]), np.array([1.0, 2.0]), np.array([0.0]))
+        x, u, d = np.array([1.0]), np.array([1.0]), np.array([0.0])
+        for args, message in (((x, [1.0, 2.0], d), "input must have shape (1,), got (2,)"),
+                              ((x[:0], u, d), "state must have shape (1,), got (0,)"),
+                              ((x, u, [d]), "demand must have shape (1,), got (1, 1)")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                model.step_dynamics(*args)
 
     def test_mass_conservation_on_transfer(self):
         # A tank-to-tank flow moves volume without creating or destroying it.
@@ -347,6 +374,15 @@ class TestCouplingResidual:
         model = build_lti(self.topology(), 1.0)
         r = model.coupling_residual(np.array([0.5, 0.5]), np.array([0.2]))
         assert r == pytest.approx([-0.2])
+
+    @pytest.mark.parametrize("u, d, message", [
+        ([0.5], [0.2], "input must have shape (2,), got (1,)"),
+        ([0.5, 0.3], [0.2, 0.0], "demand must have shape (1,), got (2,)"),
+    ])
+    def test_dimension_mismatch(self, u, d, message):
+        model = build_lti(self.topology(), 1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model.coupling_residual(u, d)
 
     def test_against_loop_oracle(self, rng):
         model = make_model(rng, n_tanks=3, n_inputs=5, n_demands=4, n_mixing=2)

@@ -102,6 +102,14 @@ class TestDimensions:
         with pytest.raises(ValueError, match="positive definite"):
             CostWeights(w_alpha=1.0, w_u=np.array([[1.0, 2.0], [2.0, 1.0]]), w_s=1.0, w_x=1.0)
 
+    @pytest.mark.parametrize("w_u, message", [
+        (np.ones((2, 3)), "w_u must be a square matrix"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "w_u must be symmetric"),
+    ])
+    def test_malformed_wu_rejected(self, w_u, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CostWeights(w_alpha=1.0, w_u=w_u, w_s=1.0, w_x=1.0)
+
     @pytest.mark.parametrize("name, value, message", [
         ("w_alpha", np.nan, "w_alpha must be positive and finite"),
         ("w_alpha", np.inf, "w_alpha must be positive and finite"),
@@ -467,6 +475,20 @@ def test_mismatched_part_is_named(rng, name, value, message):
     parts = {"tree": inst.tree, **_parts(inst), name: value}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ProblemInstance(inst.model, **parts)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda inst: inst.split_primal(np.zeros(5)),
+                 "primal vector must have shape (28,), got (5,)", id="split_primal"),
+    pytest.param(lambda inst: inst.dual_blocks(np.zeros((4, 9))),
+                 "dual rows must have shape (4, 10), got (4, 9)", id="dual_blocks"),
+    pytest.param(lambda inst: rollout_inputs(inst, np.zeros((4, 3))),
+                 "inputs must have shape (4, 4)", id="rollout_inputs"),
+])
+def test_misshapen_rows_rejected(rng, call, message):
+    inst = make_instance(rng, horizon=2, max_nodes=5)  # 3 tanks, 4 inputs, 4 nodes
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(inst)
 
 
 def test_coupling_without_a_solution_in_the_box_is_rejected(rng):

@@ -295,8 +295,9 @@ class TestReduce:
 
     def test_branching_exceeding_scenarios_rejected(self, rng):
         fan = ScenarioFan(rng.standard_normal((10, 2, 1)), n_demand=1, n_price=0)
-        with pytest.raises(ValueError, match="exceeds scenario count"):
-            reduce_fan_to_tree(fan, [20])
+        for branching in ([20], [2**32, 2**32]):  # 2**64 leaves, not 0
+            with pytest.raises(ValueError, match="exceeds scenario count"):
+                reduce_fan_to_tree(fan, branching)
 
     def test_branching_longer_than_horizon_rejected(self, rng):
         fan = ScenarioFan(rng.standard_normal((10, 2, 1)), n_demand=1, n_price=0)
