@@ -24,7 +24,6 @@ only through the scenario tree.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,8 @@ import numpy as np
 
 from . import io as wio
 from .forecast import ForecastSeries
-from .network import ControlledFlow, MixingNode, NetworkModel, NetworkTopology, Tank, build_lti
+from .network import (ControlledFlow, MixingNode, NetworkModel, NetworkTopology, Tank,
+                      _count, build_lti)
 from .problem import CostWeights
 from .solver import SolverConfig
 from .tree import ScenarioFan, ScenarioTree, reduce_fan_to_tree
@@ -274,17 +274,12 @@ def _realized_errors(
 
 def build_demo(kind: str, seed: int = 0, h_sim: int = 168) -> DemoBundle:
     """Assemble one demo bundle deterministically from a seed, with
-    ``h_sim`` closed-loop steps of realizations and forecasts."""
+    ``h_sim`` closed-loop steps of realizations and forecasts. ``seed`` and
+    ``h_sim`` are read as ints, and a rejected argument's error message
+    opens with its name."""
     if kind not in _DEMOS:
         raise ValueError(f"unknown demo kind {kind!r}; choose from {DEMO_KINDS}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if isinstance(h_sim, bool) or not isinstance(h_sim, numbers.Integral):
-        raise ValueError(f"h_sim must be an integer, got {h_sim!r}")
-    if h_sim < 1:
-        raise ValueError(f"h_sim must be at least 1, got {h_sim}")
+    seed, h_sim = _count("seed", seed, 0), _count("h_sim", h_sim, 1)
     builder, horizon, branching, n_scenarios = _DEMOS[kind]
     topology, demand_scale, energy, x0 = builder()
 

@@ -66,7 +66,8 @@ def load_document(path: str | Path) -> dict:
     except SchemaError:
         raise
     except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"parse error at byte {exc.pos}: {exc.msg}") from exc
+        offset = len(exc.doc[:exc.pos].encode())  # exc.pos counts characters
+        raise SchemaError("/", f"parse error at byte {offset}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
         # not UTF-8, nested too deep, or an integer literal of too many digits
         raise SchemaError("/", f"parse error: {exc}") from exc
@@ -79,10 +80,10 @@ def load_document(path: str | Path) -> dict:
 
 
 def save_document(doc: dict, path: str | Path) -> None:
-    """Write ``doc`` after its schema version."""
-    with open(path, "w") as fh:
-        json.dump({"schemaVersion": SCHEMA_VERSION, **doc}, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    """Write ``doc`` after its schema version. It is encoded before the file
+    is opened, so a value that cannot be encoded leaves no file behind."""
+    text = json.dumps({"schemaVersion": SCHEMA_VERSION, **doc}, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _get(doc: dict, key: str) -> Any:

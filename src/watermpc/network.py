@@ -16,6 +16,8 @@ share across threads.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +25,26 @@ import numpy as np
 
 class TopologyError(ValueError):
     """Raised when a network topology is internally inconsistent."""
+
+
+def _count(name: str, value: object, low: int) -> int:
+    """``value`` as an int if it is an integer, numpy's too but not a bool,
+    of at least ``low``; else a ValueError that opens with ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value: object, positive: bool = True) -> float:
+    """``value`` as a float if it is a finite real number, numpy's too but
+    not a bool, above 0, or at least 0 unless ``positive``; else a
+    ValueError that opens with ``name``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    number = float(value) if real else math.nan  # compared as a float: no numpy overflow
+    if not (0 < number < math.inf if positive else 0 <= number < math.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -84,7 +106,8 @@ class NetworkModel:
     model from file, with one rule: each flow appears in at most one row of
     E, so no flow runs from one mixing node to another. The exact input
     restoration of the gap certificate relies on it. Array fields take any
-    array-like and are stored as float arrays.
+    array-like and are stored as float arrays, and ``dt`` as a float. A
+    rejected field's error message opens with its name.
     """
 
     A: np.ndarray
@@ -126,8 +149,8 @@ class NetworkModel:
         return self.E.shape[0]
 
     def validate(self) -> None:
-        """Check shapes, finiteness, the row rule and bound order; raise
-        ValueError. Runs on construction."""
+        """Check shapes, finiteness, ``dt``, the row rule and bound order;
+        raise ValueError. Runs on construction, and stores ``dt`` as a float."""
         nt, nu, nd, ns = self.n_tanks, self.n_inputs, self.n_demands, self.n_mixing
         if self.A.shape != (nt, nt):
             raise ValueError(f"A must be square, got {self.A.shape}")
@@ -155,7 +178,7 @@ class NetworkModel:
         for name in ("A", "B", "Gd", "E", "Ed", "x_safe", "alpha0"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        _check_dt(self.dt)
+        self.dt = _number("dt", self.dt)
         shared = np.flatnonzero(np.count_nonzero(self.E, axis=0) > 1)
         if shared.size:
             raise ValueError(f"flow {shared[0]} appears in more than one mixing row of E; "
@@ -186,13 +209,6 @@ class NetworkModel:
         return self.E @ u + self.Ed @ d
 
 
-def _check_dt(dt: float) -> None:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
-
-
 def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
     """Assemble the discrete-time model from an element-level topology.
 
@@ -202,7 +218,7 @@ def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
     incidence index is range-checked as it is placed, and every controlled
     flow must be placed at least once.
     """
-    _check_dt(dt)
+    dt = _number("dt", dt)
     tanks, flows, nd = topology.tanks, topology.flows, topology.n_demands
     nt, nu, ns = len(tanks), len(flows), len(topology.mixing_nodes)
     if nt < 1 or nu < 1 or nd < 1:
@@ -262,5 +278,5 @@ def build_lti(topology: NetworkTopology, dt: float) -> NetworkModel:
         u_min=np.zeros(nu),
         u_max=np.array([f.q_max for f in flows], float),
         alpha0=np.array([f.alpha0 for f in flows], float),
-        dt=float(dt),
+        dt=dt,
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkModel
+from .network import NetworkModel, _number
 from .tree import ScenarioTree
 
 
@@ -36,8 +36,9 @@ class CostWeights:
     """Tuning weights of the controller cost.
 
     ``w_u`` may be a symmetric positive definite matrix or a positive
-    scalar standing for that multiple of the identity. A rejected weight's
-    error message opens with its field name.
+    scalar standing for that multiple of the identity. Scalar weights are
+    stored as floats, a 0-d array ``w_u`` too. A rejected weight's error
+    message opens with its field name.
     """
 
     w_alpha: float
@@ -46,24 +47,19 @@ class CostWeights:
     w_x: float
 
     def __post_init__(self) -> None:
-        # The chained comparisons also reject nan.
-        if not 0 < self.w_alpha < np.inf:
-            raise ValueError("w_alpha must be positive and finite")
+        self.w_alpha = _number("w_alpha", self.w_alpha)
         # Zero soft-penalty weights are permitted for diagnostics.
-        if not 0 <= self.w_s < np.inf:
-            raise ValueError("w_s must be nonnegative and finite")
-        if not 0 <= self.w_x < np.inf:
-            raise ValueError("w_x must be nonnegative and finite")
-        if np.isscalar(self.w_u) or np.ndim(self.w_u) == 0:
-            if not 0 < float(self.w_u) < np.inf:
-                raise ValueError("w_u must be positive and finite")
+        self.w_s = _number("w_s", self.w_s, positive=False)
+        self.w_x = _number("w_x", self.w_x, positive=False)
+        if np.ndim(self.w_u) == 0:
+            self.w_u = _number("w_u", np.asarray(self.w_u).item())
         else:
             self.w_u = np.asarray(self.w_u, float)
             _check_spd(self.w_u, "w_u")
 
     def u_weight(self, n_inputs: int) -> np.ndarray:
-        if np.isscalar(self.w_u) or np.ndim(self.w_u) == 0:
-            return float(self.w_u) * np.eye(n_inputs)
+        if np.ndim(self.w_u) == 0:
+            return self.w_u * np.eye(n_inputs)
         if self.w_u.shape != (n_inputs, n_inputs):
             raise ValueError(
                 f"w_u shape {self.w_u.shape} inconsistent with {n_inputs} inputs"

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .forecast import ForecastSeries
-from .network import NetworkModel
+from .network import NetworkModel, _count
 from .problem import CostWeights, ProblemInstance
 from .solver import FactorCache, SolverConfig, SolverResult, factor_step, solve
 from .tree import ScenarioTree, attach_forecast
@@ -35,7 +34,8 @@ class SimulationConfig:
 
     The uncertainty the controller sees is the tree passed to
     :func:`run_closed_loop`; for the certainty-equivalent-in-price arm of
-    the comparison, pass ``zero_price_errors(tree)``.
+    the comparison, pass ``zero_price_errors(tree)``. ``h_sim`` is stored
+    as an int, and a rejected field's error message opens with its name.
     """
 
     h_sim: int
@@ -45,10 +45,7 @@ class SimulationConfig:
     u_prev: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.h_sim, bool) or not isinstance(self.h_sim, numbers.Integral):
-            raise ValueError(f"h_sim must be an integer, got {self.h_sim!r}")
-        if self.h_sim < 1:
-            raise ValueError("h_sim must be at least 1")
+        self.h_sim = _count("h_sim", self.h_sim, 1)
         self.x0 = np.asarray(self.x0, float)
         if self.u_prev is not None:
             self.u_prev = np.asarray(self.u_prev, float)

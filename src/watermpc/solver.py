@@ -74,12 +74,12 @@ prox's step-scaled bounds once; each iteration works on them in place.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import _count, _number
 from .problem import (
     ProblemInstance,
     _in_box_pricer,
@@ -112,20 +112,17 @@ class SolverConfig:
     primal value seen against the latest certified dual value (see
     :func:`solve`): ``tol`` bounds it relative to that primal value. The
     per-node dual steps are not configurable: they follow from the
-    instance's structure (see :func:`factor_step`). A rejected value's
-    error message opens with its field name.
+    instance's structure (see :func:`factor_step`). ``max_iter`` is stored
+    as an int and ``tol`` as a float, and a rejected value's error message
+    opens with its field name.
     """
 
     max_iter: int = 20000
     tol: float = 5e-2
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0 < self.tol < np.inf:  # also rejects nan
-            raise ValueError("tol must be positive and finite")
+        self.max_iter = _count("max_iter", self.max_iter, 1)
+        self.tol = _number("tol", self.tol)
 
 
 @dataclass

@@ -17,28 +17,22 @@ instances.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .network import _count
 
 _PROB_TOL = 1e-9
 # Rows per block of the selection's distances: caps the (rows, m, dim) temporary.
 _DIST_BLOCK_ROWS = 64
 
 
-def _check_sizes(obj: object, **least: int) -> None:
-    """Raise ValueError unless each named attribute is an integer, not a
-    bool, of at least its given least value."""
-    for name, low in least.items():
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
-
-
 @dataclass
 class ScenarioFan:
-    """Equally weighted scenario bundle: values[s, j, :] is scenario s at stage j+1."""
+    """Equally weighted scenario bundle: values[s, j, :] is scenario s at
+    stage j+1. The sizes are stored as ints, and a rejected field's error
+    message opens with its name."""
 
     values: np.ndarray  # (n_scenarios, horizon, n_demand + n_price)
     n_demand: int
@@ -53,7 +47,8 @@ class ScenarioFan:
         return self.values.shape[1]
 
     def __post_init__(self) -> None:
-        _check_sizes(self, n_demand=0, n_price=0)
+        self.n_demand = _count("n_demand", self.n_demand, 0)
+        self.n_price = _count("n_price", self.n_price, 0)
         self.values = np.asarray(self.values, float)
         if self.values.ndim != 3:
             raise ValueError("fan values must be a 3-d array (scenario, stage, component)")
@@ -79,7 +74,8 @@ class ScenarioTree:
     the root), as ``scenarioTree.json`` does; stage j's nodes are the next
     ``nodes_per_stage[j]`` of the flat arrays ``anc`` and ``prob``. The
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
-    prediction errors (root row zero).
+    prediction errors (root row zero). The sizes are stored as ints, and a
+    rejected field's error message opens with its name.
     """
 
     horizon: int
@@ -91,7 +87,9 @@ class ScenarioTree:
     eps: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_sizes(self, horizon=1, n_demand=0, n_price=0)
+        self.horizon = _count("horizon", self.horizon, 1)
+        self.n_demand = _count("n_demand", self.n_demand, 0)
+        self.n_price = _count("n_price", self.n_price, 0)
         self.nodes_per_stage = np.asarray(self.nodes_per_stage, int)
         self.anc = np.asarray(self.anc, int)
         self.prob = np.asarray(self.prob, float)
@@ -261,12 +259,10 @@ def reduce_fan_to_tree(fan: ScenarioFan, branching: list[int]) -> ScenarioTree:
     bundle member to its nearest representative, and spawn one child per
     representative with the assigned probability mass and the mass-weighted
     centroid as its error value. Identical members collapse, so degenerate
-    fans yield fewer children than requested.
+    fans yield fewer children than requested. Each branch count is read as
+    an int, and a rejected one's error message opens with "branch count".
     """
-    for b in branching:
-        if isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 1:
-            raise ValueError(f"branch counts must be integers of at least 1, got {b!r}")
-    branching = [int(b) for b in branching]
+    branching = [_count("branch count", b, 1) for b in branching]
     if len(branching) == 0:
         raise ValueError("branching must name at least one stage")
     if len(branching) > fan.horizon:

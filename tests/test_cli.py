@@ -199,7 +199,8 @@ def test_simulate_rejects_a_non_positive_step_count(demo, tmp_path, capsys, step
     argv = ["simulate", *flags(demo, "network", "tree", "realizations", "config", "state"),
             "--steps", steps, "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert "simulation failed: h_sim must be at least 1" in capsys.readouterr().err
+    message = f"simulation failed: h_sim must be an integer of at least 1, got {steps}"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -277,7 +278,7 @@ def test_reduce_writes_a_valid_tree(demo, tmp_path):
 @pytest.mark.parametrize("spec, code, message", [
     pytest.param("2,x", 2, "invalid branching spec '2,x'", id="not-a-number"),
     pytest.param("2,,2", 2, "invalid branching spec '2,,2'", id="empty-entry"),
-    pytest.param("0", 1, "error: branch counts must be integers of at least 1, got 0",
+    pytest.param("0", 1, "error: branch count must be an integer of at least 1, got 0",
                  id="zero"),
 ])
 def test_reduce_rejects_a_bad_branching(demo, tmp_path, capsys, spec, code, message):
@@ -290,15 +291,15 @@ def test_reduce_rejects_a_bad_branching(demo, tmp_path, capsys, spec, code, mess
 def test_generate_demo_rejects_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "demo"
     assert main(["generate-demo", "--kind", "tank1", "--seed", "-1", "--out", str(out)]) == 1
-    assert "error: seed must be nonnegative" in capsys.readouterr().err
+    assert "error: seed must be an integer of at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("h_sim, message", [
-    pytest.param(0, "h_sim must be at least 1, got 0", id="0"),
-    pytest.param(-1, "h_sim must be at least 1, got -1", id="-1"),
-    pytest.param(2.5, "h_sim must be an integer, got 2.5", id="2.5"),
-    pytest.param(True, "h_sim must be an integer, got True", id="True"),
+    pytest.param(0, "h_sim must be an integer of at least 1, got 0", id="0"),
+    pytest.param(-1, "h_sim must be an integer of at least 1, got -1", id="-1"),
+    pytest.param(2.5, "h_sim must be an integer of at least 1, got 2.5", id="2.5"),
+    pytest.param(True, "h_sim must be an integer of at least 1, got True", id="True"),
 ])
 def test_build_demo_rejects_a_non_positive_step_count(h_sim, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -316,7 +317,7 @@ def test_build_demo_takes_a_numpy_step_count():
 
 @pytest.mark.parametrize("seed", [1.5, True, "1"], ids=["1.5", "True", "str"])
 def test_build_demo_rejects_a_non_integer_seed(seed):
-    message = f"seed must be an integer, got {seed!r}"
+    message = f"seed must be an integer of at least 0, got {seed!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_demo("tank1", seed=seed, h_sim=2)
 

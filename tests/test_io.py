@@ -3,7 +3,7 @@
 import copy
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,9 @@ import watermpc.io as wio
 from watermpc.demo import build_demo, write_demo
 from watermpc.forecast import ForecastSeries
 from watermpc.io import SchemaError
+from watermpc.problem import CostWeights
+from watermpc.solver import SolverConfig
+from watermpc.tree import ScenarioFan, ScenarioTree
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,31 @@ class TestRoundTrips:
             with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
                 wio.load_simlog(tmp_path / "l3.json")
 
+    def test_numpy_scalars_save_and_load_back(self, demo_dir, tmp_path):
+        # Constructors store numpy sizes, steps and weights as plain Python
+        # scalars, so each saver can write what was accepted.
+        tree = ScenarioTree.single_branch(np.int64(2), np.int32(1), np.int64(1))
+        fan = ScenarioFan(np.ones((3, 2, 2)), n_demand=np.int64(1), n_price=np.int32(1))
+        model = replace(wio.load_network(demo_dir / "network.json"), dt=np.float32(0.5))
+        weights = CostWeights(np.float32(1.5), np.array(0.25), np.float32(0.0), np.float32(100.0))
+        solver = SolverConfig(max_iter=np.int64(500), tol=np.float32(0.125))
+        wio.save_tree(tree, tmp_path / "t.json")
+        wio.save_fan(fan, tmp_path / "fan.json")
+        wio.save_network(model, tmp_path / "n.json")
+        wio.save_controller_config(24, weights, solver, tmp_path / "c.json")
+        _, weights2, solver2 = wio.load_controller_config(tmp_path / "c.json")
+        for original, loaded in ((tree, wio.load_tree(tmp_path / "t.json")),
+                                 (fan, wio.load_fan(tmp_path / "fan.json")),
+                                 (model, wio.load_network(tmp_path / "n.json")),
+                                 (weights, weights2), (solver, solver2)):
+            for f in fields(original):
+                value, value2 = getattr(original, f.name), getattr(loaded, f.name)
+                if isinstance(value, np.ndarray):
+                    np.testing.assert_array_equal(value, value2)
+                else:
+                    assert type(value) in (int, float), f.name
+                    assert type(value2) is type(value) and value2 == value, f.name
+
     def test_kpi(self, tmp_path):
         wio.save_kpi(1.5, 0.0, 0.125, tmp_path / "kpi.json")
         doc = wio.load_kpi(tmp_path / "kpi.json")
@@ -177,6 +205,28 @@ class TestErrorPaths:
         broken.write_text(text[: len(text) // 2])
         with pytest.raises(SchemaError, match="byte"):
             wio.load_network(broken)
+
+    def test_parse_error_offset_counts_bytes_not_characters(self, tmp_path):
+        # Each "é" is one character but two UTF-8 bytes; the "}" is byte 38.
+        path = tmp_path / "state.json"
+        path.write_bytes('{"name": "ééé", "schemaVersion": 1,}'.encode())
+        assert path.read_bytes()[38:39] == b"}"
+        with pytest.raises(SchemaError, match="^/: parse error at byte 38: "):
+            wio.load_document(path)
+
+    def test_failed_save_leaves_no_file_behind(self, tmp_path):
+        # A raw numpy horizon cannot be encoded; the document is encoded
+        # before the file is opened, so nothing is written.
+        path = tmp_path / "c.json"
+        save = lambda: wio.save_controller_config(  # noqa: E731
+            np.int64(24), CostWeights(1.0, 1e-2, 1.0, 100.0), SolverConfig(), path)
+        with pytest.raises(TypeError):
+            save()
+        assert not path.exists()
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            save()
+        assert path.read_text() == "old"
 
     def test_missing_field_names_pointer(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"schemaVersion": 1}\n')
@@ -559,7 +609,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("key, value, message", [
         pytest.param("xsafe", [2500.0], "/: require x_min <= x_safe <= x_max", id="model-check"),
-        pytest.param("dt", 0, "/: dt must be positive", id="model-dt"),
+        pytest.param("dt", 0, "/: dt must be positive and finite, got 0.0", id="model-dt"),
         pytest.param("xmin", [0.0, 0.0], "/xmin: expected shape (1,), got (2,)", id="read"),
         pytest.param("xmin", 0.0, "/xmin: expected an array", id="not-an-array"),
         pytest.param("A", [1.0], "/A/0: expected an array", id="row-not-an-array"),

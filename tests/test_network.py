@@ -170,14 +170,15 @@ class TestBuildLti:
             build_lti(topology, 1.0)
 
     @pytest.mark.parametrize("dt, message", [
-        pytest.param(0.0, "dt must be positive", id="0"),
-        pytest.param(np.nan, "dt must be positive", id="nan"),
-        pytest.param(np.inf, "dt must be finite", id="inf"),
+        pytest.param(0.0, "dt must be positive and finite, got 0.0", id="0"),
+        pytest.param(np.nan, "dt must be positive and finite, got nan", id="nan"),
+        pytest.param(np.inf, "dt must be positive and finite, got inf", id="inf"),
+        pytest.param(True, "dt must be positive and finite, got True", id="True"),
     ])
     def test_nonpositive_dt_rejected(self, dt, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_lti(single_tank_topology(), dt)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(build_lti(single_tank_topology(), 1.0), dt=dt)
 
     @pytest.mark.parametrize("q_max, alpha0, message", [

@@ -117,6 +117,9 @@ class TestDimensions:
         ("w_u", np.array([[1.0, 0.0], [0.0, np.inf]]), "w_u must be finite"),
         ("w_s", np.inf, "w_s must be nonnegative and finite"),
         ("w_x", np.nan, "w_x must be nonnegative and finite"),
+        ("w_alpha", True, "w_alpha must be positive and finite, got True"),
+        ("w_s", False, "w_s must be nonnegative and finite, got False"),
+        ("w_alpha", "1", "w_alpha must be positive and finite, got '1'"),
     ])
     def test_non_finite_weight_rejected_by_name(self, name, value, message):
         weights = {"w_alpha": 1.0, "w_u": 1.0, "w_s": 1.0, "w_x": 1.0, name: value}

@@ -317,9 +317,9 @@ class TestRunClosedLoop:
             SimulationConfig(h_sim=1, weights=weights, solver=SolverConfig(), **start)
 
     @pytest.mark.parametrize("h_sim, message", [
-        pytest.param(0, "h_sim must be at least 1", id="0"),
-        pytest.param(2.5, "h_sim must be an integer, got 2.5", id="2.5"),
-        pytest.param(True, "h_sim must be an integer, got True", id="True"),
+        pytest.param(0, "h_sim must be an integer of at least 1, got 0", id="0"),
+        pytest.param(2.5, "h_sim must be an integer of at least 1, got 2.5", id="2.5"),
+        pytest.param(True, "h_sim must be an integer of at least 1, got True", id="True"),
     ])
     def test_step_count_rejected(self, h_sim, message):
         _, _, weights = one_tank_setup()

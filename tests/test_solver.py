@@ -528,7 +528,10 @@ class TestThetaRecursion:
     ({"tol": 0.0}, "tol must be positive and finite"),
     ({"max_iter": 2.5}, "max_iter must be an integer"),
     ({"max_iter": True}, "max_iter must be an integer"),
-    ({"max_iter": 0}, "max_iter must be at least 1"),
+    pytest.param({"max_iter": 0}, "max_iter must be an integer of at least 1, got 0",
+                 id="kwargs5-max_iter must be at least 1"),
+    ({"tol": True}, "tol must be positive and finite, got True"),
+    ({"tol": "0.05"}, "tol must be positive and finite, got '0.05'"),
 ])
 def test_solver_config_names_the_rejected_field(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -536,7 +539,8 @@ def test_solver_config_names_the_rejected_field(kwargs, message):
 
 
 def test_solver_config_takes_a_numpy_integer():
-    assert SolverConfig(max_iter=np.int64(50)).max_iter == 50
+    max_iter = SolverConfig(max_iter=np.int64(50)).max_iter
+    assert max_iter == 50 and type(max_iter) is int
 
 
 class TestSolve:

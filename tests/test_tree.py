@@ -308,7 +308,7 @@ class TestReduce:
                              ids=["2.7", "True", "str", "0"])
     def test_branch_count_must_be_a_positive_integer(self, rng, branching):
         fan = ScenarioFan(rng.standard_normal((50, 2, 1)), n_demand=1, n_price=0)
-        message = f"branch counts must be integers of at least 1, got {branching[0]!r}"
+        message = f"branch count must be an integer of at least 1, got {branching[0]!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reduce_fan_to_tree(fan, branching)
 
