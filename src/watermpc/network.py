@@ -40,7 +40,10 @@ def _number(name: str, value: object, positive: bool = True) -> float:
     not a bool, above 0, or at least 0 unless ``positive``; else a
     ValueError that opens with ``name``."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    number = float(value) if real else math.nan  # compared as a float: no numpy overflow
+    try:
+        number = float(value) if real else math.nan  # compared as a float: no numpy overflow
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not (0 < number < math.inf if positive else 0 <= number < math.inf):
         sign = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be {sign} and finite, got {value!r}")

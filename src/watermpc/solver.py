@@ -64,11 +64,18 @@ state, with the input dual folded into r once before the loop, and one
 product per stage by a narrow operator gives the nodes' [u, x] terms and
 their carries into the parents. One scaled subtract from the cache's
 per-node offset rows then forms every row [u, x], and the forward pass
-rolls them out together (see :func:`_dual_gradient_parts`). The
-factorizations, the stage operators and the step metric live in
-:class:`FactorCache`, built once per structure and rebound to each
-instance sharing it. One solve allocates its dual buffers and the
-prox's step-scaled bounds once; each iteration works on them in place.
+rolls them out together (see :class:`_Sweep`). The factorizations, the
+stage operators and the step metric live in :class:`FactorCache`, built
+once per structure, rebound to each instance sharing it and never written.
+
+One solve binds one sweep to its cache and instance: the sweep's buffers,
+and every stage's views of them, are made at solve start, and every sweep
+of the solve, an iteration's or a certificate's dual value, writes its
+inputs and states into the same rows. So the record copies an in-box
+iterate when it accepts it, before the next sweep can overwrite it; a
+restored point is a fresh array and is kept as it stands. The solve
+likewise allocates its dual buffers and the prox's step-scaled bounds
+once, and each iteration works on them in place.
 """
 
 from __future__ import annotations
@@ -167,9 +174,11 @@ class FactorCache:
     instance, in a copy that shares every other member. :func:`factor_step`
     returns every cache complete, and nothing writes to one afterwards.
     ``stage_ops`` holds the backward pass's one product per stage, and
-    ``fwd`` the forward pass's per-stage rollout (see
-    :func:`_dual_gradient_parts`). ``instance`` is the one instance the
-    cache was built or rebound for, the only one it serves.
+    ``fwd`` the forward pass's per-stage rollout (see :class:`_Sweep`).
+    ``instance`` is the one instance the cache was built or rebound for,
+    the only one it serves. The sweep's buffers are not a member: each
+    solve makes its own, and a cache, which its rebinds share, stays
+    read-only.
     """
 
     e_pinv: np.ndarray                # pseudo-inverse of E
@@ -290,14 +299,12 @@ def factor_step(
     return cache
 
 
-def _dual_gradient_parts(
-    cache: FactorCache, instance: ProblemInstance, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner QP solve at dual rows y.
+class _Sweep:
+    """The inner QP solve at dual rows y, bound to one cache and instance.
 
-    Returns the per-node inputs U and states X minimizing f(x) + <H'y, x>,
-    as the column views of one array of rows ``[u, x]``;
-    :func:`dual_gradient` also prices them.
+    A call ``sweep(y)`` returns the per-node inputs U and states X
+    minimizing f(x) + <H'y, x>, as the column views of one array of rows
+    ``[u, x]``; :func:`dual_gradient` also prices them.
 
     The backward pass keeps one row ``a = [r, w]`` per node: the linear
     cost-to-go on the node's input (r, from the cache's ``e_carry`` and the
@@ -314,33 +321,79 @@ def _dual_gradient_parts(
     The forward pass rolls out inputs and states together: each stage adds
     its parent's row times ``[[D_s', D_s' B'], [0, A']]`` to those rows;
     the root's row ``[q, p]`` is the last.
-    """
-    m = instance.model
-    n = instance.n_nonroot
-    nu, nt = m.n_inputs, m.n_tanks
-    k = nu + nt
-    slices = instance.stage_slices
-    Z = np.empty((n, k))
-    np.add(cache.e_carry, y[:, 2 * nt:], out=Z[:, :nu])
-    np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:])
-    M = np.empty((n, 2 * k))
-    for s in range(instance.tree.horizon, 0, -1):
-        sl = slices[s - 1]
-        np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
-        if s > 1:  # carries into the root would go unused
-            rows = M[sl, k:]
-            starts = instance.child_groups[s - 1]
-            if starts is not None:
-                rows = np.add.reduceat(rows, starts)
-            Z[slices[s - 2]] += rows
 
-    P = np.empty((n + 1, k))
-    np.multiply(M[:, :k], instance.inv_prob, out=P[:n])
-    np.subtract(cache.e_offset, P[:n], out=P[:n])
-    P[n, :nu], P[n, nu:] = instance.q, instance.p
-    for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
-        P[sl] += P[parents] @ fwd
-    return P[:n, :nu], P[:n, nu:]
+    Construction allocates the buffers, writes the root's row and makes
+    every stage's views once, so a call runs only the two stage loops. The
+    returned U and X are views of the sweep's own rows, which its next call
+    overwrites.
+    """
+
+    def __init__(self, cache: FactorCache, instance: ProblemInstance) -> None:
+        m = instance.model
+        n = instance.n_nonroot
+        nu, nt = m.n_inputs, m.n_tanks
+        k = nu + nt
+        slices = instance.stage_slices
+        Z = np.empty((n, k))  # rows [r, w]; in the forward pass, each stage's product
+        M = np.empty((n, 2 * k))  # each node's product by its stage operator
+        P = np.empty((n + 1, k))  # rows [u, x], the root's last
+        G = np.empty((n, k))  # the parents' segment sums, then the gathered parents
+        P[n, :nu], P[n, nu:] = instance.q, instance.p
+        self._nt, self._carry = nt, cache.e_carry
+        self._r, self._w = Z[:, :nu], Z[:, nu:]
+        self._terms, self._rows = M[:, :k], P[:n]
+        self._offset, self._inv_prob = cache.e_offset, instance.inv_prob
+        self._P, self._U, self._X = P, P[:n, :nu], P[:n, nu:]
+        zs, ms, ps = ([B[sl] for sl in slices] for B in (Z, M, P))
+        # Stages horizon..2 with their carries; stage 1's carries would go
+        # into the root, unused, so its product is taken alone.
+        self._backward = []
+        for j in range(len(slices) - 1, 0, -1):  # stage j + 1
+            starts = instance.child_groups[j]
+            sums = None if starts is None else G[slices[j - 1]]
+            self._backward.append((zs[j], cache.stage_ops[j], ms[j], ms[j][:, k:], starts, sums,
+                                   zs[j - 1]))
+        self._stage1 = (zs[0], cache.stage_ops[0], ms[0])
+        # A stage's product goes into its spent Z rows. Stage 1 multiplies the
+        # root's one row, which its rows then add by broadcast; a stage one to
+        # one multiplies its parents' rows in place; a branching stage first
+        # gathers them into G.
+        self._forward = [(ps[0], P[n:], None, cache.fwd[0], Z[:1])]
+        for j in range(1, len(slices)):
+            index = None if instance.child_groups[j] is None else instance.parent_rows[j]
+            src = ps[j - 1] if index is None else G[slices[j]]
+            self._forward.append((ps[j], src, index, cache.fwd[j], zs[j]))
+
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nt = self._nt
+        np.add(self._carry, y[:, 2 * nt:], out=self._r)
+        np.add(y[:, :nt], y[:, nt:2 * nt], out=self._w)
+        for z, op, m_s, carry, starts, sums, z_prev in self._backward:
+            np.matmul(z, op, out=m_s)
+            if starts is not None:
+                carry = np.add.reduceat(carry, starts, out=sums)
+            z_prev += carry
+        z, op, m_s = self._stage1
+        np.matmul(z, op, out=m_s)
+
+        rows = self._rows
+        np.multiply(self._terms, self._inv_prob, out=rows)
+        np.subtract(self._offset, rows, out=rows)
+        P = self._P
+        for p_s, src, index, fwd, out in self._forward:
+            if index is not None:
+                np.take(P, index, axis=0, out=src, mode="clip")  # rows of P; "raise" buffers
+            np.matmul(src, fwd, out=out)
+            p_s += out
+        return self._U, self._X
+
+
+def _dual_gradient_parts(
+    cache: FactorCache, instance: ProblemInstance, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inner QP solve at dual rows y, on a sweep of its own: the U and X of
+    :class:`_Sweep`, which no later call writes."""
+    return _Sweep(cache, instance)(y)
 
 
 def dual_gradient(
@@ -431,10 +484,12 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     if cache.instance is not instance:
         raise ValueError("factor cache does not match this instance")
     scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
-    u0, x0 = _dual_gradient_parts(cache, instance, np.zeros(instance.dual_shape))
+    sweep = _Sweep(cache, instance)
+    # The zero dual's minimizer, copied out of the sweep's rows it reuses.
+    u0, x0 = (a.copy() for a in sweep(np.zeros(instance.dual_shape)))
 
     def operator(V: np.ndarray) -> np.ndarray:
-        u, x = _dual_gradient_parts(cache, instance, V * scale)
+        u, x = sweep(V * scale)
         return np.concatenate([x0 - x, x0 - x, u0 - u], axis=1) * scale
 
     rng = np.random.default_rng(0)
@@ -521,10 +576,11 @@ def solve(
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
     price_in_box = _in_box_pricer(instance)
+    sweep = _Sweep(cache, instance)
     termination = "max_iter"
 
     def dual_value(y_c: np.ndarray) -> float:
-        U_c, X_c = _dual_gradient_parts(cache, instance, y_c)
+        U_c, X_c = sweep(y_c)
         return _attained_value(instance, y_c, U_c, X_c) - g_conjugate_value(instance, y_c)
 
     # The record, and the bound with its certifying dual point.
@@ -536,7 +592,7 @@ def solve(
         np.subtract(y, y_prev, out=w)
         w *= beta
         w += y
-        U, X = _dual_gradient_parts(cache, instance, w)
+        U, X = sweep(w)
         # The gradient step w + Gamma H z, taken in place on w. The image
         # [X, X, U] goes into y_next, which the prox overwrites next.
         img = y_next
@@ -556,8 +612,9 @@ def solve(
         # The candidates, as feasible (inputs, states). Inputs inside the box
         # are feasible as the sweep returns them. A certificate restores the
         # average, and the last iterate when it left the box; a restored
-        # point lies in the box too. The record keeps a pair as it stands:
-        # each is a fresh array that nothing writes again.
+        # point lies in the box too. The sweep's pair lives in its rows,
+        # which its next call overwrites, so the record copies it on accept;
+        # a restored pair is fresh, and the record keeps it as it stands.
         in_box = (np.greater_equal(U, m.u_min, out=inside).all()
                   and np.less_equal(U, m.u_max, out=inside).all())
         candidates = [(U, X)] if in_box else []
@@ -570,7 +627,8 @@ def solve(
         for U_c, X_c in candidates:
             value = price_in_box(U_c, X_c)
             if value < best:
-                best, U_best, X_best, changed = value, U_c, X_c, True
+                best, changed = value, True
+                U_best, X_best = (U_c.copy(), X_c.copy()) if U_c is U else (U_c, X_c)
         if certify:
             bound, dual, changed = dual_value(y), y.copy(), True
             # A finite iterate is in the domain of g*, so its gap is finite.

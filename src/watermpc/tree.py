@@ -171,6 +171,8 @@ class ScenarioTree:
         """One-scenario chain with zero errors (the certainty-equivalent
         controller). It is a template: :func:`attach_forecast` gives every
         node the nominal forecast."""
+        horizon = _count("horizon", horizon, 1)
+        n_demand, n_price = _count("n_demand", n_demand, 0), _count("n_price", n_price, 0)
         n = horizon + 1
         return cls(
             horizon=horizon,

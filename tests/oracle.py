@@ -6,6 +6,11 @@ indefinite KKT system, so agreement with the tree-structured solver is
 evidence rather than tautology. "Dense" in a name means stacked, as against
 the tree recursion: the KKT matrices are sparse, so one assembly serves
 every demo up to net10. The grid search is for tiny instances only.
+
+The one exception is :func:`sweep_reference`, the tree sweep written as one
+self-contained function that allocates its arrays and slices its stages on
+every call. The solver's bound sweep must equal it bit for bit, which pins
+the arithmetic and its order, not only the math.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from watermpc.problem import (
     rollout_inputs,
     smooth_cost,
 )
+from watermpc.solver import FactorCache
 
 # Relative feasibility slack for domain membership in eval_f.
 FEAS_TOL = 1e-8
@@ -163,6 +169,40 @@ def dense_kkt_solve(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
     if not np.isfinite(resid) or resid > 1e-10 * scale * (1.0 + abs(K).max()):
         raise RuntimeError(f"KKT solve failed: residual {resid:.3e}")
     return sol[:kkt.hessian.shape[0]]
+
+
+def sweep_reference(
+    cache: FactorCache, instance: ProblemInstance, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dual-gradient sweep at dual rows y with fresh arrays: inputs U and
+    states X as the column views of one array of rows ``[u, x]``, in the
+    arithmetic and order of :class:`watermpc.solver._Sweep`."""
+    m = instance.model
+    n = instance.n_nonroot
+    nu, nt = m.n_inputs, m.n_tanks
+    k = nu + nt
+    slices = instance.stage_slices
+    Z = np.empty((n, k))
+    np.add(cache.e_carry, y[:, 2 * nt:], out=Z[:, :nu])
+    np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:])
+    M = np.empty((n, 2 * k))
+    for s in range(instance.tree.horizon, 0, -1):
+        sl = slices[s - 1]
+        np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
+        if s > 1:  # carries into the root would go unused
+            rows = M[sl, k:]
+            starts = instance.child_groups[s - 1]
+            if starts is not None:
+                rows = np.add.reduceat(rows, starts)
+            Z[slices[s - 2]] += rows
+
+    P = np.empty((n + 1, k))
+    np.multiply(M[:, :k], instance.inv_prob, out=P[:n])
+    np.subtract(cache.e_offset, P[:n], out=P[:n])
+    P[n, :nu], P[n, nu:] = instance.q, instance.p
+    for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
+        P[sl] += P[parents] @ fwd
+    return P[:n, :nu], P[:n, nu:]
 
 
 def _objective_on_inputs(instance: ProblemInstance, u_batch: np.ndarray) -> np.ndarray:

@@ -120,6 +120,8 @@ class TestDimensions:
         ("w_alpha", True, "w_alpha must be positive and finite, got True"),
         ("w_s", False, "w_s must be nonnegative and finite, got False"),
         ("w_alpha", "1", "w_alpha must be positive and finite, got '1'"),
+        pytest.param("w_u", 10**400, "w_u must be positive and finite, got 1000",
+                     id="w_u-int-beyond-float"),
     ])
     def test_non_finite_weight_rejected_by_name(self, name, value, message):
         weights = {"w_alpha": 1.0, "w_u": 1.0, "w_s": 1.0, "w_x": 1.0, name: value}

@@ -25,6 +25,7 @@ from watermpc.solver import (
     SolverConfig,
     SolverResult,
     _dual_gradient_parts,
+    _Sweep,
     _next_theta,
     _null_space,
     dual_gradient,
@@ -35,7 +36,7 @@ from watermpc.solver import (
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance
-from oracle import dense_kkt_solve, eval_f
+from oracle import dense_kkt_solve, eval_f, sweep_reference
 
 
 def rel_err(a, b):
@@ -304,6 +305,32 @@ class TestDualGradient:
             X, rollout_inputs(inst, U), rtol=0, atol=1e-13 * (1 + np.abs(X).max())
         )
 
+    @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
+    def test_bound_sweep_equals_the_reference_call_after_call(self, rng, kind):
+        # Two duals in turn on one sweep: each result is bit-identical to the
+        # reference, so no call leaves state that the next one reads. Every
+        # demo has a branching stage, which gathers its parents and takes
+        # segment sums; net10 has three.
+        inst, _ = demo_instance(kind, seed=3)
+        cache = factor_step(inst)
+        sweep = _Sweep(cache, inst)
+        for _ in range(2):
+            y = rng.standard_normal(inst.dual_shape)
+            for got, want in zip(sweep(y), sweep_reference(cache, inst, y)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_a_result_survives_the_next_call_on_its_cache(self, rng):
+        inst, _ = demo_instance("net3")
+        cache = factor_step(inst)
+        y1, y2 = rng.standard_normal((2, *inst.dual_shape))
+        z1, _ = dual_gradient(cache, inst, y1)
+        U1, X1 = _dual_gradient_parts(cache, inst, y1)
+        kept = [a.copy() for a in (z1, U1, X1)]
+        dual_gradient(cache, inst, y2)
+        _dual_gradient_parts(cache, inst, y2)
+        for a, b in zip((z1, U1, X1), kept):
+            np.testing.assert_array_equal(a, b)
+
     def test_rebound_cache_gives_the_fresh_sweep(self, rng):
         inst, _ = demo_instance("net3", step=1)
         cache = factor_step(demo_instance("net3")[0])
@@ -532,6 +559,8 @@ class TestThetaRecursion:
                  id="kwargs5-max_iter must be at least 1"),
     ({"tol": True}, "tol must be positive and finite, got True"),
     ({"tol": "0.05"}, "tol must be positive and finite, got '0.05'"),
+    pytest.param({"tol": 10**400}, "tol must be positive and finite, got 1000",
+                 id="tol-int-beyond-float"),
 ])
 def test_solver_config_names_the_rejected_field(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}"):

@@ -173,6 +173,18 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             replace(tree, **changes)
 
+    @pytest.mark.parametrize("sizes, expected", [
+        pytest.param(("2", 1, 0), "horizon must be an integer of at least 1, got '2'",
+                     id="horizon-str"),
+        pytest.param((2.0, 1, 0), "horizon must be an integer of at least 1, got 2.0",
+                     id="horizon-float"),
+        pytest.param((2, "1", 0), "n_demand must be an integer of at least 0, got '1'",
+                     id="n_demand-str"),
+    ])
+    def test_single_branch_names_a_bad_size(self, sizes, expected):
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            ScenarioTree.single_branch(*sizes)
+
     def test_numpy_integer_sizes_accepted(self):
         tree = ScenarioTree.single_branch(horizon=np.int64(2), n_demand=np.int32(1), n_price=0)
         assert tree.n_nonroot == 2
