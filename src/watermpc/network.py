@@ -27,11 +27,18 @@ class TopologyError(ValueError):
     """Raised when a network topology is internally inconsistent."""
 
 
+def _shown(value: object) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        return "an integer too long to print"
+
+
 def _count(name: str, value: object, low: int) -> int:
     """``value`` as an int if it is an integer, numpy's too but not a bool,
     of at least ``low``; else a ValueError that opens with ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        raise ValueError(f"{name} must be an integer of at least {low}, got {_shown(value)}")
     return int(value)
 
 
@@ -46,7 +53,7 @@ def _number(name: str, value: object, positive: bool = True) -> float:
         number = math.inf
     if not (0 < number < math.inf if positive else 0 <= number < math.inf):
         sign = "positive" if positive else "nonnegative"
-        raise ValueError(f"{name} must be {sign} and finite, got {value!r}")
+        raise ValueError(f"{name} must be {sign} and finite, got {_shown(value)}")
     return number
 
 

@@ -314,7 +314,8 @@ def _in_box_pricer(instance: ProblemInstance):
 
     def price(U: np.ndarray, X: np.ndarray) -> float:
         ext[:n] = U
-        np.subtract(U, np.take(ext, instance.anc_row, axis=0, out=du), out=du)
+        # anc_row's -1 wraps to the root's row; "raise", the default, buffers.
+        np.subtract(U, np.take(ext, instance.anc_row, axis=0, out=du, mode="wrap"), out=du)
         np.matmul(du, instance.wu, out=du_w)
         value = np.vdot(p_econ, U) + np.vdot(np.multiply(du, p_col, out=du), du_w)
         rows[:, :nt] = X

@@ -132,8 +132,8 @@ def run_closed_loop(
 
     ``forecaster(k)`` must return the nominal forecast issued at step k;
     realized arrays must cover all simulated steps. The tree template is
-    fixed, so every later step rebinds the first step's factors and step
-    metric and is warm-started from the dual of the step before. A
+    fixed, so every step solves with the first step's factors and step
+    metric, each later step warm-started from the previous step's dual. A
     step whose solve ends without a converged certificate still applies
     its action and logs a warning on the ``watermpc`` logger.
     """
@@ -178,7 +178,7 @@ def run_closed_loop(
             demand, price = attach_forecast(tree_template, fc.d_hat, fc.alpha_hat)
             instance = ProblemInstance(model, tree_template, config.weights, x, u_prev,
                                        demand, price)
-            cache = factor_step(instance, structure_from=cache)
+            cache = cache or factor_step(instance)  # the first step's serves every step
             result = solve(instance, config.solver, cache=cache, dual0=dual)
         except RuntimeError as exc:
             raise RuntimeError(f"simulation step {k}: {exc}") from exc

@@ -62,25 +62,24 @@ suffices. Each pass is one stage loop over one array. The backward pass
 keeps a row [r, w] per node, the linear cost-to-go on its input and
 state, with the input dual folded into r once before the loop, and one
 product per stage by a narrow operator gives the nodes' [u, x] terms and
-their carries into the parents. One scaled subtract from the cache's
+their carries into the parents. One scaled subtract from the instance's
 per-node offset rows then forms every row [u, x], and the forward pass
 rolls them out together (see :class:`_Sweep`). The factorizations, the
 stage operators and the step metric live in :class:`FactorCache`, built
-once per structure, rebound to each instance sharing it and never written.
+once per structure, shared by every instance of it and never written.
 
-One solve binds one sweep to its cache and instance: the sweep's buffers,
-and every stage's views of them, are made at solve start, and every sweep
-of the solve, an iteration's or a certificate's dual value, writes its
-inputs and states into the same rows. So the record copies an in-box
-iterate when it accepts it, before the next sweep can overwrite it; a
-restored point is a fresh array and is kept as it stands. The solve
-likewise allocates its dual buffers and the prox's step-scaled bounds
-once, and each iteration works on them in place.
+One solve binds one sweep to its cache and instance: the sweep's offset
+rows and buffers, and every stage's views of them, are made at solve
+start, and every sweep of the solve, an iteration's or a certificate's
+dual value, writes its inputs and states into the same rows. So the
+record copies an in-box iterate when it accepts it, before the next sweep
+can overwrite it; a restored point is a fresh array and is kept as it
+stands. The solve likewise allocates its dual buffers and the prox's
+step-scaled bounds once, and each iteration works on them in place.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -162,35 +161,31 @@ class SolverResult:
 
 @dataclass
 class FactorCache:
-    """Precomputed quantities for fast repeated dual-gradient solves.
+    """Precomputed structure for fast repeated dual-gradient solves.
 
-    Structural members (per-stage operators, the sweep's stage
-    and rollout matrices, and the step metric: the per-node Hessian diagonal
-    with its curvature bound) depend only on the model matrices, the input
-    weight and the tree topology with its probabilities; the per-node offset
-    rows (built from the coupling's particular solution, the cost row and
-    the demand inflow) and the input offset's carry into the parent also
-    depend on node demand and price values and are rebuilt cheaply per
-    instance, in a copy that shares every other member. :func:`factor_step`
-    returns every cache complete, and nothing writes to one afterwards.
+    Every member (the per-stage factorizations and operators, the sweep's
+    stage and rollout matrices, and the step metric: the per-node Hessian
+    diagonal with its curvature bound) depends only on the model matrices,
+    the input weight and the tree topology with its probabilities, so one
+    cache serves every instance of that structure, such as every step of a
+    closed loop. ``signature`` records the structure it was built for, and
+    a cache given an instance of another structure is rejected. The
+    instance's values (demand, prices, state and previous input) enter only
+    through the offset rows that each sweep builds (see :func:`_offsets`).
     ``stage_ops`` holds the backward pass's one product per stage, and
     ``fwd`` the forward pass's per-stage rollout (see :class:`_Sweep`).
-    ``instance`` is the one instance the cache was built or rebound for,
-    the only one it serves. The sweep's buffers are not a member: each
-    solve makes its own, and a cache, which its rebinds share, stays
-    read-only.
+    :func:`factor_step` returns every cache complete, and nothing writes to
+    one afterwards.
     """
 
     e_pinv: np.ndarray                # pseudo-inverse of E
-    e_offset: np.ndarray              # per-node rows [e_0, e_0 B' + Gd d], e_0 the input offset
-    e_carry: np.ndarray               # per-node sum over children of -2 p e_0 W_u
     t_mat: list[np.ndarray]           # per-stage solution operator on the null space
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
     stage_ops: list[np.ndarray]       # per-stage [G_s | G_s B' | 2 G_s W_u | [0; A]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
-    instance: ProblemInstance = field(repr=False)
+    signature: tuple = field(repr=False)  # _structure_signature of the structure
 
 
 def _structure_signature(instance: ProblemInstance) -> tuple:
@@ -204,6 +199,11 @@ def _structure_signature(instance: ProblemInstance) -> tuple:
         instance.anc_row.tobytes(),
         tuple((sl.start, sl.stop) for sl in instance.stage_slices),
     )
+
+
+def _check_fits(cache: FactorCache, instance: ProblemInstance) -> None:
+    if _structure_signature(instance) != cache.signature:
+        raise ValueError("factor cache does not match this instance")
 
 
 def _null_space(E: np.ndarray, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,82 +221,80 @@ def _null_space(E: np.ndarray, n_inputs: int) -> tuple[np.ndarray, np.ndarray]:
 def factor_step(
     instance: ProblemInstance, structure_from: FactorCache | None = None
 ) -> FactorCache:
-    """Build (or rebind) the complete factor cache for an instance.
+    """Build the complete factor cache for an instance's structure.
 
-    A fresh cache gets the stage factorizations and the step metric (see
-    :func:`_hessian_diagonal` and :func:`estimate_lipschitz`). Passing
-    ``structure_from`` shares both with a cache built on the same model
-    matrices, weights and tree structure, recomputing only the input offset
-    and its carry.
+    The cache gets the stage factorizations and the step metric (see
+    :func:`_hessian_diagonal` and :func:`estimate_lipschitz`), and serves
+    every instance of the same model matrices, weights and tree structure.
+    ``structure_from``, a cache to reuse, is only checked against the
+    instance and returned; the benchmark's layer timings still call it.
     """
-    m = instance.model
     if structure_from is not None:
-        if _structure_signature(structure_from.instance) != _structure_signature(instance):
-            raise ValueError("cached factors were built for a different structure")
-        structural = structure_from
-    else:
-        basis, e_pinv = _null_space(m.E, m.n_inputs)
-        wu = instance.wu
-        horizon = instance.tree.horizon
-        fwd = [np.empty(0)] * horizon
-        t_mat = [np.empty(0)] * horizon
-        lam = [np.empty(0)] * horizon
-        stage_ops = [np.empty(0)] * horizon
-        pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
-        zero_xu = np.zeros((m.n_tanks, m.n_inputs))
-        state_carry = np.vstack([zero_xu.T, m.A])  # [0; A]
-        for s in range(horizon, 0, -1):
-            lam_s = pi_s + 2.0 * wu
-            reduced = basis.T @ lam_s @ basis
-            try:
-                np.linalg.cholesky(reduced)
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    "input weight is singular on the coupling null space"
-                ) from None
-            t_s = basis @ np.linalg.solve(reduced, basis.T)
-            t_s = 0.5 * (t_s + t_s.T)
-            d_s = 2.0 * (t_s @ wu)
-            pi_s = 2.0 * wu - 2.0 * (wu @ d_s)
-            pi_s = 0.5 * (pi_s + pi_s.T)
-            lam[s - 1], t_mat[s - 1] = lam_s, t_s
-            fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
-            g_s = np.vstack([t_s, m.B @ t_s])
-            stage_ops[s - 1] = np.hstack([g_s, g_s @ m.B.T, 2.0 * (g_s @ wu), state_carry])
-        structural = FactorCache(
-            e_pinv=e_pinv,
-            e_offset=np.empty((0, m.n_inputs + m.n_tanks)),  # the instance's, set below
-            e_carry=np.empty((0, m.n_inputs)),  # likewise
-            t_mat=t_mat,
-            lam=lam,
-            stage_ops=stage_ops,
-            fwd=fwd,
-            lipschitz=np.nan,  # set last: the power iteration goes through the offset
-            hess_diag=_hessian_diagonal(basis, instance),
-            instance=instance,
-        )
+        _check_fits(structure_from, instance)
+        return structure_from
+    m = instance.model
+    basis, e_pinv = _null_space(m.E, m.n_inputs)
+    wu = instance.wu
+    horizon = instance.tree.horizon
+    fwd = [np.empty(0)] * horizon
+    t_mat = [np.empty(0)] * horizon
+    lam = [np.empty(0)] * horizon
+    stage_ops = [np.empty(0)] * horizon
+    pi_s = np.zeros((m.n_inputs, m.n_inputs))  # input cost-to-go core of stage s + 1
+    zero_xu = np.zeros((m.n_tanks, m.n_inputs))
+    state_carry = np.vstack([zero_xu.T, m.A])  # [0; A]
+    for s in range(horizon, 0, -1):
+        lam_s = pi_s + 2.0 * wu
+        reduced = basis.T @ lam_s @ basis
+        try:
+            np.linalg.cholesky(reduced)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "input weight is singular on the coupling null space"
+            ) from None
+        t_s = basis @ np.linalg.solve(reduced, basis.T)
+        t_s = 0.5 * (t_s + t_s.T)
+        d_s = 2.0 * (t_s @ wu)
+        pi_s = 2.0 * wu - 2.0 * (wu @ d_s)
+        pi_s = 0.5 * (pi_s + pi_s.T)
+        lam[s - 1], t_mat[s - 1] = lam_s, t_s
+        fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
+        g_s = np.vstack([t_s, m.B @ t_s])
+        stage_ops[s - 1] = np.hstack([g_s, g_s @ m.B.T, 2.0 * (g_s @ wu), state_carry])
+    cache = FactorCache(
+        e_pinv=e_pinv,
+        t_mat=t_mat,
+        lam=lam,
+        stage_ops=stage_ops,
+        fwd=fwd,
+        lipschitz=np.nan,  # set last: the power iteration sweeps with this cache
+        hess_diag=_hessian_diagonal(basis, instance),
+        signature=_structure_signature(instance),
+    )
+    cache.lipschitz = estimate_lipschitz(cache, instance)
+    return cache
 
+
+def _offsets(cache: FactorCache, instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the row ``[e_0, e_0 B' + Gd d]`` of the dual-independent
+    input offset e_0 and its states, and the sum over the node's children of
+    their carries ``-2 p e_0 W_u`` into its input cost-to-go."""
+    m = instance.model
     # Least-norm particular solutions of E u = -Ed d per node. They are
     # exact: E's rows are disjoint (NetworkModel's row rule), and
     # ProblemInstance has rejected a nonzero right-hand side on an empty row.
-    u_part = instance.mix_rhs @ structural.e_pinv.T
+    u_part = instance.mix_rhs @ cache.e_pinv.T
 
-    # Dual-independent parts of the per-node input offset, e_0 = (I - T_s Lam_s)
-    # u_part - T_s * (economic cost row), of its row [e_0, e_0 B' + Gd d] of
-    # inputs and states, and of its carry into the parent.
+    # e_0 = (I - T_s Lam_s) u_part - T_s * (economic cost row).
     nu = m.n_inputs
     e_offset = np.empty((instance.n_nonroot, nu + m.n_tanks))
     e_u = e_offset[:, :nu]
-    for sl, t_s, lam_s in zip(instance.stage_slices, structural.t_mat, structural.lam):
+    for sl, t_s, lam_s in zip(instance.stage_slices, cache.t_mat, cache.lam):
         e_u[sl] = u_part[sl] - (u_part[sl] @ lam_s + instance.econ[sl]) @ t_s
     np.add(e_u @ m.B.T, instance.demand_gd, out=e_offset[:, nu:])
     e_carry = np.zeros((instance.n_nonroot + 1, nu))  # + the root row, unused
     np.add.at(e_carry, instance.anc_row, -2.0 * instance.prob[:, None] * e_u @ instance.wu)
-    cache = dataclasses.replace(structural, e_offset=e_offset, e_carry=e_carry[:-1],
-                                instance=instance)
-    if structure_from is None:
-        cache = dataclasses.replace(cache, lipschitz=estimate_lipschitz(cache, instance))
-    return cache
+    return e_offset, e_carry[:-1]
 
 
 class _Sweep:
@@ -307,7 +305,7 @@ class _Sweep:
     ``[u, x]``; :func:`dual_gradient` also prices them.
 
     The backward pass keeps one row ``a = [r, w]`` per node: the linear
-    cost-to-go on the node's input (r, from the cache's ``e_carry`` and the
+    cost-to-go on the node's input (r, from the offset's carry and the
     input dual y3, added once before the stage loop) and on its state (w,
     from y1 + y2). Once the children's carries are in, one product by
     ``[G_s | G_s B' | 2 G_s W_u | [0; A]]``, with ``G_s = [T_s; B T_s]``,
@@ -315,17 +313,18 @@ class _Sweep:
     dual-independent part, then that term's image under B', and the
     dual-dependent part of the carry into the parent's ``[r, w]``, which is
     added there after a segment sum when the stage branches. After the
-    stage loop one scaled subtract from the cache's offset rows
-    ``e_offset = [e_0, e_0 B' + Gd d]`` gives every row ``[e, e B' + Gd d]``.
+    stage loop one scaled subtract from the offset rows
+    ``[e_0, e_0 B' + Gd d]`` gives every row ``[e, e B' + Gd d]``.
 
     The forward pass rolls out inputs and states together: each stage adds
     its parent's row times ``[[D_s', D_s' B'], [0, A']]`` to those rows;
     the root's row ``[q, p]`` is the last.
 
-    Construction allocates the buffers, writes the root's row and makes
-    every stage's views once, so a call runs only the two stage loops. The
-    returned U and X are views of the sweep's own rows, which its next call
-    overwrites.
+    Construction builds the instance's offset rows and carries (see
+    :func:`_offsets`), allocates the buffers, writes the root's row and
+    makes every stage's views once, so a call runs only the two stage
+    loops. The returned U and X are views of the sweep's own rows, which
+    its next call overwrites.
     """
 
     def __init__(self, cache: FactorCache, instance: ProblemInstance) -> None:
@@ -339,10 +338,10 @@ class _Sweep:
         P = np.empty((n + 1, k))  # rows [u, x], the root's last
         G = np.empty((n, k))  # the parents' segment sums, then the gathered parents
         P[n, :nu], P[n, nu:] = instance.q, instance.p
-        self._nt, self._carry = nt, cache.e_carry
+        self._offset, self._carry = _offsets(cache, instance)
+        self._nt, self._inv_prob = nt, instance.inv_prob
         self._r, self._w = Z[:, :nu], Z[:, nu:]
         self._terms, self._rows = M[:, :k], P[:n]
-        self._offset, self._inv_prob = cache.e_offset, instance.inv_prob
         self._P, self._U, self._X = P, P[:n, :nu], P[:n, nu:]
         zs, ms, ps = ([B[sl] for sl in slices] for B in (Z, M, P))
         # Stages horizon..2 with their carries; stage 1's carries would go
@@ -388,14 +387,6 @@ class _Sweep:
         return self._U, self._X
 
 
-def _dual_gradient_parts(
-    cache: FactorCache, instance: ProblemInstance, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner QP solve at dual rows y, on a sweep of its own: the U and X of
-    :class:`_Sweep`, which no later call writes."""
-    return _Sweep(cache, instance)(y)
-
-
 def dual_gradient(
     cache: FactorCache, instance: ProblemInstance, y: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -406,11 +397,10 @@ def dual_gradient(
     minimizer is affine. The returned value is the attained infimum, the
     negative of f*(-H'y).
     """
-    if cache.instance is not instance:
-        raise ValueError("factor cache does not match this instance")
+    _check_fits(cache, instance)
     y = np.asarray(y, float)
     instance.dual_blocks(y)  # checks the shape
-    U, X = _dual_gradient_parts(cache, instance, y)
+    U, X = _Sweep(cache, instance)(y)  # a sweep of its own: no later call writes U, X
     return instance.join_primal(U, X), _attained_value(instance, y, U, X)
 
 
@@ -481,8 +471,7 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     Raises RuntimeError if the iteration does not settle within
     ``LIPSCHITZ_MAX_ITER`` operator applications.
     """
-    if cache.instance is not instance:
-        raise ValueError("factor cache does not match this instance")
+    _check_fits(cache, instance)
     scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
     sweep = _Sweep(cache, instance)
     # The zero dual's minimizer, copied out of the sweep's rows it reuses.
@@ -529,7 +518,9 @@ def solve(
     or from zero when it is None; ``dual0`` itself is not modified.
 
     Each node's dual step is ``1 / (L_D d_i)`` from the cache's metric (see
-    :func:`factor_step`); the solve reads the cache and never writes to it.
+    :func:`factor_step`). The cache may come from any instance of the same
+    structure, such as an earlier step of a closed loop; the solve reads it
+    and never writes to it.
 
     Termination: the solve keeps a record, the lowest primal value seen
     with the feasible inputs and states it priced, and a bound, the latest
@@ -551,8 +542,8 @@ def solve(
     config = config or SolverConfig()
     if cache is None:
         cache = factor_step(instance)
-    elif cache.instance is not instance:
-        raise ValueError("factor cache does not match this instance")
+    else:
+        _check_fits(cache, instance)
     started = time.perf_counter()
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row

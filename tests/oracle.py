@@ -31,7 +31,7 @@ from watermpc.problem import (
     rollout_inputs,
     smooth_cost,
 )
-from watermpc.solver import FactorCache
+from watermpc.solver import FactorCache, _offsets
 
 # Relative feasibility slack for domain membership in eval_f.
 FEAS_TOL = 1e-8
@@ -182,8 +182,9 @@ def sweep_reference(
     nu, nt = m.n_inputs, m.n_tanks
     k = nu + nt
     slices = instance.stage_slices
+    e_offset, e_carry = _offsets(cache, instance)
     Z = np.empty((n, k))
-    np.add(cache.e_carry, y[:, 2 * nt:], out=Z[:, :nu])
+    np.add(e_carry, y[:, 2 * nt:], out=Z[:, :nu])
     np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:])
     M = np.empty((n, 2 * k))
     for s in range(instance.tree.horizon, 0, -1):
@@ -198,7 +199,7 @@ def sweep_reference(
 
     P = np.empty((n + 1, k))
     np.multiply(M[:, :k], instance.inv_prob, out=P[:n])
-    np.subtract(cache.e_offset, P[:n], out=P[:n])
+    np.subtract(e_offset, P[:n], out=P[:n])
     P[n, :nu], P[n, nu:] = instance.q, instance.p
     for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
         P[sl] += P[parents] @ fwd

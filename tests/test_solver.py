@@ -24,10 +24,10 @@ from watermpc.solver import (
     GAP_CHECK_EVERY,
     SolverConfig,
     SolverResult,
-    _dual_gradient_parts,
     _Sweep,
     _next_theta,
     _null_space,
+    _offsets,
     dual_gradient,
     estimate_lipschitz,
     factor_step,
@@ -121,9 +121,10 @@ class TestFactorStep:
         np.testing.assert_array_equal(basis, np.eye(inst.model.n_inputs))
         # No coupling leaves no particular solution in the input offset.
         nu = inst.model.n_inputs
+        e_offset, _ = _offsets(cache, inst)
         for s, sl in enumerate(inst.stage_slices):
             np.testing.assert_array_equal(
-                cache.e_offset[sl, :nu], -(inst.econ[sl] @ cache.t_mat[s])
+                e_offset[sl, :nu], -(inst.econ[sl] @ cache.t_mat[s])
             )
 
     def test_two_flow_conservation_null_space(self):
@@ -154,7 +155,7 @@ class TestFactorStep:
         inst_a = make_instance(rng, horizon=2, max_nodes=6)
         inst_b = make_instance(rng, horizon=2, max_nodes=6)
         cache_a = factor_step(inst_a)
-        with pytest.raises(ValueError, match="different structure"):
+        with pytest.raises(ValueError, match="^factor cache does not match this instance$"):
             factor_step(inst_b, structure_from=cache_a)
 
     def test_coupling_that_fixes_every_input_rejected(self):
@@ -181,9 +182,8 @@ class TestFactorStep:
             np.full((inst.tree.horizon, inst.model.n_inputs), 0.9),
         )
         inst2 = ProblemInstance(inst.model, inst.tree, inst.weights, inst.p, inst.q, demand, price)
-        cache2 = factor_step(inst2, structure_from=cache)
         y = np.zeros(inst2.dual_shape)
-        z_tree, _ = dual_gradient(cache2, inst2, y)
+        z_tree, _ = dual_gradient(cache, inst2, y)
         z_dense = dense_kkt_solve(inst2, y)
         assert rel_err(z_tree, z_dense) <= 1e-8
 
@@ -198,42 +198,34 @@ class TestFactorStep:
             assert cache.hess_diag.shape == (inst.n_nonroot,)
             assert np.all(np.isfinite(cache.hess_diag)) and np.all(cache.hess_diag > 0.0)
 
-    def test_rebind_shares_every_member_but_the_offset(self):
+    def test_structure_reuse_returns_the_cache_itself(self):
         inst, _ = demo_instance("net3")
         inst2, _ = demo_instance("net3", step=1)  # same tree, next forecast
         cache = factor_step(inst)
-        rebound = factor_step(inst2, structure_from=cache)
-        per_instance = {"e_offset", "e_carry"}
-        shared = {f.name for f in dataclasses.fields(cache)} - per_instance - {"instance"}
-        assert {"lipschitz", "hess_diag", "stage_ops"} <= shared
-        for name in shared:
-            assert getattr(rebound, name) is getattr(cache, name), name
-        for name in per_instance:
-            assert not np.array_equal(getattr(rebound, name), getattr(cache, name)), name
-        assert cache.instance is inst and rebound.instance is inst2
+        assert factor_step(inst2, structure_from=cache) is cache
 
     @pytest.mark.parametrize("permuted", [False, True], ids=["net3", "net3-permuted"])
     def test_offset_carry_sums_each_nodes_children(self, permuted):
         inst, _ = net3_demo_instance()
         if permuted:
             inst = shuffle_children(inst, np.random.default_rng(5))
-        cache = factor_step(inst)
+        e_offset, e_carry = _offsets(factor_step(inst), inst)
         nu = inst.model.n_inputs
         expected = np.zeros((inst.n_nonroot, nu))
         for c in range(inst.n_nonroot):
             parent = inst.anc_row[c]
             if parent >= 0:
-                expected[parent] -= 2.0 * inst.prob[c] * cache.e_offset[c, :nu] @ inst.wu
-        np.testing.assert_allclose(cache.e_carry, expected, rtol=1e-12, atol=1e-15)
+                expected[parent] -= 2.0 * inst.prob[c] * e_offset[c, :nu] @ inst.wu
+        np.testing.assert_allclose(e_carry, expected, rtol=1e-12, atol=1e-15)
         assert np.any(expected != 0.0)
 
     def test_offset_rows_hold_the_offsets_states(self):
         inst, _ = net3_demo_instance()
-        cache = factor_step(inst)
+        e_offset, _ = _offsets(factor_step(inst), inst)
         nu = inst.model.n_inputs
-        assert cache.e_offset.shape == (inst.n_nonroot, nu + inst.model.n_tanks)
+        assert e_offset.shape == (inst.n_nonroot, nu + inst.model.n_tanks)
         np.testing.assert_array_equal(
-            cache.e_offset[:, nu:], cache.e_offset[:, :nu] @ inst.model.B.T + inst.demand_gd
+            e_offset[:, nu:], e_offset[:, :nu] @ inst.model.B.T + inst.demand_gd
         )
 
 
@@ -293,14 +285,14 @@ class TestDualGradient:
             y[:, :2 * nt] = 0.0
         else:
             y[:, 2 * nt:] = 0.0
-        U, X = _dual_gradient_parts(factor_step(inst), inst, y)
+        U, X = _Sweep(factor_step(inst), inst)(y)
         assert rel_err(inst.join_primal(U, X), dense_kkt_solve(inst, y)) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
     def test_sweep_states_are_the_rollout_of_its_inputs(self, rng, kind):
         inst, _ = demo_instance(kind)
         y = rng.standard_normal(inst.dual_shape)
-        U, X = _dual_gradient_parts(factor_step(inst), inst, y)
+        U, X = _Sweep(factor_step(inst), inst)(y)
         np.testing.assert_allclose(
             X, rollout_inputs(inst, U), rtol=0, atol=1e-13 * (1 + np.abs(X).max())
         )
@@ -324,10 +316,10 @@ class TestDualGradient:
         cache = factor_step(inst)
         y1, y2 = rng.standard_normal((2, *inst.dual_shape))
         z1, _ = dual_gradient(cache, inst, y1)
-        U1, X1 = _dual_gradient_parts(cache, inst, y1)
+        U1, X1 = _Sweep(cache, inst)(y1)
         kept = [a.copy() for a in (z1, U1, X1)]
         dual_gradient(cache, inst, y2)
-        _dual_gradient_parts(cache, inst, y2)
+        _Sweep(cache, inst)(y2)
         for a, b in zip((z1, U1, X1), kept):
             np.testing.assert_array_equal(a, b)
 
@@ -335,10 +327,10 @@ class TestDualGradient:
         inst, _ = demo_instance("net3", step=1)
         cache = factor_step(demo_instance("net3")[0])
         y = rng.standard_normal(inst.dual_shape)
-        fresh = _dual_gradient_parts(factor_step(inst), inst, y)
-        rebound = _dual_gradient_parts(factor_step(inst, structure_from=cache), inst, y)
-        for a, b in zip(fresh, rebound):
-            np.testing.assert_array_equal(a, b)
+        fresh = dual_gradient(factor_step(inst), inst, y)
+        shared = dual_gradient(cache, inst, y)
+        np.testing.assert_array_equal(fresh[0], shared[0])
+        assert fresh[1] == shared[1]
 
     def test_affinity(self, rng):
         inst = make_instance(rng, horizon=2, max_nodes=8)
@@ -393,21 +385,25 @@ class TestDualGradient:
         with pytest.raises(ValueError, match="does not match"):
             estimate_lipschitz(cache, inst_b)
 
-    def test_cache_of_another_step_rejected(self):
-        # tank1 seed 0: with the step-0 cache, the step-12 solve reported
-        # "converged" at gap 38.17 on objective 1067.38, a dual bound of
-        # 1029.22 above the optimum, which a tol=1e-6 solve puts at 1026.04.
+    def test_cache_of_another_step_serves_it(self):
+        # tank1 seed 0: the step-0 cache holds no step-0 values, so the
+        # step-12 certificate is true. With step-0 offsets in it, the solve
+        # reported a dual bound of 1029.22, above the optimum of 1026.04.
         inst0, config = demo_instance("tank1")
         inst12, _ = demo_instance("tank1", step=12)
-        cache = factor_step(inst0)
-        for call in (lambda: solve(inst12, config, cache=cache),
-                     lambda: dual_gradient(cache, inst12, np.zeros(inst12.dual_shape)),
-                     lambda: estimate_lipschitz(cache, inst12)):
-            with pytest.raises(ValueError, match="^factor cache does not match this instance$"):
-                call()
-        rebound = factor_step(inst12, structure_from=cache)
-        assert rebound.instance is inst12
-        assert solve(inst12, config, cache=rebound).termination == "converged"
+        res = solve(inst12, config, cache=factor_step(inst0))
+        assert res.termination == "converged"
+        gap, primal = recomputed_gap(inst12, res)
+        assert gap == pytest.approx(res.duality_gap, rel=1e-9, abs=1e-9 * (1 + abs(primal)))
+        assert primal == pytest.approx(res.objective, rel=1e-9)
+        assert gap <= config.tol * (1.0 + abs(primal))
+
+    def test_cache_of_another_step_gives_its_exact_inner_solve(self, rng):
+        inst0, _ = demo_instance("tank1")
+        inst12, _ = demo_instance("tank1", step=12)
+        y = rng.standard_normal(inst12.dual_shape)
+        z, _ = dual_gradient(factor_step(inst0), inst12, y)
+        assert rel_err(z, dense_kkt_solve(inst12, y)) <= 1e-8
 
 
 class TestLipschitz:
@@ -561,6 +557,11 @@ class TestThetaRecursion:
     ({"tol": "0.05"}, "tol must be positive and finite, got '0.05'"),
     pytest.param({"tol": 10**400}, "tol must be positive and finite, got 1000",
                  id="tol-int-beyond-float"),
+    pytest.param({"tol": 10**5000}, "tol must be positive and finite, got an integer too long",
+                 id="tol-int-beyond-print"),
+    pytest.param({"max_iter": -10**5000},
+                 "max_iter must be an integer of at least 1, got an integer too long",
+                 id="max_iter-int-beyond-print"),
 ])
 def test_solver_config_names_the_rejected_field(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -818,7 +819,7 @@ class TestSolve:
             fc = bundle.forecaster(step)
             demand, price = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
             inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, x, q, demand, price)
-            cache = factor_step(inst, structure_from=cache)
+            cache = cache or factor_step(inst)
             res = solve(inst, bundle.solver, cache=cache, dual0=dual0)
             assert res.termination == "converged"
             gap, primal = recomputed_gap(inst, res)
