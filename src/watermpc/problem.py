@@ -88,9 +88,10 @@ class ProblemInstance:
     input; ``demand`` and ``price`` are the rows of the non-root nodes that
     :func:`~watermpc.tree.attach_forecast` gives. All four must be finite.
     Flat per-node arrays are row-indexed by ``node - 1``. Construction
-    derives the hot-path layout once, the mixing rows of
-    :func:`restore_feasible_inputs` among it, and rejects a node whose
-    coupling ``E u = -Ed d`` has no solution inside the input box.
+    derives the rows' probabilities, ancestors, stages, demand inflows and
+    economic costs and the mixing rows of :func:`restore_feasible_inputs`,
+    and rejects a node whose coupling ``E u = -Ed d`` has no solution
+    inside the input box.
     """
 
     model: NetworkModel
@@ -106,11 +107,8 @@ class ProblemInstance:
     prob: np.ndarray = field(init=False, repr=False)
     anc_row: np.ndarray = field(init=False, repr=False)
     stage_slices: list[slice] = field(init=False, repr=False)
-    parent_rows: list[slice | np.ndarray] = field(init=False, repr=False)
-    child_groups: list[np.ndarray | None] = field(init=False, repr=False)
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
-    inv_prob: np.ndarray = field(init=False, repr=False)
     mix_cols: np.ndarray = field(init=False, repr=False)
     mix_coef: np.ndarray = field(init=False, repr=False)
     mix_rhs: np.ndarray = field(init=False, repr=False)
@@ -140,28 +138,9 @@ class ProblemInstance:
         self.anc_row = tree.anc[1:] - 1  # -1: the root, a sweep's extra last row
         ends = np.cumsum(tree.nodes_per_stage[1:]).tolist()
         self.stage_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        # Child-to-parent maps for the stage sweeps. parent_rows[j] indexes
-        # each row's parent: the root row slice(-1, None) at stage 1, the
-        # previous stage's slice, a view, when every node is its parent's
-        # only child, else the ancestor rows. A stage follows its parents'
-        # order, so each parent's children are one run of rows, and
-        # child_groups[j] holds the runs' starts for np.add.reduceat; None at
-        # stage 1, whose sums go to the root, and when one to one, as there
-        # is nothing to sum. Every node before the last stage has a child,
-        # so run i belongs to the i-th row of the previous stage.
-        self.parent_rows = [slice(-1, None)]
-        self.child_groups = [None]
-        for prev, sl in zip(self.stage_slices, self.stage_slices[1:]):
-            parents = self.anc_row[sl]
-            starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-            one_to_one = starts.size == parents.size
-            self.parent_rows.append(prev if one_to_one else parents)
-            self.child_groups.append(None if one_to_one else starts)
-        # Hot-path constants: per-node demand inflow term, economic cost rows
-        # and the sweep's inverse-probability column.
+        # Hot-path constants: per-node demand inflow term and economic cost rows.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
-        self.inv_prob = (1.0 / self.prob)[:, None]
         # Mixing rows for restore_feasible_inputs: each row's columns and
         # coefficients, padded with coefficient 0, and each node's c = -Ed d.
         on_row = model.E != 0
@@ -220,8 +199,8 @@ def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
     if U.shape != (n, m.n_inputs):
         raise ValueError(f"inputs must have shape {(n, m.n_inputs)}")
     X = np.vstack([U @ m.B.T + instance.demand_gd, instance.p])  # root row last
-    for sl, parents in zip(instance.stage_slices, instance.parent_rows):
-        X[sl] += X[parents] @ m.A.T
+    for sl in instance.stage_slices:
+        X[sl] += X[instance.anc_row[sl]] @ m.A.T  # anc_row's -1 is the root's row
     return X[:-1]
 
 

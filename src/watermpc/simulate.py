@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .forecast import ForecastSeries
-from .network import NetworkModel, _count
+from .network import NetworkModel, _count, _shown
 from .problem import CostWeights, ProblemInstance
 from .solver import FactorCache, SolverConfig, SolverResult, factor_step, solve
 from .tree import ScenarioTree, attach_forecast
@@ -67,8 +67,9 @@ class SimulationLog:
     solver termination reason (``"converged"`` or ``"max_iter"``), which
     ``iterations`` alone cannot tell apart at the cap. Construction turns
     every field into an array, so lists are accepted, and rejects a log of
-    no steps and any array whose length or width disagrees with ``u`` and
-    ``x``, naming the field.
+    no steps, any array whose length or width disagrees with ``u`` and
+    ``x``, an iteration count that is not a nonnegative integer and a
+    termination reason that is not a string, naming the field.
     """
 
     x: np.ndarray
@@ -83,8 +84,9 @@ class SimulationLog:
     termination: np.ndarray
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, np.asarray(getattr(self, f.name)))
+        for f in dataclasses.fields(self):  # the per-item fields keep each item's type
+            kind = object if f.name in ("iterations", "termination") else None
+            setattr(self, f.name, np.asarray(getattr(self, f.name), kind))
         h = self.u.shape[0] if self.u.ndim == 2 else 0
         if h == 0:
             raise ValueError("u must be a 2-d array with at least one step")
@@ -97,6 +99,12 @@ class SimulationLog:
             got = getattr(self, name).shape
             if got != want:
                 raise ValueError(f"{name} must have shape {want}, got {got}")
+        # What save_simlog writes must load back as it was.
+        for k, (count, reason) in enumerate(zip(self.iterations, self.termination)):
+            _count(f"iterations[{k}]", count, 0)
+            if not isinstance(reason, str):
+                raise ValueError(f"termination[{k}] must be a string, got {_shown(reason)}")
+        self.iterations = self.iterations.astype(int)
 
     @property
     def h_sim(self) -> int:

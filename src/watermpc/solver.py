@@ -65,17 +65,18 @@ product per stage by a narrow operator gives the nodes' [u, x] terms and
 their carries into the parents. One scaled subtract from the instance's
 per-node offset rows then forms every row [u, x], and the forward pass
 rolls them out together (see :class:`_Sweep`). The factorizations, the
-stage operators and the step metric live in :class:`FactorCache`, built
-once per structure, shared by every instance of it and never written.
+stage operators and plan and the step metric live in :class:`FactorCache`,
+built once per structure, shared by every instance of it and never written.
 
-One solve binds one sweep to its cache and instance: the sweep's offset
-rows and buffers, and every stage's views of them, are made at solve
-start, and every sweep of the solve, an iteration's or a certificate's
-dual value, writes its inputs and states into the same rows. So the
-record copies an in-box iterate when it accepts it, before the next sweep
-can overwrite it; a restored point is a fresh array and is kept as it
-stands. The solve likewise allocates its dual buffers and the prox's
-step-scaled bounds once, and each iteration works on them in place.
+One solve binds one sweep to its cache and instance, the one place that
+checks the cache fits: the sweep's offset rows and buffers, and every
+stage's views of them, are made at solve start, and every sweep of the
+solve, an iteration's or a certificate's dual value, writes its inputs and
+states into the same rows. So the record copies an in-box iterate when it
+accepts it, before the next sweep can overwrite it; a restored point is a
+fresh array and is kept as it stands. The solve likewise allocates its
+dual buffers and the prox's step-scaled bounds once, and each iteration
+works on them in place.
 """
 
 from __future__ import annotations
@@ -164,15 +165,16 @@ class FactorCache:
     """Precomputed structure for fast repeated dual-gradient solves.
 
     Every member (the per-stage factorizations and operators, the sweep's
-    stage and rollout matrices, and the step metric: the per-node Hessian
-    diagonal with its curvature bound) depends only on the model matrices,
-    the input weight and the tree topology with its probabilities, so one
-    cache serves every instance of that structure, such as every step of a
-    closed loop. ``signature`` records the structure it was built for, and
-    a cache given an instance of another structure is rejected. The
-    instance's values (demand, prices, state and previous input) enter only
-    through the offset rows that each sweep builds (see :func:`_offsets`).
-    ``stage_ops`` holds the backward pass's one product per stage, and
+    stage plan, stage and rollout matrices, and the step metric: the
+    per-node Hessian diagonal with its curvature bound) depends only on the
+    model matrices, the input weight and the tree topology with its
+    probabilities, so one cache serves every instance of that structure,
+    such as every step of a closed loop. ``signature`` records the
+    structure it was built for, and a sweep bound to an instance of another
+    structure is rejected. The instance's values (demand, prices, state and
+    previous input) enter only through the offset rows that each sweep
+    builds (see :func:`_offsets`). ``stage_ops`` holds the backward pass's
+    one product per stage, ``child_runs`` its segment sums' runs, and
     ``fwd`` the forward pass's per-stage rollout (see :class:`_Sweep`).
     :func:`factor_step` returns every cache complete, and nothing writes to
     one afterwards.
@@ -183,6 +185,7 @@ class FactorCache:
     lam: list[np.ndarray]             # per-stage curvature (cost-to-go core + 2 W_u)
     stage_ops: list[np.ndarray]       # per-stage [G_s | G_s B' | 2 G_s W_u | [0; A]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
+    child_runs: list[np.ndarray | None]  # per-stage starts of sibling runs, or None
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
     signature: tuple = field(repr=False)  # _structure_signature of the structure
@@ -196,8 +199,7 @@ def _structure_signature(instance: ProblemInstance) -> tuple:
         m.E.tobytes(),
         instance.wu.tobytes(),
         instance.prob.tobytes(),
-        instance.anc_row.tobytes(),
-        tuple((sl.start, sl.stop) for sl in instance.stage_slices),
+        instance.anc_row.tobytes(),  # fixes every node's stage too
     )
 
 
@@ -223,11 +225,11 @@ def factor_step(
 ) -> FactorCache:
     """Build the complete factor cache for an instance's structure.
 
-    The cache gets the stage factorizations and the step metric (see
-    :func:`_hessian_diagonal` and :func:`estimate_lipschitz`), and serves
-    every instance of the same model matrices, weights and tree structure.
-    ``structure_from``, a cache to reuse, is only checked against the
-    instance and returned; the benchmark's layer timings still call it.
+    The cache gets the stage factorizations and plan and the step metric
+    (see :func:`_hessian_diagonal` and :func:`estimate_lipschitz`), and
+    serves every instance of the same model matrices, weights and tree
+    structure. ``structure_from``, a cache to reuse, is only checked
+    against the instance and returned; the benchmark's layer timings call it.
     """
     if structure_from is not None:
         _check_fits(structure_from, instance)
@@ -261,12 +263,21 @@ def factor_step(
         fwd[s - 1] = np.block([[d_s.T, d_s.T @ m.B.T], [zero_xu, m.A.T]])
         g_s = np.vstack([t_s, m.B @ t_s])
         stage_ops[s - 1] = np.hstack([g_s, g_s @ m.B.T, 2.0 * (g_s @ wu), state_carry])
+    # The stage plan. A stage follows its parents' order, so each parent's
+    # children are one run of rows, and run i belongs to the previous
+    # stage's i-th row, as every node before the last stage has a child.
+    # Per stage, the runs' starts for np.add.reduceat; None at stage 1, whose
+    # sums go to the root, and where each run is one row: nothing to sum.
+    new_run = np.diff(instance.anc_row, prepend=-2) != 0  # a stage opens a run
+    child_runs = [None] + [None if new_run[sl].all() else np.flatnonzero(new_run[sl])
+                           for sl in instance.stage_slices[1:]]
     cache = FactorCache(
         e_pinv=e_pinv,
         t_mat=t_mat,
         lam=lam,
         stage_ops=stage_ops,
         fwd=fwd,
+        child_runs=child_runs,
         lipschitz=np.nan,  # set last: the power iteration sweeps with this cache
         hess_diag=_hessian_diagonal(basis, instance),
         signature=_structure_signature(instance),
@@ -320,14 +331,16 @@ class _Sweep:
     its parent's row times ``[[D_s', D_s' B'], [0, A']]`` to those rows;
     the root's row ``[q, p]`` is the last.
 
-    Construction builds the instance's offset rows and carries (see
-    :func:`_offsets`), allocates the buffers, writes the root's row and
-    makes every stage's views once, so a call runs only the two stage
-    loops. The returned U and X are views of the sweep's own rows, which
-    its next call overwrites.
+    Construction rejects a cache of another structure, the one check of a
+    cache against an instance, builds the instance's offset rows and
+    carries (see :func:`_offsets`), allocates the buffers, writes the
+    root's row and makes every stage's views once, with the cache's stage
+    plan, so a call runs only the two stage loops. The returned U and X are
+    views of the sweep's own rows, which its next call overwrites.
     """
 
     def __init__(self, cache: FactorCache, instance: ProblemInstance) -> None:
+        _check_fits(cache, instance)
         m = instance.model
         n = instance.n_nonroot
         nu, nt = m.n_inputs, m.n_tanks
@@ -339,7 +352,7 @@ class _Sweep:
         G = np.empty((n, k))  # the parents' segment sums, then the gathered parents
         P[n, :nu], P[n, nu:] = instance.q, instance.p
         self._offset, self._carry = _offsets(cache, instance)
-        self._nt, self._inv_prob = nt, instance.inv_prob
+        self._nt, self._inv_prob = nt, (1.0 / instance.prob)[:, None]
         self._r, self._w = Z[:, :nu], Z[:, nu:]
         self._terms, self._rows = M[:, :k], P[:n]
         self._P, self._U, self._X = P, P[:n, :nu], P[:n, nu:]
@@ -348,7 +361,7 @@ class _Sweep:
         # into the root, unused, so its product is taken alone.
         self._backward = []
         for j in range(len(slices) - 1, 0, -1):  # stage j + 1
-            starts = instance.child_groups[j]
+            starts = cache.child_runs[j]
             sums = None if starts is None else G[slices[j - 1]]
             self._backward.append((zs[j], cache.stage_ops[j], ms[j], ms[j][:, k:], starts, sums,
                                    zs[j - 1]))
@@ -359,7 +372,7 @@ class _Sweep:
         # gathers them into G.
         self._forward = [(ps[0], P[n:], None, cache.fwd[0], Z[:1])]
         for j in range(1, len(slices)):
-            index = None if instance.child_groups[j] is None else instance.parent_rows[j]
+            index = None if cache.child_runs[j] is None else instance.anc_row[slices[j]]
             src = ps[j - 1] if index is None else G[slices[j]]
             self._forward.append((ps[j], src, index, cache.fwd[j], zs[j]))
 
@@ -397,7 +410,6 @@ def dual_gradient(
     minimizer is affine. The returned value is the attained infimum, the
     negative of f*(-H'y).
     """
-    _check_fits(cache, instance)
     y = np.asarray(y, float)
     instance.dual_blocks(y)  # checks the shape
     U, X = _Sweep(cache, instance)(y)  # a sweep of its own: no later call writes U, X
@@ -471,9 +483,8 @@ def estimate_lipschitz(cache: FactorCache, instance: ProblemInstance) -> float:
     Raises RuntimeError if the iteration does not settle within
     ``LIPSCHITZ_MAX_ITER`` operator applications.
     """
-    _check_fits(cache, instance)
-    scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
     sweep = _Sweep(cache, instance)
+    scale = 1.0 / np.sqrt(cache.hess_diag)[:, None]
     # The zero dual's minimizer, copied out of the sweep's rows it reuses.
     u0, x0 = (a.copy() for a in sweep(np.zeros(instance.dual_shape)))
 
@@ -540,11 +551,9 @@ def solve(
     inputs; they lie in the box, and the clip to it guards only rounding.
     """
     config = config or SolverConfig()
-    if cache is None:
-        cache = factor_step(instance)
-    else:
-        _check_fits(cache, instance)
+    cache = cache or factor_step(instance)
     started = time.perf_counter()
+    sweep = _Sweep(cache, instance)  # rejects a cache of another structure
     gamma = 1.0 / (cache.lipschitz * cache.hess_diag)
     step = gamma[:, None]  # each node's step over its dual row
     bounds = scaled_bounds(instance, gamma)
@@ -567,7 +576,6 @@ def solve(
     theta = theta_prev = 1.0
     U_avg = np.zeros((n, m.n_inputs))
     price_in_box = _in_box_pricer(instance)
-    sweep = _Sweep(cache, instance)
     termination = "max_iter"
 
     def dual_value(y_c: np.ndarray) -> float:

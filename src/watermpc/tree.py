@@ -90,8 +90,11 @@ class ScenarioTree:
         self.horizon = _count("horizon", self.horizon, 1)
         self.n_demand = _count("n_demand", self.n_demand, 0)
         self.n_price = _count("n_price", self.n_price, 0)
-        self.nodes_per_stage = np.asarray(self.nodes_per_stage, int)
-        self.anc = np.asarray(self.anc, int)
+        for name in ("nodes_per_stage", "anc"):
+            value = np.asarray(getattr(self, name))
+            if value.size and value.dtype.kind not in "iu":  # neither floats nor bools
+                raise ValueError(f"{name} must hold integers, got {value.dtype} entries")
+            setattr(self, name, value.astype(int))
         self.prob = np.asarray(self.prob, float)
         self.eps = np.asarray(self.eps, float)
         self.validate()

@@ -192,17 +192,20 @@ def sweep_reference(
         np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
         if s > 1:  # carries into the root would go unused
             rows = M[sl, k:]
-            starts = instance.child_groups[s - 1]
+            starts = cache.child_runs[s - 1]
             if starts is not None:
                 rows = np.add.reduceat(rows, starts)
             Z[slices[s - 2]] += rows
 
     P = np.empty((n + 1, k))
-    np.multiply(M[:, :k], instance.inv_prob, out=P[:n])
+    np.multiply(M[:, :k], (1.0 / instance.prob)[:, None], out=P[:n])
     np.subtract(e_offset, P[:n], out=P[:n])
     P[n, :nu], P[n, nu:] = instance.q, instance.p
-    for sl, parents, fwd in zip(slices, instance.parent_rows, cache.fwd):
+    prev = slice(-1, None)  # the root's row, then the previous stage's rows
+    for sl, starts, fwd in zip(slices, cache.child_runs, cache.fwd):
+        parents = prev if starts is None else instance.anc_row[sl]
         P[sl] += P[parents] @ fwd
+        prev = sl
     return P[:n, :nu], P[:n, nu:]
 
 

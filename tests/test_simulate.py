@@ -464,6 +464,15 @@ class TestKpis:
                      id="alpha0-wide"),
         pytest.param("x_safe", np.zeros(2), "x_safe must have shape (1,), got (2,)",
                      id="x_safe-wide"),
+        # Each of these saved as something else or failed to load back.
+        pytest.param("iterations", [2.5, 1], "iterations[0] must be an integer of at least 0, "
+                     "got 2.5", id="iterations-float"),
+        pytest.param("iterations", [1, -3], "iterations[1] must be an integer of at least 0, "
+                     "got -3", id="iterations-negative"),
+        pytest.param("iterations", [2, True], "iterations[1] must be an integer of at least "
+                     "0, got True", id="iterations-bool"),
+        pytest.param("termination", ["converged", 7], "termination[1] must be a string, got 7",
+                     id="termination-int"),
     ])
     def test_mismatched_field_is_named(self, name, value, message):
         # Without the check a short termination saved and then failed to

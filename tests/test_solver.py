@@ -257,8 +257,8 @@ class TestDualGradient:
         # The deepest bundled tree: 24 stages, one-to-one after branching.
         inst, _ = demo_instance("tank1")
         assert inst.tree.horizon == 24
-        assert inst.child_groups[-1] is None
         cache = factor_step(inst)
+        assert cache.child_runs[-1] is None
         y = rng.standard_normal(inst.dual_shape)
         z, _ = dual_gradient(cache, inst, y)
         assert rel_err(z, dense_kkt_solve(inst, y)) <= 1e-8

@@ -167,6 +167,14 @@ class TestValidate:
                      "got 3", id="counts-0d"),
         pytest.param({"anc": [[-1, 0, 1]]}, "anc and prob must be 1-d arrays", id="anc-2d"),
         pytest.param({"prob": 1.0}, "anc and prob must be 1-d arrays", id="prob-0d"),
+        pytest.param({"nodes_per_stage": [1, 2.7, 1]},
+                     "nodes_per_stage must hold integers, got float64 entries", id="counts-float"),
+        pytest.param({"nodes_per_stage": [True, True, True]},
+                     "nodes_per_stage must hold integers, got bool entries", id="counts-bool"),
+        pytest.param({"anc": [-1, 0.4, 0.9]}, "anc must hold integers, got float64 entries",
+                     id="anc-float"),
+        pytest.param({"anc": np.array([-1, 0, 1], bool)}, "anc must hold integers, got bool "
+                     "entries", id="anc-bool"),
     ])
     def test_bad_scalar_or_array_rank_is_named(self, changes, expected):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
