@@ -88,10 +88,12 @@ class ProblemInstance:
     input; ``demand`` and ``price`` are the rows of the non-root nodes that
     :func:`~watermpc.tree.attach_forecast` gives. All four must be finite.
     Flat per-node arrays are row-indexed by ``node - 1``. Construction
-    derives the rows' probabilities, ancestors, stages, demand inflows and
-    economic costs and the mixing rows of :func:`restore_feasible_inputs`,
-    and rejects a node whose coupling ``E u = -Ed d`` has no solution
-    inside the input box.
+    takes the rows' probabilities, ancestors and stages from the tree, which
+    every instance of it shares read-only (see
+    :attr:`~watermpc.tree.ScenarioTree.node_rows`), derives the rows' demand
+    inflows and economic costs and the mixing rows of
+    :func:`restore_feasible_inputs`, and rejects a node whose coupling
+    ``E u = -Ed d`` has no solution inside the input box.
     """
 
     model: NetworkModel
@@ -106,7 +108,7 @@ class ProblemInstance:
     wu: np.ndarray = field(init=False, repr=False)
     prob: np.ndarray = field(init=False, repr=False)
     anc_row: np.ndarray = field(init=False, repr=False)
-    stage_slices: list[slice] = field(init=False, repr=False)
+    stage_slices: tuple[slice, ...] = field(init=False, repr=False)
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
     mix_cols: np.ndarray = field(init=False, repr=False)
@@ -133,11 +135,9 @@ class ProblemInstance:
                 raise ValueError(f"{name} must be finite")
         self.wu = self.weights.u_weight(model.n_inputs)
 
-        # Per non-root-node rows: node i lives at row i - 1.
-        self.prob = tree.prob[1:].copy()
-        self.anc_row = tree.anc[1:] - 1  # -1: the root, a sweep's extra last row
-        ends = np.cumsum(tree.nodes_per_stage[1:]).tolist()
-        self.stage_slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        # Per non-root-node rows, node i at row i - 1, shared with the tree;
+        # anc_row's -1 is the root, a sweep's extra last row.
+        self.prob, self.anc_row, self.stage_slices = tree.node_rows
         # Hot-path constants: per-node demand inflow term and economic cost rows.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)

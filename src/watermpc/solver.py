@@ -58,15 +58,21 @@ input-increment cost ties a node to its ancestor's input, the backward
 cost-to-go is carried in the ancestor's (input, state) pair; probability
 telescoping makes the per-node input Hessians proportional to the node
 probability with a stage-uniform core, so one factorization per stage
-suffices. Each pass is one stage loop over one array. The backward pass
-keeps a row [r, w] per node, the linear cost-to-go on its input and
-state, with the input dual folded into r once before the loop, and one
-product per stage by a narrow operator gives the nodes' [u, x] terms and
-their carries into the parents. One scaled subtract from the instance's
+suffices. Each pass is one loop over one array. The backward pass keeps
+a row [r, w] per node, the linear cost-to-go on its input and state, with
+the input dual folded into r once before the loop, and one product per
+stage by a narrow operator gives the nodes' [u, x] terms and their
+carries into the parents. One scaled subtract from the instance's
 per-node offset rows then forms every row [u, x], and the forward pass
-rolls them out together (see :class:`_Sweep`). The factorizations, the
-stage operators and plan and the step metric live in :class:`FactorCache`,
-built once per structure, shared by every instance of it and never written.
+rolls them out together (see :class:`_Sweep`). Where stages run one to
+one, every node of a stage has one child and each chain of rows is its
+own recursion, so a run of such stages is multiplied out once per
+structure into one block operator per pass, and the loop takes one product
+per block of up to ``FUSE_COLS`` columns in place of one per stage
+(partial condensing, after Axehill, Systems & Control Letters 2015). The
+factorizations, the stage operators, block operators and plan and the step
+metric live in :class:`FactorCache`, built once per structure, shared by
+every instance of it and never written.
 
 One solve binds one sweep to its cache and instance, the one place that
 checks the cache fits: the sweep's offset rows and buffers, and every
@@ -81,8 +87,10 @@ works on them in place.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -109,6 +117,15 @@ GAP_CHECK_EVERY = 25
 LIPSCHITZ_REL_TOL = 1e-3
 LIPSCHITZ_MAX_ITER = 500
 LIPSCHITZ_SAFETY = 1.1
+
+# Widest chain-major row of a fused block, in columns: a run of one-to-one
+# stages is multiplied out in blocks of at most FUSE_COLS // k stages, k the
+# width of a row [u, x]. A block of L stages takes one product of about
+# (L + 1) / 2 times the flops of the L products it replaces, so it pays
+# while a stage's products cost more in calls than in flops. 64 keeps tank1
+# (k = 2) and net3 (k = 7) in one block each and net10 (k = 34) at one
+# stage per block, where a two-stage block would double its sweep.
+FUSE_COLS = 64
 
 
 @dataclass
@@ -176,6 +193,10 @@ class FactorCache:
     builds (see :func:`_offsets`). ``stage_ops`` holds the backward pass's
     one product per stage, ``child_runs`` its segment sums' runs, and
     ``fwd`` the forward pass's per-stage rollout (see :class:`_Sweep`).
+    ``blocks`` is the sweep's plan: its steps in stage order, each a range
+    of stages with its backward and forward block operator (see
+    :func:`_backward_block` and :func:`_forward_block`), or a single stage
+    with None for both.
     :func:`factor_step` returns every cache complete, and nothing writes to
     one afterwards.
     """
@@ -186,6 +207,7 @@ class FactorCache:
     stage_ops: list[np.ndarray]       # per-stage [G_s | G_s B' | 2 G_s W_u | [0; A]]
     fwd: list[np.ndarray]             # per-stage [[D_s', D_s' B'], [0, A']], D_s the input gain
     child_runs: list[np.ndarray | None]  # per-stage starts of sibling runs, or None
+    blocks: list[tuple[range, np.ndarray | None, np.ndarray | None]]  # the sweep's steps
     lipschitz: float                  # scaled curvature bound L_D
     hess_diag: np.ndarray             # per-node d_i; node i's dual step is 1 / (L_D d_i)
     signature: tuple = field(repr=False)  # _structure_signature of the structure
@@ -225,10 +247,13 @@ def factor_step(
 ) -> FactorCache:
     """Build the complete factor cache for an instance's structure.
 
-    The cache gets the stage factorizations and plan and the step metric
-    (see :func:`_hessian_diagonal` and :func:`estimate_lipschitz`), and
-    serves every instance of the same model matrices, weights and tree
-    structure. ``structure_from``, a cache to reuse, is only checked
+    The cache gets the stage factorizations, operators and plan and the
+    step metric (see :func:`_hessian_diagonal` and
+    :func:`estimate_lipschitz`), and serves every instance of the same
+    model matrices, weights and tree structure. The plan splits each run of
+    one-to-one stages from stage 2 on into blocks of at most
+    ``FUSE_COLS // k`` stages, k the width of a row ``[u, x]``, and builds
+    each block's operators once. ``structure_from``, a cache to reuse, is only checked
     against the instance and returned; the benchmark's layer timings call it.
     """
     if structure_from is not None:
@@ -271,6 +296,19 @@ def factor_step(
     new_run = np.diff(instance.anc_row, prepend=-2) != 0  # a stage opens a run
     child_runs = [None] + [None if new_run[sl].all() else np.flatnonzero(new_run[sl])
                            for sl in instance.stage_slices[1:]]
+    # The sweep's steps: each run of one-to-one stages from stage 2 on, in
+    # blocks of at most FUSE_COLS // k stages, and every other stage alone.
+    # Stage 1 is alone: its parent is the root row and its carries go unused.
+    cap = max(1, FUSE_COLS // (m.n_inputs + m.n_tanks))
+    blocks = [(range(0, 1), None, None)]
+    for one_to_one, run in itertools.groupby(range(1, horizon),
+                                             lambda j: child_runs[j] is None):
+        run = list(run)
+        for part in np.array_split(run, -(-len(run) // cap) if one_to_one else len(run)):
+            a, b = int(part[0]), int(part[-1]) + 1
+            fused = b - a > 1
+            blocks.append((range(a, b), _backward_block(stage_ops[a:b]) if fused else None,
+                           _forward_block(fwd[a:b]) if fused else None))
     cache = FactorCache(
         e_pinv=e_pinv,
         t_mat=t_mat,
@@ -278,12 +316,56 @@ def factor_step(
         stage_ops=stage_ops,
         fwd=fwd,
         child_runs=child_runs,
+        blocks=blocks,
         lipschitz=np.nan,  # set last: the power iteration sweeps with this cache
         hess_diag=_hessian_diagonal(basis, instance),
         signature=_structure_signature(instance),
     )
     cache.lipschitz = estimate_lipschitz(cache, instance)
     return cache
+
+
+def _backward_block(ops: list[np.ndarray]) -> np.ndarray:
+    """The backward pass over one-to-one stages a..b as one operator W, with
+    ``[M_a ... M_b] = [z_a ... z_b] W`` per chain.
+
+    ``O_s = ops[s]`` is stage s's operator and ``C_s = O_s[:, k:]`` its carry
+    part. Block (t, s) of W, for t >= s, is ``C_t C_{t-1} ... C_{s+1} O_s``,
+    and 0 above the diagonal. Only the first stage's carry leaves the block,
+    so W keeps every stage's term columns, in stage order, and then that
+    carry. Row block t is ``C_t`` times row block t - 1 plus ``O_t``'s terms
+    on the diagonal: one product per stage.
+    """
+    k = ops[0].shape[0]
+    W = np.zeros((len(ops) * k, (len(ops) + 1) * k))
+    W[:k, -k:] = ops[0][:, k:]
+    for i, op in enumerate(ops):
+        rows = W[i * k:(i + 1) * k]
+        if i:
+            np.matmul(op[:, k:], W[(i - 1) * k:i * k], out=rows)
+        rows[:, i * k:(i + 1) * k] += op[:, :k]
+    return W
+
+
+def _forward_block(fwds: list[np.ndarray]) -> np.ndarray:
+    """The forward pass over one-to-one stages a..b as one operator V, with
+    ``[P_a ... P_b] = [R_a ... R_b] + [P_{a-1}, R_a ... R_{b-1}] V`` per
+    chain, R_s the rows before the rollout and ``F_s = fwds[s]``.
+
+    The parent row's block for stage s is ``F_a ... F_s``, and row R_t's
+    block ``F_{t+1} ... F_s`` for s > t, 0 for s <= t. Column block s is
+    column block s - 1, with the identity at R_{s-1}'s rows, times ``F_s``:
+    one product per stage.
+    """
+    k = fwds[0].shape[0]
+    n = len(fwds) * k
+    V = np.empty((n, n))
+    prev = np.eye(n, k)  # P_{a-1}, the parent's row itself
+    for i, f in enumerate(fwds):
+        col = V[:, i * k:(i + 1) * k]
+        np.matmul(prev, f, out=col)
+        prev = col + np.eye(n, k, -(i + 1) * k)  # P_{a+i}: R_{a+i} plus its rollout
+    return V
 
 
 def _offsets(cache: FactorCache, instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -331,11 +413,19 @@ class _Sweep:
     its parent's row times ``[[D_s', D_s' B'], [0, A']]`` to those rows;
     the root's row ``[q, p]`` is the last.
 
+    A fused block of the cache (see :func:`_backward_block` and
+    :func:`_forward_block`) takes the place of its stages in both loops: it
+    copies its stages' rows into a buffer of one row per chain through a
+    transposed view, multiplies that by its block operator, and copies the
+    product's rows back, or adds them, stage by stage. Each step of either
+    loop is then an optional copy or gather before one product, and in the
+    backward loop an optional copy or segment sum after it, and one add.
+
     Construction rejects a cache of another structure, the one check of a
     cache against an instance, builds the instance's offset rows and
     carries (see :func:`_offsets`), allocates the buffers, writes the
-    root's row and makes every stage's views once, with the cache's stage
-    plan, so a call runs only the two stage loops. The returned U and X are
+    root's row and makes every step's views once, with the cache's stage
+    plan, so a call runs only the two loops. The returned U and X are
     views of the sweep's own rows, which its next call overwrites.
     """
 
@@ -355,35 +445,62 @@ class _Sweep:
         self._nt, self._inv_prob = nt, (1.0 / instance.prob)[:, None]
         self._r, self._w = Z[:, :nu], Z[:, nu:]
         self._terms, self._rows = M[:, :k], P[:n]
-        self._P, self._U, self._X = P, P[:n, :nu], P[:n, nu:]
+        self._U, self._X = P[:n, :nu], P[:n, nu:]
         zs, ms, ps = ([B[sl] for sl in slices] for B in (Z, M, P))
-        # Stages horizon..2 with their carries; stage 1's carries would go
-        # into the root, unused, so its product is taken alone.
-        self._backward = []
-        for j in range(len(slices) - 1, 0, -1):  # stage j + 1
-            starts = cache.child_runs[j]
-            sums = None if starts is None else G[slices[j - 1]]
-            self._backward.append((zs[j], cache.stage_ops[j], ms[j], ms[j][:, k:], starts, sums,
-                                   zs[j - 1]))
+
+        # Backward steps (before, z, op, m_s, after, z_prev, carry), from the
+        # last stage down to stage 2; stage 1's carries would go into the
+        # root, unused, so its product is taken alone. Forward steps (before,
+        # src, op, out, p_s, added), from stage 1 up. A stage's product goes
+        # into its spent Z rows. Stage 1 multiplies the root's one row, which
+        # its rows then add by broadcast; a stage one to one multiplies its
+        # parents' rows in place; a branching stage first gathers them into
+        # G; a fused block reads its parents' and its own rows but the last.
         self._stage1 = (zs[0], cache.stage_ops[0], ms[0])
-        # A stage's product goes into its spent Z rows. Stage 1 multiplies the
-        # root's one row, which its rows then add by broadcast; a stage one to
-        # one multiplies its parents' rows in place; a branching stage first
-        # gathers them into G.
-        self._forward = [(ps[0], P[n:], None, cache.fwd[0], Z[:1])]
-        for j in range(1, len(slices)):
-            index = None if cache.child_runs[j] is None else instance.anc_row[slices[j]]
-            src = ps[j - 1] if index is None else G[slices[j]]
-            self._forward.append((ps[j], src, index, cache.fwd[j], zs[j]))
+        self._backward = []
+        self._forward = [(None, P[n:], cache.fwd[0], Z[:1], ps[0], Z[:1])]
+        for stages, W, V in cache.blocks[1:]:
+            a, L = stages.start, len(stages)
+            if W is None:
+                starts, carry = cache.child_runs[a], ms[a][:, k:]
+                after, before, src = None, None, ps[a - 1]
+                if starts is not None:
+                    after = partial(np.add.reduceat, carry, starts, out=G[slices[a - 1]])
+                    carry, src = G[slices[a - 1]], G[slices[a]]
+                    before = partial(np.take, P, instance.anc_row[slices[a]], axis=0,
+                                     out=src, mode="clip")  # rows of P; "raise" buffers
+                self._backward.append((None, zs[a], cache.stage_ops[a], ms[a], after,
+                                       zs[a - 1], carry))
+                self._forward.append((before, src, cache.fwd[a], zs[a], ps[a], zs[a]))
+                continue
+            chains = slices[a].stop - slices[a].start
+            block = slice(slices[a].start, slices[stages[-1]].stop)
+            zc, pc, oc = (np.empty((chains, L * k)) for _ in range(3))
+            mc = np.empty((chains, L + 1, k))  # each stage's terms, then the carry
+            self._backward.append((
+                partial(np.copyto, zc.reshape(chains, L, k).transpose(1, 0, 2),
+                        Z[block].reshape(L, chains, k)),
+                zc, W, mc.reshape(chains, -1),
+                partial(np.copyto, M[block].reshape(L, chains, 2 * k)[:, :, :k],
+                        mc[:, :L].transpose(1, 0, 2)),
+                zs[a - 1], mc[:, L]))
+            self._forward.append((
+                partial(np.copyto, pc.reshape(chains, L, k).transpose(1, 0, 2),
+                        P[slices[a - 1].start:slices[stages[-1]].start].reshape(L, chains, k)),
+                pc, V, oc, P[block].reshape(L, chains, k),
+                oc.reshape(chains, L, k).transpose(1, 0, 2)))
+        self._backward.reverse()
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nt = self._nt
         np.add(self._carry, y[:, 2 * nt:], out=self._r)
         np.add(y[:, :nt], y[:, nt:2 * nt], out=self._w)
-        for z, op, m_s, carry, starts, sums, z_prev in self._backward:
+        for before, z, op, m_s, after, z_prev, carry in self._backward:
+            if before is not None:
+                before()
             np.matmul(z, op, out=m_s)
-            if starts is not None:
-                carry = np.add.reduceat(carry, starts, out=sums)
+            if after is not None:
+                after()
             z_prev += carry
         z, op, m_s = self._stage1
         np.matmul(z, op, out=m_s)
@@ -391,12 +508,11 @@ class _Sweep:
         rows = self._rows
         np.multiply(self._terms, self._inv_prob, out=rows)
         np.subtract(self._offset, rows, out=rows)
-        P = self._P
-        for p_s, src, index, fwd, out in self._forward:
-            if index is not None:
-                np.take(P, index, axis=0, out=src, mode="clip")  # rows of P; "raise" buffers
-            np.matmul(src, fwd, out=out)
-            p_s += out
+        for before, src, op, out, p_s, added in self._forward:
+            if before is not None:
+                before()
+            np.matmul(src, op, out=out)
+            p_s += added
         return self._U, self._X
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,23 @@ _PROB_TOL = 1e-9
 _DIST_BLOCK_ROWS = 64
 
 
+def _array(name: str, value: object, integer: bool) -> np.ndarray:
+    """``value`` as an int array if its entries are integers, or unless
+    ``integer`` as a float array if they are real numbers, never bools or
+    strings; else a ValueError that opens with ``name``."""
+    value = np.asarray(value)
+    kinds, what = ("iu", "integers") if integer else ("iuf", "real numbers")
+    if value.size and value.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {what}, got {value.dtype} entries")
+    return value.astype(int if integer else float, copy=False)
+
+
 @dataclass
 class ScenarioFan:
     """Equally weighted scenario bundle: values[s, j, :] is scenario s at
-    stage j+1. The sizes are stored as ints, and a rejected field's error
-    message opens with its name."""
+    stage j+1. The sizes are stored as ints and the values as floats, never
+    read from bools or strings, and a rejected field's error message opens
+    with its name."""
 
     values: np.ndarray  # (n_scenarios, horizon, n_demand + n_price)
     n_demand: int
@@ -49,7 +62,7 @@ class ScenarioFan:
     def __post_init__(self) -> None:
         self.n_demand = _count("n_demand", self.n_demand, 0)
         self.n_price = _count("n_price", self.n_price, 0)
-        self.values = np.asarray(self.values, float)
+        self.values = _array("values", self.values, integer=False)
         if self.values.ndim != 3:
             raise ValueError("fan values must be a 3-d array (scenario, stage, component)")
         if self.values.shape[2] != self.n_demand + self.n_price:
@@ -74,8 +87,9 @@ class ScenarioTree:
     the root), as ``scenarioTree.json`` does; stage j's nodes are the next
     ``nodes_per_stage[j]`` of the flat arrays ``anc`` and ``prob``. The
     root has ``anc = -1`` and probability 1. ``eps`` holds per-node
-    prediction errors (root row zero). The sizes are stored as ints, and a
-    rejected field's error message opens with its name.
+    prediction errors (root row zero). The sizes and links are stored as
+    ints and the probabilities and errors as floats, never read from bools
+    or strings, and a rejected field's error message opens with its name.
     """
 
     horizon: int
@@ -90,13 +104,9 @@ class ScenarioTree:
         self.horizon = _count("horizon", self.horizon, 1)
         self.n_demand = _count("n_demand", self.n_demand, 0)
         self.n_price = _count("n_price", self.n_price, 0)
-        for name in ("nodes_per_stage", "anc"):
-            value = np.asarray(getattr(self, name))
-            if value.size and value.dtype.kind not in "iu":  # neither floats nor bools
-                raise ValueError(f"{name} must hold integers, got {value.dtype} entries")
-            setattr(self, name, value.astype(int))
-        self.prob = np.asarray(self.prob, float)
-        self.eps = np.asarray(self.eps, float)
+        for name in ("nodes_per_stage", "anc", "prob", "eps"):
+            setattr(self, name, _array(name, getattr(self, name),
+                                       integer=name in ("nodes_per_stage", "anc")))
         self.validate()
 
     def validate(self) -> None:
@@ -164,6 +174,17 @@ class ScenarioTree:
     @property
     def n_nodes(self) -> int:
         return int(self.nodes_per_stage.sum())
+
+    @cached_property
+    def node_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+        """The non-root nodes as rows, node i at row i - 1: their
+        probabilities, their parents' rows (-1 for the root) and each stage's
+        slice of rows. Derived once per tree and read-only, so every
+        :class:`~watermpc.problem.ProblemInstance` of the tree shares them."""
+        prob, anc_row = self.prob[1:].copy(), self.anc[1:] - 1
+        prob.flags.writeable = anc_row.flags.writeable = False
+        ends = np.cumsum(self.nodes_per_stage[1:]).tolist()
+        return prob, anc_row, tuple(slice(a, b) for a, b in zip([0] + ends, ends))
 
     @property
     def n_nonroot(self) -> int:

@@ -176,36 +176,57 @@ def sweep_reference(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dual-gradient sweep at dual rows y with fresh arrays: inputs U and
     states X as the column views of one array of rows ``[u, x]``, in the
-    arithmetic and order of :class:`watermpc.solver._Sweep`."""
+    arithmetic and order of :class:`watermpc.solver._Sweep`, fused blocks
+    included."""
     m = instance.model
     n = instance.n_nonroot
     nu, nt = m.n_inputs, m.n_tanks
     k = nu + nt
     slices = instance.stage_slices
     e_offset, e_carry = _offsets(cache, instance)
+
+    def chain_major(rows: np.ndarray, L: int) -> np.ndarray:
+        return rows.reshape(L, -1, k).transpose(1, 0, 2).reshape(-1, L * k)
+
     Z = np.empty((n, k))
     np.add(e_carry, y[:, 2 * nt:], out=Z[:, :nu])
     np.add(y[:, :nt], y[:, nt:2 * nt], out=Z[:, nu:])
     M = np.empty((n, 2 * k))
-    for s in range(instance.tree.horizon, 0, -1):
-        sl = slices[s - 1]
-        np.matmul(Z[sl], cache.stage_ops[s - 1], out=M[sl])
-        if s > 1:  # carries into the root would go unused
-            rows = M[sl, k:]
-            starts = cache.child_runs[s - 1]
-            if starts is not None:
-                rows = np.add.reduceat(rows, starts)
-            Z[slices[s - 2]] += rows
+    for stages, W, _ in reversed(cache.blocks):
+        a, L = stages.start, len(stages)
+        block = slice(slices[a].start, slices[stages[-1]].stop)
+        if W is None:
+            np.matmul(Z[block], cache.stage_ops[a], out=M[block])
+            if a > 0:  # carries into the root would go unused
+                rows = M[block, k:]
+                starts = cache.child_runs[a]
+                if starts is not None:
+                    rows = np.add.reduceat(rows, starts)
+                Z[slices[a - 1]] += rows
+        else:
+            product = (chain_major(Z[block], L) @ W).reshape(-1, L + 1, k)
+            M[block].reshape(L, -1, 2 * k)[:, :, :k] = product[:, :L].transpose(1, 0, 2)
+            Z[slices[a - 1]] += product[:, L]
 
     P = np.empty((n + 1, k))
     np.multiply(M[:, :k], (1.0 / instance.prob)[:, None], out=P[:n])
     np.subtract(e_offset, P[:n], out=P[:n])
     P[n, :nu], P[n, nu:] = instance.q, instance.p
-    prev = slice(-1, None)  # the root's row, then the previous stage's rows
-    for sl, starts, fwd in zip(slices, cache.child_runs, cache.fwd):
-        parents = prev if starts is None else instance.anc_row[sl]
-        P[sl] += P[parents] @ fwd
-        prev = sl
+    for stages, _, V in cache.blocks:
+        a, L = stages.start, len(stages)
+        block = slice(slices[a].start, slices[stages[-1]].stop)
+        if V is None:
+            if a == 0:
+                parents = slice(-1, None)  # the root's row
+            elif cache.child_runs[a] is None:
+                parents = slices[a - 1]
+            else:
+                parents = instance.anc_row[block]
+            P[block] += P[parents] @ cache.fwd[a]
+        else:
+            rows = P[block].reshape(L, -1, k)
+            parents = P[slices[a - 1].start:slices[stages[-1]].start]
+            rows += (chain_major(parents, L) @ V).reshape(-1, L, k).transpose(1, 0, 2)
     return P[:n, :nu], P[:n, nu:]
 
 

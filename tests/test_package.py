@@ -190,4 +190,4 @@ def test_readme_library_example_runs_as_written():
     assert f"`{printed}`" in section  # the output the README states
     result = namespace["result"]
     assert (result.termination, result.iterations) == ("converged", 1175)
-    assert result.u0 == pytest.approx([0.0405330771], rel=1e-8)
+    assert result.u0 == pytest.approx([0.0405340357], rel=1e-8)

@@ -89,6 +89,19 @@ class TestDimensions:
         inst = ProblemInstance(model, tree, weights, np.ones(2), np.zeros(3), demand, price)
         assert inst.n_primal == 6 * 5 == 30
 
+    def test_instances_of_one_tree_share_its_read_only_rows(self, rng):
+        inst = make_instance(rng, horizon=3, max_nodes=10)
+        other = dataclasses.replace(inst, p=2.0 * inst.p)
+        for name in ("prob", "anc_row", "stage_slices"):
+            assert getattr(other, name) is getattr(inst, name), name
+        for a in (inst.prob, inst.anc_row):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        np.testing.assert_array_equal(inst.prob, inst.tree.prob[1:])
+        np.testing.assert_array_equal(inst.anc_row, inst.tree.anc[1:] - 1)
+        assert sum(sl.stop - sl.start for sl in inst.stage_slices) == inst.n_nonroot
+
     def test_unattached_tree_rejected(self, rng):
         # The tree is a template; an instance needs the node values too.
         model = make_model(rng, 1, 1, 1)

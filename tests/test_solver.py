@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 
 import watermpc.solver
 from watermpc.demo import build_demo
-from watermpc.network import NetworkModel
+from watermpc.network import ControlledFlow, NetworkModel, NetworkTopology, Tank, build_lti
 from watermpc.problem import (
     CostWeights,
     ProblemInstance,
@@ -35,7 +35,7 @@ from watermpc.solver import (
 )
 from watermpc.tree import ScenarioTree, attach_forecast
 
-from conftest import make_instance
+from conftest import make_instance, make_model
 from oracle import dense_kkt_solve, eval_f, sweep_reference
 
 
@@ -94,6 +94,38 @@ def recomputed_gap(inst, res):
     primal = smooth_cost(inst, u_f) + g_value(inst, apply_H(inst, inst.join_primal(u_f, x_f)))
     _, inner = dual_gradient(factor_step(inst), inst, res.dual)
     return primal - (inner - g_conjugate_value(inst, res.dual)), primal
+
+
+def fused_case(rng, case):
+    """An instance whose one-to-one stages the sweep fuses: a 48-stage chain
+    on one tank and one input, a tree with two runs of one-to-one stages
+    between its branchings, or the README's 24-hour chain."""
+    if case == "readme":
+        topology = NetworkTopology(
+            tanks=(Tank(v_min=0.0, v_max=2000.0, v_safe=300.0, inflows=(0,), demands=(0,)),),
+            flows=(ControlledFlow("pump", q_max=0.5, alpha0=0.02),),
+            n_demands=1,
+        )
+        model, p = build_lti(topology, dt=3600.0), np.array([800.0])
+        tree = ScenarioTree.single_branch(24, n_demand=1, n_price=1)
+        d_hat = np.full((24, 1), 0.1)
+        alpha_hat = np.where((np.arange(24) >= 8) & (np.arange(24) < 20), 0.15, 0.05)[:, None]
+        weights = CostWeights(w_alpha=1.0, w_u=1e-2, w_s=1.0, w_x=100.0)
+        demand, price = attach_forecast(tree, d_hat, alpha_hat)
+        return ProblemInstance(model, tree, weights, p, np.zeros(1), demand, price)
+    if case == "chain-48":
+        model, tree = make_model(rng, 1, 1, 1), ScenarioTree.single_branch(48, 1, 1)
+    else:
+        model = make_model(rng, 2, 3, 1)
+        prob = np.r_[1.0, [0.4, 0.6] * 3, [0.1, 0.3, 0.2, 0.4] * 3]
+        anc = np.r_[-1, 0, 0, 1, 2, 3, 4, 5, 5, 6, 6, np.arange(7, 15)]
+        tree = ScenarioTree(6, 1, 3, np.array([1, 2, 2, 2, 4, 4, 4]), anc, prob,
+                            eps=0.1 * rng.standard_normal((19, 4)) * (np.arange(19) > 0)[:, None])
+    demand, price = attach_forecast(tree, 0.3 + 0.2 * rng.random((tree.horizon, 1)),
+                                    0.5 + rng.random((tree.horizon, model.n_inputs)))
+    weights = CostWeights(w_alpha=1.0, w_u=1.0, w_s=2.0, w_x=5.0)
+    return ProblemInstance(model, tree, weights, model.x_safe * 1.5,
+                           0.3 * rng.random(model.n_inputs), demand, price)
 
 
 def net3_demo_instance():
@@ -287,6 +319,23 @@ class TestDualGradient:
             y[:, 2 * nt:] = 0.0
         U, X = _Sweep(factor_step(inst), inst)(y)
         assert rel_err(inst.join_primal(U, X), dense_kkt_solve(inst, y)) <= 1e-10
+
+    @pytest.mark.parametrize("case, stages", [
+        # A run longer than FUSE_COLS // k stages splits into blocks.
+        ("chain-48", [range(1, 25), range(25, 48)]),
+        # A branching stage between two runs ends the first.
+        ("two-runs", [range(1, 3), range(4, 6)]),
+        ("readme", [range(1, 24)]),
+    ])
+    def test_fused_blocks_match_oracle(self, rng, case, stages):
+        inst = fused_case(rng, case)
+        cache = factor_step(inst)
+        assert [block[0] for block in cache.blocks if block[1] is not None] == stages
+        y = rng.standard_normal(inst.dual_shape)
+        U, X = _Sweep(cache, inst)(y)
+        z_dense = dense_kkt_solve(inst, y)
+        z = inst.join_primal(U, X)
+        assert np.linalg.norm(z - z_dense) <= 1e-10 * np.linalg.norm(z_dense)
 
     @pytest.mark.parametrize("kind", ["tank1", "net3", "net10"])
     def test_sweep_states_are_the_rollout_of_its_inputs(self, rng, kind):

@@ -175,6 +175,14 @@ class TestValidate:
                      id="anc-float"),
         pytest.param({"anc": np.array([-1, 0, 1], bool)}, "anc must hold integers, got bool "
                      "entries", id="anc-bool"),
+        pytest.param({"prob": [True, True, True]},
+                     "prob must hold real numbers, got bool entries", id="prob-bool"),
+        pytest.param({"prob": ["1", "1", "1"]},
+                     "prob must hold real numbers, got <U1 entries", id="prob-str"),
+        pytest.param({"eps": np.zeros((3, 2), bool)},
+                     "eps must hold real numbers, got bool entries", id="eps-bool"),
+        pytest.param({"eps": [["0", "0"]] * 3},
+                     "eps must hold real numbers, got <U1 entries", id="eps-str"),
     ])
     def test_bad_scalar_or_array_rank_is_named(self, changes, expected):
         tree = ScenarioTree.single_branch(horizon=2, n_demand=1, n_price=1)
@@ -216,10 +224,20 @@ class TestFan:
                      "n_demand + n_price = 1", id="too-wide"),
         pytest.param(np.zeros((0, 2, 1)), 1, 0, "fan must contain at least one scenario",
                      id="no-scenario"),
+        pytest.param(np.ones((3, 2, 1), bool), 1, 0,
+                     "values must hold real numbers, got bool entries", id="bool"),
+        pytest.param(np.full((3, 2, 1), "1"), 1, 0,
+                     "values must hold real numbers, got <U1 entries", id="str"),
     ])
     def test_bad_fan_is_named(self, values, n_demand, n_price, expected):
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             ScenarioFan(values, n_demand=n_demand, n_price=n_price)
+
+    def test_integer_numbers_are_stored_as_floats(self):
+        tree = replace(ScenarioTree.single_branch(2, 1, 1), prob=[1, 1, 1],
+                       eps=np.zeros((3, 2), int))
+        fan = ScenarioFan(np.zeros((3, 2, 1), int), n_demand=1, n_price=0)
+        assert tree.prob.dtype == tree.eps.dtype == fan.values.dtype == float
 
     def test_numpy_integer_sizes_accepted(self):
         fan = ScenarioFan(np.zeros((3, 2, 2)), n_demand=np.int64(1), n_price=np.int32(1))
