@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +105,22 @@ class NetworkTopology:
     mixing_nodes: tuple[MixingNode, ...] = ()
 
 
+class MixingRows(NamedTuple):
+    """The rows of E as (rows, width) arrays, width that of the widest row:
+    each row's input columns and their coefficients, a row shorter than the
+    width padded with coefficient 0, and what the exact input restoration
+    reads of them."""
+
+    cols: np.ndarray     # each row's input columns, then padding
+    coef: np.ndarray     # their coefficients in E, 0 on the padding
+    on_row: np.ndarray   # coef != 0
+    divisor: np.ndarray  # coef, 1 on the padding
+    coef2: np.ndarray    # coef * coef
+    kinks: np.ndarray    # [coef2, -coef2]
+    norm2: np.ndarray    # each row's squared norm, 1 on an empty row
+    widths: tuple[int, ...]  # each row's count of inputs
+
+
 @dataclass
 class NetworkModel:
     """Discrete-time LTI network model with box bounds and prices.
@@ -157,6 +175,25 @@ class NetworkModel:
     @property
     def n_mixing(self) -> int:
         return self.E.shape[0]
+
+    @cached_property
+    def mixing_rows(self) -> MixingRows:
+        """The rows of E in padded form (see :class:`MixingRows`). Derived
+        from E once per model and read-only, so every instance of the model
+        shares them; nothing writes to E after construction."""
+        on_row = self.E != 0
+        width = on_row.sum(axis=1).max(initial=0)
+        cols = np.argsort(~on_row, axis=1, kind="stable")[:, :width]
+        coef = np.take_along_axis(self.E, cols, axis=1)
+        on_row = coef != 0
+        coef2 = coef * coef
+        widths = on_row.sum(axis=1)
+        rows = MixingRows(cols, coef, on_row, np.where(on_row, coef, 1.0), coef2,
+                          np.hstack([coef2, -coef2]), np.where(widths > 0, coef2.sum(axis=1), 1.0),
+                          tuple(widths.tolist()))
+        for array in rows[:-1]:
+            array.flags.writeable = False
+        return rows
 
     def validate(self) -> None:
         """Check shapes, finiteness, ``dt``, the row rule and bound order;

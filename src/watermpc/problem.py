@@ -27,8 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkModel, _number
+from .network import MixingRows, NetworkModel, _number
 from .tree import ScenarioTree
+
+# The bounds [lo, hi] of a mixing row's padding entry, which never binds.
+_PADDING = np.array([-np.inf, np.inf])[:, None, None]
 
 
 @dataclass
@@ -91,9 +94,10 @@ class ProblemInstance:
     takes the rows' probabilities, ancestors and stages from the tree, which
     every instance of it shares read-only (see
     :attr:`~watermpc.tree.ScenarioTree.node_rows`), derives the rows' demand
-    inflows and economic costs and the mixing rows of
-    :func:`restore_feasible_inputs`, and rejects a node whose coupling
-    ``E u = -Ed d`` has no solution inside the input box.
+    inflows, economic costs and mixing right-hand sides, and rejects a node
+    whose coupling ``E u = -Ed d`` has no solution inside the input box; the
+    mixing rows themselves are the model's
+    (:attr:`~watermpc.network.NetworkModel.mixing_rows`).
     """
 
     model: NetworkModel
@@ -111,8 +115,6 @@ class ProblemInstance:
     stage_slices: tuple[slice, ...] = field(init=False, repr=False)
     demand_gd: np.ndarray = field(init=False, repr=False)
     econ: np.ndarray = field(init=False, repr=False)
-    mix_cols: np.ndarray = field(init=False, repr=False)
-    mix_coef: np.ndarray = field(init=False, repr=False)
     mix_rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -141,16 +143,12 @@ class ProblemInstance:
         # Hot-path constants: per-node demand inflow term and economic cost rows.
         self.demand_gd = self.demand @ model.Gd.T
         self.econ = self.weights.w_alpha * (model.alpha0[None, :] + self.price)
-        # Mixing rows for restore_feasible_inputs: each row's columns and
-        # coefficients, padded with coefficient 0, and each node's c = -Ed d.
-        on_row = model.E != 0
-        width = on_row.sum(axis=1).max(initial=0)
-        self.mix_cols = np.argsort(~on_row, axis=1, kind="stable")[:, :width]
-        self.mix_coef = np.take_along_axis(model.E, self.mix_cols, axis=1)
+        # Each node's right-hand sides c = -Ed d of the model's mixing rows.
         self.mix_rhs = -(self.demand @ model.Ed.T)
         # The rows are disjoint, so a node's coupling has a solution inside
         # the input box iff each c lies in the range of a'u over the box.
-        ends = [np.where(self.mix_coef != 0, b[self.mix_cols], 0.0) * self.mix_coef
+        rows = model.mixing_rows
+        ends = [np.where(rows.on_row, b[rows.cols], 0.0) * rows.coef
                 for b in (model.u_min, model.u_max)]  # 0, not 0 * inf, off the row
         bad = np.any((self.mix_rhs < np.minimum(*ends).sum(axis=1))
                      | (self.mix_rhs > np.maximum(*ends).sum(axis=1)), axis=1)
@@ -193,15 +191,34 @@ class ProblemInstance:
 
 
 def rollout_inputs(instance: ProblemInstance, U: np.ndarray) -> np.ndarray:
-    """States produced by the node dynamics for given per-node inputs."""
+    """States produced by the node dynamics for given per-node inputs.
+
+    ``U`` holds one input row per non-root node, shape ``(n, n_inputs)``, or
+    a stack of such candidates along a leading axis, ``(K, n, n_inputs)``;
+    the states come back in the same layout, each candidate's as its own
+    call would give them. A stage whose parents are the previous stage's
+    rows in order, because each has one child or the previous stage is one
+    node, reads them as a slice; any other stage gathers them.
+    """
     m = instance.model
     n = instance.n_nonroot
-    if U.shape != (n, m.n_inputs):
+    if U.ndim not in (2, 3) or U.shape[-2:] != (n, m.n_inputs):
         raise ValueError(f"inputs must have shape {(n, m.n_inputs)}")
-    X = np.vstack([U @ m.B.T + instance.demand_gd, instance.p])  # root row last
+    X = np.empty(U.shape[:-2] + (n + 1, m.n_tanks))  # the root's row last
+    np.matmul(U, m.B.T, out=X[..., :n, :])
+    X[..., :n, :] += instance.demand_gd
+    X[..., n, :] = instance.p
+    prev = slice(n, n + 1)
     for sl in instance.stage_slices:
-        X[sl] += X[instance.anc_row[sl]] @ m.A.T  # anc_row's -1 is the root's row
-    return X[:-1]
+        # Every node before the last stage has a child, and a stage follows
+        # its parents' order (ScenarioTree.validate).
+        width, prev_width = sl.stop - sl.start, prev.stop - prev.start
+        if prev_width in (1, width):
+            X[..., sl, :] += X[..., prev, :] @ m.A.T
+        else:
+            X[..., sl, :] += X[..., instance.anc_row[sl], :] @ m.A.T
+        prev = sl
+    return X[..., :n, :]
 
 
 def restore_feasible_inputs(
@@ -210,55 +227,103 @@ def restore_feasible_inputs(
     """Exact Euclidean projection of per-node inputs onto the input box
     intersected with the coupling set ``{u : E u = -Ed d}``, without a loop.
 
-    Each input is in at most one mixing row (NetworkModel's row rule), so an
-    input in no row is clipped and a row ``a'u = c`` becomes
-    ``clip(v + lam a, lo, hi)``, lam the root of the nondecreasing
+    ``U`` holds one input row per non-root node, or a stack of such
+    candidates along a leading axis; each candidate is projected as its own
+    call would project it, into an array of U's shape. Each input is in at
+    most one mixing row (NetworkModel's row rule), so an input in no row is
+    clipped and a row ``a'u = c`` becomes ``clip(v + lam a, lo, hi)``, lam
+    the root of the nondecreasing, piecewise linear
     ``phi(lam) = a' clip(v + lam a, lo, hi) - c``. A row whose affine
     projection stays inside the box keeps it; the others search the sorted
     breakpoints of phi (Helgason, Kennington & Lall, Math. Prog. 1980;
-    Kiwiel, JOTA 2008). ``e_pinv`` is not read.
+    Kiwiel, JOTA 2008): cumulative slopes over them bracket the root, phi
+    is priced exactly at the bracket's finite end alone, and one linear step
+    from there lands on the root. ``e_pinv`` is not read.
     """
     m = instance.model
-    out = np.clip(U, m.u_min, m.u_max)
     if m.n_mixing == 0:
-        return out
-    cols, a, c = instance.mix_cols, instance.mix_coef, instance.mix_rhs
-    on_row = a != 0
-    lo = np.where(on_row, m.u_min[cols], -np.inf)  # padding never binds
-    hi = np.where(on_row, m.u_max[cols], np.inf)
-    V = U[:, cols]
-    norm2 = (a * a).sum(axis=1)  # 0 on an empty row, whose c is 0
-    lam = np.divide(c - (V * a).sum(axis=2), norm2, out=np.zeros(c.shape), where=norm2 > 0)
-    W = V + lam[:, :, None] * a
-    node, row = np.nonzero(np.any((W < lo) | (W > hi), axis=2))
-    if node.size:
-        v, a, lo, hi, c = V[node, row], a[row], lo[row], hi[row], c[node, row]
-        # phi bends where an entry meets a bound. Price it at the sorted
-        # breakpoints, an infinite one standing for phi's limit, bracket the
-        # root between two neighbours and take one linear step from a finite
-        # one; the slope sums a_j^2 over the entries free in between.
-        a_div = np.where(a != 0, a, 1.0)  # padding: -inf and inf
-        t_lo, t_hi = np.sort([(lo - v) / a_div, (hi - v) / a_div], axis=0)
-        T = np.sort(np.hstack([t_lo, t_hi]), axis=1)
-        finite = np.isfinite(T)
-        # In place on one (rows, breakpoints, entries) buffer: on net10 it is
-        # the largest array a solve allocates.
-        at = np.where(finite, T, 0.0)[:, :, None] * a[:, None]
-        at += v[:, None]
-        np.minimum(np.maximum(at, lo[:, None], out=at), hi[:, None], out=at)
-        at *= a[:, None]
-        phi = at.sum(axis=2) - c[:, None]
-        phi[~finite] = np.copysign(np.inf, T[~finite])
-        k = np.arange(T.shape[0])
-        right = np.minimum(np.count_nonzero(phi <= 0, axis=1), T.shape[1] - 1)
-        left = np.maximum(right - 1, 0)
-        free = (t_lo <= T[k, left, None]) & (t_hi >= T[k, right, None])
-        slope = (a * a * free).sum(axis=1)
-        end = np.where(finite[k, left], left, right)
-        step = np.divide(phi[k, end], slope, out=np.zeros_like(slope), where=slope > 0)
-        W[node, row] = np.clip(v + (T[k, end] - step)[:, None] * a, lo, hi)
-    out[:, cols[on_row]] = W[:, on_row]
+        return np.clip(U, m.u_min, m.u_max)
+    rows, c = m.mixing_rows, instance.mix_rhs
+    a = rows.coef
+    box = np.where(rows.on_row, np.array([m.u_min, m.u_max])[:, rows.cols], _PADDING)
+    W = U[..., rows.cols]
+    resid = c - (W * a).sum(axis=-1)
+    # The affine projection v + lam a, in place on the rows v. lam is spread
+    # over each row's entries first: a product that broadcasts it is
+    # several times slower and buffers.
+    lam_a = (resid / rows.norm2).repeat(a.shape[1], axis=-1).reshape(W.shape)
+    lam_a *= a  # norm2 is 1 on an empty row, whose resid is 0
+    W += lam_a
+    del lam_a
+    outside = W < box[0]
+    outside |= W > box[1]
+    at = outside.any(axis=-1).nonzero()  # (candidate,) node, row
+    if at[0].size:
+        row = at[-1]
+        v = U[tuple(i[:, None] for i in at[:-1]) + (rows.cols[row],)]
+        W[at] = _row_roots(rows, row, v, box, resid[at], c[at[-2:]])
+    out = np.maximum(U, m.u_min)
+    np.minimum(out, m.u_max, out=out)
+    for i, width in enumerate(rows.widths):
+        out[..., rows.cols[i, :width]] = W[..., i, :width]
     return out
+
+
+def _row_roots(rows: MixingRows, row: np.ndarray, v: np.ndarray, box: np.ndarray,
+               resid: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``clip(v + lam a, lo, hi)`` at the root lam of each given row's phi
+    (see :func:`restore_feasible_inputs`): ``row`` indexes the mixing rows
+    of ``rows``, ``box`` holds their bounds ``[lo, hi]`` and ``resid`` is
+    ``c - a'v``. Each array is dropped once it is spent: a net10
+    certificate searches thousands of rows."""
+    bounds = box[:, row]
+    a, a2 = rows.coef[row], rows.coef2[row]
+    # Each entry is free, with slope a_j^2, between its two breakpoints; an
+    # infinite one stands for phi's limit on its side.
+    t = bounds - v
+    t /= rows.divisor[row]
+    t.sort(axis=0)
+    t_lo, t_hi = t
+    T = t.transpose(1, 0, 2).reshape(row.size, -1)
+    order = T.argsort(axis=1)
+    k = np.arange(row.size)
+    T = T[k[:, None], order]
+    kink = rows.kinks[row[:, None], order]  # +a_j^2 at t_lo_j, -a_j^2 at t_hi_j
+    del order
+    # At a finite breakpoint t, phi(t) = a'v - c + sum_j a_j^2 clip(t, t_lo_j, t_hi_j)
+    # = a'v - c + C + t S(t) - Q(t): C sums a_j^2 t_lo_j over the finite
+    # t_lo_j, and S and Q sum the kinks, and the kinks times their finite
+    # breakpoints, up to t.
+    finite = np.isfinite(T)
+    T_fin = np.where(finite, T, 0.0)
+    phi = kink.cumsum(axis=1)
+    phi *= T_fin
+    kink *= T_fin
+    del T_fin
+    phi -= kink.cumsum(axis=1, out=kink)
+    del kink
+    phi += ((a2 * np.where(np.isfinite(t_lo), t_lo, 0.0)).sum(axis=1) - resid)[:, None]
+    np.copyto(phi, T, where=~finite)
+    # The root lies between the breakpoints left and right. Price phi at the
+    # finite one of them and step along the slope of the entries free in
+    # between.
+    right = np.minimum((phi <= 0).sum(axis=1), T.shape[1] - 1)
+    del phi, finite
+    left = np.maximum(right - 1, 0)
+    t_left, t_right = T[k, left], T[k, right]
+    slope = (a2 * ((t_lo <= t_left[:, None]) & (t_hi >= t_right[:, None]))).sum(axis=1)
+    t = np.where(np.isfinite(t_left), t_left, t_right)
+    phi_t = _clipped(t[:, None] * a, v, bounds)
+    phi_t *= a
+    step = np.divide(phi_t.sum(axis=1) - c, slope, out=np.zeros_like(slope), where=slope > 0)
+    return _clipped((t - step)[:, None] * a, v, bounds)
+
+
+def _clipped(x: np.ndarray, v: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``clip(x + v, *bounds)``, in place on x."""
+    x += v
+    np.maximum(x, bounds[0], out=x)
+    return np.minimum(x, bounds[1], out=x)
 
 
 def smooth_cost(instance: ProblemInstance, U: np.ndarray) -> float:
@@ -406,27 +471,25 @@ def g_conjugate_value(instance: ProblemInstance, y: np.ndarray) -> float:
     state box, the safety half-space and the input box. A point outside
     that domain by at most ``CONJUGATE_DOMAIN_TOL`` relative counts as
     inside; beyond it the value is +inf.
+
+    Every row shares the bounds, so the support functions are two column
+    sums, of y's positive and of its negative parts, priced at the upper
+    and the lower bounds. A column with no part of a sign meets that bound
+    as 0, an infinite bound too; y2's positive part, within the tolerance,
+    is priced at 0.
     """
     m = instance.model
     w = instance.weights
-    Y1, Y2, Y3 = instance.dual_blocks(y)
-    n1 = np.linalg.norm(Y1, axis=1)
-    n2 = np.linalg.norm(Y2, axis=1)
+    y = np.asarray(y, float)
+    Y1, Y2, _ = instance.dual_blocks(y)
     tol = CONJUGATE_DOMAIN_TOL
-    if np.any(n1 > w.w_x * (1.0 + tol) + tol):
+    if np.einsum("ij,ij->i", Y1, Y1).max() > (w.w_x * (1.0 + tol) + tol) ** 2:
         return np.inf
-    if np.any(n2 > w.w_s * (1.0 + tol) + tol):
+    if np.einsum("ij,ij->i", Y2, Y2).max() > (w.w_s * (1.0 + tol) + tol) ** 2:
         return np.inf
-    if np.any(Y2 > tol * (1.0 + np.abs(m.x_safe))):
+    if (Y2.max(axis=0) > tol * (1.0 + np.abs(m.x_safe))).any():
         return np.inf
-    val = _box_support(m.x_min, m.x_max, Y1)
-    val += float((m.x_safe * np.minimum(Y2, 0.0)).sum())
-    val += _box_support(m.u_min, m.u_max, Y3)
-    return float(val)
-
-
-def _box_support(lo: np.ndarray, hi: np.ndarray, Y: np.ndarray) -> float:
-    """Support function of a box, treating inf * 0 as 0 for widened boxes."""
-    with np.errstate(invalid="ignore"):
-        val = hi * np.clip(Y, 0.0, None) + lo * np.clip(Y, None, 0.0)
-    return float(np.where(np.isnan(val), 0.0, val).sum())
+    up, down = np.maximum(y, 0.0).sum(axis=0), np.minimum(y, 0.0).sum(axis=0)
+    hi = np.concatenate([m.x_max, np.zeros(m.n_tanks), m.u_max])
+    lo = np.concatenate([m.x_min, m.x_safe, m.u_min])
+    return float(np.where(up > 0.0, hi, 0.0) @ up + np.where(down < 0.0, lo, 0.0) @ down)

@@ -32,11 +32,17 @@ iterate's dips.
 Every ``GAP_CHECK_EVERY`` iterations, and after the last, the certificate
 restores the average to feasibility, and the last iterate too when it left
 the box, offers each restored point to the record, and takes the dual
-value at the current dual iterate as the bound. The restoration is the
-exact projection onto the input box and the coupling set
-(:func:`~watermpc.problem.restore_feasible_inputs`), so the restored point
-is feasible and the gap a true bound. Every candidate lies in the box, so
-one price serves all: the smooth cost plus its states' penalties. The
+value at the current dual iterate as the bound. The candidates go through
+the restoration and the rollout as one stack along a leading axis, one
+call each, and each comes out as its own call would give it; the record
+then prices them in turn, the average first. The restoration is the exact
+projection onto the input box and the coupling set
+(:func:`~watermpc.problem.restore_feasible_inputs`): a breakpoint search
+per violated mixing row, bracketed by cumulative slopes, so the restored
+point is feasible and the gap a true bound. The dual value's conjugate
+term is two column sums of the dual rows
+(:func:`~watermpc.problem.g_conjugate_value`). Every candidate lies in the
+box, so one price serves all: the smooth cost plus its states' penalties. The
 record keeps the feasible inputs and states it priced, so the returned
 primal is that point and the reported objective exactly its price; the
 control action is the probability-weighted average of its stage-1 inputs,
@@ -537,7 +543,8 @@ def _attained_value(
 ) -> float:
     """f(x) + <H'y, x> at the sweep's inputs U and states X for dual rows y."""
     nt = instance.model.n_tanks
-    coupled = ((y[:, :nt] + y[:, nt:2 * nt]) * X).sum() + (y[:, 2 * nt:] * U).sum()
+    coupled = (np.einsum("ij,ij->", y[:, :nt] + y[:, nt:2 * nt], X)
+               + np.einsum("ij,ij->", y[:, 2 * nt:], U))
     return smooth_cost(instance, U) + float(coupled)
 
 
@@ -656,10 +663,11 @@ def solve(
     inputs are priced with their states as they stand. Every
     ``GAP_CHECK_EVERY`` iterations and after the last, a certificate
     restores the average into the box and coupling set, and the last
-    primal iterate too when it left the box, prices the restored points
-    with their rollouts, and takes the dual value at the current dual
-    iterate as the new bound. Every candidate has the one price, and each
-    joins the record when it beats it. Whenever the record or the bound
+    primal iterate too when it left the box, in one stacked call, prices
+    the restored points with their rollouts in that order, and takes the
+    dual value at the current dual iterate as the new bound. Every
+    candidate has the one price, and each joins the record when it beats
+    it. Whenever the record or the bound
     changes, the solve stops once ``record - bound`` falls under ``tol``
     relative to the record; there is no other test. The returned ``primal_avg`` is the
     record's point and ``objective`` exactly its price. The control action
@@ -726,18 +734,18 @@ def solve(
 
         # The candidates, as feasible (inputs, states). Inputs inside the box
         # are feasible as the sweep returns them. A certificate restores the
-        # average, and the last iterate when it left the box; a restored
-        # point lies in the box too. The sweep's pair lives in its rows,
-        # which its next call overwrites, so the record copies it on accept;
-        # a restored pair is fresh, and the record keeps it as it stands.
+        # average, and the last iterate when it left the box, as one stack
+        # in one call, and rolls the stack out in one more; a restored point
+        # lies in the box too. The sweep's pair lives in its rows, which its
+        # next call overwrites, so the record copies it on accept; a
+        # restored pair is fresh, and the record keeps it as it stands.
         in_box = (np.greater_equal(U, m.u_min, out=inside).all()
                   and np.less_equal(U, m.u_max, out=inside).all())
         candidates = [(U, X)] if in_box else []
         certify = (nu + 1) % GAP_CHECK_EVERY == 0 or nu + 1 == config.max_iter
         if certify:
-            for U_c in (U_avg,) if in_box else (U_avg, U):
-                U_f = restore_feasible_inputs(instance, U_c)
-                candidates.append((U_f, rollout_inputs(instance, U_f)))
+            U_f = restore_feasible_inputs(instance, np.stack([U_avg] if in_box else [U_avg, U]))
+            candidates += zip(U_f, rollout_inputs(instance, U_f))
         changed = False
         for U_c, X_c in candidates:
             value = price_in_box(U_c, X_c)

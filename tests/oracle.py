@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from watermpc.problem import (
+    CONJUGATE_DOMAIN_TOL,
     ProblemInstance,
     _node_steps,
     apply_H,
@@ -363,6 +364,26 @@ def clip_dual_to_domain(instance: ProblemInstance, y: np.ndarray) -> np.ndarray:
     np.minimum(Y2, 0.0, out=Y2)
     # Rescale y2 after the sign clamp cannot grow its norm, so order is safe.
     return np.hstack([Y1, Y2, Y3])
+
+
+def conjugate_reference(instance: ProblemInstance, y: np.ndarray) -> float:
+    """g* at dual rows y, entry by entry: each row's norms are checked
+    against the domain, and each entry of y1 and y3 is priced at the bound
+    its sign points to, a zero entry at 0 even against an infinite bound."""
+    m, w = instance.model, instance.weights
+    Y1, Y2, Y3 = instance.dual_blocks(y)
+    tol = CONJUGATE_DOMAIN_TOL
+    if (np.any(np.linalg.norm(Y1, axis=1) > w.w_x * (1.0 + tol) + tol)
+            or np.any(np.linalg.norm(Y2, axis=1) > w.w_s * (1.0 + tol) + tol)
+            or np.any(Y2 > tol * (1.0 + np.abs(m.x_safe)))):
+        return np.inf
+
+    def support(lo, hi, Y):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the entries where() drops
+            return float((np.where(Y > 0, hi * Y, 0.0) + np.where(Y < 0, lo * Y, 0.0)).sum())
+
+    return (support(m.x_min, m.x_max, Y1) + float((m.x_safe * np.minimum(Y2, 0.0)).sum())
+            + support(m.u_min, m.u_max, Y3))
 
 
 def duality_gap(instance: ProblemInstance, z: np.ndarray, y: np.ndarray) -> float:

@@ -28,7 +28,8 @@ from watermpc.problem import (
 from watermpc.tree import ScenarioTree, attach_forecast
 
 from conftest import make_instance, make_model, make_tree
-from oracle import apply_H_adjoint, dykstra_restore, eval_f, primal_objective, prox_g
+from oracle import (apply_H_adjoint, conjugate_reference, dykstra_restore, eval_f,
+                    primal_objective, prox_g)
 
 
 def chain_instance(rng, horizon=3, n_tanks=1, n_inputs=1, n_demands=1, **kw):
@@ -452,6 +453,65 @@ def test_g_conjugate_on_simple_point(rng):
         assert g_conjugate_value(inst, y_bad) == np.inf
 
 
+def _unbounded_instance(rng):
+    """An instance whose boxes are open on some sides: x_min[0] and u_min[0]
+    are -inf, x_max[1] and u_max[1] are inf, and input 2 is unbounded."""
+    inst = make_instance(rng, horizon=2, max_nodes=6)  # 3 tanks, 4 inputs
+    m = inst.model
+    bounds = {name: getattr(m, name).copy() for name in ("x_min", "x_max", "u_min", "u_max")}
+    bounds["x_min"][0] = bounds["u_min"][[0, 2]] = -np.inf
+    bounds["x_max"][1] = bounds["u_max"][[1, 2]] = np.inf
+    return ProblemInstance(dataclasses.replace(m, **bounds), inst.tree, **_parts(inst))
+
+
+def _dual_on_the_finite_sides(rng, inst):
+    """Dual rows inside the domain of g* that give no side with an infinite
+    bound any weight: y1 and y3 are 0 or point at a finite bound there."""
+    n, nt = inst.n_nonroot, inst.model.n_tanks
+    y1 = rng.standard_normal((n, nt))
+    y1 *= 0.5 * inst.weights.w_x / np.linalg.norm(y1, axis=1, keepdims=True)
+    y2 = -np.abs(rng.standard_normal((n, nt)))
+    y2 *= 0.5 * inst.weights.w_s / np.linalg.norm(y2, axis=1, keepdims=True)
+    y3 = rng.standard_normal((n, inst.model.n_inputs))
+    y1[:, 0], y1[:, 1] = np.abs(y1[:, 0]), -np.abs(y1[:, 1])
+    y3[:, 0], y3[:, 1], y3[:, 2] = np.abs(y3[:, 0]), -np.abs(y3[:, 1]), 0.0
+    return np.hstack([y1, y2, y3])
+
+
+def test_g_conjugate_is_finite_where_no_weight_meets_an_infinite_bound(rng):
+    # inf * 0 counts as 0, with no warning.
+    inst = _unbounded_instance(rng)
+    y = _dual_on_the_finite_sides(rng, inst)
+    value = g_conjugate_value(inst, y)
+    assert np.isfinite(value)
+    assert value == pytest.approx(conjugate_reference(inst, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("col, sign",
+                         [(0, -1.0), (1, 1.0), (6, -1.0), (7, 1.0), (8, 1.0), (8, -1.0)],
+                         ids=["y1-x_min", "y1-x_max", "y3-u_min", "y3-u_max", "y3-free-up",
+                              "y3-free-down"])
+def test_g_conjugate_is_inf_along_an_infinite_bound(rng, col, sign):
+    # Columns 0 and 1 of y1 and 0-2 of y3 (columns 6-8) meet the open sides.
+    inst = _unbounded_instance(rng)
+    y = _dual_on_the_finite_sides(rng, inst)
+    y[-1, col] = 0.1 * sign
+    assert g_conjugate_value(inst, y) == np.inf == conjugate_reference(inst, y)
+
+
+@pytest.mark.parametrize("kind, iters", [("tank1", 50), ("net3", 100), ("net10", 50)])
+def test_g_conjugate_matches_the_entrywise_formula_on_a_solved_dual(kind, iters):
+    bundle = build_demo(kind, 0, h_sim=1)
+    fc = bundle.forecaster(0)
+    demand, price = attach_forecast(bundle.tree, fc.d_hat, fc.alpha_hat)
+    inst = ProblemInstance(bundle.model, bundle.tree, bundle.weights, bundle.x0,
+                           bundle.u_prev, demand, price)
+    res = watermpc.solver.solve(inst, dataclasses.replace(bundle.solver, max_iter=iters))
+    value = g_conjugate_value(inst, res.dual)
+    assert np.isfinite(value)
+    assert value == pytest.approx(conjugate_reference(inst, res.dual), rel=1e-12)
+
+
 def test_g_value_matches_prox_penalties(rng):
     inst = make_instance(rng, horizon=2, max_nodes=6)
     m = inst.model
@@ -579,7 +639,7 @@ def _certificate_cases():
         seen = []
 
         def recorded(instance, U, *args):
-            seen.append(U.copy())
+            seen.extend(np.array(U, ndmin=3))  # each candidate of a stack, in order
             return restore_feasible_inputs(instance, U, *args)
 
         config = dataclasses.replace(bundle.solver, max_iter=iters, tol=1e-30)
@@ -601,3 +661,22 @@ def test_restore_agrees_with_dykstra(cases):
         scale = 1.0 + float(np.max(np.abs(U)))
         resid = out @ m.E.T + inst.demand @ m.Ed.T
         assert float(np.max(np.abs(resid))) <= 1e-12 * scale
+        # It moves its own output by rounding only.
+        np.testing.assert_allclose(restore_feasible_inputs(inst, out), out, rtol=0,
+                                   atol=1e-12 * (1.0 + float(np.max(np.abs(out)))))
+
+
+@pytest.mark.parametrize("cases", [_infinite_bound_cases, _certificate_cases])
+def test_a_stack_restores_and_rolls_out_as_its_candidates_do(cases):
+    stacks = {}
+    for inst, U in cases():
+        stacks.setdefault(id(inst), (inst, []))[1].append(U)
+    for inst, Us in stacks.values():
+        U_f = restore_feasible_inputs(inst, np.stack(Us))
+        X_f = rollout_inputs(inst, U_f)
+        assert U_f.shape == (len(Us), inst.n_nonroot, inst.model.n_inputs)
+        assert X_f.shape == (len(Us), inst.n_nonroot, inst.model.n_tanks)
+        for U, U_s, X_s in zip(Us, U_f, X_f):
+            alone = restore_feasible_inputs(inst, U)
+            np.testing.assert_array_equal(U_s, alone)
+            np.testing.assert_array_equal(X_s, rollout_inputs(inst, alone))

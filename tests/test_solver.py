@@ -656,12 +656,13 @@ class TestSolve:
 
     @pytest.fixture
     def restored(self, monkeypatch):
-        """A copy of the inputs of each restore the solver makes, in order."""
+        """A copy of the inputs of each candidate the solver restores, in
+        order; a stacked call gives one entry per candidate."""
         calls = []
         real = watermpc.solver.restore_feasible_inputs
 
         def recorded(inst, U, *args):
-            calls.append(U.copy())
+            calls.extend(np.array(U, ndmin=3))
             return real(inst, U, *args)
 
         monkeypatch.setattr(watermpc.solver, "restore_feasible_inputs", recorded)
